@@ -7,6 +7,7 @@ re-analyze measured conditional-probability tables.
 """
 
 from .channels import (
+    ENCODINGS,
     AtomLevel,
     ErrorModel,
     StochasticChannel,
@@ -17,7 +18,9 @@ from .channels import (
     feedback_channel,
     prepare_atom,
     prepare_cavity,
+    prepare_register,
     readout_channel,
+    register_channel,
     relaxation_channel,
     time_reverse,
     two_atom_probability,
@@ -61,13 +64,17 @@ from .protocol import (
     oracle_full_state,
     sigma_grid,
     sigma_histogram,
-    sigma_of_trajectory,
-    tables_from_conditionals,
 )
-from .runner import build_kernel, point_tables, run_analysis, run_sweep, simulate_report
+from .runner import (
+    build_kernel,
+    measured_kernel,
+    point_tables,
+    run_analysis,
+    run_sweep,
+    simulate_report,
+)
 from .statespace import (
     DEFAULT_DIMS,
-    EnergyLevels,
     GibbsSpec,
     JointDistribution,
     SystemDims,

@@ -1,15 +1,15 @@
 """Classical stochastic channels for the demon circuit and its imperfections.
 
-Two state-space conventions coexist:
+Gates and errors act on the basis (level, n_C) of a three-level atom that
+carries both logical registers: level e encodes (n_Q=1, n_D=1), g encodes
+(0, 1) and f encodes (0, 0).  The readout is a g<->f pi-pulse, the feedback a
+resonant e<->g photon exchange, and every error acts on atomic levels.
 
-* **abstract** — the logical basis (n_Q, n_D, n_C): qubit, memory, cavity.
-  Used by the ideal protocol, where readout is a memory flip conditioned on
-  the qubit and feedback is a controlled photon exchange.
-* **physical** — the basis (level, n_C) with a three-level atom carrying both
-  logical registers: level e encodes (n_Q=1, n_D=1), g encodes (0, 1) and
-  f encodes (0, 0).  The fourth logical pair (1, 0) has no atomic level and
-  can never be populated.  Used by the imperfection model, where the readout
-  is a g<->f pi-pulse and errors act on atomic levels.
+:data:`ENCODINGS` maps each protocol mode to its register: the logical pair
+held by each level.  The physical atom has no level for (1, 0).  The ideal
+register appends a fourth level X = (1, 0); :func:`register_channel` and
+:func:`prepare_register` make X a spectator of every gate and error channel,
+so the ideal protocol runs the same chain as the physical one.
 
 Channels are column-stochastic matrices ``m[to, from]`` tagged with their
 basis labels, so composition across mismatched spaces fails loudly.
@@ -27,25 +27,34 @@ from .statespace import DEFAULT_DIMS, SystemDims
 
 __all__ = [
     "AtomLevel",
+    "ENCODINGS",
     "ErrorModel",
     "StochasticChannel",
-    "abstract_labels",
     "apply",
     "compose",
     "detection_channel",
     "encode_atom",
     "feedback_channel",
-    "identity_channel",
     "physical_labels",
     "prepare_atom",
     "prepare_cavity",
+    "prepare_register",
     "readout_channel",
+    "register_channel",
     "relaxation_channel",
     "time_reverse",
     "two_atom_probability",
 ]
 
 _COL_TOL = 1e-9
+
+
+#: Logical pair (n_Q, n_D) held by each register level, in basis order; the
+#: first three levels are the atom's e, g, f.
+ENCODINGS = {
+    "physical": ((1, 1), (0, 1), (0, 0)),
+    "ideal": ((1, 1), (0, 1), (0, 0), (1, 0)),
+}
 
 
 class AtomLevel(IntEnum):
@@ -57,11 +66,11 @@ class AtomLevel(IntEnum):
 
     @property
     def n_qubit(self) -> int:
-        return 1 if self is AtomLevel.E else 0
+        return ENCODINGS["physical"][self][0]
 
     @property
     def n_demon(self) -> int:
-        return 0 if self is AtomLevel.F else 1
+        return ENCODINGS["physical"][self][1]
 
 
 def encode_atom(n_qubit: int, n_demon: int) -> AtomLevel:
@@ -69,28 +78,16 @@ def encode_atom(n_qubit: int, n_demon: int) -> AtomLevel:
 
     The pair (1, 0) is unencodable in three levels; requesting it raises.
     """
-    try:
-        return {(1, 1): AtomLevel.E, (0, 1): AtomLevel.G, (0, 0): AtomLevel.F}[
-            (n_qubit, n_demon)
-        ]
-    except KeyError:
+    if (n_qubit, n_demon) not in ENCODINGS["physical"]:
         raise ValueError(
             f"logical state (n_Q={n_qubit}, n_D={n_demon}) has no atomic encoding"
-        ) from None
+        )
+    return AtomLevel(ENCODINGS["physical"].index((n_qubit, n_demon)))
 
 
 def physical_labels(dims: SystemDims = DEFAULT_DIMS) -> tuple:
     return tuple(
         (level, n) for level in AtomLevel for n in range(dims.dim_cavity_full)
-    )
-
-
-def abstract_labels(dims: SystemDims = DEFAULT_DIMS) -> tuple:
-    return tuple(
-        (q, d, n)
-        for q in range(dims.dim_qubit)
-        for d in range(dims.dim_demon)
-        for n in range(dims.dim_cavity_full)
     )
 
 
@@ -108,20 +105,15 @@ class StochasticChannel:
             raise ValueError("channel matrix must be square")
         if len(self.labels) != m.shape[0]:
             raise ValueError("label count does not match matrix dimension")
-        if np.any(m < -1e-15) or np.any(m > 1.0 + 1e-12):
-            raise ValueError("channel entries must lie in [0, 1]")
-        cols = m.sum(axis=0)
-        if np.any(np.abs(cols - 1.0) > _COL_TOL):
-            worst = float(np.abs(cols - 1.0).max())
+        if not ((m >= -1e-15) & (m <= 1.0 + 1e-12)).all():
+            raise ValueError("channel entries must be finite and lie in [0, 1]")
+        worst = float(np.abs(m.sum(axis=0) - 1.0).max())
+        if worst > _COL_TOL:
             raise ValueError(f"columns must sum to 1 (worst deviation {worst:.3e})")
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-
-def identity_channel(labels) -> StochasticChannel:
-    return StochasticChannel(np.eye(len(labels)), tuple(labels))
 
 
 def compose(outer: StochasticChannel, inner: StochasticChannel) -> StochasticChannel:
@@ -141,6 +133,8 @@ def apply(channel: StochasticChannel, dist: np.ndarray) -> np.ndarray:
 def time_reverse(channel: StochasticChannel) -> StochasticChannel:
     """Transpose of a deterministic (permutation) channel.
 
+    The protocol never calls this; the ``channel reversal`` check of
+    ``demon-ep validate`` uses it to certify that the ideal gates invert.
     Only permutations have a channel inverse that is again a channel; for a
     noisy map the transpose is not stochastic, so reversal is refused and the
     caller must instead re-apply the noisy elements around the reversed
@@ -287,17 +281,23 @@ class ErrorModel:
 
 
 def prepare_atom(level: AtomLevel, eps_prep: float = 0.0) -> np.ndarray:
-    """Distribution over (e, g, f) from preparing the given level.
+    """Distribution over (e, g, f) from preparing the given level."""
+    physical = ENCODINGS["physical"]
+    return prepare_register(physical[level], eps_prep, physical)
+
+
+def prepare_register(pair: tuple, eps_prep: float, encoding: tuple) -> np.ndarray:
+    """Distribution over the levels of ``encoding`` from preparing ``pair``.
 
     Only the e preparation (circularization to the upper level) is imperfect:
-    with probability ``eps_prep`` the atom is left in g instead.
+    with probability ``eps_prep`` the atom is left in g instead.  A level the
+    atom lacks is prepared exactly.
     """
-    out = np.zeros(3)
-    if level is AtomLevel.E:
-        out[AtomLevel.E] = 1.0 - eps_prep
-        out[AtomLevel.G] = eps_prep
-    else:
-        out[level] = 1.0
+    out = np.zeros(len(encoding))
+    level = encoding.index(pair)
+    out[level] = 1.0
+    if level == AtomLevel.E:
+        out[AtomLevel.E], out[AtomLevel.G] = 1.0 - eps_prep, eps_prep
     return out
 
 
@@ -305,7 +305,6 @@ def prepare_cavity(
     n_target: int,
     model: ErrorModel,
     dims: SystemDims = DEFAULT_DIMS,
-    ideal: bool = False,
 ) -> np.ndarray:
     """Photon-number distribution from preparing the Fock target ``n_target``.
 
@@ -317,7 +316,7 @@ def prepare_cavity(
     if not 0 <= n_target < full:
         raise ValueError(f"Fock target {n_target} outside the evolved space")
     out = np.zeros(full)
-    if ideal or n_target >= model.cavity_prep.shape[0]:
+    if n_target >= model.cavity_prep.shape[0]:
         out[n_target] = 1.0
         return out
     row = model.cavity_prep[n_target]
@@ -329,83 +328,51 @@ def prepare_cavity(
 # Protocol-step channels
 
 
-def _lift_atom(mat3: np.ndarray, dims: SystemDims) -> StochasticChannel:
-    cav = np.eye(dims.dim_cavity_full)
-    return StochasticChannel(np.kron(mat3, cav), physical_labels(dims))
-
-
-def _pulse_matrix(eps_read: float) -> np.ndarray:
-    swap_gf = np.eye(3)[:, [0, 2, 1]]
-    return (1.0 - eps_read) * swap_gf + eps_read * np.eye(3)
+def _lift_atom(
+    mat3: np.ndarray, dims: SystemDims, cav: np.ndarray | None = None
+) -> StochasticChannel:
+    """``np.kron(mat3, cav)`` over (level, n_C), by broadcasting; ``cav`` defaults to 1."""
+    full = dims.dim_cavity_full
+    cav = np.eye(full) if cav is None else cav
+    mat = (mat3[:, None, :, None] * cav[None, :, None, :]).reshape(3 * full, 3 * full)
+    return StochasticChannel(mat, physical_labels(dims))
 
 
 def readout_channel(
     eps_read: float = 0.0,
     dims: SystemDims = DEFAULT_DIMS,
-    mode: str = "physical",
 ) -> StochasticChannel:
-    """Memory-write step.
+    """Memory-write step: the g<->f pi-pulse on the atom.
 
-    physical: the g<->f pi-pulse on the atom (e untouched, cavity spectator),
-    failing to transfer with probability ``eps_read``.  The pulse is its own
-    inverse, so the same channel serves forward and backward runs.
-
-    abstract: flip the memory bit iff the qubit is in its ground state, with
-    the same failure probability.
+    e is untouched and the cavity a spectator; the pulse fails to transfer
+    with probability ``eps_read``.  It is its own inverse, so the same channel
+    serves forward and backward runs.  Starting from memory 1 it writes
+    k = n_Q.
     """
-    if mode == "physical":
-        return _lift_atom(_pulse_matrix(eps_read), dims)
-    if mode != "abstract":
-        raise ValueError(f"unknown mode {mode!r}")
-    labels = abstract_labels(dims)
-    perm = np.zeros((len(labels), len(labels)))
-    index = {lab: i for i, lab in enumerate(labels)}
-    for q, d, n in labels:
-        target = (q, 1 - d, n) if q == 0 else (q, d, n)
-        perm[index[target], index[(q, d, n)]] = 1.0
-    mat = (1.0 - eps_read) * perm + eps_read * np.eye(len(labels))
-    return StochasticChannel(mat, labels)
+    swap_gf = np.eye(3)[:, [0, 2, 1]]
+    return _lift_atom((1.0 - eps_read) * swap_gf + eps_read * np.eye(3), dims)
 
 
 def feedback_channel(
     eps_feed: float = 0.0,
     dims: SystemDims = DEFAULT_DIMS,
-    mode: str = "physical",
 ) -> StochasticChannel:
     """Conditional photon exchange.
 
-    physical: resonant swap on the (e, g) doublet — e,n -> g,n+1 and
-    g,n+1 -> e,n — with g,0 dark (no photon to absorb), f a spectator, and
-    the topmost pair truncated (e at the highest kept Fock state is fixed).
-    Fails, acting as the identity, with probability ``eps_feed``.
-
-    abstract: the same exchange on (n_Q, n_C), applied only when the memory
-    bit is 1.
+    Resonant swap on the (e, g) doublet — e,n -> g,n+1 and g,n+1 -> e,n —
+    with g,0 dark (no photon to absorb), f a spectator, and the topmost pair
+    truncated (e at the highest kept Fock state is fixed).  Fails, acting as
+    the identity, with probability ``eps_feed``.
     """
     full = dims.dim_cavity_full
-    if mode == "physical":
-        labels = physical_labels(dims)
-        index = {lab: i for i, lab in enumerate(labels)}
-        perm = np.eye(len(labels))
-        for n in range(full - 1):
-            a = index[(AtomLevel.E, n)]
-            b = index[(AtomLevel.G, n + 1)]
-            perm[[a, b], [a, b]] = 0.0
-            perm[a, b] = perm[b, a] = 1.0
-        mat = (1.0 - eps_feed) * perm + eps_feed * np.eye(len(labels))
-        return StochasticChannel(mat, labels)
-    if mode != "abstract":
-        raise ValueError(f"unknown mode {mode!r}")
-    labels = abstract_labels(dims)
-    index = {lab: i for i, lab in enumerate(labels)}
-    perm = np.eye(len(labels))
+    perm = np.eye(3 * full)
     for n in range(full - 1):
-        a = index[(1, 1, n)]
-        b = index[(0, 1, n + 1)]
+        a = AtomLevel.E * full + n  # index of label (e, n)
+        b = AtomLevel.G * full + n + 1  # index of label (g, n+1)
         perm[[a, b], [a, b]] = 0.0
         perm[a, b] = perm[b, a] = 1.0
-    mat = (1.0 - eps_feed) * perm + eps_feed * np.eye(len(labels))
-    return StochasticChannel(mat, labels)
+    mat = (1.0 - eps_feed) * perm + eps_feed * np.eye(3 * full)
+    return StochasticChannel(mat, physical_labels(dims))
 
 
 def detection_channel(
@@ -444,7 +411,19 @@ def relaxation_channel(
         cav[n, n] = 1.0 - down
         if n > 0:
             cav[n - 1, n] = down
-    return StochasticChannel(np.kron(atom, cav), physical_labels(dims))
+    return _lift_atom(atom, dims, cav)
+
+
+def register_channel(channel: StochasticChannel, encoding: tuple) -> StochasticChannel:
+    """An atom channel on the register of ``encoding``, over ((n_Q, n_D), n_C).
+
+    Levels beyond the atom's three are spectators: the identity acts on them.
+    """
+    full = channel.dim // len(AtomLevel)
+    mat = np.eye(full * len(encoding))
+    mat[: channel.dim, : channel.dim] = channel.matrix
+    labels = tuple((pair, n) for pair in encoding for n in range(full))
+    return StochasticChannel(mat, labels)
 
 
 def two_atom_probability(nbar: float = 0.22, eff: float = 0.5) -> float:

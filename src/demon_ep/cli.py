@@ -48,7 +48,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         choices=_SINGLE_ERROR_NAMES + ("none",),
         help="activate exactly one error channel (physical mode)",
     )
-    parser.add_argument("--jobs", type=int, metavar="N", help="worker processes for sweeps")
+    parser.add_argument("--jobs", type=int, metavar="N", help="ignored: runs are serial")
     parser.add_argument(
         "--floor",
         type=float,

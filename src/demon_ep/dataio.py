@@ -95,8 +95,8 @@ class ConditionalTable:
         for lab in self.col_labels:
             if len(lab) != 3:
                 raise ValueError(f"column label {lab} must have 3 entries")
-        if np.any(vals < 0) or np.any(vals > 1):
-            raise ValueError("conditional probabilities must lie in [0, 1]")
+        if not np.all((vals >= 0) & (vals <= 1)):
+            raise ValueError("conditional probabilities must be finite and lie in [0, 1]")
         axis = 1 if self.orientation == "forward-rows-initial" else 0
         sums = vals.sum(axis=axis)
         worst = float(np.abs(sums - 1.0).max()) if sums.size else 0.0
@@ -123,6 +123,8 @@ def _parse_label(token: str) -> tuple:
 
 
 def _clamp(value: float, where: str) -> float:
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite probability {value!r} at {where}")
     if 0.0 <= value <= 1.0:
         return value
     excess = max(-value, value - 1.0)
@@ -138,7 +140,8 @@ def parse_table(source, orientation: str) -> ConditionalTable:
     Blank lines and lines starting with ``#`` are skipped.  The first content
     line holds the column labels (optionally preceded by a corner token);
     every following line is a row label followed by one value per column.
-    Values barely outside [0, 1] (within 1e-6) are clamped with a warning.
+    Values barely outside [0, 1] (within 1e-6) are clamped with a warning;
+    NaN and infinities are rejected.
     """
     if hasattr(source, "read"):
         text = source.read()
@@ -215,48 +218,29 @@ def conditional_from_table(traj_table) -> ConditionalTable:
     the published format of physically encoded runs.
     """
     dims = traj_table.dims
-    init, full = dims.dim_cavity_init, dims.dim_cavity_full
+    forward = traj_table.direction == "forward"
     cond = traj_table.conditionals
-    if traj_table.direction == "forward":
-        if cond is None:
-            cond = _forward_cond_from_probs(traj_table)
-        include_unencodable = bool(np.any(cond[1, 0] > 0.0))
-        col_labels = tuple(
-            (m_q, k, m_c)
-            for m_q in range(2)
-            for k in range(2)
-            if (m_q, k) != (1, 0) or include_unencodable
-            for m_c in range(full)
-        )
-        row_labels = tuple((n_q, n_c) for n_q in range(2) for n_c in range(init))
-        values = np.array(
-            [
-                [cond[m_q, k, m_c, n_q, n_c] for (m_q, k, m_c) in col_labels]
-                for (n_q, n_c) in row_labels
-            ]
-        )
-        return ConditionalTable(row_labels, col_labels, values, "forward-rows-initial")
-    if cond is None:
+    if cond is None and not forward:
         raise ValueError(
             "backward trajectory tables cannot be deconvolved without their "
             "conditionals (labeled entries alone miss the unlabeled outcomes)"
         )
-    include_unencodable = bool(np.any(cond[:, :, 1, 0, :] > 0.0))
+    if forward:
+        cond = cond if cond is not None else _forward_cond_from_probs(traj_table)
+        cond = np.transpose(cond, (3, 4, 0, 1, 2))  # as [n_Q, n_C, m_Q, k, m_C]
+    include_unencodable = bool(np.any(cond[:, :, 1, 0] > 0.0))
     col_labels = tuple(
         (m_q, k, m_c)
         for m_q in range(2)
         for k in range(2)
         if (m_q, k) != (1, 0) or include_unencodable
-        for m_c in range(full)
+        for m_c in range(dims.dim_cavity_full)
     )
-    row_labels = tuple((n_q, n_c) for n_q in range(2) for n_c in range(full))
-    values = np.array(
-        [
-            [cond[n_q, n_c, m_q, k, m_c] for (m_q, k, m_c) in col_labels]
-            for (n_q, n_c) in row_labels
-        ]
-    )
-    return ConditionalTable(row_labels, col_labels, values, "backward-rows-final")
+    rows = dims.dim_cavity_init if forward else dims.dim_cavity_full
+    row_labels = tuple((n_q, n_c) for n_q in range(2) for n_c in range(rows))
+    values = np.array([[cond[row + col] for col in col_labels] for row in row_labels])
+    orientation = "forward-rows-initial" if forward else "backward-rows-final"
+    return ConditionalTable(row_labels, col_labels, values, orientation)
 
 
 def _forward_cond_from_probs(traj_table) -> np.ndarray:
@@ -359,7 +343,7 @@ class RunConfig:
     heat_from_atom: bool = True
     sigma_tol: float = 1e-9
     floor: float | None = None
-    jobs: int = 1
+    jobs: int = 1  # validated and ignored: runs are serial
     out: str | None = None
     eps_prep: float | None = None
     eps_read: float | None = None

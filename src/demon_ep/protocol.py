@@ -16,28 +16,33 @@ backward mass exceeds one by the weight of the extension level.  Backward
 outcomes whose final photon number falls outside the initial truncation carry
 no trajectory label and are accumulated in ``unlabeled_mass``; the sum of
 labeled and unlabeled mass always equals the prior mass put in.
+
+Both modes run one path: prepare a register level and a Fock state, apply the
+gate chain, and add each final level onto the logical pair it encodes.  The
+mode picks the register (:data:`~demon_ep.channels.ENCODINGS`) and, in ideal
+mode, the error-free model.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .channels import (
-    AtomLevel,
+    ENCODINGS,
     ErrorModel,
     apply,
     compose,
     detection_channel,
-    encode_atom,
     feedback_channel,
-    prepare_atom,
     prepare_cavity,
+    prepare_register,
     readout_channel,
+    register_channel,
     relaxation_channel,
 )
 from .statespace import (
@@ -48,9 +53,6 @@ from .statespace import (
     extended_gibbs,
     gibbs_distribution,
 )
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .dataio import ConditionalTable
 
 __all__ = [
     "SigmaHistogram",
@@ -63,12 +65,10 @@ __all__ = [
     "oracle_full_state",
     "sigma_grid",
     "sigma_histogram",
-    "sigma_of_trajectory",
-    "tables_from_conditionals",
 ]
 
-MODES = ("ideal", "physical")
-STAGES = ("initial", "pre_feedback", "post_feedback", "final")
+#: oracle stage -> number of forward channels applied (see :func:`_channels`)
+STAGES = {"initial": 0, "pre_feedback": 1, "post_feedback": 2, "final": 4}
 
 _HARD_TOL = 1e-3
 _SOFT_TOL = 1e-9
@@ -97,6 +97,8 @@ class Trajectory:
 
 
 def _check_mass(total: float, expected: float, what: str) -> None:
+    if not math.isfinite(total):
+        raise ValueError(f"{what}: mass {total!r} is not finite")
     err = abs(total - expected)
     if err > _HARD_TOL:
         raise ValueError(f"{what}: mass {total!r} differs from {expected!r}")
@@ -164,25 +166,14 @@ def branch_probability(table: TrajectoryTable) -> np.ndarray:
     return table.probs.sum(axis=(0, 2, 3, 4))
 
 
-def sigma_of_trajectory(traj: Trajectory, gibbs: GibbsSpec, pk: np.ndarray) -> float:
-    """Stochastic entropy production of one trajectory, in nats.
-
-    Heat exchanged with each bath is read off the two-point energies, and the
-    readout outcome contributes its surprisal: sigma = beta_Q (e_mQ - e_nQ) +
-    beta_C (e_mC - e_nC) - ln p(k), with energies in units of omega.
-    """
-    pk_val = float(pk[traj.k])
-    if pk_val <= 0.0:
-        return math.inf
-    return (
-        gibbs.beta_qubit * (traj.m_qubit - traj.n_qubit)
-        + gibbs.beta_cavity * (traj.m_cavity - traj.n_cavity)
-        - math.log(pk_val)
-    )
-
-
 def sigma_grid(gibbs: GibbsSpec, pk: np.ndarray, dims: SystemDims = DEFAULT_DIMS) -> np.ndarray:
-    """sigma over the full label grid, shaped like TrajectoryTable.probs."""
+    """Stochastic entropy production of every trajectory, in nats.
+
+    Shaped like TrajectoryTable.probs.  Heat exchanged with each bath is read
+    off the two-point energies, and the readout outcome contributes its
+    surprisal: sigma = beta_Q (m_Q - n_Q) + beta_C (m_C - n_C) - ln p(k), with
+    energies in units of omega; an outcome with p(k) = 0 gives ``inf``.
+    """
     n_q = np.arange(2)
     k = np.arange(2)
     n_c = np.arange(dims.dim_cavity_init)
@@ -202,24 +193,65 @@ def sigma_grid(gibbs: GibbsSpec, pk: np.ndarray, dims: SystemDims = DEFAULT_DIMS
 # Conditional evolution
 
 
-def _resolve_model(model: ErrorModel | None, mode: str) -> ErrorModel:
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+def _resolve_model(model: ErrorModel | None, mode: str, dims: SystemDims) -> ErrorModel:
+    if mode not in ENCODINGS:
+        raise ValueError(f"mode must be one of {tuple(ENCODINGS)}, got {mode!r}")
     if mode == "ideal":
         if model is not None and not model.is_ideal:
             raise ValueError("ideal mode does not accept an error model")
-        return ErrorModel.ideal()
-    return model if model is not None else ErrorModel()
+        exact = np.eye(dims.dim_cavity_init, dims.dim_cavity_full)
+        return ErrorModel(
+            eps_prep=0.0, eps_read=0.0, eps_feed=0.0, confusion=np.eye(3), cavity_prep=exact
+        )
+    model = model if model is not None else ErrorModel()
+    prepared, full = model.cavity_prep.shape[1], dims.dim_cavity_full
+    if prepared > full:
+        raise ValueError(
+            f"cavity_prep prepares photon numbers 0..{prepared - 1}, but dims keep only "
+            f"0..{full - 1}; physical mode needs dim_cavity_full >= {prepared}"
+        )
+    return model
 
 
-def _physical_chain(model: ErrorModel, dims: SystemDims, backward: bool):
-    pulse = readout_channel(model.eps_read, dims, mode="physical")
-    swap = feedback_channel(model.eps_feed, dims, mode="physical")
-    tail = compose(
-        detection_channel(model.confusion, dims), relaxation_channel(model, dims)
-    )
+def _channels(model: ErrorModel, dims: SystemDims):
+    """Readout, feedback, relaxation and detection, in forward order, built lazily."""
+    yield readout_channel(model.eps_read, dims)
+    yield feedback_channel(model.eps_feed, dims)
+    yield relaxation_channel(model, dims)
+    yield detection_channel(model.confusion, dims)
+
+
+def _evolve(model: ErrorModel | None, dims: SystemDims, mode: str, backward: bool):
+    """Run the gate chain from every prepared start.
+
+    Forward runs start from the pairs (n_Q, n_D=1) with the cavity in each
+    Fock state of the initial truncation; backward runs start from every
+    register level with the cavity anywhere in the evolved space.  Returns
+    the starting pairs, ``final[i, n, m_Q, m_D, m_C]`` (each final register
+    level placed at the pair it encodes) and ``reset[i, n]``, the final
+    weight with m_D = 1.
+    """
+    model = _resolve_model(model, mode, dims)
+    encoding = ENCODINGS[mode]
+    full = dims.dim_cavity_full
+    starts, n_cavity = (encoding, full) if backward else (((0, 1), (1, 1)), dims.dim_cavity_init)
+    pulse, swap, relax, detect = _channels(model, dims)
     core = compose(pulse, swap) if backward else compose(swap, pulse)
-    return compose(tail, core)
+    chain = register_channel(compose(compose(detect, relax), core), encoding)
+    cavities = [prepare_cavity(n, model, dims) for n in range(n_cavity)]
+    levels = np.zeros((len(starts), n_cavity, len(encoding) * full))
+    for i, pair in enumerate(starts):
+        register = prepare_register(pair, model.eps_prep, encoding)
+        for n, cavity in enumerate(cavities):
+            levels[i, n] = apply(chain, np.outer(register, cavity))
+    levels = levels.reshape(len(starts), n_cavity, len(encoding), full)
+    final = np.zeros((len(starts), n_cavity, 2, 2, full))
+    reset = np.zeros((len(starts), n_cavity))
+    for level, (m_q, m_d) in enumerate(encoding):  # one level per pair
+        final[:, :, m_q, m_d] = levels[:, :, level]
+        if m_d == 1:
+            reset += levels[:, :, level].sum(axis=-1)
+    return starts, final, reset
 
 
 def forward_conditionals(
@@ -230,32 +262,10 @@ def forward_conditionals(
     """p(m_Q, k, m_C | n_Q, n_C): outcome statistics per initial label.
 
     Shape (2, 2, dim_cavity_full, 2, dim_cavity_init); summing the first
-    three axes gives one for every initial label.
+    three axes gives one for every initial label.  The memory starts at 1.
     """
-    model = _resolve_model(model, mode)
-    full, init = dims.dim_cavity_full, dims.dim_cavity_init
-    out = np.zeros((2, 2, full, 2, init))
-    if mode == "ideal":
-        chain = compose(
-            feedback_channel(0.0, dims, mode="abstract"),
-            readout_channel(0.0, dims, mode="abstract"),
-        )
-        for n_q in range(2):
-            for n_c in range(init):
-                start = np.zeros((2, 2, full))
-                start[n_q, 1, n_c] = 1.0  # memory initialized to 1
-                final = apply(chain, start.ravel()).reshape(2, 2, full)
-                out[:, :, :, n_q, n_c] = np.transpose(final, (0, 1, 2))
-        return out
-    chain = _physical_chain(model, dims, backward=False)
-    for n_q in range(2):
-        atom = prepare_atom(encode_atom(n_q, 1), model.eps_prep)
-        for n_c in range(init):
-            cav = prepare_cavity(n_c, model, dims)
-            final = apply(chain, np.kron(atom, cav)).reshape(3, full)
-            for level in AtomLevel:
-                out[level.n_qubit, level.n_demon, :, n_q, n_c] += final[level]
-    return out
+    _, final, _ = _evolve(model, dims, mode, False)
+    return np.ascontiguousarray(np.transpose(final, (2, 3, 4, 0, 1)))
 
 
 def backward_conditionals(
@@ -272,39 +282,16 @@ def backward_conditionals(
     (m_Q, k, m_C).  The final memory register is traced out of ``bcond``;
     ``reset[m_Q, k, m_C]`` is the probability that it returned to its
     reference value 1 (a reversal-quality diagnostic, never a filter).
-    In physical mode the unencodable column (m_Q=1, k=0) is identically zero.
+    Columns of a pair (m_Q, k) the register cannot hold — (1, 0) in physical
+    mode — are identically zero.
     """
-    model = _resolve_model(model, mode)
     full = dims.dim_cavity_full
+    starts, final, runs_reset = _evolve(model, dims, mode, True)
     bcond = np.zeros((2, full, 2, 2, full))
     reset = np.zeros((2, 2, full))
-    if mode == "ideal":
-        chain = compose(
-            readout_channel(0.0, dims, mode="abstract"),
-            feedback_channel(0.0, dims, mode="abstract"),
-        )
-        for m_q in range(2):
-            for k in range(2):
-                for m_c in range(full):
-                    start = np.zeros((2, 2, full))
-                    start[m_q, k, m_c] = 1.0
-                    final = apply(chain, start.ravel()).reshape(2, 2, full)
-                    bcond[:, :, m_q, k, m_c] = final.sum(axis=1)
-                    reset[m_q, k, m_c] = final[:, 1, :].sum()
-        return bcond, reset
-    chain = _physical_chain(model, dims, backward=True)
-    for m_q in range(2):
-        for k in range(2):
-            if (m_q, k) == (1, 0):
-                continue  # no atomic level encodes this pair
-            atom = prepare_atom(encode_atom(m_q, k), model.eps_prep)
-            for m_c in range(full):
-                cav = prepare_cavity(m_c, model, dims)
-                final = apply(chain, np.kron(atom, cav)).reshape(3, full)
-                for level in AtomLevel:
-                    bcond[level.n_qubit, :, m_q, k, m_c] += final[level]
-                    if level.n_demon == 1:
-                        reset[m_q, k, m_c] += final[level].sum()
+    for i, (m_q, k) in enumerate(starts):
+        bcond[:, :, m_q, k, :] = np.transpose(final[i].sum(axis=2), (1, 2, 0))
+        reset[m_q, k] = runs_reset[i]
     return bcond, reset
 
 
@@ -338,7 +325,7 @@ def _weight_backward(
     zeta_q = gibbs_distribution(gibbs.beta_qubit, 2)
     w_cav = extended_gibbs(gibbs.beta_cavity, dims.dim_cavity_init, dims.dim_cavity_full)
     prior_qk = np.outer(zeta_q, np.asarray(pk, dtype=float))  # [m_Q, k]
-    if mode == "physical":
+    if (1, 0) not in ENCODINGS[mode]:
         if prior_qk[1, 0] > 0.0:
             warnings.warn(
                 "backward branch k=0 cannot be prepared with the qubit excited "
@@ -417,61 +404,13 @@ def backward_table(
     else:
         if forward_pk is None:
             forward_pk = branch_probability(forward_table(gibbs, model, dims, mode))
-        back_model = (
-            ErrorModel.ideal() if (idealized_backward and mode == "physical") else model
-        )
+        back_model = ErrorModel.ideal() if idealized_backward else model
         bcond, reset = backward_conditionals(back_model, dims, mode)
-    suffix = ":idealized" if idealized_backward and mode == "physical" else ""
+    suffix = ":idealized" if idealized_backward else ""
     return _weight_backward(
         bcond, gibbs, forward_pk, dims, mode,
         provenance=f"simulated:{mode}{suffix}", reset=reset,
     )
-
-
-def tables_from_conditionals(
-    fwd_cond: "ConditionalTable",
-    bwd_cond: "ConditionalTable | None",
-    gibbs: GibbsSpec,
-    dims: SystemDims = DEFAULT_DIMS,
-    mode: str = "physical",
-) -> tuple[TrajectoryTable, TrajectoryTable | None]:
-    """Rebuild trajectory tables from measured conditional-probability tables.
-
-    The forward table supplies the thermal priors and the branch distribution
-    p(k); the backward table is weighted with the same extended thermal
-    convention as a direct simulation, so analyzing serialized conditionals
-    reproduces the simulated tables exactly.  ``mode`` selects the encoding
-    convention ("physical" tables have no (m_Q=1, k=0) columns).  With no
-    backward table only the forward reconstruction is returned.
-    """
-    full, init = dims.dim_cavity_full, dims.dim_cavity_init
-    if fwd_cond.orientation != "forward-rows-initial":
-        raise ValueError("forward conditionals must be row-oriented on initial labels")
-    if bwd_cond is not None and bwd_cond.orientation != "backward-rows-final":
-        raise ValueError("backward conditionals must be row-oriented on final labels")
-    cond = np.zeros((2, 2, full, 2, init))
-    for i, (n_q, n_c) in enumerate(fwd_cond.row_labels):
-        if not (0 <= n_q < 2 and 0 <= n_c < init):
-            raise ValueError(f"forward row label ({n_q}, {n_c}) out of range")
-        for j, (m_q, k, m_c) in enumerate(fwd_cond.col_labels):
-            if not (0 <= m_q < 2 and 0 <= k < 2 and 0 <= m_c < full):
-                raise ValueError(f"forward column label ({m_q}, {k}, {m_c}) out of range")
-            cond[m_q, k, m_c, n_q, n_c] = fwd_cond.values[i, j]
-    fwd = _weight_forward(cond, gibbs, dims, provenance="reconstructed")
-    if bwd_cond is None:
-        return fwd, None
-
-    bcond = np.zeros((2, full, 2, 2, full))
-    for i, (n_q, n_c) in enumerate(bwd_cond.row_labels):
-        if not (0 <= n_q < 2 and 0 <= n_c < full):
-            raise ValueError(f"backward row label ({n_q}, {n_c}) out of range")
-        for j, (m_q, k, m_c) in enumerate(bwd_cond.col_labels):
-            if not (0 <= m_q < 2 and 0 <= k < 2 and 0 <= m_c < full):
-                raise ValueError(f"backward column label ({m_q}, {k}, {m_c}) out of range")
-            bcond[n_q, n_c, m_q, k, m_c] = bwd_cond.values[i, j]
-    pk = branch_probability(fwd)
-    bwd = _weight_backward(bcond, gibbs, pk, dims, mode, provenance="reconstructed")
-    return fwd, bwd
 
 
 # ---------------------------------------------------------------------------
@@ -491,43 +430,29 @@ def oracle_full_state(
     trajectory-by-trajectory; marginals of the trajectory table must agree
     with it, which cross-checks the bookkeeping.  ``stage`` taps the state
     before the readout ("initial"), between readout and feedback
-    ("pre_feedback"), after feedback ("post_feedback") or after the detection
-    stage ("final"; identical to post_feedback in ideal mode).
+    ("pre_feedback"), after feedback ("post_feedback") or after relaxation
+    and detection ("final"; identical to post_feedback in ideal mode).
     """
     if stage not in STAGES:
-        raise ValueError(f"stage must be one of {STAGES}, got {stage!r}")
-    model = _resolve_model(model, mode)
+        raise ValueError(f"stage must be one of {tuple(STAGES)}, got {stage!r}")
+    model = _resolve_model(model, mode, dims)
+    encoding = ENCODINGS[mode]
     full = dims.dim_cavity_full
     p_qubit, p_cavity = _forward_priors(gibbs, dims)
-    if mode == "ideal":
-        state = np.zeros((2, 2, full))
-        state[:, 1, : dims.dim_cavity_init] = np.outer(p_qubit, p_cavity)
-        state = state.ravel()
-        if stage in ("pre_feedback", "post_feedback", "final"):
-            state = apply(readout_channel(0.0, dims, mode="abstract"), state)
-        if stage in ("post_feedback", "final"):
-            state = apply(feedback_channel(0.0, dims, mode="abstract"), state)
-        return JointDistribution(dims, state.reshape(2, 2, full))
-    atom = sum(
-        p_qubit[n_q] * prepare_atom(encode_atom(n_q, 1), model.eps_prep)
+    register = sum(
+        p_qubit[n_q] * prepare_register((n_q, 1), model.eps_prep, encoding)
         for n_q in range(2)
     )
     cavity = sum(
         p_cavity[n_c] * prepare_cavity(n_c, model, dims)
         for n_c in range(dims.dim_cavity_init)
     )
-    state = np.kron(atom, cavity)
-    if stage in ("pre_feedback", "post_feedback", "final"):
-        state = apply(readout_channel(model.eps_read, dims, mode="physical"), state)
-    if stage in ("post_feedback", "final"):
-        state = apply(feedback_channel(model.eps_feed, dims, mode="physical"), state)
-    if stage == "final":
-        state = apply(relaxation_channel(model, dims), state)
-        state = apply(detection_channel(model.confusion, dims), state)
-    levels = state.reshape(3, full)
+    state = np.outer(register, cavity).ravel()
+    for channel in itertools.islice(_channels(model, dims), STAGES[stage]):
+        state = apply(register_channel(channel, encoding), state)
     joint = np.zeros((2, 2, full))
-    for level in AtomLevel:
-        joint[level.n_qubit, level.n_demon] += levels[level]
+    for level, (n_q, n_d) in zip(state.reshape(len(encoding), full), encoding):
+        joint[n_q, n_d] += level
     return JointDistribution(dims, joint)
 
 

@@ -1,15 +1,15 @@
 """Drivers that turn a :class:`~demon_ep.dataio.RunConfig` into results.
 
 The conditional dynamics of both protocol directions are independent of the
-bath temperatures, so a sweep factors into "build the kernel once" plus a
-cheap thermal re-weighting per bias point; the same split lets the analysis
-path feed measured conditionals through the identical weighting code.
+bath temperatures, so a run factors into "build the kernel once" plus a
+cheap thermal re-weighting per bias point.  A sweep simulates its kernel; an
+analysis reads it from measured conditional tables; both then run the same
+per-point loop.  Runs are serial: ``RunConfig.jobs`` is accepted and ignored.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,13 +38,13 @@ from .protocol import (
     oracle_full_state,
     sigma_grid,
     sigma_histogram,
-    tables_from_conditionals,
 )
 from .statespace import DEFAULT_DIMS, GibbsSpec, SystemDims
 
 __all__ = [
     "ProtocolKernel",
     "build_kernel",
+    "measured_kernel",
     "point_tables",
     "run_analysis",
     "run_sweep",
@@ -54,34 +54,75 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class ProtocolKernel:
-    """Bias-independent dynamics of one run: both conditional arrays."""
+    """Bias-independent dynamics of one run: both conditional arrays.
+
+    ``backward_cond`` is None for a forward-only analysis, and
+    ``backward_reset`` is None when the kernel was read from measured tables.
+    """
 
     mode: str
     dims: SystemDims
     forward_cond: np.ndarray
-    backward_cond: np.ndarray
-    backward_reset: np.ndarray
+    backward_cond: np.ndarray | None
+    backward_reset: np.ndarray | None = None
 
 
 def build_kernel(config: RunConfig, dims: SystemDims = DEFAULT_DIMS) -> ProtocolKernel:
     model = None if config.mode == "ideal" else config.build_error_model()
     fcond = forward_conditionals(model, dims, config.mode)
-    back_model = (
-        ErrorModel.ideal()
-        if (config.idealized_backward and config.mode == "physical")
-        else model
-    )
+    back_model = ErrorModel.ideal() if config.idealized_backward else model
     bcond, reset = backward_conditionals(back_model, dims, config.mode)
     return ProtocolKernel(config.mode, dims, fcond, bcond, reset)
 
 
+def measured_kernel(
+    mode: str,
+    forward: ConditionalTable,
+    backward: ConditionalTable | None,
+    dims: SystemDims = DEFAULT_DIMS,
+) -> ProtocolKernel:
+    """Kernel read from measured conditional-probability tables.
+
+    Weighting it gives the same tables as a direct simulation, so analyzing
+    serialized conditionals reproduces a sweep exactly.  ``mode`` selects the
+    register: physical tables have no (m_Q=1, k=0) columns, and their
+    backward k = 0 weight is reassigned as in a simulation.
+    """
+    if forward.orientation != "forward-rows-initial":
+        raise ValueError("forward conditionals must be row-oriented on initial labels")
+    if backward is not None and backward.orientation != "backward-rows-final":
+        raise ValueError("backward conditionals must be row-oriented on final labels")
+    cond = _label_grid(forward, "forward", dims.dim_cavity_init, dims.dim_cavity_full)
+    cond = np.ascontiguousarray(np.transpose(cond, (2, 3, 4, 0, 1)))
+    if backward is None:
+        return ProtocolKernel(mode, dims, cond, None)
+    bcond = _label_grid(backward, "backward", dims.dim_cavity_full, dims.dim_cavity_full)
+    return ProtocolKernel(mode, dims, cond, bcond)
+
+
+def _label_grid(table: ConditionalTable, what: str, rows: int, full: int) -> np.ndarray:
+    """Table values placed at [n_Q, n_C, m_Q, k, m_C], n_C < ``rows``, m_C < ``full``."""
+    for m_q, k, m_c in table.col_labels:
+        if not (0 <= m_q < 2 and 0 <= k < 2 and 0 <= m_c < full):
+            raise ValueError(f"{what} column label ({m_q}, {k}, {m_c}) out of range")
+    out = np.zeros((2, rows, 2, 2, full))
+    for i, (n_q, n_c) in enumerate(table.row_labels):
+        if not (0 <= n_q < 2 and 0 <= n_c < rows):
+            raise ValueError(f"{what} row label ({n_q}, {n_c}) out of range")
+        for j, col in enumerate(table.col_labels):
+            out[(n_q, n_c) + col] = table.values[i, j]
+    return out
+
+
 def point_tables(
     kernel: ProtocolKernel, gibbs: GibbsSpec
-) -> tuple[TrajectoryTable, TrajectoryTable]:
+) -> tuple[TrajectoryTable, TrajectoryTable | None]:
     """Thermally weighted forward/backward tables at one bias point."""
     fwd = forward_table(
         gibbs, dims=kernel.dims, mode=kernel.mode, conditionals=kernel.forward_cond
     )
+    if kernel.backward_cond is None:
+        return fwd, None
     bwd = backward_table(
         gibbs,
         dims=kernel.dims,
@@ -93,56 +134,12 @@ def point_tables(
     return fwd, bwd
 
 
-def _sweep_point(payload) -> EpResult:
-    kernel, beta_cavity, dbeta, sigma_tol, floor, heat_from_atom = payload
-    gibbs = GibbsSpec.from_dbeta(beta_cavity, dbeta)
-    fwd, bwd = point_tables(kernel, gibbs)
-    hist = sigma_histogram(fwd, bwd, tol=sigma_tol)
-    return evaluate(fwd, bwd, hist, floor=floor, heat_from_atom=heat_from_atom)
-
-
-def run_sweep(config: RunConfig, dims: SystemDims = DEFAULT_DIMS) -> list[EpResult]:
-    """All six estimators on the configured bias grid, in grid order."""
-    kernel = build_kernel(config, dims)
-    payloads = [
-        (kernel, config.beta_cavity, float(dbeta), config.sigma_tol, config.floor,
-         config.heat_from_atom)
-        for dbeta in config.grid()
-    ]
-    if config.jobs > 1:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            return list(pool.map(_sweep_point, payloads))
-    return [_sweep_point(p) for p in payloads]
-
-
-def run_analysis(
-    config: RunConfig,
-    forward: ConditionalTable | str,
-    backward: ConditionalTable | str | None = None,
-    dims: SystemDims = DEFAULT_DIMS,
-) -> list[EpResult]:
-    """Estimators over the bias grid from measured conditional tables.
-
-    Accepts parsed tables or paths.  Without a backward table only the
-    forward-protocol estimators are meaningful; the remaining fields are NaN
-    (and the CSV writer's forward-only layout omits them).
-    """
-    fwd_cond = (
-        forward
-        if isinstance(forward, ConditionalTable)
-        else parse_table(forward, "forward-rows-initial")
-    )
-    bwd_cond = None
-    if backward is not None:
-        bwd_cond = (
-            backward
-            if isinstance(backward, ConditionalTable)
-            else parse_table(backward, "backward-rows-final")
-        )
+def _run(kernel: ProtocolKernel, config: RunConfig) -> list[EpResult]:
+    """Estimators of a kernel at every point of the configured bias grid."""
     results = []
     for dbeta in config.grid():
         gibbs = GibbsSpec.from_dbeta(config.beta_cavity, float(dbeta))
-        fwd, bwd = tables_from_conditionals(fwd_cond, bwd_cond, gibbs, dims, config.mode)
+        fwd, bwd = point_tables(kernel, gibbs)
         if bwd is None:
             results.append(
                 EpResult(
@@ -164,6 +161,30 @@ def run_analysis(
                      heat_from_atom=config.heat_from_atom)
         )
     return results
+
+
+def run_sweep(config: RunConfig, dims: SystemDims = DEFAULT_DIMS) -> list[EpResult]:
+    """All six estimators on the configured bias grid, in grid order."""
+    return _run(build_kernel(config, dims), config)
+
+
+def run_analysis(
+    config: RunConfig,
+    forward: ConditionalTable | str,
+    backward: ConditionalTable | str | None = None,
+    dims: SystemDims = DEFAULT_DIMS,
+) -> list[EpResult]:
+    """Estimators over the bias grid from measured conditional tables.
+
+    Accepts parsed tables or paths.  Without a backward table only the
+    forward-protocol estimators are meaningful; the remaining fields are NaN
+    (and the CSV writer's forward-only layout omits them).
+    """
+    if not isinstance(forward, ConditionalTable):
+        forward = parse_table(forward, "forward-rows-initial")
+    if backward is not None and not isinstance(backward, ConditionalTable):
+        backward = parse_table(backward, "backward-rows-final")
+    return _run(measured_kernel(config.mode, forward, backward, dims), config)
 
 
 def simulate_report(

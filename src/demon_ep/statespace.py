@@ -19,8 +19,6 @@ import numpy as np
 
 __all__ = [
     "AXES",
-    "Distribution",
-    "EnergyLevels",
     "GibbsSpec",
     "JointDistribution",
     "SystemDims",
@@ -36,9 +34,6 @@ __all__ = [
 
 #: Axis order of every joint array: qubit, memory (demon), cavity.
 AXES = ("qubit", "demon", "cavity")
-
-#: Classical distributions are bare 1-D float arrays.
-Distribution = np.ndarray
 
 _NORM_TOL = 1e-12
 
@@ -74,20 +69,6 @@ class SystemDims:
 
 
 DEFAULT_DIMS = SystemDims()
-
-
-@dataclass(frozen=True)
-class EnergyLevels:
-    """Harmonic level ladder e(n) = n * omega, shared by qubit and cavity."""
-
-    omega: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not self.omega > 0:
-            raise ValueError("omega must be positive")
-
-    def energy(self, n) -> np.ndarray | float:
-        return np.asarray(n, dtype=float) * self.omega
 
 
 @dataclass(frozen=True)
@@ -136,7 +117,7 @@ def gibbs_distribution(
     beta_omega: float,
     levels: int,
     truncate_renormalize: bool = True,
-) -> Distribution:
+) -> np.ndarray:
     """Thermal occupation of a harmonic ladder with ``levels`` states.
 
     Parameters
@@ -183,7 +164,7 @@ def extended_gibbs(beta_omega: float, levels_norm: int, levels_total: int) -> np
     return weights / z_norm
 
 
-def mean_occupation(dist: Distribution) -> float:
+def mean_occupation(dist: np.ndarray) -> float:
     """Average level index <n> of a ladder distribution."""
     p = np.asarray(dist, dtype=float)
     return float(np.dot(np.arange(p.size), p))
@@ -237,10 +218,10 @@ class JointDistribution:
             raise ValueError(
                 f"probs shape {p.shape} does not match dims {self.dims.joint_shape}"
             )
-        if np.any(p < -_NORM_TOL):
-            raise ValueError("negative probability in joint distribution")
+        if not np.all(p >= -_NORM_TOL):
+            raise ValueError("negative or non-finite probability in joint distribution")
         total = float(p.sum())
-        if abs(total - 1.0) > _NORM_TOL:
+        if not abs(total - 1.0) <= _NORM_TOL:
             raise ValueError(f"joint distribution sums to {total!r}, not 1")
 
     def axis(self, name: str) -> int:
@@ -271,6 +252,9 @@ def marginalize(joint: JointDistribution, keep) -> np.ndarray:
 
 def condition(joint: JointDistribution, on: dict) -> tuple[np.ndarray, float]:
     """Condition on exact values of one or more axes.
+
+    The protocol never calls this; the ``information measures`` check of
+    ``demon-ep validate`` uses it to verify the chain rule.
 
     Parameters
     ----------

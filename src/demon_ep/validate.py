@@ -88,9 +88,9 @@ def check_information_measures() -> tuple[bool, str]:
 def check_channel_stochasticity() -> tuple[bool, str]:
     count = 0
     for eps in (0.0, 0.03, 0.11, 0.5, 1.0):
-        for mode in ("physical", "abstract"):
-            channels.readout_channel(eps, mode=mode)
-            channels.feedback_channel(eps, mode=mode)
+        for encoding in channels.ENCODINGS.values():
+            channels.register_channel(channels.readout_channel(eps), encoding)
+            channels.register_channel(channels.feedback_channel(eps), encoding)
             count += 2
     model = channels.ErrorModel()
     channels.detection_channel(model.confusion)
@@ -103,9 +103,9 @@ def check_channel_stochasticity() -> tuple[bool, str]:
 
 
 def check_channel_reversal() -> tuple[bool, str]:
-    for mode in ("physical", "abstract"):
+    for mode, encoding in channels.ENCODINGS.items():
         for build in (channels.readout_channel, channels.feedback_channel):
-            chan = build(0.0, mode=mode)
+            chan = channels.register_channel(build(0.0), encoding)
             rev = channels.time_reverse(chan)
             round_trip = channels.compose(rev, chan)
             if not np.allclose(round_trip.matrix, np.eye(chan.dim), atol=1e-12):
@@ -319,9 +319,8 @@ def check_serialization_roundtrip() -> tuple[bool, str]:
             return False, "serialization not idempotent"
     fwd_cond = dataio.conditional_from_table(fwd)
     bwd_cond = dataio.conditional_from_table(bwd)
-    fwd2, bwd2 = protocol.tables_from_conditionals(
-        fwd_cond, bwd_cond, gibbs, mode="physical"
-    )
+    kernel = runner.measured_kernel("physical", fwd_cond, bwd_cond)
+    fwd2, bwd2 = runner.point_tables(kernel, gibbs)
     worst = max(worst, float(np.abs(fwd2.probs - fwd.probs).max()))
     worst = max(worst, float(np.abs(bwd2.probs - bwd.probs).max()))
     worst = max(worst, abs(bwd2.unlabeled_mass - bwd.unlabeled_mass))

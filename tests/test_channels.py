@@ -7,6 +7,7 @@ import pytest
 
 from demon_ep import (
     DEFAULT_DIMS,
+    ENCODINGS,
     AtomLevel,
     ErrorModel,
     StochasticChannel,
@@ -17,12 +18,14 @@ from demon_ep import (
     feedback_channel,
     prepare_atom,
     prepare_cavity,
+    prepare_register,
     readout_channel,
+    register_channel,
     relaxation_channel,
     time_reverse,
     two_atom_probability,
 )
-from demon_ep.channels import identity_channel, physical_labels
+from demon_ep.channels import physical_labels
 
 FULL = DEFAULT_DIMS.dim_cavity_full
 
@@ -75,20 +78,20 @@ def test_compose_applies_inner_first():
 def test_compose_requires_matching_bases():
     with pytest.raises(ValueError):
         compose(
-            identity_channel(("a", "b")),
-            identity_channel(("x", "y")),
+            StochasticChannel(np.eye(2), ("a", "b")),
+            StochasticChannel(np.eye(2), ("x", "y")),
         )
 
 
 def test_time_reverse_inverts_permutations():
-    fb = feedback_channel(0.0, mode="physical")
+    fb = feedback_channel(0.0)
     undo = compose(time_reverse(fb), fb)
     np.testing.assert_allclose(undo.matrix, np.eye(fb.dim), atol=1e-12)
 
 
 def test_time_reverse_refuses_noisy_channels():
     with pytest.raises(ValueError):
-        time_reverse(feedback_channel(0.25, mode="physical"))
+        time_reverse(feedback_channel(0.25))
 
 
 # ---------------------------------------------------------------------------
@@ -114,9 +117,14 @@ def test_prepare_cavity_targets_beyond_table_are_exact():
     np.testing.assert_allclose(out, [0, 0, 0, 0, 1])
 
 
-def test_prepare_cavity_ideal_flag_overrides_table():
-    np.testing.assert_allclose(prepare_cavity(1, ErrorModel(), ideal=True),
-                               [0, 1, 0, 0, 0])
+def test_prepare_register_adds_an_exact_spectator_level():
+    ideal = ENCODINGS["ideal"]
+    np.testing.assert_allclose(prepare_register((1, 1), 0.1, ideal), [0.9, 0.1, 0, 0])
+    np.testing.assert_allclose(prepare_register((0, 0), 0.1, ideal), [0, 0, 1, 0])
+    np.testing.assert_allclose(prepare_register((1, 0), 0.1, ideal), [0, 0, 0, 1])
+    np.testing.assert_allclose(
+        prepare_register((1, 1), 0.1, ENCODINGS["physical"]), [0.9, 0.1, 0]
+    )
 
 
 def test_prepare_cavity_range_check():
@@ -140,7 +148,7 @@ def _decode(dist: np.ndarray) -> dict:
 
 
 def test_readout_pulse_swaps_g_and_f():
-    pulse = readout_channel(0.0, mode="physical")
+    pulse = readout_channel(0.0)
     assert _decode(apply(pulse, _atom_state(AtomLevel.G, 2))) == {
         (AtomLevel.F, 2): 1.0
     }
@@ -153,29 +161,35 @@ def test_readout_pulse_swaps_g_and_f():
 
 
 def test_readout_pulse_failure_branch():
-    pulse = readout_channel(0.11, mode="physical")
+    pulse = readout_channel(0.11)
     out = _decode(apply(pulse, _atom_state(AtomLevel.G, 0)))
     assert out[(AtomLevel.F, 0)] == pytest.approx(0.89)
     assert out[(AtomLevel.G, 0)] == pytest.approx(0.11)
 
 
 def test_readout_pulse_is_an_involution():
-    pulse = readout_channel(0.0, mode="physical")
+    pulse = readout_channel(0.0)
     np.testing.assert_allclose(
         compose(pulse, pulse).matrix, np.eye(pulse.dim), atol=1e-12
     )
 
 
-def test_abstract_readout_writes_qubit_into_memory():
-    # memory bit flips iff the qubit is down; starting from k=1 this
-    # implements k <- n_Q
-    gate = readout_channel(0.0, mode="abstract")
+def _logical(gate):
+    """Outcomes of a register gate from logical label (n_Q, n_D, n_C)."""
     idx = {lab: i for i, lab in enumerate(gate.labels)}
 
     def out_of(q, d, n):
-        col = gate.matrix[:, idx[(q, d, n)]]
-        return {gate.labels[i]: p for i, p in enumerate(col) if p > 1e-15}
+        col = gate.matrix[:, idx[((q, d), n)]]
+        return {(*gate.labels[i][0], gate.labels[i][1]): p
+                for i, p in enumerate(col) if p > 1e-15}
 
+    return out_of
+
+
+def test_abstract_readout_writes_qubit_into_memory():
+    # on the 4-level ideal register the memory bit flips iff the qubit is
+    # down; starting from k=1 this implements k <- n_Q
+    out_of = _logical(register_channel(readout_channel(0.0), ENCODINGS["ideal"]))
     assert out_of(0, 1, 2) == {(0, 0, 2): 1.0}
     assert out_of(0, 0, 2) == {(0, 1, 2): 1.0}
     assert out_of(1, 1, 2) == {(1, 1, 2): 1.0}
@@ -183,7 +197,7 @@ def test_abstract_readout_writes_qubit_into_memory():
 
 
 def test_feedback_exchanges_excitation_with_cavity():
-    fb = feedback_channel(0.0, mode="physical")
+    fb = feedback_channel(0.0)
     assert _decode(apply(fb, _atom_state(AtomLevel.E, 1))) == {(AtomLevel.G, 2): 1.0}
     assert _decode(apply(fb, _atom_state(AtomLevel.G, 2))) == {(AtomLevel.E, 1): 1.0}
     # no photon to absorb: g,0 is dark
@@ -197,20 +211,14 @@ def test_feedback_exchanges_excitation_with_cavity():
 
 
 def test_feedback_failure_acts_as_identity():
-    fb = feedback_channel(0.03, mode="physical")
+    fb = feedback_channel(0.03)
     out = _decode(apply(fb, _atom_state(AtomLevel.E, 0)))
     assert out[(AtomLevel.G, 1)] == pytest.approx(0.97)
     assert out[(AtomLevel.E, 0)] == pytest.approx(0.03)
 
 
 def test_abstract_feedback_acts_only_when_memory_set():
-    fb = feedback_channel(0.0, mode="abstract")
-    idx = {lab: i for i, lab in enumerate(fb.labels)}
-
-    def out_of(q, d, n):
-        col = fb.matrix[:, idx[(q, d, n)]]
-        return {fb.labels[i]: p for i, p in enumerate(col) if p > 1e-15}
-
+    out_of = _logical(register_channel(feedback_channel(0.0), ENCODINGS["ideal"]))
     assert out_of(1, 1, 0) == {(0, 1, 1): 1.0}
     assert out_of(0, 1, 1) == {(1, 1, 0): 1.0}
     assert out_of(1, 0, 0) == {(1, 0, 0): 1.0}  # memory clear: no exchange

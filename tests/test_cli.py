@@ -88,6 +88,7 @@ def test_sweep_physical_single_error(coarse_config):
 
 
 def test_sweep_parallel_jobs_match_serial(coarse_config):
+    # --jobs is accepted for old command lines and ignored: runs are serial
     serial = run_cli("sweep", "--config", str(coarse_config), "--mode", "physical")
     parallel = run_cli(
         "sweep", "--config", str(coarse_config), "--mode", "physical", "--jobs", "3"

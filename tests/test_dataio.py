@@ -23,10 +23,11 @@ from demon_ep import (
     forward_table,
     kelvin_to_beta_omega,
     load_config,
+    measured_kernel,
     parse_table,
+    point_tables,
     serialize_table,
     sweep_csv_text,
-    tables_from_conditionals,
     write_table,
 )
 from demon_ep.dataio import BOLTZMANN_CONSTANT, PLANCK_CONSTANT
@@ -87,6 +88,14 @@ def test_table_warns_on_small_deficit():
 def test_table_rejects_large_deficit():
     with pytest.raises(ValueError, match="not stochastic"):
         _small_table([[0.2, 0.3, 0.1], [1.0, 0.0, 0.0]])
+
+
+def test_table_rejects_non_finite_entries():
+    # NaN fails every comparison, so range and sum checks alone let it through
+    with pytest.raises(ValueError, match="finite"):
+        _small_table([[np.nan, 0.5, 0.5], [1.0, 0.0, 0.0]])
+    with pytest.raises(ValueError, match="finite"):
+        _small_table([[np.inf, 0.0, 0.0], [1.0, 0.0, 0.0]])
 
 
 def test_table_rejects_duplicate_labels():
@@ -176,6 +185,14 @@ def test_parse_table_rejects_real_negatives():
         parse_table(io.StringIO(text), "forward-rows-initial")
 
 
+@pytest.mark.parametrize("token", ["nan", "NaN", "inf", "-inf"])
+def test_parse_table_rejects_non_finite_values(token):
+    # max(0.0, nan) is 0.0: clamping used to read NaN as a zero probability
+    text = f"state (0,0,0) (0,1,0)\n(0,0) {token} 1\n"
+    with pytest.raises(ValueError, match=r"non-finite .* row \(0, 0\), column \(0, 0, 0\)"):
+        parse_table(io.StringIO(text), "forward-rows-initial")
+
+
 def test_parse_table_rejects_malformed_labels():
     text = "state (0,0,0) bogus\n(0,0) 0.5 0.5\n"
     with pytest.raises(ValueError, match="label"):
@@ -229,12 +246,12 @@ def test_simulated_tables_round_trip_through_text(tmp_path):
         )
         write_table(conditional_from_table(fwd), tmp_path / "f.txt")
         write_table(conditional_from_table(bwd), tmp_path / "b.txt")
-        fwd2, bwd2 = tables_from_conditionals(
+        kernel = measured_kernel(
+            "physical",
             parse_table(tmp_path / "f.txt", "forward-rows-initial"),
             parse_table(tmp_path / "b.txt", "backward-rows-final"),
-            gibbs,
-            mode="physical",
         )
+        fwd2, bwd2 = point_tables(kernel, gibbs)
     assert np.array_equal(fwd.probs, fwd2.probs)
     assert np.array_equal(bwd.probs, bwd2.probs)
 

@@ -23,10 +23,11 @@ from demon_ep import (
     forward_table,
     gibbs_distribution,
     marginalize,
+    measured_kernel,
     oracle_full_state,
+    point_tables,
+    sigma_grid,
     sigma_histogram,
-    sigma_of_trajectory,
-    tables_from_conditionals,
 )
 from demon_ep.protocol import backward_conditionals, forward_conditionals
 from demon_ep.statespace import extended_gibbs
@@ -63,20 +64,20 @@ def test_trajectory_rejects_out_of_range_bits():
 
 def test_sigma_is_two_point_energy_plus_surprisal():
     gibbs = _gibbs(2.0)
-    pk = np.array([0.3, 0.7])
+    sigma = sigma_grid(gibbs, np.array([0.3, 0.7]))
+    assert sigma.shape == (2, 2, INIT, 2, FULL)
     # no energy change: sigma is the outcome surprisal alone
     flat = Trajectory(0, 0, 2, 0, 2)
-    assert sigma_of_trajectory(flat, gibbs, pk) == pytest.approx(-math.log(0.3))
+    assert sigma[flat.index] == pytest.approx(-math.log(0.3))
     # one quantum moved from qubit to cavity
     swap = Trajectory(1, 1, 2, 0, 3)
     expected = gibbs.delta_beta - math.log(0.7)
-    assert sigma_of_trajectory(swap, gibbs, pk) == pytest.approx(expected, rel=1e-14)
+    assert sigma[swap.index] == pytest.approx(expected, rel=1e-14)
 
 
 def test_sigma_infinite_on_unused_branch():
-    gibbs = _gibbs(0.0)
-    traj = Trajectory(0, 0, 0, 0, 0)
-    assert sigma_of_trajectory(traj, gibbs, np.array([0.0, 1.0])) == math.inf
+    sigma = sigma_grid(_gibbs(0.0), np.array([0.0, 1.0]))
+    assert sigma[Trajectory(0, 0, 0, 0, 0).index] == math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +177,7 @@ def test_ideal_backward_keeps_abstract_unencodable_branch():
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no reassignment warning expected
         bwd = backward_table(gibbs, mode="ideal")
-    # the abstract reversal runs on the full bit space, (m_Q=1, k=0) included
+    # the ideal register has a level X for (m_Q=1, k=0), so that branch runs
     assert bwd.probs[:, 0, :, 1, :].sum() > 0.0
 
 
@@ -217,12 +218,10 @@ def test_tables_from_conditionals_reproduces_direct_run_exactly():
         bwd = backward_table(
             gibbs, model, mode="physical", forward_pk=branch_probability(fwd)
         )
-        fwd2, bwd2 = tables_from_conditionals(
-            conditional_from_table(fwd),
-            conditional_from_table(bwd),
-            gibbs,
-            mode="physical",
+        kernel = measured_kernel(
+            "physical", conditional_from_table(fwd), conditional_from_table(bwd)
         )
+        fwd2, bwd2 = point_tables(kernel, gibbs)
     assert np.array_equal(fwd.probs, fwd2.probs)
     assert np.array_equal(bwd.probs, bwd2.probs)
     assert bwd2.unlabeled_mass == pytest.approx(bwd.unlabeled_mass, abs=1e-15)

@@ -12,7 +12,6 @@ from hypothesis.extra.numpy import arrays
 
 from demon_ep import (
     DEFAULT_DIMS,
-    EnergyLevels,
     GibbsSpec,
     JointDistribution,
     SystemDims,
@@ -25,9 +24,6 @@ from demon_ep import (
     relative_entropy,
     shannon_entropy,
 )
-
-LEVELS = EnergyLevels()
-
 
 # ---------------------------------------------------------------------------
 # thermal distributions
@@ -85,12 +81,6 @@ def test_mean_occupation_matches_direct_sum():
     beta = 1.1
     w = gibbs_distribution(beta, levels=4)
     assert mean_occupation(w) == pytest.approx(sum(n * w[n] for n in range(4)))
-
-
-def test_energy_levels_are_harmonic():
-    lv = EnergyLevels(omega=2.5)
-    assert lv.energy(0) == 0.0
-    assert lv.energy(3) == pytest.approx(7.5)
 
 
 # ---------------------------------------------------------------------------
@@ -187,6 +177,14 @@ def test_joint_distribution_requires_normalization():
     raw = np.full(DEFAULT_DIMS.joint_shape, 0.5)
     with pytest.raises(ValueError):
         JointDistribution(DEFAULT_DIMS, raw)
+
+
+def test_joint_distribution_rejects_non_finite_entries():
+    probs = np.zeros(DEFAULT_DIMS.joint_shape)
+    probs[0, 0, 0] = 1.0
+    probs[1, 1, 1] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        JointDistribution(DEFAULT_DIMS, probs)
 
 
 def test_marginalize_preserves_mass_and_shape():
