@@ -34,7 +34,6 @@ from .dataio import (
     parse_table,
     serialize_table,
     sweep_csv_text,
-    write_sweep_csv,
     write_table,
 )
 from .entropy import (

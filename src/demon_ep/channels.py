@@ -64,14 +64,6 @@ class AtomLevel(IntEnum):
     G = 1
     F = 2
 
-    @property
-    def n_qubit(self) -> int:
-        return ENCODINGS["physical"][self][0]
-
-    @property
-    def n_demon(self) -> int:
-        return ENCODINGS["physical"][self][1]
-
 
 def encode_atom(n_qubit: int, n_demon: int) -> AtomLevel:
     """Atomic level encoding the logical pair (n_Q, n_D).
@@ -114,6 +106,11 @@ class StochasticChannel:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
+
+
+def identity_channel(labels) -> StochasticChannel:
+    """Identity over ``labels``; unused by the protocol, still listed by perfbench's tracer."""
+    return StochasticChannel(np.eye(len(labels)), tuple(labels))
 
 
 def compose(outer: StochasticChannel, inner: StochasticChannel) -> StochasticChannel:

@@ -27,6 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .channels import ErrorModel, _SINGLE_ERROR_NAMES
+from .statespace import SystemDims
 
 __all__ = [
     "ConditionalTable",
@@ -37,7 +38,6 @@ __all__ = [
     "parse_table",
     "serialize_table",
     "sweep_csv_text",
-    "write_sweep_csv",
     "write_table",
 ]
 
@@ -110,6 +110,47 @@ class ConditionalTable:
                 "(tolerated, likely measured input)",
                 stacklevel=2,
             )
+
+    @classmethod
+    def from_grid(cls, grid: np.ndarray, orientation: str) -> "ConditionalTable":
+        """Table of ``grid[n_Q, n_C, m_Q, k, m_C]``, the inverse of :meth:`to_grid`.
+
+        Every (n_Q, n_C) is a row.  Unpopulated (m_Q=1, k=0) columns are
+        omitted, matching the published format of physically encoded runs.
+        """
+        _, rows, _, _, full = grid.shape
+        include_unencodable = bool(np.any(grid[:, :, 1, 0] > 0.0))
+        col_labels = tuple(
+            (m_q, k, m_c)
+            for m_q in range(2)
+            for k in range(2)
+            if (m_q, k) != (1, 0) or include_unencodable
+            for m_c in range(full)
+        )
+        row_labels = tuple((n_q, n_c) for n_q in range(2) for n_c in range(rows))
+        values = np.array([[grid[row + col] for col in col_labels] for row in row_labels])
+        return cls(row_labels, col_labels, values, orientation)
+
+    def to_grid(self, dims: SystemDims) -> np.ndarray:
+        """Values at ``[n_Q, n_C, m_Q, k, m_C]``; unlisted labels read zero.
+
+        n_C runs over the initial truncation of ``dims`` for forward tables
+        and over the evolved space for backward ones; m_C over the evolved
+        space.  Labels outside those ranges raise.
+        """
+        what = self.orientation.split("-")[0]
+        full = dims.dim_cavity_full
+        rows = dims.dim_cavity_init if what == "forward" else full
+        for m_q, k, m_c in self.col_labels:
+            if not (0 <= m_q < 2 and 0 <= k < 2 and 0 <= m_c < full):
+                raise ValueError(f"{what} column label ({m_q}, {k}, {m_c}) out of range")
+        out = np.zeros((2, rows, 2, 2, full))
+        for i, (n_q, n_c) in enumerate(self.row_labels):
+            if not (0 <= n_q < 2 and 0 <= n_c < rows):
+                raise ValueError(f"{what} row label ({n_q}, {n_c}) out of range")
+            for j, col in enumerate(self.col_labels):
+                out[(n_q, n_c) + col] = self.values[i, j]
+        return out
 
 
 def _parse_label(token: str) -> tuple:
@@ -212,46 +253,20 @@ def conditional_from_table(traj_table) -> ConditionalTable:
 
     Forward tables yield the row-stochastic outcome table; backward tables
     the column-stochastic final-state table (with rows covering the evolved
-    cavity range, so columns still sum to one).  Uses the conditionals the
-    table was built from when available, falling back to dividing out the
-    thermal priors.  Unpopulated (m_Q=1, k=0) columns are omitted, matching
-    the published format of physically encoded runs.
+    cavity range, so columns still sum to one).  Built from the conditionals
+    the table was weighted from, so the values are exactly what the dynamics
+    produced.
     """
-    dims = traj_table.dims
-    forward = traj_table.direction == "forward"
     cond = traj_table.conditionals
-    if cond is None and not forward:
+    if cond is None:
         raise ValueError(
-            "backward trajectory tables cannot be deconvolved without their "
-            "conditionals (labeled entries alone miss the unlabeled outcomes)"
+            "trajectory table carries no conditionals (dividing out the priors "
+            "would lose the unlabeled backward outcomes)"
         )
-    if forward:
-        cond = cond if cond is not None else _forward_cond_from_probs(traj_table)
-        cond = np.transpose(cond, (3, 4, 0, 1, 2))  # as [n_Q, n_C, m_Q, k, m_C]
-    include_unencodable = bool(np.any(cond[:, :, 1, 0] > 0.0))
-    col_labels = tuple(
-        (m_q, k, m_c)
-        for m_q in range(2)
-        for k in range(2)
-        if (m_q, k) != (1, 0) or include_unencodable
-        for m_c in range(dims.dim_cavity_full)
-    )
-    rows = dims.dim_cavity_init if forward else dims.dim_cavity_full
-    row_labels = tuple((n_q, n_c) for n_q in range(2) for n_c in range(rows))
-    values = np.array([[cond[row + col] for col in col_labels] for row in row_labels])
-    orientation = "forward-rows-initial" if forward else "backward-rows-final"
-    return ConditionalTable(row_labels, col_labels, values, orientation)
-
-
-def _forward_cond_from_probs(traj_table) -> np.ndarray:
-    from .statespace import gibbs_distribution  # local to avoid import noise
-
-    dims = traj_table.dims
-    gibbs = traj_table.gibbs
-    p_q = gibbs_distribution(gibbs.beta_qubit, 2)
-    p_c = gibbs_distribution(gibbs.beta_cavity, dims.dim_cavity_init)
-    prior = np.einsum("n,c->nc", p_q, p_c)
-    return np.einsum("nkcmf,nc->mkfnc", traj_table.probs, 1.0 / prior)
+    if traj_table.direction == "forward":
+        grid = np.transpose(cond, (3, 4, 0, 1, 2))  # as [n_Q, n_C, m_Q, k, m_C]
+        return ConditionalTable.from_grid(grid, "forward-rows-initial")
+    return ConditionalTable.from_grid(cond, "backward-rows-final")
 
 
 # ---------------------------------------------------------------------------
@@ -308,11 +323,6 @@ def sweep_csv_text(results, forward_only: bool = False) -> str:
             ]
         )
     return buffer.getvalue()
-
-
-def write_sweep_csv(results, path, forward_only: bool = False) -> None:
-    """Write :func:`sweep_csv_text` output to ``path``."""
-    Path(path).write_text(sweep_csv_text(results, forward_only))
 
 
 # ---------------------------------------------------------------------------

@@ -125,7 +125,6 @@ class TrajectoryTable:
     direction: str
     gibbs: GibbsSpec
     dims: SystemDims = DEFAULT_DIMS
-    provenance: str = "simulated"
     prior_mass: float = 1.0
     unlabeled_mass: float = 0.0
     demon_reset_prob: float | None = None
@@ -305,12 +304,10 @@ def _forward_priors(gibbs: GibbsSpec, dims: SystemDims) -> tuple[np.ndarray, np.
     return p_qubit, p_cavity
 
 
-def _weight_forward(
-    cond: np.ndarray, gibbs: GibbsSpec, dims: SystemDims, provenance: str
-) -> TrajectoryTable:
+def _weight_forward(cond: np.ndarray, gibbs: GibbsSpec, dims: SystemDims) -> TrajectoryTable:
     p_qubit, p_cavity = _forward_priors(gibbs, dims)
     probs = np.einsum("mkfnc,n,c->nkcmf", cond, p_qubit, p_cavity)
-    return TrajectoryTable(probs, "forward", gibbs, dims, provenance, conditionals=cond)
+    return TrajectoryTable(probs, "forward", gibbs, dims, conditionals=cond)
 
 
 def _weight_backward(
@@ -319,7 +316,6 @@ def _weight_backward(
     pk: np.ndarray,
     dims: SystemDims,
     mode: str,
-    provenance: str,
     reset: np.ndarray | None = None,
 ) -> TrajectoryTable:
     zeta_q = gibbs_distribution(gibbs.beta_qubit, 2)
@@ -349,7 +345,6 @@ def _weight_backward(
         "backward",
         gibbs,
         dims,
-        provenance,
         prior_mass=float(weights.sum()),
         unlabeled_mass=unlabeled,
         demon_reset_prob=reset_prob,
@@ -375,7 +370,7 @@ def forward_table(
     across all grid points.
     """
     cond = conditionals if conditionals is not None else forward_conditionals(model, dims, mode)
-    return _weight_forward(cond, gibbs, dims, provenance=f"simulated:{mode}")
+    return _weight_forward(cond, gibbs, dims)
 
 
 def backward_table(
@@ -406,11 +401,21 @@ def backward_table(
             forward_pk = branch_probability(forward_table(gibbs, model, dims, mode))
         back_model = ErrorModel.ideal() if idealized_backward else model
         bcond, reset = backward_conditionals(back_model, dims, mode)
-    suffix = ":idealized" if idealized_backward else ""
-    return _weight_backward(
-        bcond, gibbs, forward_pk, dims, mode,
-        provenance=f"simulated:{mode}{suffix}", reset=reset,
-    )
+    return _weight_backward(bcond, gibbs, forward_pk, dims, mode, reset=reset)
+
+
+def tables_from_conditionals(
+    fwd_cond, bwd_cond, gibbs: GibbsSpec, dims: SystemDims = DEFAULT_DIMS, mode: str = "physical"
+) -> tuple[TrajectoryTable, TrajectoryTable | None]:
+    """Tables at one bias point from measured conditional tables.
+
+    Equal to ``runner.point_tables(runner.measured_kernel(...), gibbs)``, which
+    reads the tables once for a whole grid.  Unused by the package; still
+    listed by perfbench's tracer.
+    """
+    from .runner import measured_kernel, point_tables  # runner imports this module
+
+    return point_tables(measured_kernel(mode, fwd_cond, bwd_cond, dims), gibbs)
 
 
 # ---------------------------------------------------------------------------

@@ -92,26 +92,9 @@ def measured_kernel(
         raise ValueError("forward conditionals must be row-oriented on initial labels")
     if backward is not None and backward.orientation != "backward-rows-final":
         raise ValueError("backward conditionals must be row-oriented on final labels")
-    cond = _label_grid(forward, "forward", dims.dim_cavity_init, dims.dim_cavity_full)
-    cond = np.ascontiguousarray(np.transpose(cond, (2, 3, 4, 0, 1)))
-    if backward is None:
-        return ProtocolKernel(mode, dims, cond, None)
-    bcond = _label_grid(backward, "backward", dims.dim_cavity_full, dims.dim_cavity_full)
+    cond = np.ascontiguousarray(np.transpose(forward.to_grid(dims), (2, 3, 4, 0, 1)))
+    bcond = None if backward is None else backward.to_grid(dims)
     return ProtocolKernel(mode, dims, cond, bcond)
-
-
-def _label_grid(table: ConditionalTable, what: str, rows: int, full: int) -> np.ndarray:
-    """Table values placed at [n_Q, n_C, m_Q, k, m_C], n_C < ``rows``, m_C < ``full``."""
-    for m_q, k, m_c in table.col_labels:
-        if not (0 <= m_q < 2 and 0 <= k < 2 and 0 <= m_c < full):
-            raise ValueError(f"{what} column label ({m_q}, {k}, {m_c}) out of range")
-    out = np.zeros((2, rows, 2, 2, full))
-    for i, (n_q, n_c) in enumerate(table.row_labels):
-        if not (0 <= n_q < 2 and 0 <= n_c < rows):
-            raise ValueError(f"{what} row label ({n_q}, {n_c}) out of range")
-        for j, col in enumerate(table.col_labels):
-            out[(n_q, n_c) + col] = table.values[i, j]
-    return out
 
 
 def point_tables(

@@ -25,7 +25,7 @@ from demon_ep import (
     time_reverse,
     two_atom_probability,
 )
-from demon_ep.channels import physical_labels
+from demon_ep.channels import identity_channel, physical_labels
 
 FULL = DEFAULT_DIMS.dim_cavity_full
 
@@ -35,9 +35,10 @@ FULL = DEFAULT_DIMS.dim_cavity_full
 
 
 def test_atom_levels_carry_qubit_and_memory_bits():
-    assert (AtomLevel.E.n_qubit, AtomLevel.E.n_demon) == (1, 1)
-    assert (AtomLevel.G.n_qubit, AtomLevel.G.n_demon) == (0, 1)
-    assert (AtomLevel.F.n_qubit, AtomLevel.F.n_demon) == (0, 0)
+    physical = ENCODINGS["physical"]
+    assert physical[AtomLevel.E] == (1, 1)
+    assert physical[AtomLevel.G] == (0, 1)
+    assert physical[AtomLevel.F] == (0, 0)
 
 
 def test_encode_atom_covers_three_of_four_bit_pairs():
@@ -82,6 +83,11 @@ def test_compose_requires_matching_bases():
             StochasticChannel(np.eye(2), ("x", "y")),
         )
 
+
+def test_identity_channel_leaves_distributions_unchanged():
+    ident = identity_channel(("a", "b", "c"))
+    assert ident.labels == ("a", "b", "c")
+    assert np.array_equal(apply(ident, [0.2, 0.3, 0.5]), [0.2, 0.3, 0.5])
 
 def test_time_reverse_inverts_permutations():
     fb = feedback_channel(0.0)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import math
 import warnings
@@ -255,6 +256,24 @@ def test_simulated_tables_round_trip_through_text(tmp_path):
     assert np.array_equal(fwd.probs, fwd2.probs)
     assert np.array_equal(bwd.probs, bwd2.probs)
 
+
+def test_conditional_view_needs_the_tables_conditionals():
+    fwd = forward_table(GibbsSpec.from_dbeta(BETA_C, 0.0), mode="ideal")
+    bare = dataclasses.replace(fwd, conditionals=None)
+    with pytest.raises(ValueError, match="no conditionals"):
+        conditional_from_table(bare)
+
+
+def test_table_grid_round_trip_keeps_labels_and_values():
+    fwd = forward_table(GibbsSpec.from_dbeta(BETA_C, 0.0), ErrorModel(), mode="physical")
+    table = conditional_from_table(fwd)
+    again = ConditionalTable.from_grid(table.to_grid(fwd.dims), table.orientation)
+    assert again.row_labels == table.row_labels and again.col_labels == table.col_labels
+    assert np.array_equal(again.values, table.values)
+    with pytest.raises(ValueError, match="forward row label"):
+        ConditionalTable(((0, 9),), table.col_labels[:1], [[1.0]], table.orientation).to_grid(
+            fwd.dims
+        )
 
 def test_forward_conditional_table_columns_are_evolution_outcomes():
     gibbs = GibbsSpec.from_dbeta(BETA_C, 0.0)

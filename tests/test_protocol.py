@@ -29,7 +29,11 @@ from demon_ep import (
     sigma_grid,
     sigma_histogram,
 )
-from demon_ep.protocol import backward_conditionals, forward_conditionals
+from demon_ep.protocol import (
+    backward_conditionals,
+    forward_conditionals,
+    tables_from_conditionals,
+)
 from demon_ep.statespace import extended_gibbs
 
 from conftest import BETA_C
@@ -225,6 +229,22 @@ def test_tables_from_conditionals_reproduces_direct_run_exactly():
     assert np.array_equal(fwd.probs, fwd2.probs)
     assert np.array_equal(bwd.probs, bwd2.probs)
     assert bwd2.unlabeled_mass == pytest.approx(bwd.unlabeled_mass, abs=1e-15)
+
+
+def test_per_point_tables_from_conditionals_match_the_measured_kernel():
+    gibbs = _gibbs(-2.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        fwd = forward_table(gibbs, ErrorModel(), mode="physical")
+        bwd = backward_table(
+            gibbs, ErrorModel(), mode="physical", forward_pk=branch_probability(fwd)
+        )
+        tables = (conditional_from_table(fwd), conditional_from_table(bwd))
+        fwd2, bwd2 = tables_from_conditionals(*tables, gibbs)
+        fwd3, none = tables_from_conditionals(tables[0], None, gibbs)
+    assert np.array_equal(fwd2.probs, fwd.probs) and np.array_equal(fwd3.probs, fwd.probs)
+    assert np.array_equal(bwd2.probs, bwd.probs)
+    assert none is None
 
 
 # ---------------------------------------------------------------------------
