@@ -14,7 +14,6 @@ from .channels import (
     apply,
     compose,
     detection_channel,
-    encode_atom,
     feedback_channel,
     prepare_atom,
     prepare_cavity,

@@ -33,7 +33,6 @@ __all__ = [
     "apply",
     "compose",
     "detection_channel",
-    "encode_atom",
     "feedback_channel",
     "physical_labels",
     "prepare_atom",
@@ -63,18 +62,6 @@ class AtomLevel(IntEnum):
     E = 0
     G = 1
     F = 2
-
-
-def encode_atom(n_qubit: int, n_demon: int) -> AtomLevel:
-    """Atomic level encoding the logical pair (n_Q, n_D).
-
-    The pair (1, 0) is unencodable in three levels; requesting it raises.
-    """
-    if (n_qubit, n_demon) not in ENCODINGS["physical"]:
-        raise ValueError(
-            f"logical state (n_Q={n_qubit}, n_D={n_demon}) has no atomic encoding"
-        )
-    return AtomLevel(ENCODINGS["physical"].index((n_qubit, n_demon)))
 
 
 def physical_labels(dims: SystemDims = DEFAULT_DIMS) -> tuple:
@@ -211,19 +198,22 @@ class ErrorModel:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
-        if self.nbar_atoms < 0.0:
-            raise ValueError("nbar_atoms must be non-negative")
+        if not (math.isfinite(self.nbar_atoms) and self.nbar_atoms >= 0.0):
+            raise ValueError(
+                f"nbar_atoms must be finite and non-negative, got {self.nbar_atoms!r}"
+            )
         conf = np.asarray(self.confusion, dtype=float)
         object.__setattr__(self, "confusion", conf)
         if conf.shape != (3, 3):
             raise ValueError("confusion matrix must be 3x3 over (e, g, f)")
-        if np.any(conf < 0) or np.any(np.abs(conf.sum(axis=0) - 1.0) > _COL_TOL):
+        # written so that a NaN entry fails: every comparison with NaN is false
+        if not (np.all(conf >= 0) and np.all(np.abs(conf.sum(axis=0) - 1.0) <= _COL_TOL)):
             raise ValueError("confusion columns must be distributions")
         prep = np.asarray(self.cavity_prep, dtype=float)
         object.__setattr__(self, "cavity_prep", prep)
         if prep.ndim != 2 or prep.shape[1] < prep.shape[0]:
             raise ValueError("cavity_prep must map targets into a larger Fock space")
-        if np.any(prep < 0) or np.any(np.abs(prep.sum(axis=1) - 1.0) > _COL_TOL):
+        if not (np.all(prep >= 0) and np.all(np.abs(prep.sum(axis=1) - 1.0) <= _COL_TOL)):
             raise ValueError("cavity_prep rows must be distributions")
 
     @classmethod

@@ -21,7 +21,7 @@ import csv
 import io
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -366,6 +366,16 @@ class RunConfig:
     cavity_prep_overrides: tuple = ()
 
     def __post_init__(self) -> None:
+        numbers = [(item.name, getattr(self, item.name)) for item in fields(self)]
+        numbers += list(self.confusion_overrides)
+        numbers += [
+            (f"cavity_prep_{target}", p)
+            for target, row in self.cavity_prep_overrides
+            for _, p in row
+        ]
+        for key, value in numbers:
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{key} must be finite, got {value!r}")
         if self.mode not in ("ideal", "physical"):
             raise ValueError(f"mode must be ideal or physical, got {self.mode!r}")
         if self.single_error is not None and self.single_error not in _SINGLE_ERROR_NAMES:

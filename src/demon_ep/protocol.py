@@ -379,7 +379,6 @@ def backward_table(
     dims: SystemDims = DEFAULT_DIMS,
     mode: str = "ideal",
     forward_pk: np.ndarray | None = None,
-    idealized_backward: bool = False,
     conditionals: np.ndarray | None = None,
     reset: np.ndarray | None = None,
 ) -> TrajectoryTable:
@@ -387,8 +386,6 @@ def backward_table(
 
     ``forward_pk`` is the forward readout distribution used to weight the
     branches; by default it is computed from the matching forward table.
-    ``idealized_backward`` runs the reversed gates error-free while keeping
-    the physical encoding constraints (useful to isolate forward errors).
     ``conditionals`` injects a precomputed backward conditional array, in
     which case ``forward_pk`` must be given too.
     """
@@ -399,8 +396,7 @@ def backward_table(
     else:
         if forward_pk is None:
             forward_pk = branch_probability(forward_table(gibbs, model, dims, mode))
-        back_model = ErrorModel.ideal() if idealized_backward else model
-        bcond, reset = backward_conditionals(back_model, dims, mode)
+        bcond, reset = backward_conditionals(model, dims, mode)
     return _weight_backward(bcond, gibbs, forward_pk, dims, mode, reset=reset)
 
 

@@ -113,37 +113,23 @@ class GibbsSpec:
         return self.beta_cavity - self.beta_qubit
 
 
-def gibbs_distribution(
-    beta_omega: float,
-    levels: int,
-    truncate_renormalize: bool = True,
-) -> np.ndarray:
+def gibbs_distribution(beta_omega: float, levels: int) -> np.ndarray:
     """Thermal occupation of a harmonic ladder with ``levels`` states.
 
     Parameters
     ----------
     beta_omega:
         Dimensionless inverse temperature ``beta * omega``.  May be negative
-        (inverted populations) when ``truncate_renormalize`` is true.
+        (inverted populations).
     levels:
         Number of ladder states kept, energies 0, 1, ..., levels-1 (in units
-        of omega).
-    truncate_renormalize:
-        If true (default), normalize over the kept levels.  If false, divide
-        by the *untruncated* partition function ``1/(1 - e^-beta_omega)``
-        instead, yielding the exact Boltzmann weights of the infinite ladder
-        restricted to the kept levels (sums to less than one); this requires
-        ``beta_omega > 0``.
+        of omega); the weights are normalized over the kept levels.
     """
     if levels < 1:
         raise ValueError("need at least one level")
     n = np.arange(levels, dtype=float)
     weights = np.exp(-beta_omega * n)
-    if truncate_renormalize:
-        return weights / weights.sum()
-    if not beta_omega > 0:
-        raise ValueError("untruncated normalization needs beta_omega > 0")
-    return weights * (1.0 - math.exp(-beta_omega))
+    return weights / weights.sum()
 
 
 def extended_gibbs(beta_omega: float, levels_norm: int, levels_total: int) -> np.ndarray:

@@ -3,6 +3,10 @@
 Each test appends an ``AC<n> PASS/FAIL`` line to ``VERDICTS``; the conftest
 hook echoes the collected lines after the pytest summary so a plain
 ``pytest`` run always shows the scoreboard.
+
+AC1-AC6 and AC8 are invariants that ``demon-ep validate`` also certifies, so
+they assert on the check of the same name in ``validate.CHECKS`` rather than
+deriving it a second time.
 """
 
 from __future__ import annotations
@@ -13,46 +17,28 @@ import math
 import subprocess
 import sys
 import time
-import warnings
+from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from demon_ep import (
-    DEFAULT_DIMS,
-    ErrorModel,
     GibbsSpec,
     RunConfig,
-    backward_table,
-    branch_probability,
+    build_kernel,
     conditional_from_table,
-    evaluate,
-    final_state_marginal,
-    forward_table,
-    gibbs_distribution,
-    high_bias_asymptote,
-    jarzynski_average,
-    kelvin_to_beta_omega,
-    oracle_full_state,
     parse_table,
+    point_tables,
     run_analysis,
     run_sweep,
     serialize_table,
-    shannon_entropy,
-    sigma1,
-    sigma2,
-    sigma6,
-    sigma_histogram,
+    simulate_report,
     sweep_csv_text,
+    validate,
 )
 
 VERDICTS: list[str] = []
 
-BETA_C = kelvin_to_beta_omega(2.8, 51.0)
-GRID = RunConfig().grid()
-SINGLES = ("eps_prep", "eps_read", "eps_feed", "eps_meas",
-           "cavity_prep", "relax_atom", "relax_cavity")
 GOLDEN = json.loads(
     (Path(__file__).parent / "golden" / "error_signatures.json").read_text()
 )
@@ -65,177 +51,70 @@ def _verdict(number: int, ok: bool, detail: str) -> None:
     assert ok, line
 
 
-def _gibbs(dbt: float) -> GibbsSpec:
-    return GibbsSpec.from_dbeta(BETA_C, dbt)
-
-
-def _point(dbt: float, model=None, mode="ideal"):
-    gibbs = _gibbs(dbt)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        fwd = forward_table(gibbs, model, mode=mode)
-        bwd = backward_table(
-            gibbs, model, mode=mode, forward_pk=branch_probability(fwd)
-        )
-        return evaluate(fwd, bwd, sigma_histogram(fwd, bwd))
-
-
-def _six(result) -> list[float]:
-    return [result.sigma1, result.sigma2, result.sigma3,
-            result.sigma4, result.sigma5, result.sigma6]
-
-
-def test_ac1_ideal_estimators_agree_across_grid():
+def _registry_verdict(number: int, label: str, within_s: float | None = None) -> None:
+    """Verdict of the ``validate`` check called ``label``, optionally timed."""
+    check = dict(validate.CHECKS)[label]
     start = time.perf_counter()
-    results = run_sweep(RunConfig())
+    ok, detail = check()
     elapsed = time.perf_counter() - start
-    spread = max(max(_six(r)) - min(_six(r)) for r in results)
-    ok = spread <= 1e-9 and elapsed < 1.0
-    _verdict(
-        1, ok,
-        f"six estimators agree within {spread:.2e} over {len(results)} ideal "
-        f"bias points in {elapsed * 1e3:.0f} ms",
-    )
+    detail = f"{label}: {detail}"
+    if within_s is not None:
+        ok = ok and elapsed < within_s
+        detail += f" ({elapsed * 1e3:.0f} ms, bound {within_s:g} s)"
+    _verdict(number, ok, detail)
 
 
-def test_ac2_memory_split_identity_on_random_circuits():
-    rng = np.random.default_rng(918273645)
-    dims = DEFAULT_DIMS
-    size = 2 * 2 * dims.dim_cavity_full
-    worst = 0.0
-    start = time.perf_counter()
-    for _ in range(1000):
-        chain = np.eye(size)
-        for _ in range(3):
-            m = rng.random((size, size))
-            m /= m.sum(axis=0, keepdims=True)
-            chain = m @ chain
-        cond = np.zeros((2, 2, dims.dim_cavity_full, 2, dims.dim_cavity_init))
-        for n_q in range(2):
-            for n_c in range(dims.dim_cavity_init):
-                basis = np.zeros((2, 2, dims.dim_cavity_full))
-                basis[n_q, 1, n_c] = 1.0
-                cond[:, :, :, n_q, n_c] = (chain @ basis.ravel()).reshape(
-                    2, 2, dims.dim_cavity_full
-                )
-        gibbs = GibbsSpec.from_dbeta(
-            float(rng.uniform(0.2, 3.0)), float(rng.uniform(-6.0, 6.0))
-        )
-        fwd = forward_table(gibbs, mode="ideal", conditionals=cond)
-        worst = max(worst, abs(sigma2(fwd) - sigma6(fwd)))
-    elapsed = time.perf_counter() - start
-    ok = worst <= 1e-12 and elapsed < 10.0
-    _verdict(
-        2, ok,
-        f"|sigma2 - sigma6| <= {worst:.2e} over 1000 random readout/feedback/"
-        f"detection circuits in {elapsed:.2f} s",
-    )
+def _point(dbt: float, config: RunConfig = RunConfig()):
+    """Estimators at one bias point: a one-point sweep."""
+    return run_sweep(replace(config, dbeta_start=dbt, dbeta_stop=dbt))[0]
 
 
-def test_ac3_high_bias_closed_form_and_asymptote():
-    gibbs = _gibbs(6.0)
-    fwd = forward_table(gibbs, mode="ideal")
-    zeta = gibbs_distribution(gibbs.beta_qubit, levels=2)
-    closed = gibbs.delta_beta * zeta[1] + shannon_entropy(zeta)
-    value = sigma1(fwd)
-    asym = high_bias_asymptote(gibbs)
-    ok = (
-        abs(value - closed) <= 1e-9
-        and abs(closed - 5.2465) < 5e-5
-        and abs(asym - 5.2449) < 1e-4
-        and abs(value - asym) / asym < 0.02
-    )
-    _verdict(
-        3, ok,
-        f"sigma1(+6) = {value:.6f} matches the closed form within "
-        f"{abs(value - closed):.1e} and sits {100 * (value - asym) / asym:.2f}% "
-        f"above the asymptote {asym:.6f}",
-    )
+def test_ac1_ideal_estimators_agree_across_grid(quiet_backward):
+    _registry_verdict(1, "estimator equivalence", within_s=1.0)
 
 
-def test_ac4_entropy_production_vanishes_at_matched_temperatures():
-    result = _point(-6.0)
-    worst = max(_six(result))
-    ok = worst < 0.01 and min(_six(result)) >= 0.0
-    _verdict(
-        4, ok,
-        f"all six estimators <= {worst:.6f} < 0.01 at dbeta_tilde = -6 "
-        "(hot qubit, negligible absolute-entropy scale)",
-    )
+def test_ac2_memory_split_identity_on_random_circuits(quiet_backward):
+    _registry_verdict(2, "sigma2 = sigma6 identity", within_s=10.0)
 
 
-def test_ac5_detailed_and_integral_fluctuation_relations():
-    worst_bin = 0.0
-    worst_avg = 0.0
-    efficacies = {}
-    for dbt in GRID:
-        gibbs = _gibbs(float(dbt))
-        fwd = forward_table(gibbs, mode="ideal")
-        bwd = backward_table(
-            gibbs, mode="ideal", forward_pk=branch_probability(fwd)
-        )
-        hist = sigma_histogram(fwd, bwd)
-        residual = np.abs(np.log(hist.p_forward / hist.p_backward) - hist.sigma)
-        worst_bin = max(worst_bin, float(residual.max()))
-        worst_avg = max(
-            worst_avg, abs(jarzynski_average(hist, direction="reversed") - 1.0)
-        )
-        if float(dbt) in (-6.0, 0.0, 6.0):
-            efficacies[float(dbt)] = jarzynski_average(hist, direction="forward")
-    ok = worst_bin <= 1e-9 and worst_avg <= 1e-9
-    eff_text = ", ".join(f"{k:+.0f}: {v:.4f}" for k, v in sorted(efficacies.items()))
-    _verdict(
-        5, ok,
-        f"per-bin detailed relation holds to {worst_bin:.2e} and the "
-        f"reversed-ensemble average is 1 within {worst_avg:.2e}; "
-        f"forward-ensemble average (reversal efficacy, diagnostic) {eff_text}",
-    )
+def test_ac3_high_bias_closed_form_and_asymptote(quiet_backward):
+    _registry_verdict(3, "closed-form anchors")
+
+
+def test_ac4_entropy_production_vanishes_at_matched_temperatures(quiet_backward):
+    _registry_verdict(4, "closed-form anchors")
+
+
+def test_ac5_detailed_and_integral_fluctuation_relations(quiet_backward):
+    _registry_verdict(5, "fluctuation relation")
 
 
 @pytest.mark.xfail(
     strict=True,
+    raises=AssertionError,
     reason="the forward exponential average only counts trajectories whose "
     "reversal the backward protocol can produce; for this feedback loop the "
     "backward run leaks weight onto forward-impossible records, so the "
     "average equals the reversal efficacy and stays below one",
 )
-def test_forward_exponential_average_reaches_unity():
-    gibbs = _gibbs(0.0)
-    fwd = forward_table(gibbs, mode="ideal")
-    bwd = backward_table(gibbs, mode="ideal", forward_pk=branch_probability(fwd))
-    hist = sigma_histogram(fwd, bwd)
-    assert abs(jarzynski_average(hist, direction="forward") - 1.0) <= 1e-9
+def test_forward_exponential_average_reaches_unity(quiet_backward):
+    # the average as the shipped `demon-ep simulate` diagnostic reports it
+    label = "fluctuation average (forward ensemble)"
+    report = simulate_report(RunConfig(), 0.0)
+    (line,) = [row for row in report.splitlines() if row.startswith(label)]
+    assert abs(float(line.removeprefix(label)) - 1.0) <= 1e-9
 
 
-def test_ac6_second_law_for_every_error_configuration():
-    lowest = math.inf
-    infinities = 0
-    for single in (None, *SINGLES):
-        config = RunConfig(mode="physical", single_error=single, dbeta_step=0.5)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            results = run_sweep(config)
-        for result in results:
-            for value in _six(result):
-                if math.isfinite(value):
-                    lowest = min(lowest, value)
-                else:
-                    infinities += 1
-    ok = lowest >= -1e-9
-    _verdict(
-        6, ok,
-        f"lowest finite estimator {lowest:.3e} >= -1e-9 across the full error "
-        f"model and all {len(SINGLES)} single-error sweeps "
-        f"({infinities} support-mismatch infinities tolerated)",
-    )
+def test_ac6_second_law_for_every_error_configuration(quiet_backward):
+    _registry_verdict(6, "second law")
 
 
-def test_ac7_single_error_signatures_and_frozen_magnitudes():
+def test_ac7_single_error_signatures_and_frozen_magnitudes(quiet_backward):
     ideal_pos = _point(6.0)
     ideal_neg = _point(-6.0)
-    read_neg = _point(-6.0, ErrorModel.single("eps_read"), "physical")
-    feed_pos = _point(6.0, ErrorModel.single("eps_feed"), "physical")
-    meas_pos = _point(6.0, ErrorModel.single("eps_meas"), "physical")
+    read_neg = _point(-6.0, RunConfig(mode="physical", single_error="eps_read"))
+    feed_pos = _point(6.0, RunConfig(mode="physical", single_error="eps_feed"))
+    meas_pos = _point(6.0, RunConfig(mode="physical", single_error="eps_meas"))
     sig_read = read_neg.sigma2 - ideal_neg.sigma2
     sig_feed = ideal_pos.sigma1 - feed_pos.sigma1
     meas_s3 = abs(meas_pos.sigma3 - ideal_pos.sigma3)
@@ -245,14 +124,13 @@ def test_ac7_single_error_signatures_and_frozen_magnitudes():
     # regression against frozen magnitudes for every error configuration
     worst = 0.0
     for label, per_bias in GOLDEN.items():
-        mode = "ideal" if label == "ideal" else "physical"
-        model = None
+        config = RunConfig()
         if label == "full":
-            model = ErrorModel()
+            config = RunConfig(mode="physical")
         elif label != "ideal":
-            model = ErrorModel.single(label)
+            config = RunConfig(mode="physical", single_error=label)
         for dbt_text, fields in per_bias.items():
-            result = _point(float(dbt_text), model, mode)
+            result = _point(float(dbt_text), config)
             row = result.as_row()
             for name, frozen_text in fields.items():
                 frozen = float(frozen_text)
@@ -272,44 +150,24 @@ def test_ac7_single_error_signatures_and_frozen_magnitudes():
     )
 
 
-def test_ac8_trajectory_marginals_match_state_evolution():
-    worst = 0.0
-    cases = [("ideal", None), ("physical", ErrorModel())]
-    cases += [("physical", ErrorModel.single(name)) for name in SINGLES]
-    for dbt in (-6.0, -3.0, -1.0, 0.0, 1.0, 3.0, 6.0):
-        gibbs = _gibbs(dbt)
-        for mode, model in cases:
-            fwd = forward_table(gibbs, model, mode=mode)
-            oracle = oracle_full_state(gibbs, model, mode=mode, stage="final")
-            diff = np.abs(final_state_marginal(fwd) - oracle.probs).max()
-            worst = max(worst, float(diff))
-    ok = worst <= 1e-12
-    _verdict(
-        8, ok,
-        f"trajectory-table marginals match independent whole-state evolution "
-        f"within {worst:.2e} for every error configuration over 7 bias points",
-    )
+def test_ac8_trajectory_marginals_match_state_evolution(quiet_backward):
+    _registry_verdict(8, "oracle consistency")
 
 
-def test_ac9_serialized_tables_reproduce_the_direct_sweep():
+def test_ac9_serialized_tables_reproduce_the_direct_sweep(quiet_backward):
     config = RunConfig(mode="physical", dbeta_step=1.0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        direct_csv = sweep_csv_text(run_sweep(config))
-        gibbs = _gibbs(0.0)  # conditionals do not depend on the bias point
-        model = config.build_error_model()
-        fwd = forward_table(gibbs, model, mode="physical")
-        bwd = backward_table(
-            gibbs, model, mode="physical", forward_pk=branch_probability(fwd)
-        )
-        fwd_text = serialize_table(conditional_from_table(fwd))
-        bwd_text = serialize_table(conditional_from_table(bwd))
-        reanalyzed = run_analysis(
-            config,
-            parse_table(io.StringIO(fwd_text), "forward-rows-initial"),
-            parse_table(io.StringIO(bwd_text), "backward-rows-final"),
-        )
-        analyzed_csv = sweep_csv_text(reanalyzed)
+    direct_csv = sweep_csv_text(run_sweep(config))
+    # conditionals do not depend on the bias point
+    gibbs = GibbsSpec.from_dbeta(config.beta_cavity, 0.0)
+    fwd, bwd = point_tables(build_kernel(config), gibbs)
+    fwd_text = serialize_table(conditional_from_table(fwd))
+    bwd_text = serialize_table(conditional_from_table(bwd))
+    reanalyzed = run_analysis(
+        config,
+        parse_table(io.StringIO(fwd_text), "forward-rows-initial"),
+        parse_table(io.StringIO(bwd_text), "backward-rows-final"),
+    )
+    analyzed_csv = sweep_csv_text(reanalyzed)
     ok = analyzed_csv == direct_csv
     _verdict(
         9, ok,

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,6 @@ from demon_ep import (
     apply,
     compose,
     detection_channel,
-    encode_atom,
     feedback_channel,
     prepare_atom,
     prepare_cavity,
@@ -39,14 +40,7 @@ def test_atom_levels_carry_qubit_and_memory_bits():
     assert physical[AtomLevel.E] == (1, 1)
     assert physical[AtomLevel.G] == (0, 1)
     assert physical[AtomLevel.F] == (0, 0)
-
-
-def test_encode_atom_covers_three_of_four_bit_pairs():
-    assert encode_atom(1, 1) is AtomLevel.E
-    assert encode_atom(0, 1) is AtomLevel.G
-    assert encode_atom(0, 0) is AtomLevel.F
-    with pytest.raises(ValueError):
-        encode_atom(1, 0)  # no atomic level encodes an excited qubit with k=0
+    assert (1, 0) not in physical  # no atomic level encodes an excited qubit with k=0
 
 
 # ---------------------------------------------------------------------------
@@ -321,6 +315,29 @@ def test_error_model_validates_probabilities():
         ErrorModel(eps_read=1.4)
     with pytest.raises(ValueError):
         ErrorModel(confusion=np.full((3, 3), 0.5))
+
+
+def _with_nan(matrix: np.ndarray, index) -> np.ndarray:
+    out = matrix.copy()
+    out[index] = math.nan
+    return out
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("nbar_atoms", math.nan),
+        ("nbar_atoms", math.inf),
+        ("confusion", _with_nan(ErrorModel().confusion, (1, 0))),
+        ("cavity_prep", _with_nan(ErrorModel().cavity_prep, (1, 2))),
+    ],
+    ids=["nbar_atoms-nan", "nbar_atoms-inf", "confusion-nan", "cavity_prep-nan"],
+)
+def test_error_model_rejects_non_finite_values(field, value):
+    # NaN fails no "< 0" or "> tol" comparison, so each check must be
+    # written as the condition that holds for valid input
+    with pytest.raises(ValueError, match=field):
+        ErrorModel(**{field: value})
 
 
 def test_error_model_is_frozen():

@@ -199,6 +199,17 @@ def test_bad_config_file_exits_1(tmp_path):
     assert "configuration error" in proc.stderr
 
 
+@pytest.mark.parametrize("line", ["dbeta_stop = inf", "dbeta_step = nan"])
+def test_non_finite_config_value_exits_1(tmp_path, line):
+    # before the finiteness check these crashed in grid() with a traceback
+    conf = tmp_path / "run.conf"
+    conf.write_text(line + "\n")
+    proc = run_cli("sweep", "--config", str(conf))
+    assert proc.returncode == 1
+    assert "configuration error" in proc.stderr
+    assert f"{line.split()[0]} must be finite" in proc.stderr
+
+
 def test_missing_config_file_exits_1(tmp_path):
     proc = run_cli("sweep", "--config", str(tmp_path / "absent.conf"))
     assert proc.returncode == 1

@@ -372,6 +372,26 @@ def test_config_validation():
         RunConfig(floor=2.0)
 
 
+@pytest.mark.parametrize(
+    "line, key",
+    [
+        ("dbeta_stop = inf", "dbeta_stop"),
+        ("dbeta_step = nan", "dbeta_step"),
+        ("sigma_tol = nan", "sigma_tol"),
+        ("temperature_kelvin = inf", "temperature_kelvin"),
+        ("nbar_atoms = nan", "nbar_atoms"),
+        ("eps_read = nan", "eps_read"),
+        ("eta_e_g = nan", "eta_e_g"),
+        ("cavity_prep_1 = 0:nan 1:1", "cavity_prep_1"),
+    ],
+)
+def test_load_config_rejects_non_finite_numbers(tmp_path, line, key):
+    path = tmp_path / "run.conf"
+    path.write_text(line + "\n")
+    with pytest.raises(ValueError, match=f"{key} must be finite"):
+        load_config(path)
+
+
 def test_build_error_model_scalar_overrides():
     model = RunConfig(eps_read=0.25, relax_atom_prob=0.05).build_error_model()
     assert model.eps_read == 0.25

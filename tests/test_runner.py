@@ -1,4 +1,4 @@
-"""Run drivers: frozen CSV bytes, the shared kernel path, and input checks."""
+"""Run drivers: frozen CSV and validate bytes, the shared kernel path, and input checks."""
 
 from __future__ import annotations
 
@@ -15,6 +15,7 @@ from demon_ep import (
     SystemDims,
     backward_table,
     branch_probability,
+    cli,
     conditional_from_table,
     forward_table,
     parse_table,
@@ -22,6 +23,7 @@ from demon_ep import (
     run_sweep,
     serialize_table,
     sweep_csv_text,
+    validate,
 )
 
 # SHA-256 of sweep_csv_text on the default 49-point grid.  Recorded from the
@@ -46,6 +48,11 @@ ANALYZE_DIGESTS = {
     "backward": "17c67d91d5d2e0bad23bf25af04f46a150c198f0afe169919b92a90e8d42dd30",
     "forward_only": "3e2b1aaaecfa5a28d221bdc4334a67ef5a3c17dd454afbe8df34df655ddad62c",
 }
+
+# SHA-256 of the stdout of `demon-ep validate` (16 PASS lines with details),
+# recorded before the acceptance tests were moved onto its check registry;
+# any change here is a change of output bytes.
+VALIDATE_DIGEST = "2a0a049d5f7cc45ec6a597e3eb5cf32ac57216a3c742229e7b6b42ddbe6114b8"
 
 
 def _config(case: str) -> RunConfig:
@@ -143,3 +150,29 @@ def test_ideal_mode_runs_at_any_dims(init, full):
                   result.sigma4, result.sigma5, result.sigma6]
         assert max(values) - min(values) <= 1e-9
         assert not result.flags
+
+
+def test_validate_stdout_is_frozen(capsys):
+    assert cli.main(["validate"]) == 0
+    out = capsys.readouterr().out
+    assert len(out.splitlines()) == len(validate.CHECKS) == 16
+    assert _digest(out) == VALIDATE_DIGEST
+
+
+def test_validate_reports_failed_and_crashed_checks(monkeypatch, capsys):
+    def failing():
+        return False, "worst deviation 1.00e+00"
+
+    def crashing():
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(
+        validate, "CHECKS", (("failing check", failing), ("crashing check", crashing))
+    )
+    assert validate.run_all() is False
+    assert capsys.readouterr().out.splitlines() == [
+        "FAIL  failing check: worst deviation 1.00e+00",
+        "FAIL  crashing check: raised RuntimeError: boom",
+    ]
+    assert cli.main(["validate"]) == 2
+    assert capsys.readouterr().out.count("FAIL") == 2

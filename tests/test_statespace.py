@@ -46,14 +46,6 @@ def test_gibbs_closed_form_four_levels():
     np.testing.assert_allclose(w, [x**n / z for n in range(4)], rtol=1e-14)
 
 
-def test_gibbs_without_truncation_renormalization_leaves_tail_mass():
-    # normalized against the untruncated partition function, the first four
-    # weights carry 1 - e^{-4 beta} of the total mass
-    beta = 0.9
-    w = gibbs_distribution(beta, levels=4, truncate_renormalize=False)
-    assert w.sum() == pytest.approx(1 - math.exp(-4 * beta), rel=1e-14)
-
-
 def test_gibbs_cold_limit_concentrates_on_ground_state():
     w = gibbs_distribution(50.0, levels=4)
     assert w[0] == pytest.approx(1.0, abs=1e-20)
