@@ -8,6 +8,7 @@ re-analyze measured conditional-probability tables.
 
 from .channels import (
     ENCODINGS,
+    ERROR_CHANNELS,
     AtomLevel,
     ErrorModel,
     StochasticChannel,

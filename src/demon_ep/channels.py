@@ -28,6 +28,7 @@ from .statespace import DEFAULT_DIMS, SystemDims
 __all__ = [
     "AtomLevel",
     "ENCODINGS",
+    "ERROR_CHANNELS",
     "ErrorModel",
     "StochasticChannel",
     "apply",
@@ -162,15 +163,22 @@ def _default_cavity_prep() -> np.ndarray:
     )
 
 
-_SINGLE_ERROR_NAMES = (
-    "eps_prep",
-    "eps_read",
-    "eps_feed",
-    "eps_meas",
-    "cavity_prep",
-    "relax_atom",
-    "relax_cavity",
-)
+#: Single-error name -> the :class:`ErrorModel` field holding that channel.
+#: A channel is error-free at 0.0 (a probability) or at the identity of the
+#: field's shape (a matrix); every other field is a diagnostic.
+ERROR_CHANNELS = {
+    "eps_prep": "eps_prep",
+    "eps_read": "eps_read",
+    "eps_feed": "eps_feed",
+    "eps_meas": "confusion",
+    "cavity_prep": "cavity_prep",
+    "relax_atom": "relax_atom_prob",
+    "relax_cavity": "relax_cavity_prob",
+}
+
+
+def _error_free(value):
+    return np.eye(*np.shape(value)) if np.ndim(value) else 0.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,50 +224,33 @@ class ErrorModel:
         if not (np.all(prep >= 0) and np.all(np.abs(prep.sum(axis=1) - 1.0) <= _COL_TOL)):
             raise ValueError("cavity_prep rows must be distributions")
 
+    def _idealized(self, keep: str | None = None) -> "ErrorModel":
+        """This model with every error channel but the field ``keep`` error-free."""
+        return replace(self, **{
+            name: _error_free(getattr(self, name))
+            for name in ERROR_CHANNELS.values()
+            if name != keep
+        })
+
     @classmethod
     def ideal(cls) -> "ErrorModel":
-        base = cls()
-        return replace(
-            base,
-            eps_prep=0.0,
-            eps_read=0.0,
-            eps_feed=0.0,
-            confusion=np.eye(3),
-            cavity_prep=np.eye(base.cavity_prep.shape[0], base.cavity_prep.shape[1]),
-            relax_atom_prob=0.0,
-            relax_cavity_prob=0.0,
-        )
+        return cls()._idealized()
 
     @classmethod
     def single(cls, name: str, base: "ErrorModel | None" = None) -> "ErrorModel":
         """Model with only the named error channel active (others idealized)."""
-        if name not in _SINGLE_ERROR_NAMES:
+        if name not in ERROR_CHANNELS:
             raise ValueError(
-                f"unknown error channel {name!r}; expected one of {_SINGLE_ERROR_NAMES}"
+                f"unknown error channel {name!r}; expected one of {tuple(ERROR_CHANNELS)}"
             )
         source = base if base is not None else cls()
-        out = cls.ideal()
-        out = replace(out, nbar_atoms=source.nbar_atoms, detect_eff=source.detect_eff)
-        if name == "eps_meas":
-            return replace(out, confusion=source.confusion)
-        if name == "cavity_prep":
-            return replace(out, cavity_prep=source.cavity_prep)
-        if name == "relax_atom":
-            return replace(out, relax_atom_prob=source.relax_atom_prob)
-        if name == "relax_cavity":
-            return replace(out, relax_cavity_prob=source.relax_cavity_prob)
-        return replace(out, **{name: getattr(source, name)})
+        return source._idealized(keep=ERROR_CHANNELS[name])
 
     @property
     def is_ideal(self) -> bool:
-        return (
-            self.eps_prep == self.eps_read == self.eps_feed == 0.0
-            and self.relax_atom_prob == self.relax_cavity_prob == 0.0
-            and np.array_equal(self.confusion, np.eye(3))
-            and np.array_equal(
-                self.cavity_prep,
-                np.eye(self.cavity_prep.shape[0], self.cavity_prep.shape[1]),
-            )
+        return all(
+            np.array_equal(value, _error_free(value))
+            for value in (getattr(self, name) for name in ERROR_CHANNELS.values())
         )
 
 

@@ -23,7 +23,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import validate as validate_mod
-from .channels import _SINGLE_ERROR_NAMES
+from .channels import ENCODINGS, ERROR_CHANNELS
 from .dataio import RunConfig, load_config, sweep_csv_text
 from .runner import run_analysis, run_sweep, simulate_report
 
@@ -41,11 +41,11 @@ class _Parser(argparse.ArgumentParser):
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", metavar="PATH", help="key = value configuration file")
     parser.add_argument(
-        "--mode", choices=("ideal", "physical"), help="override the protocol mode"
+        "--mode", choices=tuple(ENCODINGS), help="override the protocol mode"
     )
     parser.add_argument(
         "--single-error",
-        choices=_SINGLE_ERROR_NAMES + ("none",),
+        choices=(*ERROR_CHANNELS, "none"),
         help="activate exactly one error channel (physical mode)",
     )
     parser.add_argument("--jobs", type=int, metavar="N", help="ignored: runs are serial")
@@ -55,7 +55,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         metavar="X",
         help="replace zero backward weights with X inside divergences (diagnostic)",
     )
-    parser.add_argument("--out", metavar="PATH", help="write output here instead of stdout")
+    parser.add_argument(
+        "--out", metavar="PATH", help="write output here instead of stdout ('none': stdout)"
+    )
 
 
 def build_parser() -> _Parser:
@@ -95,18 +97,16 @@ def build_parser() -> _Parser:
     return parser
 
 
+#: RunConfig fields that every command also takes as a ``--flag``
+_COMMON = ("mode", "single_error", "jobs", "floor", "out")
+
+
 def _apply_overrides(config: RunConfig, args: argparse.Namespace) -> RunConfig:
     updates = {}
-    if args.mode is not None:
-        updates["mode"] = args.mode
-    if args.single_error is not None:
-        updates["single_error"] = None if args.single_error == "none" else args.single_error
-    if args.jobs is not None:
-        updates["jobs"] = args.jobs
-    if args.floor is not None:
-        updates["floor"] = args.floor
-    if args.out is not None:
-        updates["out"] = args.out
+    for name in _COMMON:
+        value = getattr(args, name)
+        if value is not None:
+            updates[name] = None if value == "none" else value
     return replace(config, **updates) if updates else config
 
 

@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .channels import ErrorModel, _SINGLE_ERROR_NAMES
+from .channels import ENCODINGS, ERROR_CHANNELS, AtomLevel, ErrorModel
 from .statespace import SystemDims
 
 __all__ = [
@@ -328,19 +328,23 @@ def sweep_csv_text(results, forward_only: bool = False) -> str:
 # ---------------------------------------------------------------------------
 # Run configuration
 
+#: ``eta_<detected>_<true>`` -> its off-diagonal entry of the confusion matrix
 _CONFUSION_KEYS = {
-    "eta_e_g": (0, 1),
-    "eta_e_f": (0, 2),
-    "eta_g_e": (1, 0),
-    "eta_g_f": (1, 2),
-    "eta_f_e": (2, 0),
-    "eta_f_g": (2, 1),
+    f"eta_{seen.name.lower()}_{true.name.lower()}": (seen, true)
+    for seen in AtomLevel
+    for true in AtomLevel
+    if seen != true
 }
+_MODEL_FIELDS = tuple(item.name for item in fields(ErrorModel))
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything a command run needs, with the experiment's defaults."""
+    """Everything a command run needs, with the experiment's defaults.
+
+    Every field but the two override tuples is a config key of the same name,
+    parsed by its declared type (:func:`load_config`).
+    """
 
     temperature_kelvin: float = 2.8
     frequency_ghz: float = 51.0
@@ -376,11 +380,12 @@ class RunConfig:
         for key, value in numbers:
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError(f"{key} must be finite, got {value!r}")
-        if self.mode not in ("ideal", "physical"):
-            raise ValueError(f"mode must be ideal or physical, got {self.mode!r}")
-        if self.single_error is not None and self.single_error not in _SINGLE_ERROR_NAMES:
+        if self.mode not in ENCODINGS:
+            raise ValueError(f"mode must be one of {tuple(ENCODINGS)}, got {self.mode!r}")
+        if self.single_error is not None and self.single_error not in ERROR_CHANNELS:
             raise ValueError(
-                f"single_error must be one of {_SINGLE_ERROR_NAMES}, got {self.single_error!r}"
+                f"single_error must be one of {tuple(ERROR_CHANNELS)}, "
+                f"got {self.single_error!r}"
             )
         if self.dbeta_step <= 0:
             raise ValueError("dbeta_step must be positive")
@@ -390,6 +395,13 @@ class RunConfig:
             raise ValueError("jobs must be >= 1")
         if self.floor is not None and not 0 < self.floor < 1:
             raise ValueError("floor must lie in (0, 1)")
+        # a rounding tolerance for equal sigma values, not a bin width
+        if not 0.0 <= self.sigma_tol <= _CLAMP_TOL:
+            raise ValueError(
+                f"sigma_tol must lie in [0, {_CLAMP_TOL:g}], got {self.sigma_tol!r}"
+            )
+        # built once, which range-checks the error parameters in every mode
+        object.__setattr__(self, "_error_model", self._make_error_model())
 
     @property
     def beta_cavity(self) -> float:
@@ -401,20 +413,17 @@ class RunConfig:
         return values[values <= self.dbeta_stop + 1e-9]
 
     def build_error_model(self) -> ErrorModel:
+        """The run's error model (one shared instance per config; do not mutate)."""
+        return self._error_model
+
+    def _make_error_model(self) -> ErrorModel:
         base = ErrorModel()
-        overrides = {}
-        for name in (
-            "eps_prep",
-            "eps_read",
-            "eps_feed",
-            "relax_atom_prob",
-            "relax_cavity_prob",
-            "nbar_atoms",
-            "detect_eff",
-        ):
-            value = getattr(self, name)
-            if value is not None:
-                overrides[name] = value
+        # the scalar fields RunConfig shares with ErrorModel, where set
+        overrides = {
+            name: getattr(self, name)
+            for name in _MODEL_FIELDS
+            if getattr(self, name, None) is not None
+        }
         if self.confusion_overrides:
             conf = base.confusion.copy()
             for key, value in self.confusion_overrides:
@@ -445,32 +454,32 @@ class RunConfig:
         return model
 
 
-_FLOAT_KEYS = {
-    "temperature_kelvin",
-    "frequency_ghz",
-    "dbeta_start",
-    "dbeta_stop",
-    "dbeta_step",
-    "sigma_tol",
-    "eps_prep",
-    "eps_read",
-    "eps_feed",
-    "relax_atom_prob",
-    "relax_cavity_prob",
-    "nbar_atoms",
-    "detect_eff",
-}
-_BOOL_KEYS = {"idealized_backward", "heat_from_atom"}
-_STR_KEYS = {"mode", "out"}
-
-
-def _parse_bool(value: str, key: str) -> bool:
+def _parse_bool(value: str) -> bool:
     lowered = value.lower()
     if lowered in ("true", "yes", "1", "on"):
         return True
     if lowered in ("false", "no", "0", "off"):
         return False
-    raise ValueError(f"config key {key} needs a boolean, got {value!r}")
+    raise ValueError(value)
+
+
+_PARSERS = {"float": float, "int": int, "str": str, "bool": _parse_bool}
+
+
+def _parse_field(kind: str, value: str):
+    """``value`` as the declared type ``kind``; ``none`` clears an optional key."""
+    base, *rest = kind.replace(" ", "").split("|")
+    if rest == ["None"] and value.lower() == "none":
+        return None
+    return _PARSERS[base](value)
+
+
+#: config key -> declared type of its RunConfig field
+_FIELD_KINDS = {
+    item.name: item.type
+    for item in fields(RunConfig)
+    if item.name not in ("confusion_overrides", "cavity_prep_overrides")
+}
 
 
 def load_config(path=None) -> RunConfig:
@@ -495,18 +504,14 @@ def load_config(path=None) -> RunConfig:
         value = value.strip()
         if not value:
             raise ValueError(f"line {lineno}: empty value for {key!r}")
-        if key in _FLOAT_KEYS:
-            kwargs[key] = float(value)
-        elif key in _BOOL_KEYS:
-            kwargs[key] = _parse_bool(value, key)
-        elif key in _STR_KEYS:
-            kwargs[key] = value
-        elif key == "jobs":
-            kwargs[key] = int(value)
-        elif key == "floor":
-            kwargs[key] = None if value.lower() == "none" else float(value)
-        elif key == "single_error":
-            kwargs[key] = None if value.lower() == "none" else value
+        if key in _FIELD_KINDS:
+            try:
+                kwargs[key] = _parse_field(_FIELD_KINDS[key], value)
+            except ValueError:
+                raise ValueError(
+                    f"line {lineno}: config key {key} needs a value of type "
+                    f"{_FIELD_KINDS[key]}, got {value!r}"
+                ) from None
         elif key in _CONFUSION_KEYS:
             confusion.append((key, float(value)))
         elif key.startswith("cavity_prep_"):

@@ -274,29 +274,37 @@ def _format_trajectory(traj: Trajectory) -> str:
 
 def evaluate(
     fwd: TrajectoryTable,
-    bwd: TrajectoryTable,
+    bwd: TrajectoryTable | None,
     hist: SigmaHistogram | None = None,
     floor: float | None = None,
     heat_from_atom: bool = True,
 ) -> EpResult:
-    """All six estimators from one forward/backward table pair."""
-    if hist is None:
-        hist = sigma_histogram(fwd, bwd)
+    """All six estimators from one forward/backward table pair.
+
+    Without a backward table only the forward-protocol estimators (sigma1,
+    sigma2, sigma6) exist; sigma3 to sigma5 are NaN.
+    """
     values = {
         "sigma1": sigma1(fwd, from_atom=heat_from_atom),
         "sigma2": sigma2(fwd, floor),
-        "sigma3": sigma3(fwd, bwd, floor),
-        "sigma4": sigma4(fwd, bwd, floor),
-        "sigma5": sigma5(hist, floor),
+        "sigma3": math.nan,
+        "sigma4": math.nan,
+        "sigma5": math.nan,
         "sigma6": sigma6(fwd, floor),
     }
     flags: list[str] = []
-    mismatches = support_mismatch(fwd, bwd)
-    if mismatches:
-        sample = ",".join(_format_trajectory(t) for t in mismatches[:3])
-        flags.append(f"support:{len(mismatches)} forward trajectories unmatched:{sample}")
-    for name in ("sigma1", "sigma2", "sigma3", "sigma4", "sigma5", "sigma6"):
-        if math.isinf(values[name]):
+    if bwd is not None:
+        if hist is None:
+            hist = sigma_histogram(fwd, bwd)
+        values["sigma3"] = sigma3(fwd, bwd, floor)
+        values["sigma4"] = sigma4(fwd, bwd, floor)
+        values["sigma5"] = sigma5(hist, floor)
+        mismatches = support_mismatch(fwd, bwd)
+        if mismatches:
+            sample = ",".join(_format_trajectory(t) for t in mismatches[:3])
+            flags.append(f"support:{len(mismatches)} forward trajectories unmatched:{sample}")
+    for name, value in values.items():
+        if math.isinf(value):
             flags.append(f"{name}:infinite")
     return EpResult(
         dbeta_tilde=fwd.gibbs.dbeta_tilde,

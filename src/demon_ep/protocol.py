@@ -28,7 +28,7 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -199,9 +199,7 @@ def _resolve_model(model: ErrorModel | None, mode: str, dims: SystemDims) -> Err
         if model is not None and not model.is_ideal:
             raise ValueError("ideal mode does not accept an error model")
         exact = np.eye(dims.dim_cavity_init, dims.dim_cavity_full)
-        return ErrorModel(
-            eps_prep=0.0, eps_read=0.0, eps_feed=0.0, confusion=np.eye(3), cavity_prep=exact
-        )
+        return replace(ErrorModel.ideal(), cavity_prep=exact)
     model = model if model is not None else ErrorModel()
     prepared, full = model.cavity_prep.shape[1], dims.dim_cavity_full
     if prepared > full:

@@ -9,7 +9,6 @@ per-point loop.  Runs are serial: ``RunConfig.jobs`` is accepted and ignored.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,15 +17,10 @@ from .channels import ErrorModel, two_atom_probability
 from .dataio import ConditionalTable, RunConfig, parse_table
 from .entropy import (
     EpResult,
-    cavity_heat,
     evaluate,
     feedback_balance_residual,
     high_bias_asymptote,
     jarzynski_average,
-    mean_information,
-    sigma1,
-    sigma2,
-    sigma6,
 )
 from .protocol import (
     TrajectoryTable,
@@ -123,22 +117,7 @@ def _run(kernel: ProtocolKernel, config: RunConfig) -> list[EpResult]:
     for dbeta in config.grid():
         gibbs = GibbsSpec.from_dbeta(config.beta_cavity, float(dbeta))
         fwd, bwd = point_tables(kernel, gibbs)
-        if bwd is None:
-            results.append(
-                EpResult(
-                    dbeta_tilde=gibbs.dbeta_tilde,
-                    sigma1=sigma1(fwd, from_atom=config.heat_from_atom),
-                    sigma2=sigma2(fwd, config.floor),
-                    sigma3=math.nan,
-                    sigma4=math.nan,
-                    sigma5=math.nan,
-                    sigma6=sigma6(fwd, config.floor),
-                    heat_cavity=cavity_heat(fwd, from_atom=config.heat_from_atom),
-                    mean_info=mean_information(fwd),
-                )
-            )
-            continue
-        hist = sigma_histogram(fwd, bwd, tol=config.sigma_tol)
+        hist = None if bwd is None else sigma_histogram(fwd, bwd, tol=config.sigma_tol)
         results.append(
             evaluate(fwd, bwd, hist, floor=config.floor,
                      heat_from_atom=config.heat_from_atom)
@@ -182,12 +161,12 @@ def simulate_report(
     hist = sigma_histogram(fwd, bwd, tol=config.sigma_tol)
     result = evaluate(fwd, bwd, hist, floor=config.floor,
                       heat_from_atom=config.heat_from_atom)
-    model = None if config.mode == "ideal" else config.build_error_model()
-    pre = oracle_full_state(gibbs, model, dims, config.mode, stage="pre_feedback")
-    post = oracle_full_state(gibbs, model, dims, config.mode, stage="post_feedback")
+    model = config.build_error_model()
+    dynamics = None if config.mode == "ideal" else model
+    pre = oracle_full_state(gibbs, dynamics, dims, config.mode, stage="pre_feedback")
+    post = oracle_full_state(gibbs, dynamics, dims, config.mode, stage="post_feedback")
     residual = feedback_balance_residual(pre, post, gibbs)
-    nbar = model.nbar_atoms if model is not None else ErrorModel().nbar_atoms
-    eff = model.detect_eff if model is not None else ErrorModel().detect_eff
+    two_atom = two_atom_probability(model.nbar_atoms, model.detect_eff)
 
     def fmt(x: float) -> str:
         return format(x, ".12g")
@@ -236,7 +215,7 @@ def simulate_report(
         f"feedback balance residual {fmt(residual)}",
         f"fluctuation average (reversed ensemble) {fmt(jarzynski_average(hist, 'reversed'))}",
         f"fluctuation average (forward ensemble)  {fmt(jarzynski_average(hist, 'forward'))}",
-        f"two-atom event probability {fmt(two_atom_probability(nbar, eff))} (diagnostic)",
+        f"two-atom event probability {fmt(two_atom)} (diagnostic)",
     ]
     if result.flags:
         lines.append("flags: " + "; ".join(result.flags))

@@ -40,21 +40,17 @@ _NORM_TOL = 1e-12
 
 @dataclass(frozen=True)
 class SystemDims:
-    """Level counts for the three subsystems.
+    """Cavity level counts; the qubit and the memory are two-level systems.
 
     ``dim_cavity_init`` is the truncation used for the initial thermal state
     (the feedback step can add one photon, so the evolved cavity lives on the
     larger ``dim_cavity_full`` space).
     """
 
-    dim_qubit: int = 2
-    dim_demon: int = 2
     dim_cavity_init: int = 4
     dim_cavity_full: int = 5
 
     def __post_init__(self) -> None:
-        if self.dim_qubit != 2 or self.dim_demon != 2:
-            raise ValueError("qubit and memory must be two-level systems")
         if self.dim_cavity_init < 2:
             raise ValueError("cavity needs at least two levels")
         if self.dim_cavity_full < self.dim_cavity_init + 1:
@@ -65,7 +61,7 @@ class SystemDims:
 
     @property
     def joint_shape(self) -> tuple[int, int, int]:
-        return (self.dim_qubit, self.dim_demon, self.dim_cavity_full)
+        return (2, 2, self.dim_cavity_full)
 
 
 DEFAULT_DIMS = SystemDims()
@@ -172,17 +168,25 @@ def relative_entropy(p, q) -> float:
 
     Returns ``inf`` when ``p`` has support where ``q`` vanishes.  ``q`` may be
     an unnormalized reference measure; ``p`` should be a distribution for the
-    usual non-negativity guarantee.
+    usual non-negativity guarantee.  Terms whose ratio p/q overflows or
+    underflows take ln p - ln q instead, so a finite divergence stays finite.
     """
     p = np.asarray(p, dtype=float).ravel()
     q = np.asarray(q, dtype=float).ravel()
     if p.shape != q.shape:
         raise ValueError("p and q must have the same shape")
     mask = p > 0.0
-    if np.any(q[mask] <= 0.0):
+    pm, qm = p[mask], q[mask]
+    if (qm <= 0.0).any():
         return math.inf
-    pm = p[mask]
-    return float(np.dot(pm, np.log(pm / q[mask])))
+    with np.errstate(over="ignore", under="ignore", divide="ignore"):
+        logs = np.log(pm / qm)
+    total = float(np.dot(pm, logs))
+    if math.isfinite(total):  # no ratio overflowed to inf or underflowed to 0
+        return total
+    lost = np.isinf(logs)
+    logs[lost] = np.log(pm[lost]) - np.log(qm[lost])
+    return float(np.dot(pm, logs))
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,7 @@ from . import channels, dataio, entropy, protocol, runner, statespace
 IDEAL = dataio.RunConfig()
 PHYSICAL = dataio.RunConfig(mode="physical")
 GRID_COARSE = (-6.0, -3.0, -1.0, 0.0, 1.0, 3.0, 6.0)
-SINGLE_ERRORS = channels._SINGLE_ERROR_NAMES
+SINGLE_ERRORS = tuple(channels.ERROR_CHANNELS)
 CIRCUITS = 1000  # random circuits of the sigma2 = sigma6 check
 
 

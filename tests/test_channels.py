@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from demon_ep import (
     DEFAULT_DIMS,
     ENCODINGS,
+    ERROR_CHANNELS,
     AtomLevel,
     ErrorModel,
     StochasticChannel,
@@ -303,6 +305,24 @@ def test_single_error_isolation(name):
         np.testing.assert_allclose(m.cavity_prep, ErrorModel().cavity_prep)
     else:
         np.testing.assert_array_equal(m.cavity_prep, np.eye(4, 5))
+
+
+def test_error_channels_cover_every_error_model_field():
+    # every field is one error channel, except the two-atom diagnostic's two
+    fields = {item.name for item in dataclasses.fields(ErrorModel)}
+    assert fields == set(ERROR_CHANNELS.values()) | {"nbar_atoms", "detect_eff"}
+    assert len(set(ERROR_CHANNELS.values())) == len(ERROR_CHANNELS)
+
+
+@pytest.mark.parametrize("name", sorted(ERROR_CHANNELS))
+def test_single_error_keeps_only_its_own_field(name):
+    base = ErrorModel(relax_atom_prob=0.05, relax_cavity_prob=0.01, nbar_atoms=0.3)
+    single = ErrorModel.single(name, base=base)
+    assert not single.is_ideal
+    assert single.nbar_atoms == 0.3
+    for other in ERROR_CHANNELS.values():
+        kept = np.array_equal(getattr(single, other), getattr(base, other))
+        assert kept == (other == ERROR_CHANNELS[name]), other
 
 
 def test_single_error_rejects_unknown_channel():

@@ -210,6 +210,23 @@ def test_non_finite_config_value_exits_1(tmp_path, line):
     assert f"{line.split()[0]} must be finite" in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "mode = physical\neps_prep = 2\n",
+        "mode = physical\ncavity_prep_9 = 0:1\n",
+        "eps_prep = 2\n",  # ideal mode ignores the error model but still checks it
+    ],
+    ids=["physical-eps_prep", "physical-cavity_prep_9", "ideal-eps_prep"],
+)
+def test_out_of_range_error_parameter_exits_1(tmp_path, text):
+    conf = tmp_path / "run.conf"
+    conf.write_text(text)
+    proc = run_cli("simulate", "--config", str(conf))
+    assert proc.returncode == 1
+    assert "configuration error" in proc.stderr
+
+
 def test_missing_config_file_exits_1(tmp_path):
     proc = run_cli("sweep", "--config", str(tmp_path / "absent.conf"))
     assert proc.returncode == 1

@@ -392,6 +392,37 @@ def test_load_config_rejects_non_finite_numbers(tmp_path, line, key):
         load_config(path)
 
 
+@pytest.mark.parametrize("tol", [-1e-12, 2e-6, 100.0])
+def test_sigma_tol_outside_the_rounding_range_is_rejected(tmp_path, tol):
+    # a coarse tolerance merges distinct sigma values: at sigma_tol = 100 an
+    # ideal sweep reported sigma5 = 0.537 against sigma4 = 0.606, unflagged
+    with pytest.raises(ValueError, match="sigma_tol must lie in"):
+        RunConfig(sigma_tol=tol)
+    path = tmp_path / "run.conf"
+    path.write_text(f"sigma_tol = {tol!r}\n")
+    with pytest.raises(ValueError, match="sigma_tol"):
+        load_config(path)
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-9, 1e-6])
+def test_sigma_tol_inside_the_rounding_range_is_accepted(tol):
+    assert RunConfig(sigma_tol=tol).sigma_tol == tol
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"eps_prep": 2.0},
+        {"mode": "physical", "eps_read": -0.1},
+        {"cavity_prep_overrides": ((9, ((0, 1.0),)),)},
+        {"confusion_overrides": (("eta_g_e", 0.7), ("eta_f_e", 0.7))},
+    ],
+)
+def test_run_config_checks_its_error_model_in_every_mode(overrides):
+    with pytest.raises(ValueError):
+        RunConfig(**overrides)
+
+
 def test_build_error_model_scalar_overrides():
     model = RunConfig(eps_read=0.25, relax_atom_prob=0.05).build_error_model()
     assert model.eps_read == 0.25
@@ -469,6 +500,76 @@ def test_load_config_none_and_defaults(tmp_path):
     config = load_config(path)
     assert config.floor is None
     assert config.single_error is None
+
+
+#: a valid non-default value for every config key, as text and as loaded
+NON_DEFAULT = {
+    "temperature_kelvin": ("3.5", 3.5),
+    "frequency_ghz": ("48", 48.0),
+    "dbeta_start": ("-2", -2.0),
+    "dbeta_stop": ("2", 2.0),
+    "dbeta_step": ("0.5", 0.5),
+    "mode": ("physical", "physical"),
+    "single_error": ("eps_feed", "eps_feed"),
+    "idealized_backward": ("on", True),
+    "heat_from_atom": ("no", False),
+    "sigma_tol": ("1e-7", 1e-7),
+    "floor": ("1e-6", 1e-6),
+    "jobs": ("3", 3),
+    "out": ("result.csv", "result.csv"),
+    "eps_prep": ("0.2", 0.2),
+    "eps_read": ("0.3", 0.3),
+    "eps_feed": ("0.04", 0.04),
+    "relax_atom_prob": ("0.01", 0.01),
+    "relax_cavity_prob": ("0.002", 0.002),
+    "nbar_atoms": ("0.3", 0.3),
+    "detect_eff": ("0.7", 0.7),
+}
+OVERRIDE_TUPLES = {"confusion_overrides", "cavity_prep_overrides"}
+
+
+def test_every_run_config_field_loads_from_a_config_file(tmp_path):
+    keys = {item.name for item in dataclasses.fields(RunConfig)} - OVERRIDE_TUPLES
+    assert set(NON_DEFAULT) == keys
+    path = tmp_path / "run.conf"
+    path.write_text("".join(f"{key} = {text}\n" for key, (text, _) in NON_DEFAULT.items()))
+    config = load_config(path)
+    for key, (_, value) in NON_DEFAULT.items():
+        assert getattr(config, key) == value, key
+        assert getattr(config, key) != getattr(RunConfig(), key), key
+
+
+def test_none_clears_every_optional_key(tmp_path):
+    optional = {
+        item.name
+        for item in dataclasses.fields(RunConfig)
+        if item.default is None
+    }
+    assert {"single_error", "floor", "out", "eps_read", "detect_eff"} <= optional
+    path = tmp_path / "run.conf"
+    path.write_text(
+        "mode = physical\n"
+        + "".join(f"{key} = {NON_DEFAULT[key][0]}\n{key} = None\n" for key in optional)
+    )
+    config = load_config(path)
+    for key in optional:
+        assert getattr(config, key) is None, key
+
+
+@pytest.mark.parametrize("line", ["mode = none", "jobs = none", "sigma_tol = none"])
+def test_none_is_not_a_value_of_required_keys(tmp_path, line):
+    path = tmp_path / "run.conf"
+    path.write_text(line + "\n")
+    with pytest.raises(ValueError, match=line.split()[0]):
+        load_config(path)
+
+
+@pytest.mark.parametrize("line", ["jobs = 2.5", "dbeta_step = fast", "heat_from_atom = maybe"])
+def test_badly_typed_value_names_its_key(tmp_path, line):
+    path = tmp_path / "run.conf"
+    path.write_text(line + "\n")
+    with pytest.raises(ValueError, match=f"line 1: config key {line.split()[0]} needs a"):
+        load_config(path)
 
 
 def test_load_config_rejects_unknown_keys(tmp_path):

@@ -272,6 +272,17 @@ def test_evaluate_ideal_mode_is_clean():
     assert result.sigma1 == pytest.approx(result.sigma6, abs=1e-9)
 
 
+def test_evaluate_without_backward_table_gives_the_forward_estimators():
+    fwd, bwd = _tables(1.0, ErrorModel.single("eps_prep"), mode="physical")
+    both = evaluate(fwd, bwd)
+    forward = evaluate(fwd, None)
+    for name in ("sigma1", "sigma2", "sigma6", "heat_cavity", "mean_info", "dbeta_tilde"):
+        assert getattr(forward, name) == getattr(both, name), name
+    assert all(math.isnan(x) for x in (forward.sigma3, forward.sigma4, forward.sigma5))
+    # the support flag and sigma4's divergence need the backward table
+    assert forward.flags == ()
+
+
 def test_result_row_layout():
     fwd, bwd = _tables(0.5)
     row = evaluate(fwd, bwd, sigma_histogram(fwd, bwd)).as_row()

@@ -23,6 +23,7 @@ from demon_ep import (
     run_sweep,
     serialize_table,
     sweep_csv_text,
+    two_atom_probability,
     validate,
 )
 
@@ -150,6 +151,14 @@ def test_ideal_mode_runs_at_any_dims(init, full):
                   result.sigma4, result.sigma5, result.sigma6]
         assert max(values) - min(values) <= 1e-9
         assert not result.flags
+
+
+def test_simulate_two_atom_line_reads_the_configured_model():
+    # ideal mode runs error-free dynamics, but the diagnostic still takes the
+    # configured atom number and detection efficiency
+    report = runner.simulate_report(RunConfig(nbar_atoms=0.4, detect_eff=0.8), 0.0)
+    expected = format(two_atom_probability(0.4, 0.8), ".12g")
+    assert f"two-atom event probability {expected} (diagnostic)" in report
 
 
 def test_validate_stdout_is_frozen(capsys):

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -115,6 +117,25 @@ def test_relative_entropy_infinite_off_support():
     assert relative_entropy(p, q) == math.inf
 
 
+def test_relative_entropy_survives_an_overflowing_ratio():
+    # p/q overflows to inf for q = 1e-310; the divergence itself is finite
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = relative_entropy(np.array([0.5, 0.5]), np.array([1e-310, 1.0]))
+    expected = 0.5 * (math.log(0.5) - math.log(1e-310)) + 0.5 * math.log(0.5)
+    assert value == pytest.approx(expected, rel=1e-15)
+    assert value == pytest.approx(356.2075, abs=1e-4)
+
+
+def test_relative_entropy_survives_an_underflowing_ratio():
+    # p/q underflows to 0 for p = 5e-324, q = 10: the term is tiny, not -inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = relative_entropy(np.array([5e-324, 1.0]), np.array([10.0, 1.0]))
+    assert math.isfinite(value)
+    assert abs(value) < 1e-300
+
+
 def test_relative_entropy_accepts_unnormalized_reference():
     # comparison against a subnormalized measure picks up the log of the
     # missing mass; for q = c * p the divergence is exactly -log c
@@ -134,6 +155,20 @@ def test_default_dims_shape():
 def test_dims_require_room_for_one_photon():
     with pytest.raises(ValueError):
         SystemDims(dim_cavity_init=4, dim_cavity_full=4)
+
+
+@pytest.mark.parametrize("init, full", [(4, 3), (2, 2), (6, 5)])
+def test_dims_reject_an_evolved_space_no_larger_than_the_initial_one(init, full):
+    with pytest.raises(ValueError, match="exceed the initial truncation"):
+        SystemDims(dim_cavity_init=init, dim_cavity_full=full)
+
+
+def test_dims_hold_only_the_cavity_truncations():
+    # qubit and memory are two-level by construction, not settable
+    assert [item.name for item in dataclasses.fields(SystemDims)] == [
+        "dim_cavity_init", "dim_cavity_full"
+    ]
+    assert SystemDims(dim_cavity_init=6, dim_cavity_full=8).joint_shape == (2, 2, 8)
 
 
 def test_gibbs_spec_from_dbeta_roundtrip(beta_c):
