@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from . import validate as validate_mod
@@ -101,13 +100,12 @@ def build_parser() -> _Parser:
 _COMMON = ("mode", "single_error", "jobs", "floor", "out")
 
 
-def _apply_overrides(config: RunConfig, args: argparse.Namespace) -> RunConfig:
-    updates = {}
-    for name in _COMMON:
-        value = getattr(args, name)
-        if value is not None:
-            updates[name] = None if value == "none" else value
-    return replace(config, **updates) if updates else config
+def _overrides(args: argparse.Namespace) -> dict:
+    return {
+        name: None if value == "none" else value
+        for name in _COMMON
+        if (value := getattr(args, name)) is not None
+    }
 
 
 def _emit(text: str, config: RunConfig) -> None:
@@ -153,7 +151,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = _apply_overrides(load_config(args.config), args)
+        config = load_config(args.config, **_overrides(args))
     except (ValueError, OSError) as exc:
         print(f"demon-ep: configuration error: {exc}", file=sys.stderr)
         return 1

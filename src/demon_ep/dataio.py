@@ -55,7 +55,10 @@ _HARD_TOL = 1e-3
 def kelvin_to_beta_omega(temperature_k: float, frequency_ghz: float) -> float:
     """Dimensionless beta * omega = h f / (k_B T) for a mode at f GHz."""
     if temperature_k <= 0 or frequency_ghz <= 0:
-        raise ValueError("temperature and frequency must be positive")
+        raise ValueError(
+            f"temperature and frequency must be positive, got {temperature_k!r} K "
+            f"and {frequency_ghz!r} GHz"
+        )
     return (
         PLANCK_CONSTANT * frequency_ghz * 1e9 / (BOLTZMANN_CONSTANT * temperature_k)
     )
@@ -387,6 +390,14 @@ class RunConfig:
                 f"single_error must be one of {tuple(ERROR_CHANNELS)}, "
                 f"got {self.single_error!r}"
             )
+        if self.mode == "ideal":
+            # keys that set an error channel; confusion and cavity_prep come as overrides
+            keys = [name for name in ("single_error", *ERROR_CHANNELS.values())
+                    if getattr(self, name, None) is not None]
+            keys += [key for key, _ in self.confusion_overrides]
+            keys += [f"cavity_prep_{target}" for target, _ in self.cavity_prep_overrides]
+            if keys:
+                raise ValueError(f"ideal mode runs no error channels; remove {', '.join(keys)}")
         if self.dbeta_step <= 0:
             raise ValueError("dbeta_step must be positive")
         if self.dbeta_stop < self.dbeta_start:
@@ -400,12 +411,14 @@ class RunConfig:
             raise ValueError(
                 f"sigma_tol must lie in [0, {_CLAMP_TOL:g}], got {self.sigma_tol!r}"
             )
-        # built once, which range-checks the error parameters in every mode
+        # computed once here, so a bad temperature or error parameter is a config error
+        beta = kelvin_to_beta_omega(self.temperature_kelvin, self.frequency_ghz)
+        object.__setattr__(self, "_beta_cavity", beta)
         object.__setattr__(self, "_error_model", self._make_error_model())
 
     @property
     def beta_cavity(self) -> float:
-        return kelvin_to_beta_omega(self.temperature_kelvin, self.frequency_ghz)
+        return self._beta_cavity
 
     def grid(self) -> np.ndarray:
         count = int(round((self.dbeta_stop - self.dbeta_start) / self.dbeta_step)) + 1
@@ -413,7 +426,7 @@ class RunConfig:
         return values[values <= self.dbeta_stop + 1e-9]
 
     def build_error_model(self) -> ErrorModel:
-        """The run's error model (one shared instance per config; do not mutate)."""
+        """The model the mode runs, error-free in ideal mode (shared; do not mutate)."""
         return self._error_model
 
     def _make_error_model(self) -> ErrorModel:
@@ -449,6 +462,8 @@ class RunConfig:
                 prep[target] = new_row / new_row.sum()
             overrides["cavity_prep"] = prep
         model = replace(base, **overrides) if overrides else base
+        if self.mode == "ideal":  # every channel error-free, the diagnostics kept
+            return model._idealized()
         if self.single_error is not None:
             model = ErrorModel.single(self.single_error, base=model)
         return model
@@ -482,14 +497,15 @@ _FIELD_KINDS = {
 }
 
 
-def load_config(path=None) -> RunConfig:
+def load_config(path=None, **overrides) -> RunConfig:
     """Load a ``key = value`` configuration file; ``None`` gives defaults.
 
     Unknown keys are rejected (silent typos in an analysis config are worse
-    than a crash).  ``#`` starts a comment, full-line or trailing.
+    than a crash).  ``#`` starts a comment, full-line or trailing.  Keyword
+    ``overrides`` (the command-line flags) apply before the config is checked.
     """
     if path is None:
-        return RunConfig()
+        return RunConfig(**overrides)
     kwargs: dict = {}
     confusion: list = []
     cavity: list = []
@@ -527,4 +543,4 @@ def load_config(path=None) -> RunConfig:
         kwargs["confusion_overrides"] = tuple(confusion)
     if cavity:
         kwargs["cavity_prep_overrides"] = tuple(cavity)
-    return RunConfig(**kwargs)
+    return RunConfig(**{**kwargs, **overrides})

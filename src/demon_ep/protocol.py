@@ -19,8 +19,8 @@ labeled and unlabeled mass always equals the prior mass put in.
 
 Both modes run one path: prepare a register level and a Fock state, apply the
 gate chain, and add each final level onto the logical pair it encodes.  The
-mode picks the register (:data:`~demon_ep.channels.ENCODINGS`) and, in ideal
-mode, the error-free model.
+mode picks the register (:data:`~demon_ep.channels.ENCODINGS`); the weighting
+reads it back off the conditionals.
 """
 
 from __future__ import annotations
@@ -313,20 +313,14 @@ def _weight_backward(
     gibbs: GibbsSpec,
     pk: np.ndarray,
     dims: SystemDims,
-    mode: str,
     reset: np.ndarray | None = None,
 ) -> TrajectoryTable:
     zeta_q = gibbs_distribution(gibbs.beta_qubit, 2)
     w_cav = extended_gibbs(gibbs.beta_cavity, dims.dim_cavity_init, dims.dim_cavity_full)
     prior_qk = np.outer(zeta_q, np.asarray(pk, dtype=float))  # [m_Q, k]
-    if (1, 0) not in ENCODINGS[mode]:
-        if prior_qk[1, 0] > 0.0:
-            warnings.warn(
-                "backward branch k=0 cannot be prepared with the qubit excited "
-                "(no atomic encoding); its thermal weight is reassigned to the "
-                "ground state",
-                stacklevel=3,
-            )
+    # no (m_Q=1, k=0) start column (the physical atom; ConditionalTable.from_grid
+    # omits it too): that branch's thermal weight goes to (0, 0)
+    if not bcond[:, :, 1, 0].any():
         prior_qk[0, 0] += prior_qk[1, 0]
         prior_qk[1, 0] = 0.0
     weights = prior_qk[:, :, None] * w_cav[None, None, :]  # [m_Q, k, m_C]
@@ -395,11 +389,11 @@ def backward_table(
         if forward_pk is None:
             forward_pk = branch_probability(forward_table(gibbs, model, dims, mode))
         bcond, reset = backward_conditionals(model, dims, mode)
-    return _weight_backward(bcond, gibbs, forward_pk, dims, mode, reset=reset)
+    return _weight_backward(bcond, gibbs, forward_pk, dims, reset=reset)
 
 
 def tables_from_conditionals(
-    fwd_cond, bwd_cond, gibbs: GibbsSpec, dims: SystemDims = DEFAULT_DIMS, mode: str = "physical"
+    fwd_cond, bwd_cond, gibbs: GibbsSpec, dims: SystemDims = DEFAULT_DIMS
 ) -> tuple[TrajectoryTable, TrajectoryTable | None]:
     """Tables at one bias point from measured conditional tables.
 
@@ -409,7 +403,7 @@ def tables_from_conditionals(
     """
     from .runner import measured_kernel, point_tables  # runner imports this module
 
-    return point_tables(measured_kernel(mode, fwd_cond, bwd_cond, dims), gibbs)
+    return point_tables(measured_kernel(fwd_cond, bwd_cond, dims), gibbs)
 
 
 # ---------------------------------------------------------------------------

@@ -54,7 +54,6 @@ class ProtocolKernel:
     ``backward_reset`` is None when the kernel was read from measured tables.
     """
 
-    mode: str
     dims: SystemDims
     forward_cond: np.ndarray
     backward_cond: np.ndarray | None
@@ -62,15 +61,14 @@ class ProtocolKernel:
 
 
 def build_kernel(config: RunConfig, dims: SystemDims = DEFAULT_DIMS) -> ProtocolKernel:
-    model = None if config.mode == "ideal" else config.build_error_model()
+    model = config.build_error_model()
     fcond = forward_conditionals(model, dims, config.mode)
     back_model = ErrorModel.ideal() if config.idealized_backward else model
     bcond, reset = backward_conditionals(back_model, dims, config.mode)
-    return ProtocolKernel(config.mode, dims, fcond, bcond, reset)
+    return ProtocolKernel(dims, fcond, bcond, reset)
 
 
 def measured_kernel(
-    mode: str,
     forward: ConditionalTable,
     backward: ConditionalTable | None,
     dims: SystemDims = DEFAULT_DIMS,
@@ -78,8 +76,8 @@ def measured_kernel(
     """Kernel read from measured conditional-probability tables.
 
     Weighting it gives the same tables as a direct simulation, so analyzing
-    serialized conditionals reproduces a sweep exactly.  ``mode`` selects the
-    register: physical tables have no (m_Q=1, k=0) columns, and their
+    serialized conditionals reproduces a sweep exactly.  The tables carry
+    their register: physical tables have no (m_Q=1, k=0) columns, and their
     backward k = 0 weight is reassigned as in a simulation.
     """
     if forward.orientation != "forward-rows-initial":
@@ -88,22 +86,19 @@ def measured_kernel(
         raise ValueError("backward conditionals must be row-oriented on final labels")
     cond = np.ascontiguousarray(np.transpose(forward.to_grid(dims), (2, 3, 4, 0, 1)))
     bcond = None if backward is None else backward.to_grid(dims)
-    return ProtocolKernel(mode, dims, cond, bcond)
+    return ProtocolKernel(dims, cond, bcond)
 
 
 def point_tables(
     kernel: ProtocolKernel, gibbs: GibbsSpec
 ) -> tuple[TrajectoryTable, TrajectoryTable | None]:
     """Thermally weighted forward/backward tables at one bias point."""
-    fwd = forward_table(
-        gibbs, dims=kernel.dims, mode=kernel.mode, conditionals=kernel.forward_cond
-    )
+    fwd = forward_table(gibbs, dims=kernel.dims, conditionals=kernel.forward_cond)
     if kernel.backward_cond is None:
         return fwd, None
     bwd = backward_table(
         gibbs,
         dims=kernel.dims,
-        mode=kernel.mode,
         forward_pk=branch_probability(fwd),
         conditionals=kernel.backward_cond,
         reset=kernel.backward_reset,
@@ -146,7 +141,7 @@ def run_analysis(
         forward = parse_table(forward, "forward-rows-initial")
     if backward is not None and not isinstance(backward, ConditionalTable):
         backward = parse_table(backward, "backward-rows-final")
-    return _run(measured_kernel(config.mode, forward, backward, dims), config)
+    return _run(measured_kernel(forward, backward, dims), config)
 
 
 def simulate_report(
@@ -162,9 +157,8 @@ def simulate_report(
     result = evaluate(fwd, bwd, hist, floor=config.floor,
                       heat_from_atom=config.heat_from_atom)
     model = config.build_error_model()
-    dynamics = None if config.mode == "ideal" else model
-    pre = oracle_full_state(gibbs, dynamics, dims, config.mode, stage="pre_feedback")
-    post = oracle_full_state(gibbs, dynamics, dims, config.mode, stage="post_feedback")
+    pre = oracle_full_state(gibbs, model, dims, config.mode, stage="pre_feedback")
+    post = oracle_full_state(gibbs, model, dims, config.mode, stage="post_feedback")
     residual = feedback_balance_residual(pre, post, gibbs)
     two_atom = two_atom_probability(model.nbar_atoms, model.detect_eff)
 

@@ -18,7 +18,6 @@ import io
 import math
 import sys
 import tempfile
-import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -202,7 +201,7 @@ def check_oracle_consistency() -> tuple[bool, str]:
     configs = [IDEAL, PHYSICAL]
     configs += [replace(PHYSICAL, single_error=name) for name in SINGLE_ERRORS]
     for config in configs:
-        model = None if config.mode == "ideal" else config.build_error_model()
+        model = config.build_error_model()
         for gibbs, fwd, _ in _points(config):
             oracle = protocol.oracle_full_state(gibbs, model, mode=config.mode, stage="final")
             diff = protocol.final_state_marginal(fwd) - oracle.probs
@@ -257,7 +256,7 @@ def _random_circuit_result(rng: np.random.Generator):
     gibbs = statespace.GibbsSpec.from_dbeta(
         float(rng.uniform(0.2, 3.0)), float(rng.uniform(-6.0, 6.0))
     )
-    fwd = protocol.forward_table(gibbs, mode="ideal", conditionals=cond)
+    fwd = protocol.forward_table(gibbs, conditionals=cond)
     return entropy.sigma2(fwd), entropy.sigma6(fwd)
 
 
@@ -308,7 +307,7 @@ def check_serialization_roundtrip() -> tuple[bool, str]:
         worst = max(worst, float(np.abs(reparsed.values - cond.values).max()))
         if dataio.serialize_table(reparsed) != text:
             return False, "serialization not idempotent"
-    kernel = runner.measured_kernel("physical", *conds)
+    kernel = runner.measured_kernel(*conds)
     fwd2, bwd2 = runner.point_tables(kernel, gibbs)
     worst = max(worst, float(np.abs(fwd2.probs - fwd.probs).max()))
     worst = max(worst, float(np.abs(bwd2.probs - bwd.probs).max()))
@@ -415,13 +414,7 @@ def run_all() -> bool:
     all_ok = True
     for name, fn in CHECKS:
         try:
-            with warnings.catch_warnings():
-                # The k=0 reassignment warning is expected whenever a check
-                # builds physical backward tables; it is not a finding here.
-                warnings.filterwarnings(
-                    "ignore", message="backward branch k=0", category=UserWarning
-                )
-                ok, detail = fn()
+            ok, detail = fn()
         except Exception as exc:  # a crashed check is a failed check
             ok, detail = False, f"raised {type(exc).__name__}: {exc}"
         all_ok &= ok

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import warnings
-
 import pytest
 
 from demon_ep import GibbsSpec, kelvin_to_beta_omega
@@ -26,17 +24,6 @@ def gibbs_at():
         return GibbsSpec.from_dbeta(BETA_C, dbeta_tilde)
 
     return _make
-
-
-@pytest.fixture()
-def quiet_backward():
-    """Suppress the expected encoding-reassignment warning in physical mode."""
-
-    with warnings.catch_warnings():
-        warnings.filterwarnings(
-            "ignore", message="backward branch k=0", category=UserWarning
-        )
-        yield
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -69,23 +69,23 @@ def _point(dbt: float, config: RunConfig = RunConfig()):
     return run_sweep(replace(config, dbeta_start=dbt, dbeta_stop=dbt))[0]
 
 
-def test_ac1_ideal_estimators_agree_across_grid(quiet_backward):
+def test_ac1_ideal_estimators_agree_across_grid():
     _registry_verdict(1, "estimator equivalence", within_s=1.0)
 
 
-def test_ac2_memory_split_identity_on_random_circuits(quiet_backward):
+def test_ac2_memory_split_identity_on_random_circuits():
     _registry_verdict(2, "sigma2 = sigma6 identity", within_s=10.0)
 
 
-def test_ac3_high_bias_closed_form_and_asymptote(quiet_backward):
+def test_ac3_high_bias_closed_form_and_asymptote():
     _registry_verdict(3, "closed-form anchors")
 
 
-def test_ac4_entropy_production_vanishes_at_matched_temperatures(quiet_backward):
+def test_ac4_entropy_production_vanishes_at_matched_temperatures():
     _registry_verdict(4, "closed-form anchors")
 
 
-def test_ac5_detailed_and_integral_fluctuation_relations(quiet_backward):
+def test_ac5_detailed_and_integral_fluctuation_relations():
     _registry_verdict(5, "fluctuation relation")
 
 
@@ -97,7 +97,7 @@ def test_ac5_detailed_and_integral_fluctuation_relations(quiet_backward):
     "backward run leaks weight onto forward-impossible records, so the "
     "average equals the reversal efficacy and stays below one",
 )
-def test_forward_exponential_average_reaches_unity(quiet_backward):
+def test_forward_exponential_average_reaches_unity():
     # the average as the shipped `demon-ep simulate` diagnostic reports it
     label = "fluctuation average (forward ensemble)"
     report = simulate_report(RunConfig(), 0.0)
@@ -105,11 +105,11 @@ def test_forward_exponential_average_reaches_unity(quiet_backward):
     assert abs(float(line.removeprefix(label)) - 1.0) <= 1e-9
 
 
-def test_ac6_second_law_for_every_error_configuration(quiet_backward):
+def test_ac6_second_law_for_every_error_configuration():
     _registry_verdict(6, "second law")
 
 
-def test_ac7_single_error_signatures_and_frozen_magnitudes(quiet_backward):
+def test_ac7_single_error_signatures_and_frozen_magnitudes():
     ideal_pos = _point(6.0)
     ideal_neg = _point(-6.0)
     read_neg = _point(-6.0, RunConfig(mode="physical", single_error="eps_read"))
@@ -150,11 +150,11 @@ def test_ac7_single_error_signatures_and_frozen_magnitudes(quiet_backward):
     )
 
 
-def test_ac8_trajectory_marginals_match_state_evolution(quiet_backward):
+def test_ac8_trajectory_marginals_match_state_evolution():
     _registry_verdict(8, "oracle consistency")
 
 
-def test_ac9_serialized_tables_reproduce_the_direct_sweep(quiet_backward):
+def test_ac9_serialized_tables_reproduce_the_direct_sweep():
     config = RunConfig(mode="physical", dbeta_step=1.0)
     direct_csv = sweep_csv_text(run_sweep(config))
     # conditionals do not depend on the bias point

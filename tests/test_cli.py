@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import subprocess
 import sys
-import warnings
 
 import pytest
 
@@ -38,12 +37,8 @@ def table_files(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("tables")
     gibbs = GibbsSpec.from_dbeta(kelvin_to_beta_omega(2.8, 51.0), 0.0)
     model = ErrorModel()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        fwd = forward_table(gibbs, model, mode="physical")
-        bwd = backward_table(
-            gibbs, model, mode="physical", forward_pk=branch_probability(fwd)
-        )
+    fwd = forward_table(gibbs, model, mode="physical")
+    bwd = backward_table(gibbs, model, mode="physical", forward_pk=branch_probability(fwd))
     write_table(conditional_from_table(fwd), tmp / "forward.txt")
     write_table(conditional_from_table(bwd), tmp / "backward.txt")
     return tmp / "forward.txt", tmp / "backward.txt"
@@ -215,7 +210,7 @@ def test_non_finite_config_value_exits_1(tmp_path, line):
     [
         "mode = physical\neps_prep = 2\n",
         "mode = physical\ncavity_prep_9 = 0:1\n",
-        "eps_prep = 2\n",  # ideal mode ignores the error model but still checks it
+        "eps_prep = 2\n",  # ideal mode takes no error parameter at all
     ],
     ids=["physical-eps_prep", "physical-cavity_prep_9", "ideal-eps_prep"],
 )
@@ -230,3 +225,64 @@ def test_out_of_range_error_parameter_exits_1(tmp_path, text):
 def test_missing_config_file_exits_1(tmp_path):
     proc = run_cli("sweep", "--config", str(tmp_path / "absent.conf"))
     assert proc.returncode == 1
+
+
+@pytest.mark.parametrize("line", ["temperature_kelvin = -1", "frequency_ghz = 0"])
+def test_non_positive_temperature_or_frequency_exits_1(tmp_path, line):
+    conf = tmp_path / "run.conf"
+    conf.write_text(line + "\n")
+    proc = run_cli("simulate", "--config", str(conf))
+    assert proc.returncode == 1
+    assert "configuration error" in proc.stderr
+    assert "must be positive" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "single_error = eps_read",
+        "eps_read = 0.3",
+        "relax_atom_prob = 0.05",
+        "eta_g_e = 0.04",
+        "cavity_prep_1 = 0:0.1 1:0.9",
+    ],
+)
+def test_ideal_mode_rejects_error_keys_by_name(tmp_path, line):
+    conf = tmp_path / "run.conf"
+    conf.write_text(line + "\n")
+    proc = run_cli("sweep", "--config", str(conf))
+    assert proc.returncode == 1
+    assert "configuration error" in proc.stderr
+    assert line.split()[0] in proc.stderr
+    assert proc.stdout == ""
+    # the same file runs once the mode has error channels to configure
+    assert run_cli("simulate", "--config", str(conf), "--mode", "physical").returncode == 0
+
+
+def test_ideal_mode_rejects_the_single_error_flag():
+    proc = run_cli("sweep", "--single-error", "eps_read")
+    assert proc.returncode == 1
+    assert "single_error" in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_mode_flag_decides_which_keys_a_config_may_set(tmp_path):
+    conf = tmp_path / "run.conf"
+    conf.write_text("mode = physical\neps_read = 0.3\n")
+    proc = run_cli("simulate", "--config", str(conf), "--mode", "ideal")
+    assert proc.returncode == 1
+    assert "eps_read" in proc.stderr
+
+
+def test_ideal_mode_accepts_the_two_atom_diagnostic_keys(tmp_path):
+    conf = tmp_path / "run.conf"
+    conf.write_text("nbar_atoms = 0.4\ndetect_eff = 0.8\n")
+    proc = run_cli("simulate", "--config", str(conf))
+    assert proc.returncode == 0
+    assert "two-atom event probability" in proc.stdout
+
+
+def test_physical_sweep_writes_nothing_to_stderr():
+    proc = run_cli("sweep", "--mode", "physical")
+    assert proc.returncode == 0
+    assert proc.stderr == ""

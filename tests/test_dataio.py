@@ -6,7 +6,6 @@ import csv
 import dataclasses
 import io
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -239,20 +238,15 @@ def test_serialize_survives_arbitrary_doubles(raw):
 def test_simulated_tables_round_trip_through_text(tmp_path):
     gibbs = GibbsSpec.from_dbeta(BETA_C, 1.75)
     model = ErrorModel()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        fwd = forward_table(gibbs, model, mode="physical")
-        bwd = backward_table(
-            gibbs, model, mode="physical", forward_pk=branch_probability(fwd)
-        )
-        write_table(conditional_from_table(fwd), tmp_path / "f.txt")
-        write_table(conditional_from_table(bwd), tmp_path / "b.txt")
-        kernel = measured_kernel(
-            "physical",
-            parse_table(tmp_path / "f.txt", "forward-rows-initial"),
-            parse_table(tmp_path / "b.txt", "backward-rows-final"),
-        )
-        fwd2, bwd2 = point_tables(kernel, gibbs)
+    fwd = forward_table(gibbs, model, mode="physical")
+    bwd = backward_table(gibbs, model, mode="physical", forward_pk=branch_probability(fwd))
+    write_table(conditional_from_table(fwd), tmp_path / "f.txt")
+    write_table(conditional_from_table(bwd), tmp_path / "b.txt")
+    kernel = measured_kernel(
+        parse_table(tmp_path / "f.txt", "forward-rows-initial"),
+        parse_table(tmp_path / "b.txt", "backward-rows-final"),
+    )
+    fwd2, bwd2 = point_tables(kernel, gibbs)
     assert np.array_equal(fwd.probs, fwd2.probs)
     assert np.array_equal(bwd.probs, bwd2.probs)
 
@@ -424,21 +418,25 @@ def test_run_config_checks_its_error_model_in_every_mode(overrides):
 
 
 def test_build_error_model_scalar_overrides():
-    model = RunConfig(eps_read=0.25, relax_atom_prob=0.05).build_error_model()
+    model = RunConfig(
+        mode="physical", eps_read=0.25, relax_atom_prob=0.05
+    ).build_error_model()
     assert model.eps_read == 0.25
     assert model.relax_atom_prob == 0.05
     assert model.eps_prep == 0.1  # untouched defaults stay
 
 
 def test_build_error_model_single_error_applies_after_overrides():
-    model = RunConfig(eps_read=0.25, single_error="eps_read").build_error_model()
+    model = RunConfig(
+        mode="physical", eps_read=0.25, single_error="eps_read"
+    ).build_error_model()
     assert model.eps_read == 0.25
     assert model.eps_prep == 0.0
     np.testing.assert_array_equal(model.confusion, np.eye(3))
 
 
 def test_confusion_override_renormalizes_diagonal():
-    config = RunConfig(confusion_overrides=(("eta_g_e", 0.07),))
+    config = RunConfig(mode="physical", confusion_overrides=(("eta_g_e", 0.07),))
     conf = config.build_error_model().confusion
     assert conf[1, 0] == pytest.approx(0.07)
     # column for true e: off-diagonals 0.07 + 0.0, diagonal picks up the rest
@@ -448,12 +446,12 @@ def test_confusion_override_renormalizes_diagonal():
 
 def test_cavity_prep_override_must_normalize():
     good = RunConfig(
-        cavity_prep_overrides=((1, ((0, 0.1), (1, 0.8), (2, 0.1))),)
+        mode="physical", cavity_prep_overrides=((1, ((0, 0.1), (1, 0.8), (2, 0.1))),)
     ).build_error_model()
     np.testing.assert_allclose(good.cavity_prep[1], [0.1, 0.8, 0.1, 0, 0])
     with pytest.raises(ValueError, match="sum to 1"):
         RunConfig(
-            cavity_prep_overrides=((1, ((0, 0.1), (1, 0.8))),)
+            mode="physical", cavity_prep_overrides=((1, ((0, 0.1), (1, 0.8))),)
         ).build_error_model()
 
 
@@ -486,6 +484,7 @@ def test_load_config_parses_every_value_kind(tmp_path):
     assert config.heat_from_atom is False
     assert config.out == "result.csv"
     model = RunConfig(
+        mode="physical",
         confusion_overrides=config.confusion_overrides,
         cavity_prep_overrides=config.cavity_prep_overrides,
     ).build_error_model()

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -44,12 +43,8 @@ def _gibbs(dbt: float) -> GibbsSpec:
 
 def _tables(dbt: float, model=None, mode="ideal"):
     gibbs = _gibbs(dbt)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        fwd = forward_table(gibbs, model, mode=mode)
-        bwd = backward_table(
-            gibbs, model, mode=mode, forward_pk=branch_probability(fwd)
-        )
+    fwd = forward_table(gibbs, model, mode=mode)
+    bwd = backward_table(gibbs, model, mode=mode, forward_pk=branch_probability(fwd))
     return fwd, bwd
 
 

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +13,7 @@ from demon_ep import (
     DEFAULT_DIMS,
     ErrorModel,
     GibbsSpec,
+    RunConfig,
     SigmaHistogram,
     Trajectory,
     backward_table,
@@ -157,9 +157,7 @@ def test_backward_conservation_extended_prior():
     expected_mass = (1 - x**FULL) / (1 - x**INIT)
     for mode, model in (("ideal", None), ("physical", ErrorModel())):
         gibbs = _gibbs(0.5)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            bwd = backward_table(gibbs, model, mode=mode)
+        bwd = backward_table(gibbs, model, mode=mode)
         assert bwd.prior_mass == pytest.approx(expected_mass, rel=1e-13)
         assert bwd.probs.sum() + bwd.unlabeled_mass == pytest.approx(
             bwd.prior_mass, rel=1e-12
@@ -168,19 +166,24 @@ def test_backward_conservation_extended_prior():
 
 def test_physical_backward_reassigns_unencodable_branch():
     gibbs = _gibbs(1.0)
-    with pytest.warns(UserWarning, match="backward branch k=0"):
-        bwd = backward_table(gibbs, ErrorModel(), mode="physical")
+    bwd = backward_table(gibbs, ErrorModel(), mode="physical")
     # nothing can start from (m_Q=1, k=0): that weight moved to m_Q=0
     assert bwd.probs[:, 0, :, 1, :].sum() == 0.0
     assert bwd.demon_reset_prob is not None
     assert 0.0 <= bwd.demon_reset_prob <= 1.0
 
 
+def test_ideal_run_config_model_builds_ideal_tables():
+    # ideal mode's configured model is the error-free one the builders accept
+    model = RunConfig().build_error_model()
+    assert model.is_ideal
+    fwd = forward_table(_gibbs(1.0), model, mode="ideal")
+    assert np.array_equal(fwd.probs, forward_table(_gibbs(1.0), mode="ideal").probs)
+
+
 def test_ideal_backward_keeps_abstract_unencodable_branch():
     gibbs = _gibbs(1.0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # no reassignment warning expected
-        bwd = backward_table(gibbs, mode="ideal")
+    bwd = backward_table(gibbs, mode="ideal")
     # the ideal register has a level X for (m_Q=1, k=0), so that branch runs
     assert bwd.probs[:, 0, :, 1, :].sum() > 0.0
 
@@ -216,16 +219,10 @@ def test_backward_conditionals_skip_unencodable_columns():
 def test_tables_from_conditionals_reproduces_direct_run_exactly():
     gibbs = _gibbs(3.0)
     model = ErrorModel()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        fwd = forward_table(gibbs, model, mode="physical")
-        bwd = backward_table(
-            gibbs, model, mode="physical", forward_pk=branch_probability(fwd)
-        )
-        kernel = measured_kernel(
-            "physical", conditional_from_table(fwd), conditional_from_table(bwd)
-        )
-        fwd2, bwd2 = point_tables(kernel, gibbs)
+    fwd = forward_table(gibbs, model, mode="physical")
+    bwd = backward_table(gibbs, model, mode="physical", forward_pk=branch_probability(fwd))
+    kernel = measured_kernel(conditional_from_table(fwd), conditional_from_table(bwd))
+    fwd2, bwd2 = point_tables(kernel, gibbs)
     assert np.array_equal(fwd.probs, fwd2.probs)
     assert np.array_equal(bwd.probs, bwd2.probs)
     assert bwd2.unlabeled_mass == pytest.approx(bwd.unlabeled_mass, abs=1e-15)
@@ -233,15 +230,13 @@ def test_tables_from_conditionals_reproduces_direct_run_exactly():
 
 def test_per_point_tables_from_conditionals_match_the_measured_kernel():
     gibbs = _gibbs(-2.0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        fwd = forward_table(gibbs, ErrorModel(), mode="physical")
-        bwd = backward_table(
-            gibbs, ErrorModel(), mode="physical", forward_pk=branch_probability(fwd)
-        )
-        tables = (conditional_from_table(fwd), conditional_from_table(bwd))
-        fwd2, bwd2 = tables_from_conditionals(*tables, gibbs)
-        fwd3, none = tables_from_conditionals(tables[0], None, gibbs)
+    fwd = forward_table(gibbs, ErrorModel(), mode="physical")
+    bwd = backward_table(
+        gibbs, ErrorModel(), mode="physical", forward_pk=branch_probability(fwd)
+    )
+    tables = (conditional_from_table(fwd), conditional_from_table(bwd))
+    fwd2, bwd2 = tables_from_conditionals(*tables, gibbs)
+    fwd3, none = tables_from_conditionals(tables[0], None, gibbs)
     assert np.array_equal(fwd2.probs, fwd.probs) and np.array_equal(fwd3.probs, fwd.probs)
     assert np.array_equal(bwd2.probs, bwd.probs)
     assert none is None
@@ -257,9 +252,7 @@ def test_per_point_tables_from_conditionals_match_the_measured_kernel():
 )
 def test_final_marginal_agrees_with_full_state_evolution(mode, model):
     gibbs = _gibbs(-2.0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        fwd = forward_table(gibbs, model, mode=mode)
+    fwd = forward_table(gibbs, model, mode=mode)
     oracle = oracle_full_state(gibbs, model, mode=mode, stage="final")
     np.testing.assert_allclose(
         final_state_marginal(fwd), oracle.probs, rtol=0, atol=1e-13
@@ -351,12 +344,8 @@ def test_histogram_validation():
 def test_random_error_models_conserve_probability(dbt, eps):
     gibbs = _gibbs(dbt)
     model = ErrorModel(eps_prep=eps[0], eps_read=eps[1], eps_feed=eps[2])
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        fwd = forward_table(gibbs, model, mode="physical")
-        bwd = backward_table(
-            gibbs, model, mode="physical", forward_pk=branch_probability(fwd)
-        )
+    fwd = forward_table(gibbs, model, mode="physical")
+    bwd = backward_table(gibbs, model, mode="physical", forward_pk=branch_probability(fwd))
     assert fwd.probs.sum() == pytest.approx(1.0, abs=1e-12)
     assert bwd.probs.sum() + bwd.unlabeled_mass == pytest.approx(
         bwd.prior_mass, abs=1e-12

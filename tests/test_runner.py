@@ -77,7 +77,7 @@ def _digest(text: str) -> str:
 
 
 @pytest.mark.parametrize("case", sorted(SWEEP_DIGESTS))
-def test_sweep_csv_bytes_are_frozen(case, quiet_backward):
+def test_sweep_csv_bytes_are_frozen(case):
     assert _digest(sweep_csv_text(run_sweep(_config(case)))) == SWEEP_DIGESTS[case]
 
 
@@ -92,7 +92,7 @@ def _serialized_tables(config: RunConfig):
     )
 
 
-def test_analysis_csv_bytes_are_frozen(quiet_backward):
+def test_analysis_csv_bytes_are_frozen():
     config = _config("eps_prep")
     fwd_text, bwd_text = _serialized_tables(config)
 
@@ -108,7 +108,7 @@ def test_analysis_csv_bytes_are_frozen(quiet_backward):
     assert _digest(forward_only) == ANALYZE_DIGESTS["forward_only"]
 
 
-def test_analysis_builds_its_kernel_once(monkeypatch, quiet_backward):
+def test_analysis_builds_its_kernel_once(monkeypatch):
     config = RunConfig(mode="physical", dbeta_step=1.0)
     fwd_text, bwd_text = _serialized_tables(config)
     calls = []
@@ -185,3 +185,18 @@ def test_validate_reports_failed_and_crashed_checks(monkeypatch, capsys):
     ]
     assert cli.main(["validate"]) == 2
     assert capsys.readouterr().out.count("FAIL") == 2
+
+
+@pytest.mark.parametrize(
+    "tables, mode", [("physical", "ideal"), ("ideal", "physical")]
+)
+def test_analysis_reads_the_register_from_its_tables(tables, mode):
+    # the backward table's (m_Q=1, k=0) columns, not the configured mode,
+    # decide where that branch's weight goes
+    fwd_text, bwd_text = _serialized_tables(_config(tables))
+    results = run_analysis(
+        RunConfig(mode=mode),
+        parse_table(io.StringIO(fwd_text), "forward-rows-initial"),
+        parse_table(io.StringIO(bwd_text), "backward-rows-final"),
+    )
+    assert _digest(sweep_csv_text(results)) == SWEEP_DIGESTS[tables]
