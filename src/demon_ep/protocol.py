@@ -196,10 +196,12 @@ def _resolve_model(model: ErrorModel | None, mode: str, dims: SystemDims) -> Err
     if mode not in ENCODINGS:
         raise ValueError(f"mode must be one of {tuple(ENCODINGS)}, got {mode!r}")
     if mode == "ideal":
-        if model is not None and not model.is_ideal:
+        if model is None:
+            model = ErrorModel.ideal()
+        elif not model.is_ideal:
             raise ValueError("ideal mode does not accept an error model")
-        exact = np.eye(dims.dim_cavity_init, dims.dim_cavity_full)
-        return replace(ErrorModel.ideal(), cavity_prep=exact)
+        # the ideal register prepares exactly the initial photon numbers of dims
+        return replace(model, cavity_prep=np.eye(dims.dim_cavity_init, dims.dim_cavity_full))
     model = model if model is not None else ErrorModel()
     prepared, full = model.cavity_prep.shape[1], dims.dim_cavity_full
     if prepared > full:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -183,7 +184,9 @@ def test_ideal_run_config_model_builds_ideal_tables():
 
 def test_ideal_backward_keeps_abstract_unencodable_branch():
     gibbs = _gibbs(1.0)
-    bwd = backward_table(gibbs, mode="ideal")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no warning of any kind expected
+        bwd = backward_table(gibbs, mode="ideal")
     # the ideal register has a level X for (m_Q=1, k=0), so that branch runs
     assert bwd.probs[:, 0, :, 1, :].sum() > 0.0
 
