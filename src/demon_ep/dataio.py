@@ -20,6 +20,8 @@ from __future__ import annotations
 import csv
 import io
 import math
+import operator
+import re
 import warnings
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -59,9 +61,18 @@ def kelvin_to_beta_omega(temperature_k: float, frequency_ghz: float) -> float:
             f"temperature and frequency must be positive, got {temperature_k!r} K "
             f"and {frequency_ghz!r} GHz"
         )
-    return (
-        PLANCK_CONSTANT * frequency_ghz * 1e9 / (BOLTZMANN_CONSTANT * temperature_k)
-    )
+    thermal = BOLTZMANN_CONSTANT * temperature_k
+    if not (math.isfinite(thermal) and thermal > 0.0):
+        raise ValueError(f"k_B T = {thermal!r} J at {temperature_k!r} K is not a usable energy")
+    if not math.isfinite(frequency_ghz * 1e9):
+        raise ValueError(f"frequency {frequency_ghz!r} GHz overflows in Hz")
+    beta = PLANCK_CONSTANT * frequency_ghz * 1e9 / thermal
+    if not math.isfinite(beta):
+        raise ValueError(
+            f"beta*omega = h f / (k_B T) = {beta!r} at {temperature_k!r} K and "
+            f"{frequency_ghz!r} GHz is not finite"
+        )
+    return beta
 
 
 @dataclass(frozen=True, eq=False)
@@ -298,12 +309,15 @@ _FORWARD_COLUMNS = (
 )
 
 
-def _format_number(value: float) -> str:
-    if math.isinf(value):
-        return "inf" if value > 0 else "-inf"
-    if math.isnan(value):
-        return "nan"
-    return format(value, ".17g")
+#: a character that can make csv quote a field
+_CSV_SPECIAL = re.compile('[,"\r\n]')
+
+
+def _csv_field(text: str) -> str:
+    """``text`` as the csv writer writes a field (quoted if it must be)."""
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerow([text])
+    return buffer.getvalue()[:-1]
 
 
 def sweep_csv_text(results, forward_only: bool = False) -> str:
@@ -311,21 +325,24 @@ def sweep_csv_text(results, forward_only: bool = False) -> str:
 
     ``results`` is an iterable of objects exposing ``as_row()``, one row per
     bias point, in the given order.  ``forward_only`` keeps only the columns
-    computable without the backward protocol.
+    computable without the backward protocol.  Numbers are written with
+    ``%.17g`` (``inf``, ``-inf`` and ``nan`` spelled out); a flags field csv
+    might quote goes through the csv writer.
     """
     columns = _FORWARD_COLUMNS if forward_only else _ALL_COLUMNS
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(columns)
+    numbers = operator.itemgetter(*columns[:-1])  # every column but the trailing flags
+    line = ",".join(["%.17g"] * (len(columns) - 1)) + ",%s\n"
+    lines = [",".join(columns) + "\n"]
+    fields: dict[str, str] = {}  # flags text -> field; support flags repeat across rows
     for result in results:
         row = result.as_row()
-        writer.writerow(
-            [
-                row[col] if col == "flags" else _format_number(float(row[col]))
-                for col in columns
-            ]
-        )
-    return buffer.getvalue()
+        flags = row["flags"]
+        if _CSV_SPECIAL.search(flags):
+            if flags not in fields:
+                fields[flags] = _csv_field(flags)
+            flags = fields[flags]
+        lines.append(line % (*numbers(row), flags))
+    return "".join(lines)
 
 
 # ---------------------------------------------------------------------------

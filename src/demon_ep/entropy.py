@@ -23,17 +23,20 @@ reference and backward priors share the single-free-energy convention of
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .protocol import (
+    HistogramRows,
     SigmaHistogram,
+    TableRows,
     Trajectory,
     TrajectoryTable,
-    branch_probability,
-    final_state_marginal,
+    final_state_rows,
+    quanta_change,
     sigma_histogram,
 )
 from .statespace import (
@@ -45,13 +48,15 @@ from .statespace import (
     mean_occupation,
     mutual_information,
     relative_entropy,
-    shannon_entropy,
+    relative_entropy_rows,
+    shannon_entropy_rows,
 )
 
 __all__ = [
     "EpResult",
     "cavity_heat",
     "evaluate",
+    "evaluate_rows",
     "feedback_balance_residual",
     "high_bias_asymptote",
     "jarzynski_average",
@@ -66,11 +71,83 @@ __all__ = [
 ]
 
 
-def _thermal_reference(gibbs: GibbsSpec, dims) -> np.ndarray:
-    """Reference measure zeta_Q (x) w_C over the final (m_Q, m_C) grid."""
-    zeta_q = gibbs_distribution(gibbs.beta_qubit, 2)
-    w_cav = extended_gibbs(gibbs.beta_cavity, dims.dim_cavity_init, dims.dim_cavity_full)
-    return np.outer(zeta_q, w_cav)
+def _thermal_reference(beta_qubit: np.ndarray, beta_cavity: float, dims) -> np.ndarray:
+    """Reference measure zeta_Q (x) w_C over the final (m_Q, m_C) grid, per row."""
+    zeta_q = gibbs_distribution(beta_qubit[:, None], 2)
+    w_cav = extended_gibbs(beta_cavity, dims.dim_cavity_init, dims.dim_cavity_full)
+    return zeta_q[:, :, None] * w_cav
+
+
+# Each estimator is a function of stacked table rows (:class:`TableRows`);
+# the single-table functions below are one-row calls of the same code.
+
+
+def _heat_rows(rows: TableRows, from_atom: bool) -> np.ndarray:
+    qubit, cavity = quanta_change(rows.dims)
+    if from_atom:  # the cavity gains what the atom loses
+        return -(rows.forward * qubit).sum(axis=(1, 2, 3, 4, 5))
+    return (rows.forward * cavity).sum(axis=(1, 2, 3, 4, 5))
+
+
+def _sigma1_rows(rows: TableRows, heat: np.ndarray, info: np.ndarray) -> np.ndarray:
+    return (rows.beta_cavity - rows.beta_qubit) * heat + info
+
+
+def _branch_average(pk: np.ndarray, divergence) -> np.ndarray:
+    """sum_k p(k) divergence(k) over the branches with p(k) > 0, in branch order."""
+    total = 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):  # p(k) = 0 rows are dropped
+        for k in range(2):
+            term = pk[:, k] * divergence(k)
+            if not (pk[:, k] > 0.0).all():
+                term = np.where(pk[:, k] > 0.0, term, 0.0)
+            total = total + term
+    return total
+
+
+def _sigma2_rows(
+    rows: TableRows, floor: float | None, ref: np.ndarray | None = None
+) -> np.ndarray:
+    if ref is None:
+        ref = _thermal_reference(rows.beta_qubit, rows.beta_cavity, rows.dims)
+    pk = rows.pk[:, :, None, None]
+    return _branch_average(rows.pk, lambda k: _divergence_rows(
+        rows.forward[:, :, k].sum(axis=(1, 2)) / pk[:, k], ref, floor
+    ))
+
+
+def _sigma3_rows(rows: TableRows, floor: float | None) -> np.ndarray:
+    pk = rows.pk[:, :, None, None]
+    return _branch_average(rows.pk, lambda k: _divergence_rows(
+        rows.forward[:, :, k].sum(axis=(3, 4)) / pk[:, k],
+        rows.backward[:, :, k].sum(axis=(3, 4)) / pk[:, k],
+        floor,
+    ))
+
+
+def _sigma6_rows(
+    rows: TableRows, floor: float | None, ref: np.ndarray | None = None
+) -> np.ndarray:
+    if ref is None:
+        ref = _thermal_reference(rows.beta_qubit, rows.beta_cavity, rows.dims)
+    joint = final_state_rows(rows.forward)  # [r, m_Q, k, m_C]
+    rho_qc = joint.sum(axis=2)
+    info = (
+        shannon_entropy_rows(rho_qc)
+        + shannon_entropy_rows(joint.sum(axis=(1, 3)))
+        - shannon_entropy_rows(joint)
+    )
+    return _divergence_rows(rho_qc, ref, floor) + info
+
+
+def _divergence_rows(p: np.ndarray, q: np.ndarray, floor: float | None) -> np.ndarray:
+    if floor is not None:
+        q = np.where((p > 0.0) & (q <= 0.0), floor, q)
+    return relative_entropy_rows(p, q)
+
+
+def _mismatch_rows(rows: TableRows) -> np.ndarray:
+    return (rows.forward > 0.0) & (rows.backward <= 0.0)
 
 
 def cavity_heat(fwd: TrajectoryTable, from_atom: bool = False) -> float:
@@ -81,20 +158,12 @@ def cavity_heat(fwd: TrajectoryTable, from_atom: bool = False) -> float:
     an experiment without final photon readout measures it.  The two agree
     exactly when the dynamics conserve total quanta.
     """
-    p = fwd.probs
-    if from_atom:
-        n_q = np.arange(2)
-        change = n_q[None, None, None, :, None] - n_q[:, None, None, None, None]
-        return float(-(p * change).sum())
-    init = np.arange(fwd.dims.dim_cavity_init)
-    fin = np.arange(fwd.dims.dim_cavity_full)
-    change = fin[None, None, None, None, :] - init[None, None, :, None, None]
-    return float((p * change).sum())
+    return float(_heat_rows(TableRows.of(fwd), from_atom)[0])
 
 
 def mean_information(fwd: TrajectoryTable) -> float:
     """Average information gained by the memory: H[p(k)] in nats."""
-    return shannon_entropy(branch_probability(fwd))
+    return float(shannon_entropy_rows(TableRows.of(fwd).pk)[0])
 
 
 def sigma1(fwd: TrajectoryTable, from_atom: bool = True) -> float:
@@ -104,20 +173,14 @@ def sigma1(fwd: TrajectoryTable, from_atom: bool = True) -> float:
     variant); identical to the cavity-side one for quanta-conserving
     dynamics.
     """
-    return fwd.gibbs.delta_beta * cavity_heat(fwd, from_atom=from_atom) + mean_information(fwd)
+    rows = TableRows.of(fwd)
+    info = shannon_entropy_rows(rows.pk)
+    return float(_sigma1_rows(rows, _heat_rows(rows, from_atom), info)[0])
 
 
 def sigma2(fwd: TrajectoryTable, floor: float | None = None) -> float:
     """Branch-averaged divergence of the final state from the thermal reference."""
-    pk = branch_probability(fwd)
-    ref = _thermal_reference(fwd.gibbs, fwd.dims)
-    total = 0.0
-    for k in range(2):
-        if pk[k] <= 0.0:
-            continue
-        rho_k = fwd.probs[:, k].sum(axis=(0, 1)) / pk[k]
-        total += pk[k] * _divergence(rho_k, ref, floor)
-    return total
+    return float(_sigma2_rows(TableRows.of(fwd), floor)[0])
 
 
 def sigma3(fwd: TrajectoryTable, bwd: TrajectoryTable, floor: float | None = None) -> float:
@@ -128,20 +191,12 @@ def sigma3(fwd: TrajectoryTable, bwd: TrajectoryTable, floor: float | None = Non
     forward and backward weights then share one free energy per subsystem and
     the estimator reduces to the others in the ideal protocol.
     """
-    pk = branch_probability(fwd)
-    total = 0.0
-    for k in range(2):
-        if pk[k] <= 0.0:
-            continue
-        rho_init = fwd.probs[:, k].sum(axis=(2, 3)) / pk[k]
-        back_final = bwd.probs[:, k].sum(axis=(2, 3)) / pk[k]
-        total += pk[k] * _divergence(rho_init, back_final, floor)
-    return total
+    return float(_sigma3_rows(TableRows.of(fwd, bwd), floor)[0])
 
 
 def sigma4(fwd: TrajectoryTable, bwd: TrajectoryTable, floor: float | None = None) -> float:
     """Trajectory-resolved divergence sum p(gamma) ln p(gamma)/p(gamma-tilde)."""
-    return _divergence(fwd.probs, bwd.probs, floor)
+    return float(_divergence_rows(fwd.probs[None], bwd.probs[None], floor)[0])
 
 
 def sigma5(hist: SigmaHistogram, floor: float | None = None) -> float:
@@ -151,34 +206,18 @@ def sigma5(hist: SigmaHistogram, floor: float | None = None) -> float:
     smaller; equality holds when sigma separates trajectories with distinct
     weight ratios (as in the ideal protocol).
     """
-    return _divergence(hist.p_forward, hist.p_backward, floor)
+    return float(_divergence_rows(hist.p_forward[None], hist.p_backward[None], floor)[0])
 
 
 def sigma6(fwd: TrajectoryTable, floor: float | None = None) -> float:
     """Average-state divergence plus residual system-memory correlations."""
-    joint = final_state_marginal(fwd)  # [m_Q, k, m_C]
-    rho_qc = joint.sum(axis=1)
-    info = (
-        shannon_entropy(rho_qc)
-        + shannon_entropy(joint.sum(axis=(0, 2)))
-        - shannon_entropy(joint)
-    )
-    ref = _thermal_reference(fwd.gibbs, fwd.dims)
-    return _divergence(rho_qc, ref, floor) + info
-
-
-def _divergence(p: np.ndarray, q: np.ndarray, floor: float | None) -> float:
-    if floor is None:
-        return relative_entropy(p, q)
-    q = np.asarray(q, dtype=float).copy()
-    q[(np.asarray(p) > 0.0) & (q <= 0.0)] = floor
-    return relative_entropy(p, q)
+    return float(_sigma6_rows(TableRows.of(fwd), floor)[0])
 
 
 def support_mismatch(fwd: TrajectoryTable, bwd: TrajectoryTable) -> tuple[Trajectory, ...]:
     """Forward-possible trajectories with zero backward weight, in index order."""
-    bad = np.argwhere((fwd.probs > 0.0) & (bwd.probs <= 0.0))
-    return tuple(Trajectory(*map(int, idx)) for idx in bad)
+    bad = _mismatch_rows(TableRows.of(fwd, bwd))[0]
+    return tuple(Trajectory(*map(int, idx)) for idx in np.argwhere(bad))
 
 
 def jarzynski_average(hist: SigmaHistogram, direction: str = "reversed") -> float:
@@ -221,7 +260,7 @@ def feedback_balance_residual(
         pre_fb, ("qubit", "cavity")
     )
     rho_qc = marginalize(post_fb, ("qubit", "cavity"))
-    ref = _thermal_reference(gibbs, dims)
+    ref = _thermal_reference(np.array([gibbs.beta_qubit]), gibbs.beta_cavity, dims)[0]
     return heat - info_change - relative_entropy(rho_qc, ref)
 
 
@@ -265,11 +304,15 @@ class EpResult:
         }
 
 
-def _format_trajectory(traj: Trajectory) -> str:
-    return (
-        f"(n_Q={traj.n_qubit},k={traj.k},n_C={traj.n_cavity},"
-        f"m_Q={traj.m_qubit},m_C={traj.m_cavity})"
+@functools.lru_cache(maxsize=256)
+def _support_flag(pattern: bytes, shape: tuple[int, ...]) -> str:
+    """Flag text of one support-mismatch pattern (``bad.tobytes()``)."""
+    bad = np.argwhere(np.frombuffer(pattern, dtype=bool).reshape(shape))
+    sample = ",".join(
+        f"(n_Q={n_q},k={k},n_C={n_c},m_Q={m_q},m_C={m_c})"
+        for n_q, k, n_c, m_q, m_c in bad[:3].tolist()
     )
+    return f"support:{len(bad)} forward trajectories unmatched:{sample}"
 
 
 def evaluate(
@@ -284,32 +327,53 @@ def evaluate(
     Without a backward table only the forward-protocol estimators (sigma1,
     sigma2, sigma6) exist; sigma3 to sigma5 are NaN.
     """
+    if bwd is not None and hist is None:
+        hist = sigma_histogram(fwd, bwd)
+    rows = TableRows.of(fwd, bwd)
+    hist_rows = None if hist is None else HistogramRows.of(hist)
+    return evaluate_rows(rows, hist_rows, floor, heat_from_atom)[0]
+
+
+def evaluate_rows(
+    rows: TableRows,
+    hist: HistogramRows | None = None,
+    floor: float | None = None,
+    heat_from_atom: bool = True,
+) -> list[EpResult]:
+    """:func:`evaluate` at every row of a block, in row order.
+
+    ``hist`` holds the rows' sigma histograms and is required when the rows
+    carry backward tables.
+    """
+    count = len(rows.dbeta)
+    heat = _heat_rows(rows, heat_from_atom)
+    info = shannon_entropy_rows(rows.pk)
+    ref = _thermal_reference(rows.beta_qubit, rows.beta_cavity, rows.dims)
+    nan = np.full(count, math.nan)
     values = {
-        "sigma1": sigma1(fwd, from_atom=heat_from_atom),
-        "sigma2": sigma2(fwd, floor),
-        "sigma3": math.nan,
-        "sigma4": math.nan,
-        "sigma5": math.nan,
-        "sigma6": sigma6(fwd, floor),
+        "sigma1": _sigma1_rows(rows, heat, info),
+        "sigma2": _sigma2_rows(rows, floor, ref),
+        "sigma3": nan,
+        "sigma4": nan,
+        "sigma5": nan,
+        "sigma6": _sigma6_rows(rows, floor, ref),
     }
-    flags: list[str] = []
-    if bwd is not None:
-        if hist is None:
-            hist = sigma_histogram(fwd, bwd)
-        values["sigma3"] = sigma3(fwd, bwd, floor)
-        values["sigma4"] = sigma4(fwd, bwd, floor)
-        values["sigma5"] = sigma5(hist, floor)
-        mismatches = support_mismatch(fwd, bwd)
-        if mismatches:
-            sample = ",".join(_format_trajectory(t) for t in mismatches[:3])
-            flags.append(f"support:{len(mismatches)} forward trajectories unmatched:{sample}")
-    for name, value in values.items():
-        if math.isinf(value):
-            flags.append(f"{name}:infinite")
-    return EpResult(
-        dbeta_tilde=fwd.gibbs.dbeta_tilde,
-        heat_cavity=cavity_heat(fwd, from_atom=heat_from_atom),
-        mean_info=mean_information(fwd),
-        flags=tuple(flags),
-        **values,
-    )
+    support = [None] * count
+    if rows.backward is not None:
+        values["sigma3"] = _sigma3_rows(rows, floor)
+        values["sigma4"] = _divergence_rows(rows.forward, rows.backward, floor)
+        values["sigma5"] = _divergence_rows(hist.p_forward, hist.p_backward, floor)
+        bad = _mismatch_rows(rows)
+        for r in np.flatnonzero(bad.reshape(count, -1).any(axis=1)).tolist():
+            support[r] = _support_flag(bad[r].tobytes(), bad.shape[1:])
+    infinite = np.isinf(np.array(list(values.values()))).T.tolist()
+    columns = (rows.dbeta, *values.values(), heat, info)
+    results = []
+    for r, (dbeta, *numbers) in enumerate(zip(*(c.tolist() for c in columns))):
+        flags = () if support[r] is None else (support[r],)
+        if any(infinite[r]):
+            flags += tuple(
+                f"{name}:infinite" for name, inf in zip(values, infinite[r]) if inf
+            )
+        results.append(EpResult(dbeta, *numbers, flags))
+    return results

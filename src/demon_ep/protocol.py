@@ -25,6 +25,7 @@ reads it back off the conditionals.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import warnings
@@ -52,19 +53,24 @@ from .statespace import (
     SystemDims,
     extended_gibbs,
     gibbs_distribution,
+    row_groups,
 )
 
 __all__ = [
+    "HistogramRows",
     "SigmaHistogram",
+    "TableRows",
     "Trajectory",
     "TrajectoryTable",
     "backward_table",
     "branch_probability",
     "final_state_marginal",
     "forward_table",
+    "histogram_rows",
     "oracle_full_state",
     "sigma_grid",
     "sigma_histogram",
+    "weigh_rows",
 ]
 
 #: oracle stage -> number of forward channels applied (see :func:`_channels`)
@@ -72,6 +78,9 @@ STAGES = {"initial": 0, "pre_feedback": 1, "post_feedback": 2, "final": 4}
 
 _HARD_TOL = 1e-3
 _SOFT_TOL = 1e-9
+_NEGATIVE_TOL = 1e-15
+#: the table axes behind a leading row axis
+_TABLE_AXES = (1, 2, 3, 4, 5)
 
 
 @dataclass(frozen=True)
@@ -146,7 +155,7 @@ class TrajectoryTable:
             raise ValueError(f"probs shape {p.shape}, expected {expected}")
         if self.direction not in ("forward", "backward"):
             raise ValueError(f"direction must be forward/backward, got {self.direction!r}")
-        if np.any(p < -1e-15):
+        if np.any(p < -_NEGATIVE_TOL):
             raise ValueError("negative trajectory probability")
         if self.direction == "forward":
             _check_mass(float(p.sum()), 1.0, "forward table")
@@ -162,7 +171,11 @@ def branch_probability(table: TrajectoryTable) -> np.ndarray:
     """Readout outcome distribution p(k) of a forward table."""
     if table.direction != "forward":
         raise ValueError("branch probabilities are defined by the forward protocol")
-    return table.probs.sum(axis=(0, 2, 3, 4))
+    return _branch_rows(table.probs[None])[0]
+
+
+def _branch_rows(forward: np.ndarray) -> np.ndarray:
+    return forward.sum(axis=(1, 3, 4, 5))
 
 
 def sigma_grid(gibbs: GibbsSpec, pk: np.ndarray, dims: SystemDims = DEFAULT_DIMS) -> np.ndarray:
@@ -173,19 +186,39 @@ def sigma_grid(gibbs: GibbsSpec, pk: np.ndarray, dims: SystemDims = DEFAULT_DIMS
     surprisal: sigma = beta_Q (m_Q - n_Q) + beta_C (m_C - n_C) - ln p(k), with
     energies in units of omega; an outcome with p(k) = 0 gives ``inf``.
     """
-    n_q = np.arange(2)
-    k = np.arange(2)
-    n_c = np.arange(dims.dim_cavity_init)
-    m_q = np.arange(2)
-    m_c = np.arange(dims.dim_cavity_full)
+    pk = np.asarray(pk, dtype=float)[None]
+    return _sigma_rows(np.array([gibbs.beta_qubit]), gibbs.beta_cavity, pk, dims)[0]
+
+
+def _sigma_rows(
+    beta_qubit: np.ndarray, beta_cavity: float, pk: np.ndarray, dims: SystemDims
+) -> np.ndarray:
+    qubit, cavity = quanta_change(dims)
     with np.errstate(divide="ignore"):
-        log_pk = np.log(np.asarray(pk, dtype=float))
-    out = (
-        gibbs.beta_qubit * (m_q[None, None, None, :, None] - n_q[:, None, None, None, None])
-        + gibbs.beta_cavity * (m_c[None, None, None, None, :] - n_c[None, None, :, None, None])
-        - log_pk[None, :, None, None, None]
+        log_pk = np.log(pk)
+    return (
+        beta_qubit[:, None, None, None, None, None] * qubit
+        + beta_cavity * cavity
+        - log_pk[:, None, :, None, None, None]
     )
-    return np.broadcast_to(out, (2, 2, dims.dim_cavity_init, 2, dims.dim_cavity_full)).copy()
+
+
+@functools.lru_cache(maxsize=16)
+def quanta_change(dims: SystemDims) -> tuple[np.ndarray, np.ndarray]:
+    """Per-label quanta gained by the qubit (m_Q - n_Q) and the cavity (m_C - n_C).
+
+    Read-only integer arrays broadcasting against ``TrajectoryTable.probs``.
+    """
+    n_q = np.arange(2)
+    n_c = np.arange(dims.dim_cavity_init)
+    m_c = np.arange(dims.dim_cavity_full)
+    changes = (
+        n_q[None, None, None, :, None] - n_q[:, None, None, None, None],
+        m_c[None, None, None, None, :] - n_c[None, None, :, None, None],
+    )
+    for change in changes:
+        change.setflags(write=False)
+    return changes
 
 
 # ---------------------------------------------------------------------------
@@ -304,9 +337,40 @@ def _forward_priors(gibbs: GibbsSpec, dims: SystemDims) -> tuple[np.ndarray, np.
     return p_qubit, p_cavity
 
 
+def _forward_rows(cond: np.ndarray, p_qubit: np.ndarray, p_cavity: np.ndarray) -> np.ndarray:
+    """Forward tables for a stack of qubit priors ``p_qubit[r, n_Q]``."""
+    return np.einsum("mkfnc,bn,c->bnkcmf", cond, p_qubit, p_cavity)
+
+
+def _backward_rows(
+    bcond: np.ndarray,
+    zeta_q: np.ndarray,
+    w_cav: np.ndarray,
+    pk: np.ndarray,
+    dims: SystemDims,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Labeled backward tables, unlabeled mass and branch priors, per row.
+
+    The priors ``weights[r, m_Q, k, m_C]`` put each row's thermal qubit
+    weight ``zeta_q`` on its forward readout distribution ``pk``.
+    """
+    prior_qk = zeta_q[:, :, None] * pk[:, None, :]  # [r, m_Q, k]
+    # no (m_Q=1, k=0) start column (the physical atom; ConditionalTable.from_grid
+    # omits it too): that branch's thermal weight goes to (0, 0)
+    if not bcond[:, :, 1, 0].any():
+        prior_qk[:, 0, 0] += prior_qk[:, 1, 0]
+        prior_qk[:, 1, 0] = 0.0
+    weights = prior_qk[:, :, :, None] * w_cav  # [r, m_Q, k, m_C]
+    joint = bcond * weights[:, None, None]  # [r, n_Q, n_C, m_Q, k, m_C]
+    init = dims.dim_cavity_init
+    labeled = np.transpose(joint[:, :, :init], (0, 1, 4, 2, 3, 5))
+    unlabeled = joint[:, :, init:].sum(axis=_TABLE_AXES)
+    return labeled, unlabeled, weights
+
+
 def _weight_forward(cond: np.ndarray, gibbs: GibbsSpec, dims: SystemDims) -> TrajectoryTable:
     p_qubit, p_cavity = _forward_priors(gibbs, dims)
-    probs = np.einsum("mkfnc,n,c->nkcmf", cond, p_qubit, p_cavity)
+    probs = _forward_rows(cond, p_qubit[None], p_cavity)[0]
     return TrajectoryTable(probs, "forward", gibbs, dims, conditionals=cond)
 
 
@@ -317,32 +381,110 @@ def _weight_backward(
     dims: SystemDims,
     reset: np.ndarray | None = None,
 ) -> TrajectoryTable:
-    zeta_q = gibbs_distribution(gibbs.beta_qubit, 2)
+    zeta_q = gibbs_distribution(gibbs.beta_qubit, 2)[None]
     w_cav = extended_gibbs(gibbs.beta_cavity, dims.dim_cavity_init, dims.dim_cavity_full)
-    prior_qk = np.outer(zeta_q, np.asarray(pk, dtype=float))  # [m_Q, k]
-    # no (m_Q=1, k=0) start column (the physical atom; ConditionalTable.from_grid
-    # omits it too): that branch's thermal weight goes to (0, 0)
-    if not bcond[:, :, 1, 0].any():
-        prior_qk[0, 0] += prior_qk[1, 0]
-        prior_qk[1, 0] = 0.0
-    weights = prior_qk[:, :, None] * w_cav[None, None, :]  # [m_Q, k, m_C]
-    joint = bcond * weights[None, None, :, :, :]  # [n_Q, n_C, m_Q, k, m_C]
-    init = dims.dim_cavity_init
-    labeled = np.transpose(joint[:, :init], (0, 3, 1, 2, 4))
-    unlabeled = float(joint[:, init:].sum())
+    pk = np.asarray(pk, dtype=float)[None]
+    labeled, unlabeled, weights = _backward_rows(bcond, zeta_q, w_cav, pk, dims)
+    weights = weights[0]
+    total = float(weights.sum())
     reset_prob = None
     if reset is not None:
-        total = float(weights.sum())
         reset_prob = float((reset * weights).sum() / total) if total > 0 else None
     return TrajectoryTable(
-        labeled,
+        labeled[0],
         "backward",
         gibbs,
         dims,
-        prior_mass=float(weights.sum()),
-        unlabeled_mass=unlabeled,
+        prior_mass=total,
+        unlabeled_mass=float(unlabeled[0]),
         demon_reset_prob=reset_prob,
         conditionals=bcond,
+    )
+
+
+@dataclass(frozen=True, eq=False)
+class TableRows:
+    """Forward (and backward) tables of several bias points, stacked on axis 0.
+
+    Row ``r`` holds the ``probs`` of the tables at inverse temperatures
+    ``beta_qubit[r]`` and ``beta_cavity``.  :func:`weigh_rows` builds a block
+    of them from a kernel; :meth:`of` wraps one table pair, which is how the
+    single-point functions run the same row-wise code.  ``unlabeled`` and
+    ``prior_mass`` are the backward masses :meth:`quiet` checks, kept by
+    :func:`weigh_rows` only.
+    """
+
+    dims: SystemDims
+    beta_cavity: float
+    beta_qubit: np.ndarray
+    dbeta: np.ndarray
+    forward: np.ndarray
+    #: readout distribution p(k) of each row
+    pk: np.ndarray
+    backward: np.ndarray | None = None
+    unlabeled: np.ndarray | None = None
+    prior_mass: np.ndarray | None = None
+
+    @classmethod
+    def of(cls, fwd: TrajectoryTable, bwd: TrajectoryTable | None = None) -> "TableRows":
+        gibbs = fwd.gibbs
+        forward = fwd.probs[None]
+        return cls(
+            fwd.dims,
+            gibbs.beta_cavity,
+            np.array([gibbs.beta_qubit]),
+            np.array([gibbs.dbeta_tilde]),
+            forward,
+            _branch_rows(forward),
+            None if bwd is None else bwd.probs[None],
+        )
+
+    def quiet(self) -> bool:
+        """True when no row can warn or fail the :class:`TrajectoryTable` checks.
+
+        Conservative: a mass within half the soft tolerance passes, anything
+        else must go through :class:`TrajectoryTable`, whose checks decide.
+        """
+        if (self.forward < -_NEGATIVE_TOL).any():
+            return False
+        if not _settled(self.forward.sum(axis=_TABLE_AXES), 1.0):
+            return False
+        if self.backward is None:
+            return True
+        return not (self.backward < -_NEGATIVE_TOL).any() and _settled(
+            self.backward.sum(axis=_TABLE_AXES) + self.unlabeled, self.prior_mass
+        )
+
+
+def _settled(total: np.ndarray, expected) -> bool:
+    return bool((np.abs(total - expected) <= _SOFT_TOL / 2).all())
+
+
+def weigh_rows(
+    forward_cond: np.ndarray,
+    backward_cond: np.ndarray | None,
+    dims: SystemDims,
+    beta_cavity: float,
+    dbeta: np.ndarray,
+) -> TableRows:
+    """Tables of one kernel at every bias point of ``dbeta``, stacked.
+
+    Row ``r`` equals :func:`forward_table` and :func:`backward_table` at
+    ``GibbsSpec.from_dbeta(beta_cavity, dbeta[r])``, bit for bit; no table
+    check runs (see :meth:`TableRows.quiet`).
+    """
+    beta_qubit = beta_cavity * (1.0 - dbeta)
+    p_qubit = gibbs_distribution(beta_qubit[:, None], 2)
+    p_cavity = gibbs_distribution(beta_cavity, dims.dim_cavity_init)
+    forward = _forward_rows(forward_cond, p_qubit, p_cavity)
+    pk = _branch_rows(forward)
+    if backward_cond is None:
+        return TableRows(dims, beta_cavity, beta_qubit, dbeta, forward, pk)
+    w_cav = extended_gibbs(beta_cavity, dims.dim_cavity_init, dims.dim_cavity_full)
+    labeled, unlabeled, weights = _backward_rows(backward_cond, p_qubit, w_cav, pk, dims)
+    return TableRows(
+        dims, beta_cavity, beta_qubit, dbeta, forward, pk,
+        labeled, unlabeled, weights.sum(axis=(1, 2, 3)),
     )
 
 
@@ -459,7 +601,12 @@ def final_state_marginal(table: TrajectoryTable) -> np.ndarray:
     """
     if table.direction != "forward":
         raise ValueError("final-state marginal is defined for forward tables")
-    return np.transpose(table.probs.sum(axis=(0, 2)), (1, 0, 2))
+    return final_state_rows(table.probs[None])[0]
+
+
+def final_state_rows(forward: np.ndarray) -> np.ndarray:
+    """:func:`final_state_marginal` of stacked forward tables, as [r, m_Q, k, m_C]."""
+    return np.transpose(forward.sum(axis=(1, 3)), (0, 2, 1, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -506,33 +653,121 @@ def sigma_histogram(
 ) -> SigmaHistogram:
     """Bin trajectory weights by their stochastic entropy production.
 
-    Trajectories are keyed by sigma; values closer than ``tol`` share a bin.
-    Only forward-possible trajectories (p(gamma) > 0) contribute — a backward
-    run ending in a label the forward protocol cannot produce is a failed
-    reversal with no partner trajectory.
+    Trajectories are keyed by sigma and sorted; each bin is anchored at its
+    smallest value and takes every following value within ``tol`` of that
+    anchor.  Only forward-possible trajectories (p(gamma) > 0) contribute — a
+    backward run ending in a label the forward protocol cannot produce is a
+    failed reversal with no partner trajectory.
     """
     if fwd.direction != "forward" or bwd.direction != "backward":
         raise ValueError("need one forward and one backward table")
     if fwd.dims != bwd.dims:
         raise ValueError("tables built over different spaces")
-    pk = branch_probability(fwd)
-    sig = sigma_grid(fwd.gibbs, pk, fwd.dims)
-    mask = fwd.probs > 0.0
-    order = np.argsort(sig[mask], kind="stable")
-    sigmas = sig[mask][order]
-    p_f = fwd.probs[mask][order]
-    p_b = bwd.probs[mask][order]
-    bins: list[float] = []
-    acc_f: list[float] = []
-    acc_b: list[float] = []
-    for s, f, b in zip(sigmas, p_f, p_b):
-        if bins and s - bins[-1] <= tol:
-            acc_f[-1] += f
-            acc_b[-1] += b
-        else:
-            bins.append(float(s))
-            acc_f.append(float(f))
-            acc_b.append(float(b))
-    return SigmaHistogram(
-        np.array(bins), np.array(acc_f), np.array(acc_b), tolerance=tol
+    return histogram_rows(TableRows.of(fwd, bwd), tol).row(0)
+
+
+@dataclass(frozen=True, eq=False)
+class HistogramRows:
+    """Sigma histograms of stacked rows, each left-aligned and zero-padded.
+
+    Row ``r`` has ``size[r]`` bins; :meth:`row` gives it as a
+    :class:`SigmaHistogram`, whose checks then run.
+    """
+
+    sigma: np.ndarray
+    p_forward: np.ndarray
+    p_backward: np.ndarray
+    size: np.ndarray
+    tolerance: float
+
+    @classmethod
+    def of(cls, hist: SigmaHistogram) -> "HistogramRows":
+        return cls(
+            hist.sigma[None],
+            hist.p_forward[None],
+            hist.p_backward[None],
+            np.array([hist.sigma.size]),
+            hist.tolerance,
+        )
+
+    def row(self, r: int) -> SigmaHistogram:
+        n = self.size[r]
+        return SigmaHistogram(
+            self.sigma[r, :n], self.p_forward[r, :n], self.p_backward[r, :n], self.tolerance
+        )
+
+    def quiet(self) -> bool:
+        """True when no row can warn or fail the :class:`SigmaHistogram` checks.
+
+        Conservative in the same way as :meth:`TableRows.quiet`.
+        """
+        inside = np.arange(1, self.sigma.shape[1]) < self.size[:, None]
+        if ((np.diff(self.sigma, axis=1) <= self.tolerance) & inside).any():
+            return False
+        if not ((self.p_forward >= 0.0).all() and (self.p_backward >= 0.0).all()):
+            return False
+        return _settled(self.p_forward.sum(axis=1), 1.0)
+
+
+def histogram_rows(rows: TableRows, tol: float = 1e-9) -> HistogramRows:
+    """:func:`sigma_histogram` of every row of a block, bit for bit.
+
+    Rows sharing a forward support are sorted together.  A bin opens where
+    the gap to the previous value exceeds ``tol``, and again wherever a value
+    lies beyond ``tol`` of its bin's anchor.  Each bin sums its members left
+    to right in sorted order (a running sum, never pairwise).
+    """
+    count = len(rows.dbeta)
+    fwd = rows.forward.reshape(count, -1)
+    # [r, label, (sigma, forward weight, backward weight)]
+    labels = np.stack(
+        (_sigma_rows(rows.beta_qubit, rows.beta_cavity, rows.pk, rows.dims).reshape(count, -1),
+         fwd, rows.backward.reshape(count, -1)),
+        axis=-1,
     )
+    parts = []
+    for sel, cols in row_groups(fwd > 0.0):
+        lines = np.arange(len(labels[sel]))[:, None]
+        cols = cols[np.argsort(labels[sel][:, cols, 0], axis=1, kind="stable")]
+        sorted_labels = labels[sel][lines, cols]
+        s = sorted_labels[..., 0]
+        start, anchor = _bins(s, tol)
+        depth = np.arange(s.shape[1]) - anchor  # position within the bin
+        bin_of = np.cumsum(start, axis=1) - 1
+        members = np.zeros((int(depth.max()) + 1, len(s), int(bin_of.max()) + 1, 3))
+        members[depth, lines, bin_of] = sorted_labels
+        anchors = members[0, :, :, 0].copy()
+        # a running sum along depth adds each bin's weights left to right, never
+        # pairwise; a bin's total sits at the depth of its last member
+        members = np.cumsum(members, axis=0)
+        ends = np.ones_like(start)
+        ends[:, :-1] = start[:, 1:]
+        r, c = np.nonzero(ends)
+        bins = np.zeros((3, *anchors.shape))  # anchor sigma, forward, backward
+        bins[0] = anchors
+        bins[1:, r, bin_of[r, c]] = members[depth[r, c], r, bin_of[r, c], 1:].T
+        parts.append((sel, bins, bin_of[:, -1] + 1))
+    width = max(bins.shape[2] for _, bins, _ in parts)
+    sigma, p_f, p_b = out = np.zeros((3, count, width))
+    size = np.empty(count, dtype=int)
+    for sel, bins, sizes in parts:
+        out[:, sel, :bins.shape[2]] = bins
+        size[sel] = sizes
+    return HistogramRows(sigma, p_f, p_b, size, tol)
+
+
+def _bins(s: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Which sorted values open a bin, and each value's anchor position, by row."""
+    positions = np.arange(s.shape[1])
+    lines = np.arange(len(s))[:, None]
+    start = np.ones(s.shape, dtype=bool)
+    start[:, 1:] = ~(s[:, 1:] - s[:, :-1] <= tol)  # a gap beyond tol always opens a bin
+    while True:
+        anchor = np.maximum.accumulate(np.where(start, positions, 0), axis=1)
+        beyond = ~(s - s[lines, anchor] <= tol) & ~start
+        if not beyond.any():
+            return start, anchor
+        # a run of small gaps reached past tol from its anchor: its first
+        # value beyond tol opens the next bin (the rest are checked again)
+        seen = np.cumsum(beyond, axis=1)
+        start |= beyond & (seen - seen[lines, anchor] == 1)

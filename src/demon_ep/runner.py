@@ -3,8 +3,9 @@
 The conditional dynamics of both protocol directions are independent of the
 bath temperatures, so a run factors into "build the kernel once" plus a
 cheap thermal re-weighting per bias point.  A sweep simulates its kernel; an
-analysis reads it from measured conditional tables; both then run the same
-per-point loop.  Runs are serial: ``RunConfig.jobs`` is accepted and ignored.
+analysis reads it from measured conditional tables; both then evaluate the
+bias grid in blocks of :data:`BLOCK_POINTS` points, each block as stacked
+arrays.  Runs are serial: ``RunConfig.jobs`` is accepted and ignored.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from .dataio import ConditionalTable, RunConfig, parse_table
 from .entropy import (
     EpResult,
     evaluate,
+    evaluate_rows,
     feedback_balance_residual,
     high_bias_asymptote,
     jarzynski_average,
@@ -29,9 +31,11 @@ from .protocol import (
     branch_probability,
     forward_conditionals,
     forward_table,
+    histogram_rows,
     oracle_full_state,
     sigma_grid,
     sigma_histogram,
+    weigh_rows,
 )
 from .statespace import DEFAULT_DIMS, GibbsSpec, SystemDims
 
@@ -106,18 +110,46 @@ def point_tables(
     return fwd, bwd
 
 
+#: bias points weighted, binned and evaluated together as stacked arrays.
+#: Larger blocks run little faster but hold more memory: a whole 1,200-point
+#: physical grid in one block raised the peak resident size by 28 MB, in
+#: blocks of 64 by 1.4 MB.
+BLOCK_POINTS = 64
+
+
 def _run(kernel: ProtocolKernel, config: RunConfig) -> list[EpResult]:
     """Estimators of a kernel at every point of the configured bias grid."""
+    grid = config.grid()
     results = []
-    for dbeta in config.grid():
-        gibbs = GibbsSpec.from_dbeta(config.beta_cavity, float(dbeta))
-        fwd, bwd = point_tables(kernel, gibbs)
-        hist = None if bwd is None else sigma_histogram(fwd, bwd, tol=config.sigma_tol)
-        results.append(
-            evaluate(fwd, bwd, hist, floor=config.floor,
-                     heat_from_atom=config.heat_from_atom)
-        )
+    for start in range(0, grid.size, BLOCK_POINTS):
+        results += _run_block(kernel, config, grid[start:start + BLOCK_POINTS])
     return results
+
+
+def _run_block(kernel: ProtocolKernel, config: RunConfig, dbeta: np.ndarray) -> list[EpResult]:
+    with np.errstate(all="ignore"):  # a point that trips a check is rerun below
+        rows = weigh_rows(
+            kernel.forward_cond, kernel.backward_cond, kernel.dims, config.beta_cavity, dbeta
+        )
+        quiet = rows.quiet()
+        hist = None
+        if quiet and rows.backward is not None:
+            hist = histogram_rows(rows, config.sigma_tol)
+            quiet = hist.quiet()
+        if quiet:
+            return evaluate_rows(
+                rows, hist, floor=config.floor, heat_from_atom=config.heat_from_atom
+            )
+    # some point warns or fails a table or histogram check: evaluate the block
+    # point by point, so the messages come in grid order and stop at the first error
+    return [_point_result(kernel, config, float(d)) for d in dbeta]
+
+
+def _point_result(kernel: ProtocolKernel, config: RunConfig, dbeta: float) -> EpResult:
+    gibbs = GibbsSpec.from_dbeta(config.beta_cavity, dbeta)
+    fwd, bwd = point_tables(kernel, gibbs)
+    hist = None if bwd is None else sigma_histogram(fwd, bwd, tol=config.sigma_tol)
+    return evaluate(fwd, bwd, hist, floor=config.floor, heat_from_atom=config.heat_from_atom)
 
 
 def run_sweep(config: RunConfig, dims: SystemDims = DEFAULT_DIMS) -> list[EpResult]:
@@ -172,19 +204,20 @@ def simulate_report(
         "",
         "forward trajectories (n_Q,k,n_C,m_Q,m_C): probability, sigma",
     ]
-    for idx in np.argwhere(fwd.probs > 0.0):
-        n_q, k, n_c, m_q, m_c = map(int, idx)
-        lines.append(
-            f"  ({n_q},{k},{n_c},{m_q},{m_c})  p={fmt(fwd.probs[tuple(idx)])}"
-            f"  sigma={fmt(sig[tuple(idx)])}"
-        )
+    possible = fwd.probs > 0.0
+    for (n_q, k, n_c, m_q, m_c), p, s in zip(
+        np.argwhere(possible).tolist(), fwd.probs[possible].tolist(), sig[possible].tolist()
+    ):
+        lines.append(f"  ({n_q},{k},{n_c},{m_q},{m_c})  p={fmt(p)}  sigma={fmt(s)}")
     lines += [
         "",
         "backward trajectories (same labels): weight",
     ]
-    for idx in np.argwhere(bwd.probs > 0.0):
-        n_q, k, n_c, m_q, m_c = map(int, idx)
-        lines.append(f"  ({n_q},{k},{n_c},{m_q},{m_c})  p~={fmt(bwd.probs[tuple(idx)])}")
+    reached = bwd.probs > 0.0
+    for (n_q, k, n_c, m_q, m_c), p in zip(
+        np.argwhere(reached).tolist(), bwd.probs[reached].tolist()
+    ):
+        lines.append(f"  ({n_q},{k},{n_c},{m_q},{m_c})  p~={fmt(p)}")
     lines += [
         f"backward prior mass {fmt(bwd.prior_mass)}   unlabeled {fmt(bwd.unlabeled_mass)}",
     ]
@@ -194,7 +227,7 @@ def simulate_report(
         "",
         "sigma histogram: sigma, p_fwd, p_bwd",
     ]
-    for s, p_f, p_b in zip(hist.sigma, hist.p_forward, hist.p_backward):
+    for s, p_f, p_b in zip(*(a.tolist() for a in (hist.sigma, hist.p_forward, hist.p_backward))):
         lines.append(f"  {fmt(s)}  {fmt(p_f)}  {fmt(p_b)}")
     lines += [
         "",

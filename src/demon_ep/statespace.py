@@ -29,7 +29,9 @@ __all__ = [
     "mean_occupation",
     "mutual_information",
     "relative_entropy",
+    "relative_entropy_rows",
     "shannon_entropy",
+    "shannon_entropy_rows",
 ]
 
 #: Axis order of every joint array: qubit, memory (demon), cavity.
@@ -109,14 +111,15 @@ class GibbsSpec:
         return self.beta_cavity - self.beta_qubit
 
 
-def gibbs_distribution(beta_omega: float, levels: int) -> np.ndarray:
+def gibbs_distribution(beta_omega, levels: int) -> np.ndarray:
     """Thermal occupation of a harmonic ladder with ``levels`` states.
 
     Parameters
     ----------
     beta_omega:
         Dimensionless inverse temperature ``beta * omega``.  May be negative
-        (inverted populations).
+        (inverted populations), or a column of them (shape ``(R, 1)``) for
+        one distribution per row.
     levels:
         Number of ladder states kept, energies 0, 1, ..., levels-1 (in units
         of omega); the weights are normalized over the kept levels.
@@ -125,7 +128,7 @@ def gibbs_distribution(beta_omega: float, levels: int) -> np.ndarray:
         raise ValueError("need at least one level")
     n = np.arange(levels, dtype=float)
     weights = np.exp(-beta_omega * n)
-    return weights / weights.sum()
+    return weights / weights.sum(axis=-1, keepdims=True)
 
 
 def extended_gibbs(beta_omega: float, levels_norm: int, levels_total: int) -> np.ndarray:
@@ -158,9 +161,7 @@ def shannon_entropy(dist) -> float:
     Accepts arrays of any shape (flattened); tolerates unnormalized input so
     it can also evaluate sub-normalized reference measures.
     """
-    p = np.asarray(dist, dtype=float).ravel()
-    nz = p[p > 0.0]
-    return float(-np.dot(nz, np.log(nz)))
+    return float(shannon_entropy_rows(np.asarray(dist, dtype=float)[None])[0])
 
 
 def relative_entropy(p, q) -> float:
@@ -171,22 +172,77 @@ def relative_entropy(p, q) -> float:
     usual non-negativity guarantee.  Terms whose ratio p/q overflows or
     underflows take ln p - ln q instead, so a finite divergence stays finite.
     """
-    p = np.asarray(p, dtype=float).ravel()
-    q = np.asarray(q, dtype=float).ravel()
-    if p.shape != q.shape:
+    p = np.asarray(p, dtype=float)
+    q = np.asarray(q, dtype=float)
+    if p.size != q.size:
         raise ValueError("p and q must have the same shape")
-    mask = p > 0.0
-    pm, qm = p[mask], q[mask]
-    if (qm <= 0.0).any():
-        return math.inf
-    with np.errstate(over="ignore", under="ignore", divide="ignore"):
+    return float(relative_entropy_rows(p[None], q[None])[0])
+
+
+def row_groups(mask: np.ndarray) -> list[tuple]:
+    """``(rows, columns)`` for each distinct row of a 2-D boolean array.
+
+    ``rows`` indexes the leading axis (a slice when every row is alike, the
+    common case) and ``columns`` lists the row's true entries.  Rows are
+    compared with row 0 first, so only a mixed block pays for keying its
+    rows by their bytes.
+    """
+    if len(mask) == 1 or (mask == mask[0]).all():
+        return [(slice(None), mask[0].nonzero()[0])]
+    groups: dict[bytes, list[int]] = {}
+    for i, row in enumerate(mask):
+        groups.setdefault(row.tobytes(), []).append(i)
+    return [(np.array(rows), mask[rows[0]].nonzero()[0]) for rows in groups.values()]
+
+
+def _dot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # on C-contiguous rows (what ``take`` returns) every dot product runs the
+    # BLAS kernel a 1-D np.dot runs, so blocks and single rows agree bit for bit
+    return np.matmul(a[:, None], b[..., None]).ravel()
+
+
+def _over_supports(p: np.ndarray, total_of) -> np.ndarray:
+    """``total_of(rows, columns)`` for each group of rows sharing a support of ``p``."""
+    groups = row_groups(p > 0.0)
+    if len(groups) == 1:
+        return total_of(*groups[0])
+    out = np.empty(len(p))
+    for rows, columns in groups:
+        out[rows] = total_of(rows, columns)
+    return out
+
+
+def shannon_entropy_rows(p: np.ndarray) -> np.ndarray:
+    """:func:`shannon_entropy` of each entry along the leading axis."""
+    p = p.reshape(len(p), -1)
+
+    def sum_p_log_p(rows, columns):
+        nz = p[rows].take(columns, axis=1)
+        return _dot_rows(nz, np.log(nz))
+
+    return -_over_supports(p, sum_p_log_p)
+
+
+def relative_entropy_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """:func:`relative_entropy` of each pair of entries along the leading axis."""
+    p, q = p.reshape(len(p), -1), q.reshape(len(q), -1)
+
+    def divergence(rows, columns):
+        pm, qm = p[rows].take(columns, axis=1), q[rows].take(columns, axis=1)
         logs = np.log(pm / qm)
-    total = float(np.dot(pm, logs))
-    if math.isfinite(total):  # no ratio overflowed to inf or underflowed to 0
+        total = _dot_rows(pm, logs)
+        if not np.isfinite(total).all():  # as a q <= 0 always makes it
+            # a ratio overflowed to inf or underflowed to 0: take ln p - ln q there
+            lost = ~np.isfinite(total)
+            logs = logs[lost]
+            gone = np.isinf(logs)
+            logs[gone] = np.log(pm[lost][gone]) - np.log(qm[lost][gone])
+            total[lost] = _dot_rows(pm[lost], logs)
+            total[(qm <= 0.0).any(axis=1)] = math.inf
         return total
-    lost = np.isinf(logs)
-    logs[lost] = np.log(pm[lost]) - np.log(qm[lost])
-    return float(np.dot(pm, logs))
+
+    with np.errstate(all="ignore"):
+        return _over_supports(p, divergence)
 
 
 @dataclass(frozen=True)

@@ -238,6 +238,27 @@ def test_non_positive_temperature_or_frequency_exits_1(tmp_path, line):
 
 
 @pytest.mark.parametrize(
+    "line, message",
+    [
+        # k_B T underflows to zero: an uncaught ZeroDivisionError before
+        ("temperature_kelvin = 1e-310", "k_B T = 0.0 J"),
+        # the frequency overflows in Hz: a "mass nan" data error (exit 2) before
+        ("frequency_ghz = 1e300", "overflows in Hz"),
+        ("temperature_kelvin = 1e-300\nfrequency_ghz = 1e290", "is not finite"),
+    ],
+    ids=["tiny-temperature", "huge-frequency", "infinite-beta"],
+)
+def test_temperature_or_frequency_beyond_float_range_exits_1(tmp_path, line, message):
+    conf = tmp_path / "run.conf"
+    conf.write_text(line + "\n")
+    proc = run_cli("sweep", "--config", str(conf))
+    assert proc.returncode == 1
+    assert "configuration error" in proc.stderr
+    assert message in proc.stderr
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize(
     "line",
     [
         "single_error = eps_read",

@@ -62,6 +62,16 @@ def test_beta_omega_rejects_nonpositive_inputs():
         kelvin_to_beta_omega(2.8, -1.0)
 
 
+def test_beta_omega_range_checks_keep_the_division_order():
+    # the checks sit around the one division; valid inputs keep their bits
+    for kelvin, ghz in ((2.8, 51.0), (0.05, 7.3), (300.0, 1e-3)):
+        expected = PLANCK_CONSTANT * ghz * 1e9 / (BOLTZMANN_CONSTANT * kelvin)
+        assert kelvin_to_beta_omega(kelvin, ghz) == expected
+    for kelvin, ghz in ((1e-310, 51.0), (2.8, 1e300), (1e-300, 1e290)):
+        with pytest.raises(ValueError):
+            kelvin_to_beta_omega(kelvin, ghz)
+
+
 # ---------------------------------------------------------------------------
 # conditional tables
 
@@ -328,6 +338,37 @@ def test_sweep_csv_renders_infinities_and_quotes_flags():
     assert f'"{flags}"' in line
     parsed = next(iter(csv.reader(io.StringIO(line))))
     assert parsed[-1] == flags
+
+
+def _csv_writer_text(results) -> str:
+    """Every field through csv.writer, numbers formatted one by one."""
+
+    def number(value) -> str:
+        value = float(value)
+        if math.isinf(value):
+            return "inf" if value > 0 else "-inf"
+        return "nan" if math.isnan(value) else format(value, ".17g")
+
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(HEADER.split(","))
+    for result in results:
+        row = result.as_row()
+        writer.writerow([number(v) if k != "flags" else v for k, v in row.items()])
+    return buffer.getvalue()
+
+
+def test_sweep_csv_bytes_equal_the_csv_writers():
+    results = [
+        _fake_result(),
+        _fake_result(sigma1=math.inf, sigma2=-math.inf, sigma3=math.nan, sigma4=-0.0),
+        _fake_result(sigma5=5e-324, sigma6=np.float64(1) / 3, flags="sigma4:infinite"),
+        _fake_result(flags='support:2 forward trajectories unmatched:(n_Q=1,k=0),"x"'),
+        _fake_result(flags='a "quoted" flag'),
+        _fake_result(flags="a\rb\nc"),
+        _fake_result(heat_C=-1e300, mean_info=1, flags=" lead;trail "),
+    ]
+    assert sweep_csv_text(results) == _csv_writer_text(results)
 
 
 def test_sweep_csv_numbers_survive_round_trip():
