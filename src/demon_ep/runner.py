@@ -136,10 +136,8 @@ def _run_block(kernel: ProtocolKernel, config: RunConfig, dbeta: np.ndarray) -> 
         if quiet and rows.backward is not None:
             hist = histogram_rows(rows, config.sigma_tol)
             quiet = hist.quiet()
-        if quiet:
-            return evaluate_rows(
-                rows, hist, floor=config.floor, heat_from_atom=config.heat_from_atom
-            )
+    if quiet:
+        return evaluate_rows(rows, hist, floor=config.floor, heat_from_atom=config.heat_from_atom)
     # some point warns or fails a table or histogram check: evaluate the block
     # point by point, so the messages come in grid order and stop at the first error
     return [_point_result(kernel, config, float(d)) for d in dbeta]
