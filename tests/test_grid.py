@@ -232,12 +232,11 @@ def test_the_first_failing_point_raises_the_loops_message(grid):
 
 def _shrunk(table, factor: float):
     """A table whose stochastic sums are off by ``1 - factor``, as measured tables are."""
-    text = serialize_table(table)
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        parsed = parse_table(io.StringIO(text), table.orientation)
-        return type(parsed)(parsed.row_labels, parsed.col_labels,
-                            parsed.values * factor, parsed.orientation)
+        warnings.simplefilter("ignore", UserWarning)  # the table's own soft warning
+        return type(table)(
+            table.row_labels, table.col_labels, table.values * factor, table.orientation
+        )
 
 
 def test_soft_mass_warnings_match_the_loop_one_for_one():
