@@ -333,14 +333,14 @@ def sweep_csv_text(results, forward_only: bool = False) -> str:
     numbers = operator.itemgetter(*columns[:-1])  # every column but the trailing flags
     line = ",".join(["%.17g"] * (len(columns) - 1)) + ",%s\n"
     lines = [",".join(columns) + "\n"]
-    fields: dict[str, str] = {}  # flags text -> field; support flags repeat across rows
+    quoted: dict[str, str] = {}  # flags text -> field; support flags repeat across rows
     for result in results:
         row = result.as_row()
         flags = row["flags"]
         if _CSV_SPECIAL.search(flags):
-            if flags not in fields:
-                fields[flags] = _csv_field(flags)
-            flags = fields[flags]
+            if flags not in quoted:
+                quoted[flags] = _csv_field(flags)
+            flags = quoted[flags]
         lines.append(line % (*numbers(row), flags))
     return "".join(lines)
 

@@ -64,6 +64,7 @@ __all__ = [
     "TrajectoryTable",
     "backward_table",
     "branch_probability",
+    "check_rows",
     "final_state_marginal",
     "forward_table",
     "histogram_rows",
@@ -105,17 +106,56 @@ class Trajectory:
         return (self.n_qubit, self.k, self.n_cavity, self.m_qubit, self.m_cavity)
 
 
-def _check_mass(total: float, expected: float, what: str) -> None:
-    if not math.isfinite(total):
-        raise ValueError(f"{what}: mass {total!r} is not finite")
-    err = abs(total - expected)
-    if err > _HARD_TOL:
-        raise ValueError(f"{what}: mass {total!r} differs from {expected!r}")
-    if err > _SOFT_TOL:
-        warnings.warn(
-            f"{what}: mass off by {err:.2e} (tolerated, likely measured input)",
-            stacklevel=3,
-        )
+# The checks of tables and histograms run on stacked rows, and report each
+# failing row as {row: ValueError or UserWarning}; a single table or
+# histogram is checked as one row.
+
+
+def _mass_faults(total: np.ndarray, expected, what: str) -> dict[int, Exception]:
+    """A mass beyond the hard tolerance (or not finite) fails; beyond the soft one warns."""
+    err = np.abs(total - expected)
+    faults: dict[int, Exception] = {}
+    if (err <= _SOFT_TOL).all():
+        return faults
+    expected = np.broadcast_to(expected, total.shape)
+    for r in np.flatnonzero(~(err <= _SOFT_TOL)).tolist():
+        t, e = float(total[r]), float(err[r])
+        if not math.isfinite(t):
+            faults[r] = ValueError(f"{what}: mass {t!r} is not finite")
+        elif e > _HARD_TOL:
+            faults[r] = ValueError(f"{what}: mass {t!r} differs from {float(expected[r])!r}")
+        elif e > _SOFT_TOL:  # not so when a finite mass is expected to be nan
+            faults[r] = UserWarning(
+                f"{what}: mass off by {e:.2e} (tolerated, likely measured input)"
+            )
+    return faults
+
+
+def _table_faults(
+    probs: np.ndarray,
+    direction: str,
+    prior_mass: np.ndarray | float = 1.0,
+    unlabeled: np.ndarray | float = 0.0,
+) -> dict[int, Exception]:
+    """:class:`TrajectoryTable`'s checks of stacked ``probs`` rows."""
+    total = probs.sum(axis=_TABLE_AXES)
+    if direction == "forward":
+        faults = _mass_faults(total, 1.0, "forward table")
+    else:
+        faults = _mass_faults(total + unlabeled, prior_mass, "backward table conservation")
+    negative = probs < -_NEGATIVE_TOL
+    if negative.any():
+        for r in np.flatnonzero(negative.any(axis=_TABLE_AXES)).tolist():
+            faults[r] = ValueError("negative trajectory probability")
+    return faults
+
+
+def _report(fault: Exception | None, stacklevel: int) -> None:
+    """Raise an error, or give a warning ``stacklevel`` frames above the caller."""
+    if isinstance(fault, Warning):
+        warnings.warn(fault, stacklevel=stacklevel + 1)
+    elif fault is not None:
+        raise fault
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,16 +195,8 @@ class TrajectoryTable:
             raise ValueError(f"probs shape {p.shape}, expected {expected}")
         if self.direction not in ("forward", "backward"):
             raise ValueError(f"direction must be forward/backward, got {self.direction!r}")
-        if np.any(p < -_NEGATIVE_TOL):
-            raise ValueError("negative trajectory probability")
-        if self.direction == "forward":
-            _check_mass(float(p.sum()), 1.0, "forward table")
-        else:
-            _check_mass(
-                float(p.sum()) + self.unlabeled_mass,
-                self.prior_mass,
-                "backward table conservation",
-            )
+        faults = _table_faults(p[None], self.direction, self.prior_mass, self.unlabeled_mass)
+        _report(faults.get(0), stacklevel=2)
 
 
 def branch_probability(table: TrajectoryTable) -> np.ndarray:
@@ -410,7 +442,7 @@ class TableRows:
     ``beta_qubit[r]`` and ``beta_cavity``.  :func:`weigh_rows` builds a block
     of them from a kernel; :meth:`of` wraps one table pair, which is how the
     single-point functions run the same row-wise code.  ``unlabeled`` and
-    ``prior_mass`` are the backward masses :meth:`quiet` checks, kept by
+    ``prior_mass`` are the backward masses :func:`check_rows` checks, kept by
     :func:`weigh_rows` only.
     """
 
@@ -439,26 +471,6 @@ class TableRows:
             None if bwd is None else bwd.probs[None],
         )
 
-    def quiet(self) -> bool:
-        """True when no row can warn or fail the :class:`TrajectoryTable` checks.
-
-        Conservative: a mass within half the soft tolerance passes, anything
-        else must go through :class:`TrajectoryTable`, whose checks decide.
-        """
-        if (self.forward < -_NEGATIVE_TOL).any():
-            return False
-        if not _settled(self.forward.sum(axis=_TABLE_AXES), 1.0):
-            return False
-        if self.backward is None:
-            return True
-        return not (self.backward < -_NEGATIVE_TOL).any() and _settled(
-            self.backward.sum(axis=_TABLE_AXES) + self.unlabeled, self.prior_mass
-        )
-
-
-def _settled(total: np.ndarray, expected) -> bool:
-    return bool((np.abs(total - expected) <= _SOFT_TOL / 2).all())
-
 
 def weigh_rows(
     forward_cond: np.ndarray,
@@ -471,7 +483,7 @@ def weigh_rows(
 
     Row ``r`` equals :func:`forward_table` and :func:`backward_table` at
     ``GibbsSpec.from_dbeta(beta_cavity, dbeta[r])``, bit for bit; no table
-    check runs (see :meth:`TableRows.quiet`).
+    check runs (see :func:`check_rows`).
     """
     beta_qubit = beta_cavity * (1.0 - dbeta)
     p_qubit = gibbs_distribution(beta_qubit[:, None], 2)
@@ -636,11 +648,7 @@ class SigmaHistogram:
             object.__setattr__(self, name, arr)
         if not (s.shape == pf.shape == pb.shape) or s.ndim != 1:
             raise ValueError("sigma, p_forward, p_backward must be equal-length vectors")
-        if s.size and np.any(np.diff(s) <= self.tolerance):
-            raise ValueError("sigma bins must be strictly increasing beyond tolerance")
-        if np.any(pf < 0) or np.any(pb < 0):
-            raise ValueError("negative histogram weight")
-        _check_mass(float(pf.sum()), 1.0, "sigma histogram forward weight")
+        _report(HistogramRows.of(self).faults().get(0), stacklevel=2)
 
     def mean_sigma(self) -> float:
         return float(np.dot(self.sigma, self.p_forward))
@@ -671,7 +679,8 @@ class HistogramRows:
     """Sigma histograms of stacked rows, each left-aligned and zero-padded.
 
     Row ``r`` has ``size[r]`` bins; :meth:`row` gives it as a
-    :class:`SigmaHistogram`, whose checks then run.
+    :class:`SigmaHistogram`, whose checks then run.  :meth:`faults` runs the
+    same checks on every row.
     """
 
     sigma: np.ndarray
@@ -696,17 +705,40 @@ class HistogramRows:
             self.sigma[r, :n], self.p_forward[r, :n], self.p_backward[r, :n], self.tolerance
         )
 
-    def quiet(self) -> bool:
-        """True when no row can warn or fail the :class:`SigmaHistogram` checks.
+    def faults(self) -> dict[int, Exception]:
+        """:class:`SigmaHistogram`'s checks of every row."""
+        sizes = set(self.size.tolist())
+        total = self.p_forward.sum(axis=1)
+        for n in sizes - {self.p_forward.shape[1]}:  # a row's own bins, summed as one vector
+            rows = self.size == n
+            total[rows] = self.p_forward[rows, :n].sum(axis=1)
+        faults = _mass_faults(total, 1.0, "sigma histogram forward weight")
+        negative = (self.p_forward < 0) | (self.p_backward < 0)
+        if negative.any():
+            for r in np.flatnonzero(negative.any(axis=1)).tolist():
+                faults[r] = ValueError("negative histogram weight")
+        unsorted = np.diff(self.sigma, axis=1) <= self.tolerance
+        if unsorted.any():
+            unsorted &= np.arange(1, self.sigma.shape[1]) < self.size[:, None]  # padding aside
+            for r in np.flatnonzero(unsorted.any(axis=1)).tolist():
+                faults[r] = ValueError("sigma bins must be strictly increasing beyond tolerance")
+        return faults
 
-        Conservative in the same way as :meth:`TableRows.quiet`.
-        """
-        inside = np.arange(1, self.sigma.shape[1]) < self.size[:, None]
-        if ((np.diff(self.sigma, axis=1) <= self.tolerance) & inside).any():
-            return False
-        if not ((self.p_forward >= 0.0).all() and (self.p_backward >= 0.0).all()):
-            return False
-        return _settled(self.p_forward.sum(axis=1), 1.0)
+
+def check_rows(rows: TableRows, hist: HistogramRows | None = None) -> None:
+    """Run the checks of each row's tables and histogram, as building them would.
+
+    Row after row, the forward table, the backward table and then the sigma
+    histogram (required with backward tables) are checked: each warning is
+    given in that order, and the first failure raises.
+    """
+    checks = [_table_faults(rows.forward, "forward")]
+    if rows.backward is not None:
+        checks.append(_table_faults(rows.backward, "backward", rows.prior_mass, rows.unlabeled))
+        checks.append(hist.faults())
+    for r in sorted(set().union(*checks)):
+        for faults in checks:
+            _report(faults.get(r), stacklevel=2)
 
 
 def histogram_rows(rows: TableRows, tol: float = 1e-9) -> HistogramRows:
@@ -728,6 +760,9 @@ def histogram_rows(rows: TableRows, tol: float = 1e-9) -> HistogramRows:
     parts = []
     for sel, cols in row_groups(fwd > 0.0):
         lines = np.arange(len(labels[sel]))[:, None]
+        if not cols.size:  # nothing is forward-possible: a table check fails these rows
+            parts.append((sel, np.zeros((3, len(lines), 0)), 0))
+            continue
         cols = cols[np.argsort(labels[sel][:, cols, 0], axis=1, kind="stable")]
         sorted_labels = labels[sel][lines, cols]
         s = sorted_labels[..., 0]

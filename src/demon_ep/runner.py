@@ -29,6 +29,7 @@ from .protocol import (
     backward_conditionals,
     backward_table,
     branch_probability,
+    check_rows,
     forward_conditionals,
     forward_table,
     histogram_rows,
@@ -127,27 +128,13 @@ def _run(kernel: ProtocolKernel, config: RunConfig) -> list[EpResult]:
 
 
 def _run_block(kernel: ProtocolKernel, config: RunConfig, dbeta: np.ndarray) -> list[EpResult]:
-    with np.errstate(all="ignore"):  # a point that trips a check is rerun below
+    with np.errstate(all="ignore"):  # a point this spoils fails its checks
         rows = weigh_rows(
             kernel.forward_cond, kernel.backward_cond, kernel.dims, config.beta_cavity, dbeta
         )
-        quiet = rows.quiet()
-        hist = None
-        if quiet and rows.backward is not None:
-            hist = histogram_rows(rows, config.sigma_tol)
-            quiet = hist.quiet()
-    if quiet:
-        return evaluate_rows(rows, hist, floor=config.floor, heat_from_atom=config.heat_from_atom)
-    # some point warns or fails a table or histogram check: evaluate the block
-    # point by point, so the messages come in grid order and stop at the first error
-    return [_point_result(kernel, config, float(d)) for d in dbeta]
-
-
-def _point_result(kernel: ProtocolKernel, config: RunConfig, dbeta: float) -> EpResult:
-    gibbs = GibbsSpec.from_dbeta(config.beta_cavity, dbeta)
-    fwd, bwd = point_tables(kernel, gibbs)
-    hist = None if bwd is None else sigma_histogram(fwd, bwd, tol=config.sigma_tol)
-    return evaluate(fwd, bwd, hist, floor=config.floor, heat_from_atom=config.heat_from_atom)
+        hist = None if rows.backward is None else histogram_rows(rows, config.sigma_tol)
+    check_rows(rows, hist)
+    return evaluate_rows(rows, hist, floor=config.floor, heat_from_atom=config.heat_from_atom)
 
 
 def run_sweep(config: RunConfig, dims: SystemDims = DEFAULT_DIMS) -> list[EpResult]:

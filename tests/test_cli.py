@@ -227,31 +227,26 @@ def test_missing_config_file_exits_1(tmp_path):
     assert proc.returncode == 1
 
 
-@pytest.mark.parametrize("line", ["temperature_kelvin = -1", "frequency_ghz = 0"])
-def test_non_positive_temperature_or_frequency_exits_1(tmp_path, line):
-    conf = tmp_path / "run.conf"
-    conf.write_text(line + "\n")
-    proc = run_cli("simulate", "--config", str(conf))
-    assert proc.returncode == 1
-    assert "configuration error" in proc.stderr
-    assert "must be positive" in proc.stderr
+_UNUSABLE_TEMPERATURE_OR_FREQUENCY = [
+    ("temperature_kelvin = -1", "must be positive"),
+    ("frequency_ghz = 0", "must be positive"),
+    # k_B T underflows to zero: an uncaught ZeroDivisionError before
+    ("temperature_kelvin = 1e-310", "k_B T = 0.0 J"),
+    # the frequency overflows in Hz: a "mass nan" data error (exit 2) before
+    ("frequency_ghz = 1e300", "overflows in Hz"),
+    ("temperature_kelvin = 1e-300\nfrequency_ghz = 1e290", "is not finite"),
+]
 
 
 @pytest.mark.parametrize(
     "line, message",
-    [
-        # k_B T underflows to zero: an uncaught ZeroDivisionError before
-        ("temperature_kelvin = 1e-310", "k_B T = 0.0 J"),
-        # the frequency overflows in Hz: a "mass nan" data error (exit 2) before
-        ("frequency_ghz = 1e300", "overflows in Hz"),
-        ("temperature_kelvin = 1e-300\nfrequency_ghz = 1e290", "is not finite"),
-    ],
-    ids=["tiny-temperature", "huge-frequency", "infinite-beta"],
+    _UNUSABLE_TEMPERATURE_OR_FREQUENCY,
+    ids=[line.replace("\n", "; ") for line, _ in _UNUSABLE_TEMPERATURE_OR_FREQUENCY],
 )
-def test_temperature_or_frequency_beyond_float_range_exits_1(tmp_path, line, message):
+def test_non_positive_temperature_or_frequency_exits_1(tmp_path, line, message):
     conf = tmp_path / "run.conf"
     conf.write_text(line + "\n")
-    proc = run_cli("sweep", "--config", str(conf))
+    proc = run_cli("simulate", "--config", str(conf))
     assert proc.returncode == 1
     assert "configuration error" in proc.stderr
     assert message in proc.stderr

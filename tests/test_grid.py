@@ -248,3 +248,37 @@ def test_soft_mass_warnings_match_the_loop_one_for_one():
     assert error is expected_error is None
     assert len(caught) >= len(config.grid())
     assert caught == expected
+
+
+def test_a_negative_table_entry_fails_at_the_loops_point():
+    # every table warns of its shrunk mass; one negative conditional grows with
+    # the bias and first fails the forward table check in the second block
+    config = RunConfig(mode="physical", dbeta_step=0.125)  # 97 points, two blocks
+    kernel = runner.build_kernel(config)
+    failing = 70
+    gibbs = GibbsSpec.from_dbeta(config.beta_cavity, float(config.grid()[failing]))
+    excited = reference.gibbs_distribution(gibbs.beta_qubit, 2)[1]
+    ground = reference.gibbs_distribution(gibbs.beta_cavity, kernel.dims.dim_cavity_init)[0]
+    fcond = kernel.forward_cond * (1.0 - 2e-7)
+    outcome = tuple(np.argwhere(fcond[..., 1, 0] == 0.0)[0])  # (m_Q, k, m_C) never reached
+    fcond[outcome + (1, 0)] = -1.001e-15 / (excited * ground)  # from n_Q = 1, n_C = 0
+    kernel = runner.ProtocolKernel(kernel.dims, fcond, kernel.backward_cond)
+    error, caught = _outcome(lambda: runner._run(kernel, config))
+    expected_error, expected = _outcome(lambda: reference.run(kernel, config))
+    assert error == expected_error == "negative trajectory probability"
+    assert len(caught) == 2 * failing  # forward table and histogram, per passing point
+    assert caught == expected
+
+
+def test_a_negative_histogram_weight_fails_as_in_the_loop():
+    # backward weights of -1e-16 pass the table check (-1e-15) but not the
+    # histogram's: the point's table warnings come first, then its error
+    config = RunConfig(mode="physical")
+    kernel = runner.build_kernel(config)
+    bcond = np.where(kernel.backward_cond == 0.0, -1e-16, kernel.backward_cond)
+    bcond[:, :, 1, 0] = 0.0  # the physical register still holds no (m_Q=1, k=0)
+    kernel = runner.ProtocolKernel(kernel.dims, kernel.forward_cond * (1.0 - 2e-7), bcond)
+    error, caught = _outcome(lambda: runner._run(kernel, config))
+    expected_error, expected = _outcome(lambda: reference.run(kernel, config))
+    assert error == expected_error == "negative histogram weight"
+    assert caught == expected and caught
