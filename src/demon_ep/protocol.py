@@ -124,7 +124,7 @@ def _mass_faults(total: np.ndarray, expected, what: str) -> dict[int, Exception]
             faults[r] = ValueError(f"{what}: mass {t!r} is not finite")
         elif e > _HARD_TOL:
             faults[r] = ValueError(f"{what}: mass {t!r} differs from {float(expected[r])!r}")
-        elif e > _SOFT_TOL:  # not so when a finite mass is expected to be nan
+        elif e > _SOFT_TOL:  # a nan expected mass makes a nan err, which passes
             faults[r] = UserWarning(
                 f"{what}: mass off by {e:.2e} (tolerated, likely measured input)"
             )
