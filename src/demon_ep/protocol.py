@@ -151,7 +151,7 @@ def _table_faults(
 
 
 def _report(fault: Exception | None, stacklevel: int) -> None:
-    """Raise an error, or give a warning ``stacklevel`` frames above the caller."""
+    """Raise an error, or warn as ``warnings.warn(fault, stacklevel)`` in the caller would."""
     if isinstance(fault, Warning):
         warnings.warn(fault, stacklevel=stacklevel + 1)
     elif fault is not None:
