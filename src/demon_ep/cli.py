@@ -18,6 +18,8 @@ validation failure.
 from __future__ import annotations
 
 import argparse
+import functools
+import math
 import sys
 from pathlib import Path
 
@@ -37,74 +39,32 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", metavar="PATH", help="key = value configuration file")
-    parser.add_argument(
-        "--mode", choices=tuple(ENCODINGS), help="override the protocol mode"
-    )
-    parser.add_argument(
-        "--single-error",
-        choices=(*ERROR_CHANNELS, "none"),
-        help="activate exactly one error channel (physical mode)",
-    )
-    parser.add_argument("--jobs", type=int, metavar="N", help="ignored: runs are serial")
-    parser.add_argument(
-        "--floor",
-        type=float,
-        metavar="X",
-        help="replace zero backward weights with X inside divergences (diagnostic)",
-    )
-    parser.add_argument(
-        "--out", metavar="PATH", help="write output here instead of stdout ('none': stdout)"
-    )
-
-
-def build_parser() -> _Parser:
-    parser = _Parser(prog="demon-ep", description=__doc__.split("\n\n")[0])
-    commands = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    sweep = commands.add_parser("sweep", help="estimators across the bias grid (CSV)")
-    _add_common(sweep)
-    sweep.set_defaults(handler=_cmd_sweep)
-
-    analyze = commands.add_parser(
-        "analyze", help="estimators from measured conditional tables (CSV)"
-    )
-    _add_common(analyze)
-    analyze.add_argument("forward", help="forward conditional table (ASCII)")
-    analyze.add_argument("backward", nargs="?", help="backward conditional table (ASCII)")
-    analyze.add_argument(
-        "--forward-only",
+#: every argument once; each command takes the subset :data:`_COMMANDS` lists
+_ARGUMENTS = {
+    "--config": dict(metavar="PATH", help="key = value configuration file"),
+    "--mode": dict(choices=tuple(ENCODINGS), help="override the protocol mode"),
+    "--single-error": dict(choices=(*ERROR_CHANNELS, "none"),
+                           help="activate exactly one error channel (physical mode)"),
+    "--floor": dict(type=float, metavar="X",
+                    help="replace zero backward weights with X inside divergences (diagnostic)"),
+    "--out": dict(metavar="PATH", help="write output here instead of stdout ('none': stdout)"),
+    "forward": dict(help="forward conditional table (ASCII)"),
+    "backward": dict(nargs="?", help="backward conditional table (ASCII)"),
+    "--forward-only": dict(
         action="store_true",
-        help="compute only the forward-protocol estimators (sigma1, sigma2, sigma6)",
-    )
-    analyze.set_defaults(handler=_cmd_analyze)
+        help="compute only the forward-protocol estimators (sigma1, sigma2, sigma6)"),
+    "--dbeta": dict(type=float, default=0.0, metavar="X", help="bias point (default 0)"),
+}
 
-    simulate = commands.add_parser(
-        "simulate", help="full diagnostic report at one bias point"
-    )
-    _add_common(simulate)
-    simulate.add_argument(
-        "--dbeta", type=float, default=0.0, metavar="X", help="bias point (default 0)"
-    )
-    simulate.set_defaults(handler=_cmd_simulate)
-
-    validate = commands.add_parser("validate", help="run the invariant suite")
-    _add_common(validate)
-    validate.set_defaults(handler=_cmd_validate)
-
-    return parser
-
-
-#: RunConfig fields that every command also takes as a ``--flag``
-_COMMON = ("mode", "single_error", "jobs", "floor", "out")
+#: the flags named after a RunConfig field, which override it
+_CONFIG_FLAGS = ("mode", "single_error", "floor", "out")
 
 
 def _overrides(args: argparse.Namespace) -> dict:
     return {
         name: None if value == "none" else value
-        for name in _COMMON
-        if (value := getattr(args, name)) is not None
+        for name in _CONFIG_FLAGS
+        if (value := getattr(args, name, None)) is not None
     }
 
 
@@ -139,12 +99,43 @@ def _cmd_analyze(config: RunConfig, args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(config: RunConfig, args: argparse.Namespace) -> int:
+    if not math.isfinite(args.dbeta):
+        print(f"demon-ep simulate: error: --dbeta must be finite, got {args.dbeta!r}",
+              file=sys.stderr)
+        return 1
     _emit(simulate_report(config, args.dbeta), config)
     return 0
 
 
 def _cmd_validate(config: RunConfig, args: argparse.Namespace) -> int:
     return 0 if validate_mod.run_all() else 2
+
+
+#: the flags of the commands that simulate the protocol
+_SIMULATED = ("--config", "--mode", "--single-error", "--floor", "--out")
+#: command -> (help, arguments, handler)
+_COMMANDS = {
+    "sweep": ("estimators across the bias grid (CSV)", _SIMULATED, _cmd_sweep),
+    "analyze": ("estimators from measured conditional tables (CSV)",
+                ("--config", "forward", "backward", "--forward-only", "--floor", "--out"),
+                _cmd_analyze),
+    "simulate": ("full diagnostic report at one bias point", (*_SIMULATED, "--dbeta"),
+                 _cmd_simulate),
+    "validate": ("run the invariant suite", ("--config",), _cmd_validate),
+}
+
+
+@functools.cache
+def build_parser() -> _Parser:
+    """The command-line parser, built on first use and shared after."""
+    parser = _Parser(prog="demon-ep", description=__doc__.split("\n\n")[0])
+    commands = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    for name, (help_text, arguments, handler) in _COMMANDS.items():
+        command = commands.add_parser(name, help=help_text)
+        for argument in arguments:
+            command.add_argument(argument, **_ARGUMENTS[argument])
+        command.set_defaults(handler=handler)
+    return parser
 
 
 def main(argv=None) -> int:

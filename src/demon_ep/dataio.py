@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .channels import ENCODINGS, ERROR_CHANNELS, AtomLevel, ErrorModel
-from .statespace import SystemDims
+from .statespace import MASS_HARD_TOL, MASS_SOFT_TOL, SIGMA_TOL, SystemDims
 
 __all__ = [
     "ConditionalTable",
@@ -50,8 +50,6 @@ PLANCK_CONSTANT = 6.62607015e-34  # J s
 BOLTZMANN_CONSTANT = 1.380649e-23  # J / K
 
 _CLAMP_TOL = 1e-6
-_SOFT_TOL = 1e-9
-_HARD_TOL = 1e-3
 
 
 def kelvin_to_beta_omega(temperature_k: float, frequency_ghz: float) -> float:
@@ -114,11 +112,11 @@ class ConditionalTable:
         axis = 1 if self.orientation == "forward-rows-initial" else 0
         sums = vals.sum(axis=axis)
         worst = float(np.abs(sums - 1.0).max()) if sums.size else 0.0
-        if worst > _HARD_TOL:
+        if worst > MASS_HARD_TOL:
             raise ValueError(
                 f"{self.orientation} table not stochastic (worst sum error {worst:.3e})"
             )
-        if worst > _SOFT_TOL:
+        if worst > MASS_SOFT_TOL:
             warnings.warn(
                 f"{self.orientation} table sums off by {worst:.2e} "
                 "(tolerated, likely measured input)",
@@ -375,9 +373,8 @@ class RunConfig:
     single_error: str | None = None
     idealized_backward: bool = False
     heat_from_atom: bool = True
-    sigma_tol: float = 1e-9
+    sigma_tol: float = SIGMA_TOL
     floor: float | None = None
-    jobs: int = 1  # validated and ignored: runs are serial
     out: str | None = None
     eps_prep: float | None = None
     eps_read: float | None = None
@@ -419,8 +416,6 @@ class RunConfig:
             raise ValueError("dbeta_step must be positive")
         if self.dbeta_stop < self.dbeta_start:
             raise ValueError("dbeta_stop must be >= dbeta_start")
-        if self.jobs < 1:
-            raise ValueError("jobs must be >= 1")
         if self.floor is not None and not 0 < self.floor < 1:
             raise ValueError("floor must lie in (0, 1)")
         # a rounding tolerance for equal sigma values, not a bin width
@@ -495,7 +490,7 @@ def _parse_bool(value: str) -> bool:
     raise ValueError(value)
 
 
-_PARSERS = {"float": float, "int": int, "str": str, "bool": _parse_bool}
+_PARSERS = {"float": float, "str": str, "bool": _parse_bool}
 
 
 def _parse_field(kind: str, value: str):

@@ -48,6 +48,9 @@ from .channels import (
 )
 from .statespace import (
     DEFAULT_DIMS,
+    MASS_HARD_TOL,
+    MASS_SOFT_TOL,
+    SIGMA_TOL,
     GibbsSpec,
     JointDistribution,
     SystemDims,
@@ -77,8 +80,6 @@ __all__ = [
 #: oracle stage -> number of forward channels applied (see :func:`_channels`)
 STAGES = {"initial": 0, "pre_feedback": 1, "post_feedback": 2, "final": 4}
 
-_HARD_TOL = 1e-3
-_SOFT_TOL = 1e-9
 _NEGATIVE_TOL = 1e-15
 #: the table axes behind a leading row axis
 _TABLE_AXES = (1, 2, 3, 4, 5)
@@ -115,16 +116,16 @@ def _mass_faults(total: np.ndarray, expected, what: str) -> dict[int, Exception]
     """A mass beyond the hard tolerance (or not finite) fails; beyond the soft one warns."""
     err = np.abs(total - expected)
     faults: dict[int, Exception] = {}
-    if (err <= _SOFT_TOL).all():
+    if (err <= MASS_SOFT_TOL).all():
         return faults
     expected = np.broadcast_to(expected, total.shape)
-    for r in np.flatnonzero(~(err <= _SOFT_TOL)).tolist():
+    for r in np.flatnonzero(~(err <= MASS_SOFT_TOL)).tolist():
         t, e = float(total[r]), float(err[r])
         if not math.isfinite(t):
             faults[r] = ValueError(f"{what}: mass {t!r} is not finite")
-        elif e > _HARD_TOL:
+        elif e > MASS_HARD_TOL:
             faults[r] = ValueError(f"{what}: mass {t!r} differs from {float(expected[r])!r}")
-        elif e > _SOFT_TOL:  # a nan expected mass makes a nan err, which passes
+        elif e > MASS_SOFT_TOL:  # a nan expected mass makes a nan err, which passes
             faults[r] = UserWarning(
                 f"{what}: mass off by {e:.2e} (tolerated, likely measured input)"
             )
@@ -638,7 +639,7 @@ class SigmaHistogram:
     sigma: np.ndarray
     p_forward: np.ndarray
     p_backward: np.ndarray
-    tolerance: float = 1e-9
+    tolerance: float = SIGMA_TOL
 
     def __post_init__(self) -> None:
         s = np.asarray(self.sigma, dtype=float)
@@ -657,7 +658,7 @@ class SigmaHistogram:
 def sigma_histogram(
     fwd: TrajectoryTable,
     bwd: TrajectoryTable,
-    tol: float = 1e-9,
+    tol: float = SIGMA_TOL,
 ) -> SigmaHistogram:
     """Bin trajectory weights by their stochastic entropy production.
 
@@ -741,7 +742,7 @@ def check_rows(rows: TableRows, hist: HistogramRows | None = None) -> None:
             _report(faults.get(r), stacklevel=2)
 
 
-def histogram_rows(rows: TableRows, tol: float = 1e-9) -> HistogramRows:
+def histogram_rows(rows: TableRows, tol: float = SIGMA_TOL) -> HistogramRows:
     """:func:`sigma_histogram` of every row of a block, bit for bit.
 
     Rows sharing a forward support are sorted together.  A bin opens where

@@ -5,7 +5,7 @@ bath temperatures, so a run factors into "build the kernel once" plus a
 cheap thermal re-weighting per bias point.  A sweep simulates its kernel; an
 analysis reads it from measured conditional tables; both then evaluate the
 bias grid in blocks of :data:`BLOCK_POINTS` points, each block as stacked
-arrays.  Runs are serial: ``RunConfig.jobs`` is accepted and ignored.
+arrays, in one process.
 """
 
 from __future__ import annotations

@@ -38,6 +38,12 @@ __all__ = [
 AXES = ("qubit", "demon", "cavity")
 
 _NORM_TOL = 1e-12
+#: a probability mass off by at most MASS_SOFT_TOL passes silently, by at most
+#: MASS_HARD_TOL warns (measured input carries finite statistics), beyond fails
+MASS_SOFT_TOL = 1e-9
+MASS_HARD_TOL = 1e-3
+#: default rounding tolerance under which two sigma values share a histogram bin
+SIGMA_TOL = 1e-9
 
 
 @dataclass(frozen=True)

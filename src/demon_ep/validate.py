@@ -330,7 +330,6 @@ def check_config_io() -> tuple[bool, str]:
             "eps_read = 0.2",
             "eta_e_g = 0.07",
             "cavity_prep_1 = 0:0.1 1:0.8 2:0.1",
-            "jobs = 2",
             "floor = none",
             "idealized_backward = false",
         ]

@@ -12,6 +12,7 @@ from demon_ep import (
     GibbsSpec,
     backward_table,
     branch_probability,
+    cli,
     conditional_from_table,
     forward_table,
     kelvin_to_beta_omega,
@@ -82,16 +83,6 @@ def test_sweep_physical_single_error(coarse_config):
     assert len(proc.stdout.splitlines()) == 6
 
 
-def test_sweep_parallel_jobs_match_serial(coarse_config):
-    # --jobs is accepted for old command lines and ignored: runs are serial
-    serial = run_cli("sweep", "--config", str(coarse_config), "--mode", "physical")
-    parallel = run_cli(
-        "sweep", "--config", str(coarse_config), "--mode", "physical", "--jobs", "3"
-    )
-    assert serial.returncode == parallel.returncode == 0
-    assert serial.stdout == parallel.stdout
-
-
 # ---------------------------------------------------------------------------
 # analyze
 
@@ -99,20 +90,15 @@ def test_sweep_parallel_jobs_match_serial(coarse_config):
 def test_analyze_reproduces_direct_sweep(tmp_path, table_files, coarse_config):
     fwd_path, bwd_path = table_files
     direct = run_cli("sweep", "--config", str(coarse_config), "--mode", "physical")
-    again = run_cli(
-        "analyze", str(fwd_path), str(bwd_path),
-        "--config", str(coarse_config), "--mode", "physical",
-    )
+    # the tables carry the register, so analyze takes no --mode
+    again = run_cli("analyze", str(fwd_path), str(bwd_path), "--config", str(coarse_config))
     assert again.returncode == 0
     assert again.stdout == direct.stdout
 
 
 def test_analyze_forward_only_layout(table_files, coarse_config):
     fwd_path, _ = table_files
-    proc = run_cli(
-        "analyze", str(fwd_path), "--forward-only",
-        "--config", str(coarse_config), "--mode", "physical",
-    )
+    proc = run_cli("analyze", str(fwd_path), "--forward-only", "--config", str(coarse_config))
     assert proc.returncode == 0
     header = proc.stdout.splitlines()[0]
     assert header == "dbeta_tilde,sigma1,sigma2,sigma6,heat_C,mean_info,flags"
@@ -171,9 +157,29 @@ def test_validate_passes_on_healthy_install():
 # usage errors
 
 
-def test_unknown_flag_exits_1():
+#: flags a command does not take, because they would change nothing it does
+_UNUSED_FLAGS = [
+    ("sweep", "--jobs", "2"),
+    ("analyze", "f.txt", "b.txt", "--jobs", "2"),
+    ("analyze", "f.txt", "b.txt", "--mode", "physical"),
+    ("analyze", "f.txt", "b.txt", "--single-error", "eps_read"),
+    ("simulate", "--jobs", "2"),
+    ("validate", "--jobs", "2"),
+    ("validate", "--mode", "physical"),
+    ("validate", "--single-error", "eps_read"),
+    ("validate", "--floor", "1e-6"),
+    ("validate", "--out", "validate.txt"),
+]
+
+
+def test_unknown_flag_exits_1(capsys):
     proc = run_cli("sweep", "--badflag")
     assert proc.returncode == 1
+    for argv in _UNUSED_FLAGS:
+        with pytest.raises(SystemExit) as exited:
+            cli.main(list(argv))
+        assert exited.value.code == 1, argv
+        assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
 
 
 def test_unknown_subcommand_exits_1():
@@ -194,15 +200,23 @@ def test_bad_config_file_exits_1(tmp_path):
     assert "configuration error" in proc.stderr
 
 
-@pytest.mark.parametrize("line", ["dbeta_stop = inf", "dbeta_step = nan"])
+@pytest.mark.parametrize(
+    "line", ["dbeta_stop = inf", "dbeta_step = nan", "--dbeta=nan", "--dbeta=inf", "--dbeta=-inf"]
+)
 def test_non_finite_config_value_exits_1(tmp_path, line):
-    # before the finiteness check these crashed in grid() with a traceback
-    conf = tmp_path / "run.conf"
-    conf.write_text(line + "\n")
-    proc = run_cli("sweep", "--config", str(conf))
+    # before the finiteness checks the config values crashed in grid() with a
+    # traceback, and --dbeta exited 2 with "forward table: mass nan is not finite"
+    if line.startswith("--"):
+        proc = run_cli("simulate", line)
+        assert "--dbeta must be finite" in proc.stderr
+    else:
+        conf = tmp_path / "run.conf"
+        conf.write_text(line + "\n")
+        proc = run_cli("sweep", "--config", str(conf))
+        assert "configuration error" in proc.stderr
+        assert f"{line.split()[0]} must be finite" in proc.stderr
     assert proc.returncode == 1
-    assert "configuration error" in proc.stderr
-    assert f"{line.split()[0]} must be finite" in proc.stderr
+    assert proc.stdout == ""
 
 
 @pytest.mark.parametrize(

@@ -399,8 +399,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         RunConfig(dbeta_step=0.0)
     with pytest.raises(ValueError):
-        RunConfig(jobs=0)
-    with pytest.raises(ValueError):
         RunConfig(floor=2.0)
 
 
@@ -503,7 +501,6 @@ def test_load_config_parses_every_value_kind(tmp_path):
         dbeta_start = -2.0
         dbeta_stop = 2.0   # inclusive
         dbeta_step = 1.0
-        jobs = 2
         floor = 1e-9
         idealized_backward = yes
         heat_from_atom = false
@@ -516,7 +513,6 @@ def test_load_config_parses_every_value_kind(tmp_path):
     assert config.mode == "physical"
     assert config.single_error == "eps_meas"
     assert config.grid().tolist() == [-2.0, -1.0, 0.0, 1.0, 2.0]
-    assert config.jobs == 2
     assert config.floor == 1e-9
     assert config.idealized_backward is True
     assert config.heat_from_atom is False
@@ -552,7 +548,6 @@ NON_DEFAULT = {
     "heat_from_atom": ("no", False),
     "sigma_tol": ("1e-7", 1e-7),
     "floor": ("1e-6", 1e-6),
-    "jobs": ("3", 3),
     "out": ("result.csv", "result.csv"),
     "eps_prep": ("0.2", 0.2),
     "eps_read": ("0.3", 0.3),
@@ -593,7 +588,7 @@ def test_none_clears_every_optional_key(tmp_path):
         assert getattr(config, key) is None, key
 
 
-@pytest.mark.parametrize("line", ["mode = none", "jobs = none", "sigma_tol = none"])
+@pytest.mark.parametrize("line", ["mode = none", "heat_from_atom = none", "sigma_tol = none"])
 def test_none_is_not_a_value_of_required_keys(tmp_path, line):
     path = tmp_path / "run.conf"
     path.write_text(line + "\n")
@@ -601,7 +596,7 @@ def test_none_is_not_a_value_of_required_keys(tmp_path, line):
         load_config(path)
 
 
-@pytest.mark.parametrize("line", ["jobs = 2.5", "dbeta_step = fast", "heat_from_atom = maybe"])
+@pytest.mark.parametrize("line", ["dbeta_step = fast", "heat_from_atom = maybe"])
 def test_badly_typed_value_names_its_key(tmp_path, line):
     path = tmp_path / "run.conf"
     path.write_text(line + "\n")
@@ -611,9 +606,10 @@ def test_badly_typed_value_names_its_key(tmp_path, line):
 
 def test_load_config_rejects_unknown_keys(tmp_path):
     path = tmp_path / "run.conf"
-    path.write_text("mode = ideal\nsigma_seven = 1\n")
-    with pytest.raises(ValueError, match="unknown config key"):
-        load_config(path)
+    for line in ("sigma_seven = 1", "jobs = 1"):  # runs are serial: no jobs key
+        path.write_text(f"mode = ideal\n{line}\n")
+        with pytest.raises(ValueError, match=f"unknown config key '{line.split()[0]}'"):
+            load_config(path)
 
 
 def test_load_config_rejects_malformed_lines(tmp_path):

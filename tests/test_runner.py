@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import io
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -55,6 +56,26 @@ ANALYZE_DIGESTS = {
 # any change here is a change of output bytes.
 VALIDATE_DIGEST = "2a0a049d5f7cc45ec6a597e3eb5cf32ac57216a3c742229e7b6b42ddbe6114b8"
 
+# SHA-256 of simulate_report, ideal and physical at three bias points and each
+# single error at dbeta_tilde = 0, recorded before the CLI options were
+# narrowed; any change here is a change of output bytes.
+SIMULATE_DIGESTS = {
+    ("ideal", -6.0): "f1c2028b9e7a6192beef55379b19dabf835b94f6360c5d64d8cdc64015f34153",
+    ("ideal", 0.0): "32e2d593c985f7c9b8c9f98c224c2e448c42a9f0f81c33722572d49abe44a12c",
+    ("ideal", 6.0): "c081f4941bdaa915668aaef22cb9158e226129b36158a92e0d29381e0c5ed851",
+    ("physical", -6.0): "5cd5b64435184e72a38da61a498d5d55574fe757949be1d5e602554d5ccff2b2",
+    ("physical", 0.0): "83125c38065d61b109f2e251ae775648f1889a5f27db2f1b4821e2d7f10b388d",
+    ("physical", 6.0): "a5b298923ec6587cc02b26f9910fa7735e1d08c6967a9cc29204232c5c8bdaf8",
+    ("eps_prep", 0.0): "03aa46ee0c29a6feb93f8cb75abc721ede7168eef27e5807f763541ebc42e940",
+    ("eps_read", 0.0): "a84a5a0678d3404a56934e13bfb951848d4158194f69488ea54b48a3c03cb506",
+    ("eps_feed", 0.0): "34195ac484bdbeaced47ee00fb58caf0e6050bad088b8eb8a93ad1d4bdde6af8",
+    ("eps_meas", 0.0): "1d27b9e7b96372eea95074a6f7c89228c6677efd121ea6fa37469256ba0a5464",
+    ("cavity_prep", 0.0): "7a61cb58eff8bc936400d257279a505d51ec783ee59d77e8c3ec28a988c8c25c",
+    # relaxation defaults to zero, so these two equal the error-free physical run
+    ("relax_atom", 0.0): "d3c4e66a60ce84b4999bce9a56a47b38598d7b2e47b36554c366371cca11055b",
+    ("relax_cavity", 0.0): "d3c4e66a60ce84b4999bce9a56a47b38598d7b2e47b36554c366371cca11055b",
+}
+
 
 def _config(case: str) -> RunConfig:
     if case == "ideal":
@@ -79,6 +100,12 @@ def _digest(text: str) -> str:
 @pytest.mark.parametrize("case", sorted(SWEEP_DIGESTS))
 def test_sweep_csv_bytes_are_frozen(case):
     assert _digest(sweep_csv_text(run_sweep(_config(case)))) == SWEEP_DIGESTS[case]
+
+
+@pytest.mark.parametrize("case, dbeta", sorted(SIMULATE_DIGESTS))
+def test_simulate_report_bytes_are_frozen(case, dbeta):
+    report = runner.simulate_report(_config(case), dbeta)
+    assert _digest(report) == SIMULATE_DIGESTS[case, dbeta]
 
 
 def _serialized_tables(config: RunConfig):
@@ -200,3 +227,14 @@ def test_analysis_reads_the_register_from_its_tables(tables, mode):
         parse_table(io.StringIO(bwd_text), "backward-rows-final"),
     )
     assert _digest(sweep_csv_text(results)) == SWEEP_DIGESTS[tables]
+
+
+def test_readme_python_example_runs_the_sweep_kernel_path(capsys):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    assert readme.count("```python\n") == 1
+    example = readme.split("```python\n")[1].split("```")[0]
+    namespace: dict = {}
+    exec(compile(example, "README.md", "exec"), namespace)
+    sweep = run_sweep(RunConfig(mode="physical", dbeta_start=6.0, dbeta_stop=6.0))
+    assert sweep_csv_text([namespace["result"]]) == sweep_csv_text(sweep)
+    assert capsys.readouterr().out.strip()
