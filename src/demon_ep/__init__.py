@@ -60,14 +60,14 @@ from .protocol import (
     branch_probability,
     final_state_marginal,
     forward_table,
+    measured_kernel,
     oracle_full_state,
+    point_tables,
     sigma_grid,
     sigma_histogram,
 )
 from .runner import (
     build_kernel,
-    measured_kernel,
-    point_tables,
     run_analysis,
     run_sweep,
     simulate_report,

@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -31,8 +32,21 @@ from .runner import run_analysis, run_sweep, simulate_report
 __all__ = ["main"]
 
 
+#: a token ``float()`` reads as a negative number, such as ``-1e-3`` or ``-inf``
+_NEGATIVE_NUMBER = re.compile(
+    r"-(?:(?:\d(?:_?\d)*)?\.\d(?:_?\d)*|\d(?:_?\d)*\.?)(?:e[-+]?\d(?:_?\d)*)?\Z"
+    r"|-(?:inf(?:inity)?|nan)\Z",
+    re.IGNORECASE,
+)
+
+
 class _Parser(argparse.ArgumentParser):
-    """argparse with usage errors mapped to exit code 1 (2 is for bad data)."""
+    """argparse with usage errors mapped to exit code 1 (2 is for bad data)
+    and every :data:`_NEGATIVE_NUMBER` read as a value, not an option string."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
 
     def error(self, message):  # noqa: D102 - argparse hook
         self.print_usage(sys.stderr)

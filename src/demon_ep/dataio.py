@@ -100,10 +100,9 @@ class ConditionalTable:
             raise ValueError("duplicate row label")
         if len(set(self.col_labels)) != len(self.col_labels):
             raise ValueError("duplicate column label")
-        want_rank = {"forward-rows-initial": 2, "backward-rows-final": 2}[self.orientation]
         for lab in self.row_labels:
-            if len(lab) != want_rank:
-                raise ValueError(f"row label {lab} must have {want_rank} entries")
+            if len(lab) != 2:
+                raise ValueError(f"row label {lab} must have 2 entries")
         for lab in self.col_labels:
             if len(lab) != 3:
                 raise ValueError(f"column label {lab} must have 3 entries")

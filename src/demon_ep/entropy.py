@@ -156,7 +156,9 @@ def cavity_heat(fwd: TrajectoryTable, from_atom: bool = False) -> float:
     Default reads the photon-number change directly; ``from_atom`` infers it
     from the qubit side instead (minus the qubit energy change), which is how
     an experiment without final photon readout measures it.  The two agree
-    exactly when the dynamics conserve total quanta.
+    exactly when the dynamics conserve total quanta.  Note the defaults
+    differ: :func:`sigma1`, :func:`evaluate` and the CSV's ``heat_C`` take the
+    atom side unless told otherwise.
     """
     return float(_heat_rows(TableRows.of(fwd), from_atom)[0])
 

@@ -30,6 +30,7 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -59,8 +60,12 @@ from .statespace import (
     row_groups,
 )
 
+if TYPE_CHECKING:
+    from .dataio import ConditionalTable
+
 __all__ = [
     "HistogramRows",
+    "ProtocolKernel",
     "SigmaHistogram",
     "TableRows",
     "Trajectory",
@@ -71,7 +76,9 @@ __all__ = [
     "final_state_marginal",
     "forward_table",
     "histogram_rows",
+    "measured_kernel",
     "oracle_full_state",
+    "point_tables",
     "sigma_grid",
     "sigma_histogram",
     "weigh_rows",
@@ -401,12 +408,6 @@ def _backward_rows(
     return labeled, unlabeled, weights
 
 
-def _weight_forward(cond: np.ndarray, gibbs: GibbsSpec, dims: SystemDims) -> TrajectoryTable:
-    p_qubit, p_cavity = _forward_priors(gibbs, dims)
-    probs = _forward_rows(cond, p_qubit[None], p_cavity)[0]
-    return TrajectoryTable(probs, "forward", gibbs, dims, conditionals=cond)
-
-
 def _weight_backward(
     bcond: np.ndarray,
     gibbs: GibbsSpec,
@@ -482,9 +483,9 @@ def weigh_rows(
 ) -> TableRows:
     """Tables of one kernel at every bias point of ``dbeta``, stacked.
 
-    Row ``r`` equals :func:`forward_table` and :func:`backward_table` at
-    ``GibbsSpec.from_dbeta(beta_cavity, dbeta[r])``, bit for bit; no table
-    check runs (see :func:`check_rows`).
+    Row ``r`` equals the tables :func:`point_tables` weights from the same
+    conditionals at ``GibbsSpec.from_dbeta(beta_cavity, dbeta[r])``, bit for
+    bit; no table check runs (see :func:`check_rows`).
     """
     beta_qubit = beta_cavity * (1.0 - dbeta)
     p_qubit = gibbs_distribution(beta_qubit[:, None], 2)
@@ -502,7 +503,56 @@ def weigh_rows(
 
 
 # ---------------------------------------------------------------------------
-# Public table builders
+# Kernels and the tables of one bias point
+
+
+@dataclass(frozen=True, eq=False)
+class ProtocolKernel:
+    """Bias-independent dynamics of one run: both conditional arrays.
+
+    ``backward_cond`` is None for a forward-only analysis, and
+    ``backward_reset`` is None when the kernel was read from measured tables.
+    """
+
+    dims: SystemDims
+    forward_cond: np.ndarray
+    backward_cond: np.ndarray | None
+    backward_reset: np.ndarray | None = None
+
+
+def measured_kernel(
+    forward: ConditionalTable,
+    backward: ConditionalTable | None,
+    dims: SystemDims = DEFAULT_DIMS,
+) -> ProtocolKernel:
+    """Kernel read from measured conditional-probability tables.
+
+    Weighting it gives the same tables as a direct simulation, so analyzing
+    serialized conditionals reproduces a sweep exactly.  The tables carry
+    their register: physical tables have no (m_Q=1, k=0) columns, and their
+    backward k = 0 weight is reassigned as in a simulation.
+    """
+    if forward.orientation != "forward-rows-initial":
+        raise ValueError("forward conditionals must be row-oriented on initial labels")
+    if backward is not None and backward.orientation != "backward-rows-final":
+        raise ValueError("backward conditionals must be row-oriented on final labels")
+    cond = np.ascontiguousarray(np.transpose(forward.to_grid(dims), (2, 3, 4, 0, 1)))
+    bcond = None if backward is None else backward.to_grid(dims)
+    return ProtocolKernel(dims, cond, bcond)
+
+
+def point_tables(
+    kernel: ProtocolKernel, gibbs: GibbsSpec
+) -> tuple[TrajectoryTable, TrajectoryTable | None]:
+    """Thermally weighted forward/backward tables at one bias point."""
+    dims = kernel.dims
+    p_qubit, p_cavity = _forward_priors(gibbs, dims)
+    probs = _forward_rows(kernel.forward_cond, p_qubit[None], p_cavity)[0]
+    fwd = TrajectoryTable(probs, "forward", gibbs, dims, conditionals=kernel.forward_cond)
+    if kernel.backward_cond is None:
+        return fwd, None
+    pk = branch_probability(fwd)
+    return fwd, _weight_backward(kernel.backward_cond, gibbs, pk, dims, reset=kernel.backward_reset)
 
 
 def forward_table(
@@ -510,16 +560,13 @@ def forward_table(
     model: ErrorModel | None = None,
     dims: SystemDims = DEFAULT_DIMS,
     mode: str = "ideal",
-    conditionals: np.ndarray | None = None,
 ) -> TrajectoryTable:
-    """Exact forward trajectory statistics p(gamma).
+    """Exact forward trajectory statistics p(gamma), simulated for one bias point.
 
-    ``conditionals`` injects a precomputed (or measured) conditional array;
-    the dynamics are bias-independent, so a sweep can reuse one such array
-    across all grid points.
+    A run over many points weights one :class:`ProtocolKernel` instead.
     """
-    cond = conditionals if conditionals is not None else forward_conditionals(model, dims, mode)
-    return _weight_forward(cond, gibbs, dims)
+    kernel = ProtocolKernel(dims, forward_conditionals(model, dims, mode), None)
+    return point_tables(kernel, gibbs)[0]
 
 
 def backward_table(
@@ -528,24 +575,15 @@ def backward_table(
     dims: SystemDims = DEFAULT_DIMS,
     mode: str = "ideal",
     forward_pk: np.ndarray | None = None,
-    conditionals: np.ndarray | None = None,
-    reset: np.ndarray | None = None,
 ) -> TrajectoryTable:
-    """Exact backward trajectory statistics p(gamma-tilde).
+    """Exact backward trajectory statistics p(gamma-tilde), simulated for one bias point.
 
     ``forward_pk`` is the forward readout distribution used to weight the
     branches; by default it is computed from the matching forward table.
-    ``conditionals`` injects a precomputed backward conditional array, in
-    which case ``forward_pk`` must be given too.
     """
-    if conditionals is not None:
-        if forward_pk is None:
-            raise ValueError("forward_pk is required with precomputed conditionals")
-        bcond = conditionals
-    else:
-        if forward_pk is None:
-            forward_pk = branch_probability(forward_table(gibbs, model, dims, mode))
-        bcond, reset = backward_conditionals(model, dims, mode)
+    if forward_pk is None:
+        forward_pk = branch_probability(forward_table(gibbs, model, dims, mode))
+    bcond, reset = backward_conditionals(model, dims, mode)
     return _weight_backward(bcond, gibbs, forward_pk, dims, reset=reset)
 
 
@@ -554,12 +592,10 @@ def tables_from_conditionals(
 ) -> tuple[TrajectoryTable, TrajectoryTable | None]:
     """Tables at one bias point from measured conditional tables.
 
-    Equal to ``runner.point_tables(runner.measured_kernel(...), gibbs)``, which
-    reads the tables once for a whole grid.  Unused by the package; still
+    Equal to ``point_tables(measured_kernel(...), gibbs)``; a run over many
+    points reads the tables once instead.  Unused by the package; still
     listed by perfbench's tracer.
     """
-    from .runner import measured_kernel, point_tables  # runner imports this module
-
     return point_tables(measured_kernel(fwd_cond, bwd_cond, dims), gibbs)
 
 

@@ -2,15 +2,14 @@
 
 The conditional dynamics of both protocol directions are independent of the
 bath temperatures, so a run factors into "build the kernel once" plus a
-cheap thermal re-weighting per bias point.  A sweep simulates its kernel; an
-analysis reads it from measured conditional tables; both then evaluate the
-bias grid in blocks of :data:`BLOCK_POINTS` points, each block as stacked
-arrays, in one process.
+cheap thermal re-weighting per bias point.  A sweep simulates its kernel;
+an analysis reads it from measured conditional tables; both then evaluate
+the bias grid in blocks of :data:`BLOCK_POINTS` points, each block as
+stacked arrays, in one process.  The kernel and its weighting live in
+:mod:`demon_ep.protocol`.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,15 +24,15 @@ from .entropy import (
     jarzynski_average,
 )
 from .protocol import (
-    TrajectoryTable,
+    ProtocolKernel,
     backward_conditionals,
-    backward_table,
     branch_probability,
     check_rows,
     forward_conditionals,
-    forward_table,
     histogram_rows,
+    measured_kernel,
     oracle_full_state,
+    point_tables,
     sigma_grid,
     sigma_histogram,
     weigh_rows,
@@ -41,28 +40,11 @@ from .protocol import (
 from .statespace import DEFAULT_DIMS, GibbsSpec, SystemDims
 
 __all__ = [
-    "ProtocolKernel",
     "build_kernel",
-    "measured_kernel",
-    "point_tables",
     "run_analysis",
     "run_sweep",
     "simulate_report",
 ]
-
-
-@dataclass(frozen=True, eq=False)
-class ProtocolKernel:
-    """Bias-independent dynamics of one run: both conditional arrays.
-
-    ``backward_cond`` is None for a forward-only analysis, and
-    ``backward_reset`` is None when the kernel was read from measured tables.
-    """
-
-    dims: SystemDims
-    forward_cond: np.ndarray
-    backward_cond: np.ndarray | None
-    backward_reset: np.ndarray | None = None
 
 
 def build_kernel(config: RunConfig, dims: SystemDims = DEFAULT_DIMS) -> ProtocolKernel:
@@ -71,44 +53,6 @@ def build_kernel(config: RunConfig, dims: SystemDims = DEFAULT_DIMS) -> Protocol
     back_model = ErrorModel.ideal() if config.idealized_backward else model
     bcond, reset = backward_conditionals(back_model, dims, config.mode)
     return ProtocolKernel(dims, fcond, bcond, reset)
-
-
-def measured_kernel(
-    forward: ConditionalTable,
-    backward: ConditionalTable | None,
-    dims: SystemDims = DEFAULT_DIMS,
-) -> ProtocolKernel:
-    """Kernel read from measured conditional-probability tables.
-
-    Weighting it gives the same tables as a direct simulation, so analyzing
-    serialized conditionals reproduces a sweep exactly.  The tables carry
-    their register: physical tables have no (m_Q=1, k=0) columns, and their
-    backward k = 0 weight is reassigned as in a simulation.
-    """
-    if forward.orientation != "forward-rows-initial":
-        raise ValueError("forward conditionals must be row-oriented on initial labels")
-    if backward is not None and backward.orientation != "backward-rows-final":
-        raise ValueError("backward conditionals must be row-oriented on final labels")
-    cond = np.ascontiguousarray(np.transpose(forward.to_grid(dims), (2, 3, 4, 0, 1)))
-    bcond = None if backward is None else backward.to_grid(dims)
-    return ProtocolKernel(dims, cond, bcond)
-
-
-def point_tables(
-    kernel: ProtocolKernel, gibbs: GibbsSpec
-) -> tuple[TrajectoryTable, TrajectoryTable | None]:
-    """Thermally weighted forward/backward tables at one bias point."""
-    fwd = forward_table(gibbs, dims=kernel.dims, conditionals=kernel.forward_cond)
-    if kernel.backward_cond is None:
-        return fwd, None
-    bwd = backward_table(
-        gibbs,
-        dims=kernel.dims,
-        forward_pk=branch_probability(fwd),
-        conditionals=kernel.backward_cond,
-        reset=kernel.backward_reset,
-    )
-    return fwd, bwd
 
 
 #: bias points weighted, binned and evaluated together as stacked arrays.

@@ -256,7 +256,7 @@ def _random_circuit_result(rng: np.random.Generator):
     gibbs = statespace.GibbsSpec.from_dbeta(
         float(rng.uniform(0.2, 3.0)), float(rng.uniform(-6.0, 6.0))
     )
-    fwd = protocol.forward_table(gibbs, conditionals=cond)
+    fwd, _ = protocol.point_tables(protocol.ProtocolKernel(dims, cond, None), gibbs)
     return entropy.sigma2(fwd), entropy.sigma6(fwd)
 
 

@@ -145,6 +145,14 @@ def test_simulate_physical_mode_mentions_flags():
     assert "flags:" in proc.stdout
 
 
+@pytest.mark.parametrize("value, shown", [("-1e-3", "-0.001"), ("-5E0", "-5")])
+def test_simulate_takes_a_negative_dbeta_in_exponent_notation(capsys, value, shown):
+    # argparse read these as option strings: "argument --dbeta: expected one argument"
+    assert cli.main(["simulate", "--dbeta", value]) == 0
+    header = capsys.readouterr().out.splitlines()[0]
+    assert header.endswith(f"dbeta_tilde {shown}")
+
+
 def test_validate_passes_on_healthy_install():
     proc = run_cli("validate")
     assert proc.returncode == 0
@@ -201,13 +209,15 @@ def test_bad_config_file_exits_1(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "line", ["dbeta_stop = inf", "dbeta_step = nan", "--dbeta=nan", "--dbeta=inf", "--dbeta=-inf"]
+    "line",
+    ["dbeta_stop = inf", "dbeta_step = nan", "--dbeta=nan", "--dbeta=inf", "--dbeta=-inf",
+     "--dbeta -inf"],
 )
 def test_non_finite_config_value_exits_1(tmp_path, line):
     # before the finiteness checks the config values crashed in grid() with a
     # traceback, and --dbeta exited 2 with "forward table: mass nan is not finite"
     if line.startswith("--"):
-        proc = run_cli("simulate", line)
+        proc = run_cli("simulate", *line.split())
         assert "--dbeta must be finite" in proc.stderr
     else:
         conf = tmp_path / "run.conf"

@@ -7,10 +7,16 @@ import io
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import demon_ep.runner as runner
 from demon_ep import (
+    DEFAULT_DIMS,
+    ErrorModel,
     GibbsSpec,
     RunConfig,
     SystemDims,
@@ -27,6 +33,7 @@ from demon_ep import (
     two_atom_probability,
     validate,
 )
+from demon_ep.protocol import ProtocolKernel, backward_conditionals, forward_conditionals
 
 # SHA-256 of sweep_csv_text on the default 49-point grid.  Recorded from the
 # separate ideal/physical implementation that the shared kernel path
@@ -238,3 +245,64 @@ def test_readme_python_example_runs_the_sweep_kernel_path(capsys):
     sweep = run_sweep(RunConfig(mode="physical", dbeta_start=6.0, dbeta_stop=6.0))
     assert sweep_csv_text([namespace["result"]]) == sweep_csv_text(sweep)
     assert capsys.readouterr().out.strip()
+
+
+# ---------------------------------------------------------------------------
+# invariants on any valid input
+
+#: a probability, with the edge values drawn often (they break supports)
+_PROBABILITY = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0))
+
+
+def _stochastic(shape, axis):
+    """Random matrices whose slices along ``axis`` are distributions."""
+
+    def normalize(m):
+        empty = np.flatnonzero(m.sum(axis=axis) == 0.0)
+        m[empty, empty] = 1.0  # an all-zero slice keeps its diagonal entry
+        return m / m.sum(axis=axis, keepdims=True)
+
+    return arrays(np.float64, shape, elements=_PROBABILITY).map(normalize)
+
+
+_ERROR_MODELS = st.builds(
+    ErrorModel,
+    eps_prep=_PROBABILITY,
+    eps_read=_PROBABILITY,
+    eps_feed=_PROBABILITY,
+    confusion=_stochastic((3, 3), axis=0),
+    cavity_prep=_stochastic((4, 5), axis=1),
+    relax_atom_prob=_PROBABILITY,
+    relax_cavity_prob=_PROBABILITY,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    model=_ERROR_MODELS,
+    ends=st.lists(st.floats(-50.0, 50.0), min_size=2, max_size=2).map(sorted),
+    count=st.integers(1, 41),
+)
+def test_invariants_hold_for_any_physical_model_and_bias(model, ends, count):
+    lo, hi = ends
+    config = RunConfig(mode="physical", dbeta_start=lo, dbeta_stop=hi,
+                       dbeta_step=max((hi - lo) / max(count - 1, 1), 1e-3))
+    dims = DEFAULT_DIMS
+    kernel = ProtocolKernel(
+        dims,
+        forward_conditionals(model, dims, "physical"),
+        *backward_conditionals(model, dims, "physical"),
+    )
+    for result in runner._run(kernel, config):  # raises if a table check fails
+        sigmas = [result.sigma1, result.sigma2, result.sigma3,
+                  result.sigma4, result.sigma5, result.sigma6]
+        assert not np.isnan([*sigmas, result.heat_cavity, result.mean_info]).any()
+        for i, value in enumerate(sigmas, start=1):
+            if np.isinf(value):
+                assert f"sigma{i}:infinite" in result.flags
+        s2, s4 = result.sigma2, result.sigma4
+        assert abs(s2 - result.sigma6) <= 1e-12 * max(1.0, abs(s2))
+        if np.isfinite(s4):
+            slack = 1e-12 * max(1.0, abs(s4))
+            assert result.sigma3 <= s4 + slack
+            assert result.sigma5 <= s4 + slack
