@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import math
 import re
 import sys
 from pathlib import Path
@@ -113,10 +112,6 @@ def _cmd_analyze(config: RunConfig, args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(config: RunConfig, args: argparse.Namespace) -> int:
-    if not math.isfinite(args.dbeta):
-        print(f"demon-ep simulate: error: --dbeta must be finite, got {args.dbeta!r}",
-              file=sys.stderr)
-        return 1
     _emit(simulate_report(config, args.dbeta), config)
     return 0
 
@@ -152,11 +147,22 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _biases(config: RunConfig, args: argparse.Namespace) -> dict[str, float]:
+    """The ends of the bias range a command evaluates, by the key or flag setting each."""
+    if args.command == "simulate":
+        return {"--dbeta": args.dbeta}
+    if args.command in ("sweep", "analyze"):
+        return {"dbeta_start": config.dbeta_start, "dbeta_stop": config.dbeta_stop}
+    return {}
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         config = load_config(args.config, **_overrides(args))
+        for key, dbeta in _biases(config, args).items():
+            config.check_bias(dbeta, key)
     except (ValueError, OSError) as exc:
         print(f"demon-ep: configuration error: {exc}", file=sys.stderr)
         return 1

@@ -29,7 +29,14 @@ from pathlib import Path
 import numpy as np
 
 from .channels import ENCODINGS, ERROR_CHANNELS, AtomLevel, ErrorModel
-from .statespace import MASS_HARD_TOL, MASS_SOFT_TOL, SIGMA_TOL, SystemDims
+from .statespace import (
+    MASS_HARD_TOL,
+    MASS_SOFT_TOL,
+    SIGMA_TOL,
+    GibbsSpec,
+    SystemDims,
+    gibbs_distribution,
+)
 
 __all__ = [
     "ConditionalTable",
@@ -430,6 +437,26 @@ class RunConfig:
     @property
     def beta_cavity(self) -> float:
         return self._beta_cavity
+
+    def check_bias(self, dbeta: float, key: str) -> None:
+        """Reject a bias point at which a Gibbs weight is not finite.
+
+        ``key`` names the config key or flag that set ``dbeta``.  The cavity
+        weights are finite at every temperature a config accepts; the qubit
+        weight e^(-beta_Q) is monotone in the bias, so the two ends of a grid
+        decide for every point between them.
+        """
+        if not math.isfinite(dbeta):
+            raise ValueError(f"{key} must be finite, got {dbeta!r}")
+        gibbs = GibbsSpec.from_dbeta(self.beta_cavity, dbeta)
+        with np.errstate(all="ignore"):
+            weights = gibbs_distribution(gibbs.beta_qubit, 2)
+        if not np.isfinite(weights).all():
+            raise ValueError(
+                f"{key} = {dbeta!r} gives non-finite Gibbs weights: beta_qubit*omega is "
+                f"{gibbs.beta_qubit:.6g} at beta_cavity*omega {gibbs.beta_cavity:.6g} "
+                f"(from temperature_kelvin and frequency_ghz)"
+            )
 
     def grid(self) -> np.ndarray:
         count = int(round((self.dbeta_stop - self.dbeta_start) / self.dbeta_step)) + 1

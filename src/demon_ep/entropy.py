@@ -71,11 +71,18 @@ __all__ = [
 ]
 
 
-def _thermal_reference(beta_qubit: np.ndarray, beta_cavity: float, dims) -> np.ndarray:
-    """Reference measure zeta_Q (x) w_C over the final (m_Q, m_C) grid, per row."""
+def _thermal_reference(
+    beta_qubit: np.ndarray, beta_cavity: float | np.ndarray, dims
+) -> np.ndarray:
+    """Reference measure zeta_Q (x) w_C over the final (m_Q, m_C) grid, per row.
+
+    ``beta_cavity`` is shared by every row or given per row.
+    """
     zeta_q = gibbs_distribution(beta_qubit[:, None], 2)
-    w_cav = extended_gibbs(beta_cavity, dims.dim_cavity_init, dims.dim_cavity_full)
-    return zeta_q[:, :, None] * w_cav
+    w_cav = extended_gibbs(
+        np.asarray(beta_cavity)[..., None], dims.dim_cavity_init, dims.dim_cavity_full
+    )
+    return zeta_q[:, :, None] * w_cav[..., None, :]
 
 
 # Each estimator is a function of stacked table rows (:class:`TableRows`);

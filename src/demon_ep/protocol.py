@@ -231,14 +231,14 @@ def sigma_grid(gibbs: GibbsSpec, pk: np.ndarray, dims: SystemDims = DEFAULT_DIMS
 
 
 def _sigma_rows(
-    beta_qubit: np.ndarray, beta_cavity: float, pk: np.ndarray, dims: SystemDims
+    beta_qubit: np.ndarray, beta_cavity: float | np.ndarray, pk: np.ndarray, dims: SystemDims
 ) -> np.ndarray:
     qubit, cavity = quanta_change(dims)
     with np.errstate(divide="ignore"):
         log_pk = np.log(pk)
     return (
         beta_qubit[:, None, None, None, None, None] * qubit
-        + beta_cavity * cavity
+        + np.reshape(beta_cavity, (-1, 1, 1, 1, 1, 1)) * cavity
         - log_pk[:, None, :, None, None, None]
     )
 
@@ -378,8 +378,14 @@ def _forward_priors(gibbs: GibbsSpec, dims: SystemDims) -> tuple[np.ndarray, np.
 
 
 def _forward_rows(cond: np.ndarray, p_qubit: np.ndarray, p_cavity: np.ndarray) -> np.ndarray:
-    """Forward tables for a stack of qubit priors ``p_qubit[r, n_Q]``."""
-    return np.einsum("mkfnc,bn,c->bnkcmf", cond, p_qubit, p_cavity)
+    """Forward tables for a stack of qubit priors ``p_qubit[r, n_Q]``.
+
+    ``cond`` and ``p_cavity`` are shared by every row, or stacked with one
+    per row (``cond[r]``, ``p_cavity[r, n_C]``).
+    """
+    cond_row = "b" if cond.ndim == 6 else ""
+    cavity_row = "b" if p_cavity.ndim == 2 else ""
+    return np.einsum(f"{cond_row}mkfnc,bn,{cavity_row}c->bnkcmf", cond, p_qubit, p_cavity)
 
 
 def _backward_rows(
@@ -400,7 +406,7 @@ def _backward_rows(
     if not bcond[:, :, 1, 0].any():
         prior_qk[:, 0, 0] += prior_qk[:, 1, 0]
         prior_qk[:, 1, 0] = 0.0
-    weights = prior_qk[:, :, :, None] * w_cav  # [r, m_Q, k, m_C]
+    weights = prior_qk[:, :, :, None] * w_cav[..., None, None, :]  # [r, m_Q, k, m_C]
     joint = bcond * weights[:, None, None]  # [r, n_Q, n_C, m_Q, k, m_C]
     init = dims.dim_cavity_init
     labeled = np.transpose(joint[:, :, :init], (0, 1, 4, 2, 3, 5))
@@ -441,15 +447,16 @@ class TableRows:
     """Forward (and backward) tables of several bias points, stacked on axis 0.
 
     Row ``r`` holds the ``probs`` of the tables at inverse temperatures
-    ``beta_qubit[r]`` and ``beta_cavity``.  :func:`weigh_rows` builds a block
-    of them from a kernel; :meth:`of` wraps one table pair, which is how the
+    ``beta_qubit[r]`` and ``beta_cavity``, a float shared by every row or an
+    array with one value per row.  :func:`weigh_rows` builds a block of them
+    from a kernel; :meth:`of` wraps one table pair, which is how the
     single-point functions run the same row-wise code.  ``unlabeled`` and
     ``prior_mass`` are the backward masses :func:`check_rows` checks, kept by
     :func:`weigh_rows` only.
     """
 
     dims: SystemDims
-    beta_cavity: float
+    beta_cavity: float | np.ndarray
     beta_qubit: np.ndarray
     dbeta: np.ndarray
     forward: np.ndarray
@@ -478,23 +485,26 @@ def weigh_rows(
     forward_cond: np.ndarray,
     backward_cond: np.ndarray | None,
     dims: SystemDims,
-    beta_cavity: float,
+    beta_cavity: float | np.ndarray,
     dbeta: np.ndarray,
 ) -> TableRows:
     """Tables of one kernel at every bias point of ``dbeta``, stacked.
 
     Row ``r`` equals the tables :func:`point_tables` weights from the same
     conditionals at ``GibbsSpec.from_dbeta(beta_cavity, dbeta[r])``, bit for
-    bit; no table check runs (see :func:`check_rows`).
+    bit; no table check runs (see :func:`check_rows`).  A row may also have
+    its own cavity temperature (``beta_cavity[r]``) and, without backward
+    conditionals, its own forward conditionals (``forward_cond[r]``).
     """
     beta_qubit = beta_cavity * (1.0 - dbeta)
     p_qubit = gibbs_distribution(beta_qubit[:, None], 2)
-    p_cavity = gibbs_distribution(beta_cavity, dims.dim_cavity_init)
+    beta_column = np.asarray(beta_cavity)[..., None]  # (1,) when shared, else (R, 1)
+    p_cavity = gibbs_distribution(beta_column, dims.dim_cavity_init)
     forward = _forward_rows(forward_cond, p_qubit, p_cavity)
     pk = _branch_rows(forward)
     if backward_cond is None:
         return TableRows(dims, beta_cavity, beta_qubit, dbeta, forward, pk)
-    w_cav = extended_gibbs(beta_cavity, dims.dim_cavity_init, dims.dim_cavity_full)
+    w_cav = extended_gibbs(beta_column, dims.dim_cavity_init, dims.dim_cavity_full)
     labeled, unlabeled, weights = _backward_rows(backward_cond, p_qubit, w_cav, pk, dims)
     return TableRows(
         dims, beta_cavity, beta_qubit, dbeta, forward, pk,

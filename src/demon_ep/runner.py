@@ -24,7 +24,9 @@ from .entropy import (
     jarzynski_average,
 )
 from .protocol import (
+    HistogramRows,
     ProtocolKernel,
+    TableRows,
     backward_conditionals,
     branch_probability,
     check_rows,
@@ -71,13 +73,22 @@ def _run(kernel: ProtocolKernel, config: RunConfig) -> list[EpResult]:
     return results
 
 
-def _run_block(kernel: ProtocolKernel, config: RunConfig, dbeta: np.ndarray) -> list[EpResult]:
+def checked_rows(
+    kernel: ProtocolKernel, config: RunConfig, dbeta: np.ndarray
+) -> tuple[TableRows, HistogramRows | None]:
+    """Tables and sigma histograms of a kernel at the points ``dbeta``, checked
+    row after row as :func:`point_tables` and :func:`sigma_histogram` would."""
     with np.errstate(all="ignore"):  # a point this spoils fails its checks
         rows = weigh_rows(
             kernel.forward_cond, kernel.backward_cond, kernel.dims, config.beta_cavity, dbeta
         )
         hist = None if rows.backward is None else histogram_rows(rows, config.sigma_tol)
     check_rows(rows, hist)
+    return rows, hist
+
+
+def _run_block(kernel: ProtocolKernel, config: RunConfig, dbeta: np.ndarray) -> list[EpResult]:
+    rows, hist = checked_rows(kernel, config, dbeta)
     return evaluate_rows(rows, hist, floor=config.floor, heat_from_atom=config.heat_from_atom)
 
 

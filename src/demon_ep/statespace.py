@@ -137,7 +137,7 @@ def gibbs_distribution(beta_omega, levels: int) -> np.ndarray:
     return weights / weights.sum(axis=-1, keepdims=True)
 
 
-def extended_gibbs(beta_omega: float, levels_norm: int, levels_total: int) -> np.ndarray:
+def extended_gibbs(beta_omega, levels_norm: int, levels_total: int) -> np.ndarray:
     """Thermal weights normalized on the first ``levels_norm`` levels, then
     extended to ``levels_total`` levels by the exact Boltzmann factors.
 
@@ -146,12 +146,14 @@ def extended_gibbs(beta_omega: float, levels_norm: int, levels_total: int) -> np
     single-free-energy convention used for the backward-protocol priors and
     the thermal reference of the divergence-based estimators, so that forward
     and backward weights share one normalization constant per subsystem.
+    ``beta_omega`` may be a column (shape ``(R, 1)``) for one set of weights
+    per row, as in :func:`gibbs_distribution`.
     """
     if levels_total < levels_norm:
         raise ValueError("levels_total must be >= levels_norm")
     n = np.arange(levels_total, dtype=float)
     weights = np.exp(-beta_omega * n)
-    z_norm = weights[:levels_norm].sum()
+    z_norm = weights[..., :levels_norm].sum(axis=-1, keepdims=True)
     return weights / z_norm
 
 

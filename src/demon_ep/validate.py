@@ -8,8 +8,11 @@ so a single command can certify an installation end to end.
 
 :data:`CHECKS` is the one place each invariant is derived: the acceptance
 tests look checks up there by label instead of restating them.  Checks that
-need trajectory tables build one kernel per configuration and weight it at
-each bias point (:func:`_points`), which is the path ``sweep`` runs.
+need trajectory tables build one kernel per configuration and weight it on
+the package's own paths: the sweep's block path (stacked rows, checked by
+:func:`~demon_ep.protocol.check_rows`) where a check covers many points or
+many circuits, and the single-point :func:`~demon_ep.protocol.point_tables`
+(:func:`_points`) where it inspects a few tables one by one.
 """
 
 from __future__ import annotations
@@ -71,16 +74,14 @@ def check_thermal_distributions() -> tuple[bool, str]:
 
 def check_information_measures() -> tuple[bool, str]:
     rng = np.random.default_rng(7)
-    worst = 0.0
-    for _ in range(200):
-        p = rng.random(6)
-        p /= p.sum()
-        q = rng.random(6)
-        q /= q.sum()
-        kl = statespace.relative_entropy(p, q)
-        if kl < -1e-12:
-            return False, f"negative divergence {kl}"
-        worst = max(worst, abs(statespace.relative_entropy(p, p)))
+    pairs = rng.random((200, 2, 6))  # p, then q, of each pair
+    pairs /= pairs.sum(axis=2, keepdims=True)
+    p, q = pairs[:, 0], pairs[:, 1]
+    kl = statespace.relative_entropy_rows(p, q)
+    negative = np.flatnonzero(kl < -1e-12)
+    if negative.size:
+        return False, f"negative divergence {float(kl[negative[0]])}"
+    worst = float(np.abs(statespace.relative_entropy_rows(p, p)).max())
     gap = rng.random(6)
     gap /= gap.sum()
     masked = gap.copy()
@@ -213,10 +214,12 @@ def check_oracle_consistency() -> tuple[bool, str]:
 def check_fluctuation_relation() -> tuple[bool, str]:
     worst_bin = 0.0
     worst_avg = 0.0
-    for gibbs, fwd, bwd in _points(IDEAL, IDEAL.grid()):
-        hist = protocol.sigma_histogram(fwd, bwd)
+    grid = IDEAL.grid()  # 49 points: one block
+    _, hists = runner.checked_rows(runner.build_kernel(IDEAL), IDEAL, grid)
+    for r, dbeta in enumerate(grid.tolist()):
+        hist = hists.row(r)
         if np.any(hist.p_backward <= 0.0):
-            return False, f"empty backward bin at dbeta={gibbs.dbeta_tilde:g}"
+            return False, f"empty backward bin at dbeta={dbeta:g}"
         worst_bin = max(
             worst_bin,
             float(np.abs(np.log(hist.p_forward / hist.p_backward) - hist.sigma).max()),
@@ -237,35 +240,40 @@ def check_estimator_equivalence() -> tuple[bool, str]:
     return ok, f"worst six-way spread {worst:.2e}"
 
 
-def _random_circuit_result(rng: np.random.Generator):
+def _random_circuits(rng: np.random.Generator, count: int) -> protocol.TableRows:
+    """Forward tables of ``count`` random circuits, one row each, unchecked.
+
+    A circuit is a random gate chain (readout, feedback and detection
+    stand-ins) at a random cavity temperature and bias; its conditionals are
+    the chain's columns from the starts (n_Q, n_D=1, n_C).
+    """
     dims = statespace.DEFAULT_DIMS
-    size = 2 * 2 * dims.dim_cavity_full
-    mats = []
-    for _ in range(3):  # random readout, feedback, detection stand-ins
-        m = rng.random((size, size))
-        m /= m.sum(axis=0, keepdims=True)
-        mats.append(m)
-    chain = mats[2] @ mats[1] @ mats[0]
     full, init = dims.dim_cavity_full, dims.dim_cavity_init
-    cond = np.zeros((2, 2, full, 2, init))
-    for n_q in range(2):
-        for n_c in range(init):
-            start = np.zeros((2, 2, full))
-            start[n_q, 1, n_c] = 1.0
-            cond[:, :, :, n_q, n_c] = (chain @ start.ravel()).reshape(2, 2, full)
-    gibbs = statespace.GibbsSpec.from_dbeta(
-        float(rng.uniform(0.2, 3.0)), float(rng.uniform(-6.0, 6.0))
-    )
-    fwd, _ = protocol.point_tables(protocol.ProtocolKernel(dims, cond, None), gibbs)
-    return entropy.sigma2(fwd), entropy.sigma6(fwd)
+    size = 2 * 2 * full
+    cond = np.empty((count, 2, 2, full, 2, init))
+    beta_cavity = np.empty(count)
+    dbeta = np.empty(count)
+    for r in range(count):
+        mats = []
+        for _ in range(3):
+            m = rng.random((size, size))
+            m /= m.sum(axis=0, keepdims=True)
+            mats.append(m)
+        chain = (mats[2] @ mats[1] @ mats[0]).reshape(2, 2, full, 2, 2, full)
+        cond[r] = chain[:, :, :, :, 1, :init]
+        beta_cavity[r] = rng.uniform(0.2, 3.0)
+        dbeta[r] = rng.uniform(-6.0, 6.0)
+    return protocol.weigh_rows(cond, None, dims, beta_cavity, dbeta)
 
 
 def check_sigma2_sigma6_identity() -> tuple[bool, str]:
     rng = np.random.default_rng(20240817)
-    worst = 0.0
-    for _ in range(CIRCUITS):
-        s2, s6 = _random_circuit_result(rng)
-        worst = max(worst, abs(s2 - s6))
+    gaps = []
+    for start in range(0, CIRCUITS, runner.BLOCK_POINTS):
+        rows = _random_circuits(rng, min(runner.BLOCK_POINTS, CIRCUITS - start))
+        protocol.check_rows(rows)
+        gaps.append(entropy._sigma2_rows(rows, None) - entropy._sigma6_rows(rows, None))
+    worst = float(np.abs(np.concatenate(gaps)).max())  # a NaN gap fails the check
     ok = worst < 1e-12
     return ok, f"worst |sigma2 - sigma6| {worst:.2e} over {CIRCUITS} random circuits"
 

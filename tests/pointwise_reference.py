@@ -15,7 +15,7 @@ import numpy as np
 
 from demon_ep.entropy import EpResult
 from demon_ep.protocol import SigmaHistogram, Trajectory, TrajectoryTable
-from demon_ep.statespace import GibbsSpec, extended_gibbs
+from demon_ep.statespace import GibbsSpec
 
 
 # ---------------------------------------------------------------------------
@@ -26,6 +26,13 @@ def gibbs_distribution(beta_omega: float, levels: int) -> np.ndarray:
     n = np.arange(levels, dtype=float)
     weights = np.exp(-beta_omega * n)
     return weights / weights.sum()
+
+
+def extended_gibbs(beta_omega: float, levels_norm: int, levels_total: int) -> np.ndarray:
+    n = np.arange(levels_total, dtype=float)
+    weights = np.exp(-beta_omega * n)
+    z_norm = weights[:levels_norm].sum()
+    return weights / z_norm
 
 
 def shannon_entropy(dist) -> float:

@@ -74,7 +74,7 @@ def test_ac1_ideal_estimators_agree_across_grid():
 
 
 def test_ac2_memory_split_identity_on_random_circuits():
-    _registry_verdict(2, "sigma2 = sigma6 identity", within_s=10.0)
+    _registry_verdict(2, "sigma2 = sigma6 identity", within_s=1.0)
 
 
 def test_ac3_high_bias_closed_form_and_asymptote():

@@ -229,6 +229,46 @@ def test_non_finite_config_value_exits_1(tmp_path, line):
     assert proc.stdout == ""
 
 
+_EXTREME_BIAS = [
+    # exp(-beta_Q) overflows past dbeta 813: a "mass nan" data error (exit 2) before
+    (("sweep",), "dbeta_stop = 1000", "dbeta_stop = 1000.0"),
+    (("simulate", "--dbeta", "1000"), "", "--dbeta = 1000.0"),
+    (("sweep",), "frequency_ghz = 1e298", "dbeta_stop = 6.0"),
+    # beta_Q itself overflows to inf
+    (("sweep",), "frequency_ghz = 1e10\ndbeta_start = -1e301", "dbeta_start = -1e+301"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, text, key",
+    _EXTREME_BIAS,
+    ids=[" ".join((*argv, text.replace("\n", "; "))) for argv, text, _ in _EXTREME_BIAS],
+)
+def test_extreme_bias_exits_1_naming_its_key(tmp_path, capsys, argv, text, key):
+    conf = tmp_path / "run.conf"
+    conf.write_text(text + "\n")
+    assert cli.main([*argv, "--config", str(conf)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"configuration error: {key} gives non-finite Gibbs weights" in err
+    assert "frequency_ghz" in err
+
+
+def test_analyze_rejects_an_extreme_bias(tmp_path, capsys, table_files):
+    conf = tmp_path / "run.conf"
+    conf.write_text("mode = physical\ndbeta_stop = 900\n")
+    assert cli.main(["analyze", *map(str, table_files), "--config", str(conf)]) == 1
+    assert "dbeta_stop = 900.0 gives non-finite Gibbs weights" in capsys.readouterr().err
+
+
+def test_a_bias_whose_qubit_weights_underflow_still_runs(tmp_path, capsys):
+    conf = tmp_path / "run.conf"
+    conf.write_text("dbeta_start = -1000\ndbeta_stop = -700\ndbeta_step = 2.5\n")
+    assert cli.main(["sweep", "--config", str(conf)]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 121
+    assert cli.main(["simulate", "--dbeta", "-1000"]) == 0
+
+
 @pytest.mark.parametrize(
     "text",
     [

@@ -34,12 +34,16 @@ from demon_ep import (
     support_mismatch,
     sweep_csv_text,
 )
+from demon_ep.entropy import evaluate_rows
 from demon_ep.protocol import (
+    ProtocolKernel,
     branch_probability,
+    check_rows,
     final_state_marginal,
     histogram_rows,
     weigh_rows,
 )
+from demon_ep.statespace import DEFAULT_DIMS, extended_gibbs
 
 
 def _reference_csv(config: RunConfig, kernel=None, forward_only: bool = False) -> str:
@@ -196,6 +200,54 @@ def test_single_point_functions_match_the_reference(case):
         assert sweep_csv_text([evaluate(fwd, None)]) == sweep_csv_text(
             [reference.evaluate(fwd, None)]
         )
+
+
+# ---------------------------------------------------------------------------
+# rows with their own kernel and cavity temperature, as validate's circuits
+
+
+def _random_circuits(seed: int, count: int = runner.BLOCK_POINTS):
+    """Forward conditionals, beta_C and dbeta of ``count`` random circuits.
+
+    Every fourth circuit never reaches (m_Q=1, k=0), as the physical register
+    cannot, so the block mixes forward supports.
+    """
+    rng = np.random.default_rng(seed)
+    full, init = DEFAULT_DIMS.dim_cavity_full, DEFAULT_DIMS.dim_cavity_init
+    cond = rng.random((count, 2, 2, full, 2, init))
+    cond[::4, 1, 0] = 0.0
+    cond /= cond.sum(axis=(1, 2, 3), keepdims=True)
+    return cond, rng.uniform(0.2, 3.0, count), rng.uniform(-6.0, 6.0, count)
+
+
+@pytest.mark.parametrize("heat_from_atom", [True, False])
+def test_rows_with_their_own_kernel_and_cavity_temperature_match_each_circuit(heat_from_atom):
+    cond, beta_cavity, dbeta = _random_circuits(11)
+    rows = weigh_rows(cond, None, DEFAULT_DIMS, beta_cavity, dbeta)
+    check_rows(rows)
+    singles, references = [], []
+    for r in range(len(cond)):
+        kernel = ProtocolKernel(DEFAULT_DIMS, cond[r], None)
+        gibbs = GibbsSpec.from_dbeta(float(beta_cavity[r]), float(dbeta[r]))
+        fwd, _ = point_tables(kernel, gibbs)
+        assert rows.forward[r].tobytes() == fwd.probs.tobytes()
+        singles.append(evaluate(fwd, None, heat_from_atom=heat_from_atom))
+        ref_fwd, _ = reference.point_tables(kernel, gibbs)
+        references.append(reference.evaluate(ref_fwd, None, heat_from_atom=heat_from_atom))
+    # sigma1, sigma2, sigma6, heat_C and mean_info, each at %.17g
+    block = sweep_csv_text(evaluate_rows(rows, heat_from_atom=heat_from_atom), forward_only=True)
+    assert block == sweep_csv_text(singles, forward_only=True)
+    assert block == sweep_csv_text(references, forward_only=True)
+
+
+def test_extended_gibbs_on_a_column_matches_each_row():
+    beta = np.random.default_rng(5).uniform(-3.0, 6.0, runner.BLOCK_POINTS)
+    beta[:3] = (1e-12, 60.0, 700.0)
+    column = extended_gibbs(beta[:, None], 4, 5)
+    assert column.shape == (len(beta), 5)
+    for r, b in enumerate(beta.tolist()):
+        assert column[r].tobytes() == extended_gibbs(b, 4, 5).tobytes()
+        assert column[r].tobytes() == reference.extended_gibbs(b, 4, 5).tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import collections
 import hashlib
 import io
+import math
 import warnings
 from pathlib import Path
 
@@ -24,8 +26,10 @@ from demon_ep import (
     branch_probability,
     cli,
     conditional_from_table,
+    entropy,
     forward_table,
     parse_table,
+    protocol,
     run_analysis,
     run_sweep,
     serialize_table,
@@ -200,6 +204,23 @@ def test_validate_stdout_is_frozen(capsys):
     out = capsys.readouterr().out
     assert len(out.splitlines()) == len(validate.CHECKS) == 16
     assert _digest(out) == VALIDATE_DIGEST
+
+
+def test_circuit_check_weighs_checked_blocks_not_single_circuits(monkeypatch):
+    calls = collections.Counter()
+    for module, name in ((protocol, "check_rows"), (protocol, "point_tables"),
+                         (runner, "point_tables"), (entropy, "sigma2"), (entropy, "sigma6")):
+        def counted(*args, _name=f"{module.__name__}.{name}", _f=getattr(module, name),
+                    **kwargs):
+            calls[_name] += 1
+            return _f(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    ok, _ = dict(validate.CHECKS)["sigma2 = sigma6 identity"]()
+    assert ok
+    blocks = math.ceil(validate.CIRCUITS / runner.BLOCK_POINTS)
+    assert blocks == 16
+    assert calls == {"demon_ep.protocol.check_rows": blocks}
 
 
 def test_validate_reports_failed_and_crashed_checks(monkeypatch, capsys):
