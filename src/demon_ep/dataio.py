@@ -422,6 +422,12 @@ class RunConfig:
             raise ValueError("dbeta_step must be positive")
         if self.dbeta_stop < self.dbeta_start:
             raise ValueError("dbeta_stop must be >= dbeta_start")
+        span = (self.dbeta_stop - self.dbeta_start) / self.dbeta_step
+        if not math.isfinite(span):
+            raise ValueError(
+                f"dbeta_start = {self.dbeta_start!r}, dbeta_stop = {self.dbeta_stop!r} and "
+                f"dbeta_step = {self.dbeta_step!r} give a grid whose point count is not finite"
+            )
         if self.floor is not None and not 0 < self.floor < 1:
             raise ValueError("floor must lie in (0, 1)")
         # a rounding tolerance for equal sigma values, not a bin width

@@ -20,13 +20,15 @@ labeled and unlabeled mass always equals the prior mass put in.
 Both modes run one path: prepare a register level and a Fock state, apply the
 gate chain, and add each final level onto the logical pair it encodes.  The
 mode picks the register (:data:`~demon_ep.channels.ENCODINGS`); the weighting
-reads it back off the conditionals.
+reads it back off the conditionals.  A model's chain (:class:`GateChain`:
+readout, feedback, relaxation and detection on the register) is built once
+per kernel; both directions of the kernel and every oracle pass over it take
+their channels from that one chain.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -37,6 +39,7 @@ import numpy as np
 from .channels import (
     ENCODINGS,
     ErrorModel,
+    StochasticChannel,
     apply,
     compose,
     detection_channel,
@@ -64,6 +67,7 @@ if TYPE_CHECKING:
     from .dataio import ConditionalTable
 
 __all__ = [
+    "GateChain",
     "HistogramRows",
     "ProtocolKernel",
     "SigmaHistogram",
@@ -78,13 +82,15 @@ __all__ = [
     "histogram_rows",
     "measured_kernel",
     "oracle_full_state",
+    "oracle_states",
     "point_tables",
     "sigma_grid",
     "sigma_histogram",
+    "simulated_kernel",
     "weigh_rows",
 ]
 
-#: oracle stage -> number of forward channels applied (see :func:`_channels`)
+#: oracle stage -> number of forward gates applied (see :class:`GateChain`)
 STAGES = {"initial": 0, "pre_feedback": 1, "post_feedback": 2, "final": 4}
 
 _NEGATIVE_TOL = 1e-15
@@ -285,15 +291,35 @@ def _resolve_model(model: ErrorModel | None, mode: str, dims: SystemDims) -> Err
     return model
 
 
-def _channels(model: ErrorModel, dims: SystemDims):
-    """Readout, feedback, relaxation and detection, in forward order, built lazily."""
-    yield readout_channel(model.eps_read, dims)
-    yield feedback_channel(model.eps_feed, dims)
-    yield relaxation_channel(model, dims)
-    yield detection_channel(model.confusion, dims)
+@dataclass(frozen=True, eq=False)
+class GateChain:
+    """A model's gates on the register of one mode, in forward order.
+
+    ``gates`` holds the readout, feedback, relaxation and detection channels,
+    each lifted to the register of ``encoding``; ``model`` is the error model
+    as the mode runs it.  :func:`_gate_chain` builds it once, and every
+    conditional run and oracle pass of the model takes its channels from it.
+    """
+
+    model: ErrorModel
+    dims: SystemDims
+    encoding: tuple
+    gates: tuple[StochasticChannel, ...]
 
 
-def _evolve(model: ErrorModel | None, dims: SystemDims, mode: str, backward: bool):
+def _gate_chain(model: ErrorModel | None, dims: SystemDims, mode: str) -> GateChain:
+    model = _resolve_model(model, mode, dims)
+    encoding = ENCODINGS[mode]
+    gates = (
+        readout_channel(model.eps_read, dims),
+        feedback_channel(model.eps_feed, dims),
+        relaxation_channel(model, dims),
+        detection_channel(model.confusion, dims),
+    )
+    return GateChain(model, dims, encoding, tuple(register_channel(g, encoding) for g in gates))
+
+
+def _evolve(chain: GateChain, backward: bool):
     """Run the gate chain from every prepared start.
 
     Forward runs start from the pairs (n_Q, n_D=1) with the cavity in each
@@ -303,19 +329,18 @@ def _evolve(model: ErrorModel | None, dims: SystemDims, mode: str, backward: boo
     level placed at the pair it encodes) and ``reset[i, n]``, the final
     weight with m_D = 1.
     """
-    model = _resolve_model(model, mode, dims)
-    encoding = ENCODINGS[mode]
+    model, dims, encoding = chain.model, chain.dims, chain.encoding
     full = dims.dim_cavity_full
     starts, n_cavity = (encoding, full) if backward else (((0, 1), (1, 1)), dims.dim_cavity_init)
-    pulse, swap, relax, detect = _channels(model, dims)
+    pulse, swap, relax, detect = chain.gates
     core = compose(pulse, swap) if backward else compose(swap, pulse)
-    chain = register_channel(compose(compose(detect, relax), core), encoding)
+    run = compose(compose(detect, relax), core)
     cavities = [prepare_cavity(n, model, dims) for n in range(n_cavity)]
     levels = np.zeros((len(starts), n_cavity, len(encoding) * full))
     for i, pair in enumerate(starts):
         register = prepare_register(pair, model.eps_prep, encoding)
         for n, cavity in enumerate(cavities):
-            levels[i, n] = apply(chain, np.outer(register, cavity))
+            levels[i, n] = apply(run, np.outer(register, cavity))
     levels = levels.reshape(len(starts), n_cavity, len(encoding), full)
     final = np.zeros((len(starts), n_cavity, 2, 2, full))
     reset = np.zeros((len(starts), n_cavity))
@@ -336,7 +361,11 @@ def forward_conditionals(
     Shape (2, 2, dim_cavity_full, 2, dim_cavity_init); summing the first
     three axes gives one for every initial label.  The memory starts at 1.
     """
-    _, final, _ = _evolve(model, dims, mode, False)
+    return _forward_conditionals(_gate_chain(model, dims, mode))
+
+
+def _forward_conditionals(chain: GateChain) -> np.ndarray:
+    _, final, _ = _evolve(chain, False)
     return np.ascontiguousarray(np.transpose(final, (2, 3, 4, 0, 1)))
 
 
@@ -357,8 +386,12 @@ def backward_conditionals(
     Columns of a pair (m_Q, k) the register cannot hold — (1, 0) in physical
     mode — are identically zero.
     """
-    full = dims.dim_cavity_full
-    starts, final, runs_reset = _evolve(model, dims, mode, True)
+    return _backward_conditionals(_gate_chain(model, dims, mode))
+
+
+def _backward_conditionals(chain: GateChain) -> tuple[np.ndarray, np.ndarray]:
+    full = chain.dims.dim_cavity_full
+    starts, final, runs_reset = _evolve(chain, True)
     bcond = np.zeros((2, full, 2, 2, full))
     reset = np.zeros((2, 2, full))
     for i, (m_q, k) in enumerate(starts):
@@ -521,13 +554,32 @@ class ProtocolKernel:
     """Bias-independent dynamics of one run: both conditional arrays.
 
     ``backward_cond`` is None for a forward-only analysis, and
-    ``backward_reset`` is None when the kernel was read from measured tables.
+    ``backward_reset`` and ``chain`` (the forward gate chain) are None when
+    the kernel was read from measured tables.
     """
 
     dims: SystemDims
     forward_cond: np.ndarray
     backward_cond: np.ndarray | None
     backward_reset: np.ndarray | None = None
+    chain: GateChain | None = None
+
+
+def simulated_kernel(
+    model: ErrorModel | None,
+    dims: SystemDims = DEFAULT_DIMS,
+    mode: str = "ideal",
+    back_model: ErrorModel | None = None,
+) -> ProtocolKernel:
+    """Kernel simulated from ``model``, its gate chain built once for both directions.
+
+    The backward run takes a chain of its own only when ``back_model`` is given.
+    """
+    chain = _gate_chain(model, dims, mode)
+    back = chain if back_model is None else _gate_chain(back_model, dims, mode)
+    return ProtocolKernel(
+        dims, _forward_conditionals(chain), *_backward_conditionals(back), chain=chain
+    )
 
 
 def measured_kernel(
@@ -629,10 +681,17 @@ def oracle_full_state(
     ("pre_feedback"), after feedback ("post_feedback") or after relaxation
     and detection ("final"; identical to post_feedback in ideal mode).
     """
-    if stage not in STAGES:
-        raise ValueError(f"stage must be one of {tuple(STAGES)}, got {stage!r}")
-    model = _resolve_model(model, mode, dims)
-    encoding = ENCODINGS[mode]
+    return oracle_states(_gate_chain(model, dims, mode), gibbs, (stage,))[0]
+
+
+def oracle_states(
+    chain: GateChain, gibbs: GibbsSpec, stages: tuple[str, ...]
+) -> tuple[JointDistribution, ...]:
+    """:func:`oracle_full_state` at each of ``stages``, from one pass over ``chain``."""
+    for stage in stages:
+        if stage not in STAGES:
+            raise ValueError(f"stage must be one of {tuple(STAGES)}, got {stage!r}")
+    model, dims, encoding = chain.model, chain.dims, chain.encoding
     full = dims.dim_cavity_full
     p_qubit, p_cavity = _forward_priors(gibbs, dims)
     register = sum(
@@ -643,13 +702,17 @@ def oracle_full_state(
         p_cavity[n_c] * prepare_cavity(n_c, model, dims)
         for n_c in range(dims.dim_cavity_init)
     )
-    state = np.outer(register, cavity).ravel()
-    for channel in itertools.islice(_channels(model, dims), STAGES[stage]):
-        state = apply(register_channel(channel, encoding), state)
-    joint = np.zeros((2, 2, full))
-    for level, (n_q, n_d) in zip(state.reshape(len(encoding), full), encoding):
-        joint[n_q, n_d] += level
-    return JointDistribution(dims, joint)
+    states = [np.outer(register, cavity).ravel()]  # states[g]: after g gates
+    for gate in chain.gates[:max(STAGES[stage] for stage in stages)]:
+        states.append(apply(gate, states[-1]))
+    taps = []
+    for stage in stages:
+        joint = np.zeros((2, 2, full))
+        levels = states[STAGES[stage]].reshape(len(encoding), full)
+        for level, (n_q, n_d) in zip(levels, encoding):
+            joint[n_q, n_d] += level
+        taps.append(JointDistribution(dims, joint))
+    return tuple(taps)
 
 
 def final_state_marginal(table: TrajectoryTable) -> np.ndarray:

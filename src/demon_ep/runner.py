@@ -27,16 +27,15 @@ from .protocol import (
     HistogramRows,
     ProtocolKernel,
     TableRows,
-    backward_conditionals,
     branch_probability,
     check_rows,
-    forward_conditionals,
     histogram_rows,
     measured_kernel,
-    oracle_full_state,
+    oracle_states,
     point_tables,
     sigma_grid,
     sigma_histogram,
+    simulated_kernel,
     weigh_rows,
 )
 from .statespace import DEFAULT_DIMS, GibbsSpec, SystemDims
@@ -50,11 +49,10 @@ __all__ = [
 
 
 def build_kernel(config: RunConfig, dims: SystemDims = DEFAULT_DIMS) -> ProtocolKernel:
-    model = config.build_error_model()
-    fcond = forward_conditionals(model, dims, config.mode)
-    back_model = ErrorModel.ideal() if config.idealized_backward else model
-    bcond, reset = backward_conditionals(back_model, dims, config.mode)
-    return ProtocolKernel(dims, fcond, bcond, reset)
+    """The configured model's kernel: one gate chain for both directions, or a
+    second, error-free one for the backward run with ``idealized_backward``."""
+    back_model = ErrorModel.ideal() if config.idealized_backward else None
+    return simulated_kernel(config.build_error_model(), dims, config.mode, back_model)
 
 
 #: bias points weighted, binned and evaluated together as stacked arrays.
@@ -128,10 +126,10 @@ def simulate_report(
     hist = sigma_histogram(fwd, bwd, tol=config.sigma_tol)
     result = evaluate(fwd, bwd, hist, floor=config.floor,
                       heat_from_atom=config.heat_from_atom)
-    model = config.build_error_model()
-    pre = oracle_full_state(gibbs, model, dims, config.mode, stage="pre_feedback")
-    post = oracle_full_state(gibbs, model, dims, config.mode, stage="post_feedback")
+    # the oracle runs the kernel's own forward chain, one pass for both states
+    pre, post = oracle_states(kernel.chain, gibbs, ("pre_feedback", "post_feedback"))
     residual = feedback_balance_residual(pre, post, gibbs)
+    model = config.build_error_model()
     two_atom = two_atom_probability(model.nbar_atoms, model.detect_eff)
 
     def fmt(x: float) -> str:

@@ -8,11 +8,17 @@ so a single command can certify an installation end to end.
 
 :data:`CHECKS` is the one place each invariant is derived: the acceptance
 tests look checks up there by label instead of restating them.  Checks that
-need trajectory tables build one kernel per configuration and weight it on
-the package's own paths: the sweep's block path (stacked rows, checked by
+need trajectory tables weight a kernel on the package's own paths: the
+sweep's block path (stacked rows, checked by
 :func:`~demon_ep.protocol.check_rows`) where a check covers many points or
 many circuits, and the single-point :func:`~demon_ep.protocol.point_tables`
 (:func:`_points`) where it inspects a few tables one by one.
+
+One :func:`run_all` builds each configuration's kernel once (ideal, physical
+and the seven single errors: nine), and with it the gate chain that the
+oracle checks evolve; every check of the run shares them, and they are
+dropped when the run ends.  A check called on its own builds what it needs.
+The sigma2 = sigma6 check draws each block of random circuits in one call.
 """
 
 from __future__ import annotations
@@ -33,15 +39,28 @@ PHYSICAL = dataio.RunConfig(mode="physical")
 GRID_COARSE = (-6.0, -3.0, -1.0, 0.0, 1.0, 3.0, 6.0)
 SINGLE_ERRORS = tuple(channels.ERROR_CHANNELS)
 CIRCUITS = 1000  # random circuits of the sigma2 = sigma6 check
+CIRCUIT_SEED = 20240817
+
+#: the kernels built so far in the current :func:`run_all`, by configuration;
+#: None outside a run, so nothing built outlives it
+_kernels: dict[dataio.RunConfig, protocol.ProtocolKernel] | None = None
+
+
+def _kernel(config: dataio.RunConfig) -> protocol.ProtocolKernel:
+    """The kernel of ``config``, built once per :func:`run_all` (anew for a check run alone)."""
+    if _kernels is None:
+        return runner.build_kernel(config)
+    if config not in _kernels:
+        _kernels[config] = runner.build_kernel(config)
+    return _kernels[config]
 
 
 def _gibbs(dbeta: float) -> statespace.GibbsSpec:
     return statespace.GibbsSpec.from_dbeta(IDEAL.beta_cavity, dbeta)
 
 
-def _points(config: dataio.RunConfig, grid=GRID_COARSE):
-    """(gibbs, forward, backward) at each bias point, weighted from one kernel."""
-    kernel = runner.build_kernel(config)
+def _points(kernel: protocol.ProtocolKernel, grid=GRID_COARSE):
+    """(gibbs, forward, backward) at each bias point, weighted from ``kernel``."""
     for dbeta in grid:
         gibbs = _gibbs(float(dbeta))
         yield (gibbs, *runner.point_tables(kernel, gibbs))
@@ -170,7 +189,7 @@ def check_error_model() -> tuple[bool, str]:
 
 def check_forward_tables() -> tuple[bool, str]:
     worst = 0.0
-    for gibbs, ideal, _ in _points(IDEAL):
+    for gibbs, ideal, _ in _points(_kernel(IDEAL)):
         # readout is deterministic: joint (n_Q, k) weight only on k = n_Q
         joint_nk = ideal.probs.sum(axis=(2, 3, 4))
         worst = max(worst, joint_nk[0, 1], joint_nk[1, 0])
@@ -180,7 +199,7 @@ def check_forward_tables() -> tuple[bool, str]:
         }
         if support != expected:
             return False, f"ideal support unexpected at dbeta={gibbs.dbeta_tilde:g}"
-    for _, phys, _ in _points(PHYSICAL):
+    for _, phys, _ in _points(_kernel(PHYSICAL)):
         worst = max(worst, abs(float(phys.probs.sum()) - 1.0))
         worst = max(worst, float(phys.probs[:, 0, :, 1, :].sum()))  # (m_Q,k)=(1,0)
     ok = worst < 1e-12
@@ -190,7 +209,7 @@ def check_forward_tables() -> tuple[bool, str]:
 def check_backward_conservation() -> tuple[bool, str]:
     worst = 0.0
     for config in (IDEAL, PHYSICAL):
-        for _, _, bwd in _points(config):
+        for _, _, bwd in _points(_kernel(config)):
             err = abs(float(bwd.probs.sum()) + bwd.unlabeled_mass - bwd.prior_mass)
             worst = max(worst, err)
     ok = worst < 1e-12
@@ -202,9 +221,9 @@ def check_oracle_consistency() -> tuple[bool, str]:
     configs = [IDEAL, PHYSICAL]
     configs += [replace(PHYSICAL, single_error=name) for name in SINGLE_ERRORS]
     for config in configs:
-        model = config.build_error_model()
-        for gibbs, fwd, _ in _points(config):
-            oracle = protocol.oracle_full_state(gibbs, model, mode=config.mode, stage="final")
+        kernel = _kernel(config)
+        for gibbs, fwd, _ in _points(kernel):
+            (oracle,) = protocol.oracle_states(kernel.chain, gibbs, ("final",))
             diff = protocol.final_state_marginal(fwd) - oracle.probs
             worst = max(worst, float(np.abs(diff).max()))
     ok = worst < 1e-12
@@ -215,7 +234,7 @@ def check_fluctuation_relation() -> tuple[bool, str]:
     worst_bin = 0.0
     worst_avg = 0.0
     grid = IDEAL.grid()  # 49 points: one block
-    _, hists = runner.checked_rows(runner.build_kernel(IDEAL), IDEAL, grid)
+    _, hists = runner.checked_rows(_kernel(IDEAL), IDEAL, grid)
     for r, dbeta in enumerate(grid.tolist()):
         hist = hists.row(r)
         if np.any(hist.p_backward <= 0.0):
@@ -233,44 +252,49 @@ def check_fluctuation_relation() -> tuple[bool, str]:
 
 def check_estimator_equivalence() -> tuple[bool, str]:
     worst = 0.0
-    for result in runner.run_sweep(IDEAL):
+    for result in runner._run(_kernel(IDEAL), IDEAL):
         values = _six(result)
         worst = max(worst, max(values) - min(values))
     ok = worst < 1e-9
     return ok, f"worst six-way spread {worst:.2e}"
 
 
-def _random_circuits(rng: np.random.Generator, count: int) -> protocol.TableRows:
-    """Forward tables of ``count`` random circuits, one row each, unchecked.
+def _random_circuits(
+    rng: np.random.Generator, count: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Forward conditionals, beta_C and dbeta of ``count`` random circuits.
 
     A circuit is a random gate chain (readout, feedback and detection
     stand-ins) at a random cavity temperature and bias; its conditionals are
-    the chain's columns from the starts (n_Q, n_D=1, n_C).
+    the chain's columns from the starts (n_Q, n_D=1, n_C).  One draw holds
+    every circuit's values in the generator order of a circuit-by-circuit
+    loop: its three gate matrices, then ``uniform(0.2, 3.0)`` and
+    ``uniform(-6, 6)``, each ``low + (high - low) * u`` of one double ``u``.
     """
     dims = statespace.DEFAULT_DIMS
     full, init = dims.dim_cavity_full, dims.dim_cavity_init
     size = 2 * 2 * full
-    cond = np.empty((count, 2, 2, full, 2, init))
-    beta_cavity = np.empty(count)
-    dbeta = np.empty(count)
-    for r in range(count):
-        mats = []
-        for _ in range(3):
-            m = rng.random((size, size))
-            m /= m.sum(axis=0, keepdims=True)
-            mats.append(m)
-        chain = (mats[2] @ mats[1] @ mats[0]).reshape(2, 2, full, 2, 2, full)
-        cond[r] = chain[:, :, :, :, 1, :init]
-        beta_cavity[r] = rng.uniform(0.2, 3.0)
-        dbeta[r] = rng.uniform(-6.0, 6.0)
-    return protocol.weigh_rows(cond, None, dims, beta_cavity, dbeta)
+    draws = rng.random((count, 3 * size * size + 2))
+    gates = draws[:, :-2].reshape(count, 3, size, size)
+    gates /= gates.sum(axis=2, keepdims=True)
+    chain = gates[:, 2] @ gates[:, 1] @ gates[:, 0]
+    cond = np.ascontiguousarray(chain.reshape(count, 2, 2, full, 2, 2, full)[..., 1, :init])
+    beta_cavity = 0.2 + (3.0 - 0.2) * draws[:, -2]
+    dbeta = -6.0 + (6.0 - -6.0) * draws[:, -1]
+    return cond, beta_cavity, dbeta
+
+
+def _circuit_blocks():
+    """The random circuits of the sigma2 = sigma6 check, a block at a time."""
+    rng = np.random.default_rng(CIRCUIT_SEED)
+    for start in range(0, CIRCUITS, runner.BLOCK_POINTS):
+        yield _random_circuits(rng, min(runner.BLOCK_POINTS, CIRCUITS - start))
 
 
 def check_sigma2_sigma6_identity() -> tuple[bool, str]:
-    rng = np.random.default_rng(20240817)
     gaps = []
-    for start in range(0, CIRCUITS, runner.BLOCK_POINTS):
-        rows = _random_circuits(rng, min(runner.BLOCK_POINTS, CIRCUITS - start))
+    for cond, beta_cavity, dbeta in _circuit_blocks():
+        rows = protocol.weigh_rows(cond, None, statespace.DEFAULT_DIMS, beta_cavity, dbeta)
         protocol.check_rows(rows)
         gaps.append(entropy._sigma2_rows(rows, None) - entropy._sigma6_rows(rows, None))
     worst = float(np.abs(np.concatenate(gaps)).max())  # a NaN gap fails the check
@@ -281,8 +305,8 @@ def check_sigma2_sigma6_identity() -> tuple[bool, str]:
 def check_second_law() -> tuple[bool, str]:
     lowest = math.inf
     for single in (None, *SINGLE_ERRORS):
-        config = replace(PHYSICAL, single_error=single, dbeta_step=0.5)
-        for result in runner.run_sweep(config):
+        config = replace(PHYSICAL, single_error=single)
+        for result in runner._run(_kernel(config), replace(config, dbeta_step=0.5)):
             for value in _six(result):
                 if math.isfinite(value):
                     lowest = min(lowest, value)
@@ -292,17 +316,17 @@ def check_second_law() -> tuple[bool, str]:
 
 def check_feedback_balance() -> tuple[bool, str]:
     worst = 0.0
+    chain = _kernel(IDEAL).chain
     for dbeta in GRID_COARSE:
         gibbs = _gibbs(dbeta)
-        pre = protocol.oracle_full_state(gibbs, mode="ideal", stage="pre_feedback")
-        post = protocol.oracle_full_state(gibbs, mode="ideal", stage="post_feedback")
+        pre, post = protocol.oracle_states(chain, gibbs, ("pre_feedback", "post_feedback"))
         worst = max(worst, abs(entropy.feedback_balance_residual(pre, post, gibbs)))
     ok = worst < 1e-9
     return ok, f"worst ideal-readout residual {worst:.2e}"
 
 
 def check_serialization_roundtrip() -> tuple[bool, str]:
-    ((gibbs, fwd, bwd),) = _points(PHYSICAL, (0.75,))
+    ((gibbs, fwd, bwd),) = _points(_kernel(PHYSICAL), (0.75,))
     worst = 0.0
     conds = []
     for table, orientation in ((fwd, "forward-rows-initial"), (bwd, "backward-rows-final")):
@@ -371,7 +395,7 @@ def check_closed_form_anchors() -> tuple[bool, str]:
     beta = dataio.kelvin_to_beta_omega(2.8, 51.0)
     if abs(beta - 0.874148) > 1e-5:
         return False, f"beta*omega = {beta}"
-    (gibbs6, fwd6, _), (_, fwd_neg, bwd_neg) = _points(IDEAL, (6.0, -6.0))
+    (gibbs6, fwd6, _), (_, fwd_neg, bwd_neg) = _points(_kernel(IDEAL), (6.0, -6.0))
     p_excited = 1.0 / (1.0 + math.exp(gibbs6.beta_qubit))
     closed = gibbs6.delta_beta * p_excited + statespace.shannon_entropy(
         np.array([1.0 - p_excited, p_excited])
@@ -417,13 +441,22 @@ CHECKS = (
 
 
 def run_all() -> bool:
-    """Run every check, print one PASS/FAIL line each, return overall result."""
+    """Run every check, print one PASS/FAIL line each, return overall result.
+
+    The checks share the kernels (and gate chains) of this run: each
+    configuration's is built once, and all are dropped when the run ends.
+    """
+    global _kernels
+    _kernels = {}
     all_ok = True
-    for name, fn in CHECKS:
-        try:
-            ok, detail = fn()
-        except Exception as exc:  # a crashed check is a failed check
-            ok, detail = False, f"raised {type(exc).__name__}: {exc}"
-        all_ok &= ok
-        sys.stdout.write(f"{'PASS' if ok else 'FAIL'}  {name}: {detail}\n")
+    try:
+        for name, fn in CHECKS:
+            try:
+                ok, detail = fn()
+            except Exception as exc:  # a crashed check is a failed check
+                ok, detail = False, f"raised {type(exc).__name__}: {exc}"
+            all_ok &= ok
+            sys.stdout.write(f"{'PASS' if ok else 'FAIL'}  {name}: {detail}\n")
+    finally:
+        _kernels = None
     return all_ok

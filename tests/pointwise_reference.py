@@ -4,7 +4,9 @@ These are the per-point weighting, histogram and estimator bodies the package
 ran before it evaluated the bias grid in array blocks, kept verbatim (with the
 statespace helpers they called) so the tests can demand that the block
 evaluator reproduces them bit for bit.  :func:`run` is the old per-point loop
-of ``runner._run``.  Nothing in the package imports this module.
+of ``runner._run``, and :func:`random_circuits` the circuit-by-circuit draw of
+``validate``'s sigma2 = sigma6 check.  Nothing in the package imports this
+module.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import numpy as np
 
 from demon_ep.entropy import EpResult
 from demon_ep.protocol import SigmaHistogram, Trajectory, TrajectoryTable
-from demon_ep.statespace import GibbsSpec
+from demon_ep.statespace import DEFAULT_DIMS, GibbsSpec
 
 
 # ---------------------------------------------------------------------------
@@ -287,3 +289,28 @@ def run(kernel, config) -> list[EpResult]:
             evaluate(fwd, bwd, hist, floor=config.floor, heat_from_atom=config.heat_from_atom)
         )
     return results
+
+
+# ---------------------------------------------------------------------------
+# validate
+
+
+def random_circuits(rng: np.random.Generator, count: int):
+    """Forward conditionals, beta_C and dbeta of ``count`` random circuits, one by one."""
+    dims = DEFAULT_DIMS
+    full, init = dims.dim_cavity_full, dims.dim_cavity_init
+    size = 2 * 2 * full
+    cond = np.empty((count, 2, 2, full, 2, init))
+    beta_cavity = np.empty(count)
+    dbeta = np.empty(count)
+    for r in range(count):
+        mats = []
+        for _ in range(3):
+            m = rng.random((size, size))
+            m /= m.sum(axis=0, keepdims=True)
+            mats.append(m)
+        chain = (mats[2] @ mats[1] @ mats[0]).reshape(2, 2, full, 2, 2, full)
+        cond[r] = chain[:, :, :, :, 1, :init]
+        beta_cavity[r] = rng.uniform(0.2, 3.0)
+        dbeta[r] = rng.uniform(-6.0, 6.0)
+    return cond, beta_cavity, dbeta

@@ -229,6 +229,23 @@ def test_non_finite_config_value_exits_1(tmp_path, line):
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["dbeta_start = -1e308", "dbeta_start = -1e308\ndbeta_stop = 1e308",
+     "dbeta_stop = 1e308\ndbeta_step = 1e-300"],
+)
+def test_grid_without_a_finite_point_count_exits_1(tmp_path, capsys, text):
+    # every value is finite and its Gibbs weights are too, but the point count
+    # overflowed in grid(): an uncaught OverflowError traceback before
+    conf = tmp_path / "run.conf"
+    conf.write_text(text + "\n")
+    assert cli.main(["sweep", "--config", str(conf)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "configuration error: dbeta_start = " in err
+    assert "give a grid whose point count is not finite" in err
+
+
 _EXTREME_BIAS = [
     # exp(-beta_Q) overflows past dbeta 813: a "mass nan" data error (exit 2) before
     (("sweep",), "dbeta_stop = 1000", "dbeta_stop = 1000.0"),

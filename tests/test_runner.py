@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import demon_ep.runner as runner
+import pointwise_reference as reference
 from demon_ep import (
     DEFAULT_DIMS,
     ErrorModel,
@@ -37,7 +38,7 @@ from demon_ep import (
     two_atom_probability,
     validate,
 )
-from demon_ep.protocol import ProtocolKernel, backward_conditionals, forward_conditionals
+from demon_ep.protocol import ProtocolKernel, simulated_kernel, weigh_rows
 
 # SHA-256 of sweep_csv_text on the default 49-point grid.  Recorded from the
 # separate ideal/physical implementation that the shared kernel path
@@ -149,14 +150,7 @@ def test_analysis_csv_bytes_are_frozen():
 def test_analysis_builds_its_kernel_once(monkeypatch):
     config = RunConfig(mode="physical", dbeta_step=1.0)
     fwd_text, bwd_text = _serialized_tables(config)
-    calls = []
-    original = runner.measured_kernel
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(runner, "measured_kernel", counting)
+    calls = _counting(monkeypatch, runner, "measured_kernel")
     results = run_analysis(
         config,
         parse_table(io.StringIO(fwd_text), "forward-rows-initial"),
@@ -221,6 +215,78 @@ def test_circuit_check_weighs_checked_blocks_not_single_circuits(monkeypatch):
     blocks = math.ceil(validate.CIRCUITS / runner.BLOCK_POINTS)
     assert blocks == 16
     assert calls == {"demon_ep.protocol.check_rows": blocks}
+
+
+def test_circuit_draw_matches_the_per_circuit_loop():
+    # one draw per block reads the generator as the old loop did, circuit by
+    # circuit: every conditional, beta_C and dbeta, and every (sigma2, sigma6)
+    # pair of the old per-point path, bit for bit
+    rng = np.random.default_rng(validate.CIRCUIT_SEED)
+    circuits = 0
+    for drawn in validate._circuit_blocks():
+        count = len(drawn[0])
+        expected = reference.random_circuits(rng, count)
+        for new, old in zip(drawn, expected):
+            assert new.shape == old.shape
+            assert new.tobytes() == old.tobytes()
+        cond, beta_cavity, dbeta = drawn
+        rows = weigh_rows(cond, None, DEFAULT_DIMS, beta_cavity, dbeta)
+        pairs = np.stack([entropy._sigma2_rows(rows, None), entropy._sigma6_rows(rows, None)], 1)
+        for r in range(count):
+            gibbs = GibbsSpec.from_dbeta(float(beta_cavity[r]), float(dbeta[r]))
+            fwd, _ = reference.point_tables(ProtocolKernel(DEFAULT_DIMS, cond[r], None), gibbs)
+            old_pair = np.array([reference.sigma2(fwd), reference.sigma6(fwd)])
+            assert pairs[r].tobytes() == old_pair.tobytes()
+        circuits += count
+    assert circuits == validate.CIRCUITS == 1000
+
+
+def _counting(monkeypatch, module, name) -> list:
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_validate_builds_each_kernel_once_per_run(monkeypatch, capsys):
+    # ideal, physical and the seven single errors; a second run builds them
+    # all again, so nothing built outlives a run
+    calls = _counting(monkeypatch, runner, "build_kernel")
+    for _ in range(2):
+        calls.clear()
+        assert validate.run_all()
+        assert len(calls) == 2 + len(validate.SINGLE_ERRORS) == 9
+        assert validate._kernels is None
+    capsys.readouterr()
+
+
+def test_each_check_alone_prints_what_the_run_prints(capsys):
+    assert validate.run_all()
+    lines = capsys.readouterr().out.splitlines()
+    for (name, check), line in zip(validate.CHECKS, lines, strict=True):
+        ok, detail = check()
+        assert f"{'PASS' if ok else 'FAIL'}  {name}: {detail}" == line
+
+
+def test_oracle_check_builds_one_chain_per_configuration(monkeypatch):
+    calls = _counting(monkeypatch, protocol, "readout_channel")
+    ok, _ = dict(validate.CHECKS)["oracle consistency"]()
+    assert ok
+    assert len(calls) <= 2 + len(validate.SINGLE_ERRORS)
+
+
+@pytest.mark.parametrize("idealized_backward, chains", [(False, 1), (True, 2)])
+def test_simulate_builds_one_chain_per_direction_model(monkeypatch, idealized_backward, chains):
+    # the oracle runs the kernel's forward chain
+    calls = _counting(monkeypatch, protocol, "readout_channel")
+    config = RunConfig(mode="physical", idealized_backward=idealized_backward)
+    runner.simulate_report(config, 0.75)
+    assert len(calls) == chains
 
 
 def test_validate_reports_failed_and_crashed_checks(monkeypatch, capsys):
@@ -301,18 +367,22 @@ _ERROR_MODELS = st.builds(
 @settings(max_examples=100, deadline=None)
 @given(
     model=_ERROR_MODELS,
+    mode=st.sampled_from(("physical", "ideal")),
+    idealized_backward=st.booleans(),
     ends=st.lists(st.floats(-50.0, 50.0), min_size=2, max_size=2).map(sorted),
     count=st.integers(1, 41),
 )
-def test_invariants_hold_for_any_physical_model_and_bias(model, ends, count):
+def test_invariants_hold_for_any_physical_model_and_bias(
+    model, mode, idealized_backward, ends, count
+):
+    # ideal mode runs error-free dynamics whatever model is drawn;
+    # idealized_backward runs the backward protocol on a chain of its own
     lo, hi = ends
-    config = RunConfig(mode="physical", dbeta_start=lo, dbeta_stop=hi,
+    config = RunConfig(mode=mode, dbeta_start=lo, dbeta_stop=hi,
                        dbeta_step=max((hi - lo) / max(count - 1, 1), 1e-3))
-    dims = DEFAULT_DIMS
-    kernel = ProtocolKernel(
-        dims,
-        forward_conditionals(model, dims, "physical"),
-        *backward_conditionals(model, dims, "physical"),
+    kernel = simulated_kernel(
+        model if mode == "physical" else None, DEFAULT_DIMS, mode,
+        ErrorModel.ideal() if idealized_backward else None,
     )
     for result in runner._run(kernel, config):  # raises if a table check fails
         sigmas = [result.sigma1, result.sigma2, result.sigma3,
@@ -327,3 +397,5 @@ def test_invariants_hold_for_any_physical_model_and_bias(model, ends, count):
             slack = 1e-12 * max(1.0, abs(s4))
             assert result.sigma3 <= s4 + slack
             assert result.sigma5 <= s4 + slack
+        if mode == "ideal":
+            assert max(sigmas) - min(sigmas) <= 1e-9
