@@ -37,13 +37,12 @@ from .dataio import (
     write_table,
 )
 from .entropy import (
+    ESTIMATORS,
     EpResult,
-    cavity_heat,
     evaluate,
     feedback_balance_residual,
     high_bias_asymptote,
     jarzynski_average,
-    mean_information,
     sigma1,
     sigma2,
     sigma3,

@@ -26,6 +26,7 @@ from pathlib import Path
 from . import validate as validate_mod
 from .channels import ENCODINGS, ERROR_CHANNELS
 from .dataio import RunConfig, load_config, sweep_csv_text
+from .entropy import ESTIMATORS
 from .runner import run_analysis, run_sweep, simulate_report
 
 __all__ = ["main"]
@@ -65,7 +66,8 @@ _ARGUMENTS = {
     "backward": dict(nargs="?", help="backward conditional table (ASCII)"),
     "--forward-only": dict(
         action="store_true",
-        help="compute only the forward-protocol estimators (sigma1, sigma2, sigma6)"),
+        help="compute only the forward-protocol estimators (%s)" % ", ".join(
+            name for name, estimator in ESTIMATORS.items() if not estimator.needs_backward)),
     "--dbeta": dict(type=float, default=0.0, metavar="X", help="bias point (default 0)"),
 }
 

@@ -8,9 +8,10 @@ Three formats live here:
   row the outcome distribution of one initial state.  Backward tables are
   column-stochastic: row label ``(n_Q,n_C)`` now on the evolved cavity range,
   each *column* the final-state distribution of one prepared configuration.
-* **Sweep CSV** — one row per bias point with the six estimators; numbers at
-  full double precision (17 significant digits), infinities spelled ``inf``,
-  so identical runs produce identical bytes.
+* **Sweep CSV** — one row per bias point with the six estimators, in the
+  columns of :data:`~demon_ep.entropy.COLUMNS`; numbers at full double
+  precision (17 significant digits), infinities spelled ``inf``, so
+  identical runs produce identical bytes.
 * **Run configuration** — flat ``key = value`` text; unknown keys are
   rejected rather than ignored.
 """
@@ -29,6 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .channels import ENCODINGS, ERROR_CHANNELS, AtomLevel, ErrorModel
+from .entropy import COLUMNS, FORWARD_COLUMNS
 from .statespace import (
     MASS_HARD_TOL,
     MASS_SOFT_TOL,
@@ -290,29 +292,6 @@ def conditional_from_table(traj_table) -> ConditionalTable:
 # ---------------------------------------------------------------------------
 # Sweep CSV
 
-_ALL_COLUMNS = (
-    "dbeta_tilde",
-    "sigma1",
-    "sigma2",
-    "sigma3",
-    "sigma4",
-    "sigma5",
-    "sigma6",
-    "heat_C",
-    "mean_info",
-    "flags",
-)
-_FORWARD_COLUMNS = (
-    "dbeta_tilde",
-    "sigma1",
-    "sigma2",
-    "sigma6",
-    "heat_C",
-    "mean_info",
-    "flags",
-)
-
-
 #: a character that can make csv quote a field
 _CSV_SPECIAL = re.compile('[,"\r\n]')
 
@@ -333,7 +312,7 @@ def sweep_csv_text(results, forward_only: bool = False) -> str:
     ``%.17g`` (``inf``, ``-inf`` and ``nan`` spelled out); a flags field csv
     might quote goes through the csv writer.
     """
-    columns = _FORWARD_COLUMNS if forward_only else _ALL_COLUMNS
+    columns = FORWARD_COLUMNS if forward_only else COLUMNS
     numbers = operator.itemgetter(*columns[:-1])  # every column but the trailing flags
     line = ",".join(["%.17g"] * (len(columns) - 1)) + ",%s\n"
     lines = [",".join(columns) + "\n"]
@@ -360,6 +339,12 @@ _CONFUSION_KEYS = {
     if seen != true
 }
 _MODEL_FIELDS = tuple(item.name for item in fields(ErrorModel))
+
+#: the most bias points a configured grid may have.  A sweep peaks at about
+#: 1.3 kB per point (physical mode, its results and CSV text held at once;
+#: tracemalloc over 4,801- and 19,201-point grids), so this largest grid
+#: peaks near 1.3 GB.
+MAX_GRID_POINTS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -439,6 +424,14 @@ class RunConfig:
         beta = kelvin_to_beta_omega(self.temperature_kelvin, self.frequency_ghz)
         object.__setattr__(self, "_beta_cavity", beta)
         object.__setattr__(self, "_error_model", self._make_error_model())
+        if round(span) + 1 > MAX_GRID_POINTS:
+            for key in ("dbeta_start", "dbeta_stop"):  # an end that overflows is named first
+                self.check_bias(getattr(self, key), key)
+            raise ValueError(
+                f"dbeta_start = {self.dbeta_start!r}, dbeta_stop = {self.dbeta_stop!r} and "
+                f"dbeta_step = {self.dbeta_step!r} give {round(span) + 1:.4g} grid points, "
+                f"more than the {MAX_GRID_POINTS:,} a run may hold"
+            )
 
     @property
     def beta_cavity(self) -> float:

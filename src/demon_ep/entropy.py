@@ -1,19 +1,10 @@
 """Six estimators of the average entropy production of the demon protocol.
 
 All six agree exactly for the ideal protocol and differ under imperfections;
-that spread is the point of computing them side by side:
-
-* ``sigma1`` — bath heat plus average information gain (forward averages).
-* ``sigma2`` — branch-resolved divergence of the final state from the thermal
-  reference (forward, branched).
-* ``sigma3`` — divergence of the branch initial states from the backward
-  protocol's final statistics (forward + backward, branched).
-* ``sigma4`` — trajectory-resolved divergence between forward and backward
-  weights (stochastic).
-* ``sigma5`` — the same divergence after binning trajectories by their
-  stochastic entropy production (stochastic, what a measured histogram gives).
-* ``sigma6`` — divergence of the average final state plus the residual
-  system–memory mutual information (forward averages).
+that spread is the point of computing them side by side.  Each is a choice of
+trajectories, reference measure and data processing, declared once in
+:data:`ESTIMATORS`; :class:`EpResult`, the CSV columns and every other list
+of the estimators derive from that table.
 
 Divergent estimators return ``inf``; :func:`evaluate` additionally reports
 which trajectories or branches broke the support condition.  The thermal
@@ -25,7 +16,9 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field, make_dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -53,14 +46,17 @@ from .statespace import (
 )
 
 __all__ = [
+    "COLUMNS",
+    "ESTIMATORS",
     "EpResult",
-    "cavity_heat",
+    "Estimator",
+    "EstimatorInputs",
+    "FORWARD_COLUMNS",
     "evaluate",
     "evaluate_rows",
     "feedback_balance_residual",
     "high_bias_asymptote",
     "jarzynski_average",
-    "mean_information",
     "sigma1",
     "sigma2",
     "sigma3",
@@ -85,66 +81,32 @@ def _thermal_reference(
     return zeta_q[:, :, None] * w_cav[..., None, :]
 
 
-# Each estimator is a function of stacked table rows (:class:`TableRows`);
-# the single-table functions below are one-row calls of the same code.
+@dataclass(frozen=True, eq=False)
+class EstimatorInputs:
+    """What the row functions of :data:`ESTIMATORS` read: stacked table rows, their
+    sigma histograms (with backward tables) and the options.  The thermal
+    reference, heat and information are computed once, on first use."""
 
+    rows: TableRows | None
+    hist: HistogramRows | None = None
+    floor: float | None = None
+    heat_from_atom: bool = True
 
-def _heat_rows(rows: TableRows, from_atom: bool) -> np.ndarray:
-    qubit, cavity = quanta_change(rows.dims)
-    if from_atom:  # the cavity gains what the atom loses
-        return -(rows.forward * qubit).sum(axis=(1, 2, 3, 4, 5))
-    return (rows.forward * cavity).sum(axis=(1, 2, 3, 4, 5))
+    @functools.cached_property
+    def thermal(self) -> np.ndarray:
+        return _thermal_reference(self.rows.beta_qubit, self.rows.beta_cavity, self.rows.dims)
 
+    @functools.cached_property
+    def heat(self) -> np.ndarray:
+        """Average heat into the cavity in units of omega, from the atom or the photon side."""
+        qubit, cavity = quanta_change(self.rows.dims)
+        if self.heat_from_atom:  # the cavity gains what the atom loses
+            return -(self.rows.forward * qubit).sum(axis=(1, 2, 3, 4, 5))
+        return (self.rows.forward * cavity).sum(axis=(1, 2, 3, 4, 5))
 
-def _sigma1_rows(rows: TableRows, heat: np.ndarray, info: np.ndarray) -> np.ndarray:
-    return (rows.beta_cavity - rows.beta_qubit) * heat + info
-
-
-def _branch_average(pk: np.ndarray, divergence) -> np.ndarray:
-    """sum_k p(k) divergence(k) over the branches with p(k) > 0, in branch order."""
-    total = 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):  # p(k) = 0 rows are dropped
-        for k in range(2):
-            term = pk[:, k] * divergence(k)
-            if not (pk[:, k] > 0.0).all():
-                term = np.where(pk[:, k] > 0.0, term, 0.0)
-            total = total + term
-    return total
-
-
-def _sigma2_rows(
-    rows: TableRows, floor: float | None, ref: np.ndarray | None = None
-) -> np.ndarray:
-    if ref is None:
-        ref = _thermal_reference(rows.beta_qubit, rows.beta_cavity, rows.dims)
-    pk = rows.pk[:, :, None, None]
-    return _branch_average(rows.pk, lambda k: _divergence_rows(
-        rows.forward[:, :, k].sum(axis=(1, 2)) / pk[:, k], ref, floor
-    ))
-
-
-def _sigma3_rows(rows: TableRows, floor: float | None) -> np.ndarray:
-    pk = rows.pk[:, :, None, None]
-    return _branch_average(rows.pk, lambda k: _divergence_rows(
-        rows.forward[:, :, k].sum(axis=(3, 4)) / pk[:, k],
-        rows.backward[:, :, k].sum(axis=(3, 4)) / pk[:, k],
-        floor,
-    ))
-
-
-def _sigma6_rows(
-    rows: TableRows, floor: float | None, ref: np.ndarray | None = None
-) -> np.ndarray:
-    if ref is None:
-        ref = _thermal_reference(rows.beta_qubit, rows.beta_cavity, rows.dims)
-    joint = final_state_rows(rows.forward)  # [r, m_Q, k, m_C]
-    rho_qc = joint.sum(axis=2)
-    info = (
-        shannon_entropy_rows(rho_qc)
-        + shannon_entropy_rows(joint.sum(axis=(1, 3)))
-        - shannon_entropy_rows(joint)
-    )
-    return _divergence_rows(rho_qc, ref, floor) + info
+    @functools.cached_property
+    def info(self) -> np.ndarray:  # average information gained by the memory, H[p(k)]
+        return shannon_entropy_rows(self.rows.pk)
 
 
 def _divergence_rows(p: np.ndarray, q: np.ndarray, floor: float | None) -> np.ndarray:
@@ -153,26 +115,88 @@ def _divergence_rows(p: np.ndarray, q: np.ndarray, floor: float | None) -> np.nd
     return relative_entropy_rows(p, q)
 
 
-def _mismatch_rows(rows: TableRows) -> np.ndarray:
-    return (rows.forward > 0.0) & (rows.backward <= 0.0)
+def _sigma1_rows(data: EstimatorInputs) -> np.ndarray:
+    return (data.rows.beta_cavity - data.rows.beta_qubit) * data.heat + data.info
 
 
-def cavity_heat(fwd: TrajectoryTable, from_atom: bool = False) -> float:
-    """Average heat deposited in the cavity, in units of omega.
+def _branch_divergence(data: EstimatorInputs, axes: tuple[int, int], reference) -> np.ndarray:
+    """sum_k p(k) D(state_k || reference(k, p(k))) over the branches with p(k) > 0,
+    in branch order; state_k is branch k's forward weight summed over ``axes``
+    (the initial or the final levels) and divided by p(k)."""
+    rows = data.rows
+    pk = rows.pk[:, :, None, None]
+    total = 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):  # p(k) = 0 rows are dropped
+        for k in range(2):
+            state = rows.forward[:, :, k].sum(axis=axes) / pk[:, k]
+            term = rows.pk[:, k] * _divergence_rows(state, reference(k, pk[:, k]), data.floor)
+            if not (rows.pk[:, k] > 0.0).all():
+                term = np.where(rows.pk[:, k] > 0.0, term, 0.0)
+            total = total + term
+    return total
 
-    Default reads the photon-number change directly; ``from_atom`` infers it
-    from the qubit side instead (minus the qubit energy change), which is how
-    an experiment without final photon readout measures it.  The two agree
-    exactly when the dynamics conserve total quanta.  Note the defaults
-    differ: :func:`sigma1`, :func:`evaluate` and the CSV's ``heat_C`` take the
-    atom side unless told otherwise.
-    """
-    return float(_heat_rows(TableRows.of(fwd), from_atom)[0])
+
+def _sigma2_rows(data: EstimatorInputs) -> np.ndarray:
+    return _branch_divergence(data, (1, 2), lambda k, pk: data.thermal)
 
 
-def mean_information(fwd: TrajectoryTable) -> float:
-    """Average information gained by the memory: H[p(k)] in nats."""
-    return float(shannon_entropy_rows(TableRows.of(fwd).pk)[0])
+def _sigma3_rows(data: EstimatorInputs) -> np.ndarray:
+    backward = data.rows.backward
+    return _branch_divergence(data, (3, 4), lambda k, pk: backward[:, :, k].sum(axis=(3, 4)) / pk)
+
+
+def _sigma4_rows(data: EstimatorInputs) -> np.ndarray:
+    return _divergence_rows(data.rows.forward, data.rows.backward, data.floor)
+
+
+def _sigma5_rows(data: EstimatorInputs) -> np.ndarray:
+    return _divergence_rows(data.hist.p_forward, data.hist.p_backward, data.floor)
+
+
+def _sigma6_rows(data: EstimatorInputs) -> np.ndarray:
+    joint = final_state_rows(data.rows.forward)  # [r, m_Q, k, m_C]
+    rho_qc = joint.sum(axis=2)
+    info = (
+        shannon_entropy_rows(rho_qc)
+        + shannon_entropy_rows(joint.sum(axis=(1, 3)))
+        - shannon_entropy_rows(joint)
+    )
+    return _divergence_rows(rho_qc, data.thermal, data.floor) + info
+
+
+@dataclass(frozen=True)
+class Estimator:
+    """One estimator: how it groups the forward trajectories, the reference
+    measure it compares them with (None, ``"thermal"`` for zeta_Q (x) w_C,
+    ``"backward table"`` or ``"backward histogram"``, which need the backward
+    protocol) and its row function, its value at every row of its inputs."""
+
+    name: str  # also its CSV column and EpResult field
+    trajectories: str
+    reference: str | None
+    rows: Callable[[EstimatorInputs], np.ndarray]
+
+    @property
+    def needs_backward(self) -> bool:
+        return (self.reference or "").startswith("backward")
+
+
+#: the six estimators in order, by name: the one list of them
+ESTIMATORS = {estimator.name: estimator for estimator in (
+    Estimator("sigma1", "averages: heat and information", None, _sigma1_rows),
+    Estimator("sigma2", "per branch: final state", "thermal", _sigma2_rows),
+    Estimator("sigma3", "per branch: initial state", "backward table", _sigma3_rows),
+    Estimator("sigma4", "per trajectory", "backward table", _sigma4_rows),
+    Estimator("sigma5", "binned by stochastic sigma", "backward histogram", _sigma5_rows),
+    Estimator("sigma6", "averages: final state and correlations", "thermal", _sigma6_rows),
+)}
+
+
+def _one_row(fwd, bwd=None, hist=None, floor=None, heat_from_atom=True) -> EstimatorInputs:
+    """One table pair, or a histogram alone, as the inputs of a one-row block."""
+    rows = None if fwd is None else TableRows.of(fwd, bwd)
+    hist_rows = None if hist is None else HistogramRows.of(hist)
+    return EstimatorInputs(rows, hist_rows, floor, heat_from_atom)
 
 
 def sigma1(fwd: TrajectoryTable, from_atom: bool = True) -> float:
@@ -182,14 +206,12 @@ def sigma1(fwd: TrajectoryTable, from_atom: bool = True) -> float:
     variant); identical to the cavity-side one for quanta-conserving
     dynamics.
     """
-    rows = TableRows.of(fwd)
-    info = shannon_entropy_rows(rows.pk)
-    return float(_sigma1_rows(rows, _heat_rows(rows, from_atom), info)[0])
+    return float(ESTIMATORS["sigma1"].rows(_one_row(fwd, heat_from_atom=from_atom))[0])
 
 
 def sigma2(fwd: TrajectoryTable, floor: float | None = None) -> float:
     """Branch-averaged divergence of the final state from the thermal reference."""
-    return float(_sigma2_rows(TableRows.of(fwd), floor)[0])
+    return float(ESTIMATORS["sigma2"].rows(_one_row(fwd, floor=floor))[0])
 
 
 def sigma3(fwd: TrajectoryTable, bwd: TrajectoryTable, floor: float | None = None) -> float:
@@ -200,12 +222,12 @@ def sigma3(fwd: TrajectoryTable, bwd: TrajectoryTable, floor: float | None = Non
     forward and backward weights then share one free energy per subsystem and
     the estimator reduces to the others in the ideal protocol.
     """
-    return float(_sigma3_rows(TableRows.of(fwd, bwd), floor)[0])
+    return float(ESTIMATORS["sigma3"].rows(_one_row(fwd, bwd, floor=floor))[0])
 
 
 def sigma4(fwd: TrajectoryTable, bwd: TrajectoryTable, floor: float | None = None) -> float:
     """Trajectory-resolved divergence sum p(gamma) ln p(gamma)/p(gamma-tilde)."""
-    return float(_divergence_rows(fwd.probs[None], bwd.probs[None], floor)[0])
+    return float(ESTIMATORS["sigma4"].rows(_one_row(fwd, bwd, floor=floor))[0])
 
 
 def sigma5(hist: SigmaHistogram, floor: float | None = None) -> float:
@@ -215,12 +237,16 @@ def sigma5(hist: SigmaHistogram, floor: float | None = None) -> float:
     smaller; equality holds when sigma separates trajectories with distinct
     weight ratios (as in the ideal protocol).
     """
-    return float(_divergence_rows(hist.p_forward[None], hist.p_backward[None], floor)[0])
+    return float(ESTIMATORS["sigma5"].rows(_one_row(None, hist=hist, floor=floor))[0])
 
 
 def sigma6(fwd: TrajectoryTable, floor: float | None = None) -> float:
     """Average-state divergence plus residual system-memory correlations."""
-    return float(_sigma6_rows(TableRows.of(fwd), floor)[0])
+    return float(ESTIMATORS["sigma6"].rows(_one_row(fwd, floor=floor))[0])
+
+
+def _mismatch_rows(rows: TableRows) -> np.ndarray:
+    return (rows.forward > 0.0) & (rows.backward <= 0.0)
 
 
 def support_mismatch(fwd: TrajectoryTable, bwd: TrajectoryTable) -> tuple[Trajectory, ...]:
@@ -283,34 +309,28 @@ def high_bias_asymptote(gibbs: GibbsSpec) -> float:
     return max(0.0, gibbs.beta_cavity * gibbs.dbeta_tilde)
 
 
-@dataclass(frozen=True)
-class EpResult:
-    """All estimators at one bias point, plus divergence flags."""
+#: the numbers of a result row in CSV order: each CSV column and its EpResult field
+_NUMBERS = {"dbeta_tilde": "dbeta_tilde", **{name: name for name in ESTIMATORS},
+            "heat_C": "heat_cavity", "mean_info": "mean_info"}
+_row_numbers = operator.attrgetter(*_NUMBERS.values())
+#: the keys of ``EpResult.as_row()`` in CSV order, and the forward-only layout's
+COLUMNS = (*_NUMBERS, "flags")
+FORWARD_COLUMNS = tuple(
+    key for key in COLUMNS if key not in ESTIMATORS or not ESTIMATORS[key].needs_backward
+)
 
-    dbeta_tilde: float
-    sigma1: float
-    sigma2: float
-    sigma3: float
-    sigma4: float
-    sigma5: float
-    sigma6: float
-    heat_cavity: float
-    mean_info: float
-    flags: tuple[str, ...] = ()
 
-    def as_row(self) -> dict[str, float | str]:
-        return {
-            "dbeta_tilde": self.dbeta_tilde,
-            "sigma1": self.sigma1,
-            "sigma2": self.sigma2,
-            "sigma3": self.sigma3,
-            "sigma4": self.sigma4,
-            "sigma5": self.sigma5,
-            "sigma6": self.sigma6,
-            "heat_C": self.heat_cavity,
-            "mean_info": self.mean_info,
-            "flags": ";".join(self.flags),
-        }
+def _as_row(self) -> dict[str, float | str]:
+    return dict(zip(COLUMNS, (*_row_numbers(self), ";".join(self.flags))))
+
+
+EpResult = make_dataclass(
+    "EpResult",
+    [*((name, float) for name in _NUMBERS.values()), ("flags", tuple, field(default=()))],
+    namespace={"__doc__": "All estimators at one bias point, plus divergence flags.",
+               "__module__": __name__, "as_row": _as_row},
+    frozen=True,
+)
 
 
 @functools.lru_cache(maxsize=256)
@@ -333,14 +353,13 @@ def evaluate(
 ) -> EpResult:
     """All six estimators from one forward/backward table pair.
 
-    Without a backward table only the forward-protocol estimators (sigma1,
-    sigma2, sigma6) exist; sigma3 to sigma5 are NaN.
+    Without a backward table only the estimators that need no backward
+    protocol exist; the others are NaN.
     """
     if bwd is not None and hist is None:
         hist = sigma_histogram(fwd, bwd)
-    rows = TableRows.of(fwd, bwd)
-    hist_rows = None if hist is None else HistogramRows.of(hist)
-    return evaluate_rows(rows, hist_rows, floor, heat_from_atom)[0]
+    data = _one_row(fwd, bwd, hist, floor, heat_from_atom)
+    return evaluate_rows(data.rows, data.hist, floor, heat_from_atom)[0]
 
 
 def evaluate_rows(
@@ -355,34 +374,23 @@ def evaluate_rows(
     carry backward tables.
     """
     count = len(rows.dbeta)
-    heat = _heat_rows(rows, heat_from_atom)
-    info = shannon_entropy_rows(rows.pk)
-    ref = _thermal_reference(rows.beta_qubit, rows.beta_cavity, rows.dims)
-    nan = np.full(count, math.nan)
-    values = {
-        "sigma1": _sigma1_rows(rows, heat, info),
-        "sigma2": _sigma2_rows(rows, floor, ref),
-        "sigma3": nan,
-        "sigma4": nan,
-        "sigma5": nan,
-        "sigma6": _sigma6_rows(rows, floor, ref),
-    }
+    data = EstimatorInputs(rows, hist, floor, heat_from_atom)
+    backward = rows.backward is not None
+    values = np.array([
+        estimator.rows(data) if backward or not estimator.needs_backward
+        else np.full(count, math.nan) for estimator in ESTIMATORS.values()
+    ])
     support = [None] * count
-    if rows.backward is not None:
-        values["sigma3"] = _sigma3_rows(rows, floor)
-        values["sigma4"] = _divergence_rows(rows.forward, rows.backward, floor)
-        values["sigma5"] = _divergence_rows(hist.p_forward, hist.p_backward, floor)
+    if backward:
         bad = _mismatch_rows(rows)
         for r in np.flatnonzero(bad.reshape(count, -1).any(axis=1)).tolist():
             support[r] = _support_flag(bad[r].tobytes(), bad.shape[1:])
-    infinite = np.isinf(np.array(list(values.values()))).T.tolist()
-    columns = (rows.dbeta, *values.values(), heat, info)
+    infinite = np.isinf(values).T.tolist()
+    columns = (rows.dbeta, *values, data.heat, data.info)
     results = []
     for r, (dbeta, *numbers) in enumerate(zip(*(c.tolist() for c in columns))):
         flags = () if support[r] is None else (support[r],)
         if any(infinite[r]):
-            flags += tuple(
-                f"{name}:infinite" for name, inf in zip(values, infinite[r]) if inf
-            )
+            flags += tuple(f"{name}:infinite" for name, inf in zip(ESTIMATORS, infinite[r]) if inf)
         results.append(EpResult(dbeta, *numbers, flags))
     return results

@@ -16,6 +16,7 @@ import numpy as np
 from .channels import ErrorModel, two_atom_probability
 from .dataio import ConditionalTable, RunConfig, parse_table
 from .entropy import (
+    ESTIMATORS,
     EpResult,
     evaluate,
     evaluate_rows,
@@ -169,12 +170,7 @@ def simulate_report(
         lines.append(f"  {fmt(s)}  {fmt(p_f)}  {fmt(p_b)}")
     lines += [
         "",
-        f"sigma1 {fmt(result.sigma1)}",
-        f"sigma2 {fmt(result.sigma2)}",
-        f"sigma3 {fmt(result.sigma3)}",
-        f"sigma4 {fmt(result.sigma4)}",
-        f"sigma5 {fmt(result.sigma5)}",
-        f"sigma6 {fmt(result.sigma6)}",
+        *(f"{name} {fmt(getattr(result, name))}" for name in ESTIMATORS),
         f"cavity heat {fmt(result.heat_cavity)} (units of omega)",
         f"high-bias asymptote {fmt(high_bias_asymptote(gibbs))}",
         f"feedback balance residual {fmt(residual)}",

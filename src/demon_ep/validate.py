@@ -66,9 +66,8 @@ def _points(kernel: protocol.ProtocolKernel, grid=GRID_COARSE):
         yield (gibbs, *runner.point_tables(kernel, gibbs))
 
 
-def _six(result: entropy.EpResult) -> list[float]:
-    return [result.sigma1, result.sigma2, result.sigma3,
-            result.sigma4, result.sigma5, result.sigma6]
+def _estimates(result: entropy.EpResult) -> list[float]:
+    return [getattr(result, name) for name in entropy.ESTIMATORS]
 
 
 def check_thermal_distributions() -> tuple[bool, str]:
@@ -253,7 +252,7 @@ def check_fluctuation_relation() -> tuple[bool, str]:
 def check_estimator_equivalence() -> tuple[bool, str]:
     worst = 0.0
     for result in runner._run(_kernel(IDEAL), IDEAL):
-        values = _six(result)
+        values = _estimates(result)
         worst = max(worst, max(values) - min(values))
     ok = worst < 1e-9
     return ok, f"worst six-way spread {worst:.2e}"
@@ -293,10 +292,12 @@ def _circuit_blocks():
 
 def check_sigma2_sigma6_identity() -> tuple[bool, str]:
     gaps = []
+    estimators = entropy.ESTIMATORS
     for cond, beta_cavity, dbeta in _circuit_blocks():
         rows = protocol.weigh_rows(cond, None, statespace.DEFAULT_DIMS, beta_cavity, dbeta)
         protocol.check_rows(rows)
-        gaps.append(entropy._sigma2_rows(rows, None) - entropy._sigma6_rows(rows, None))
+        data = entropy.EstimatorInputs(rows)
+        gaps.append(estimators["sigma2"].rows(data) - estimators["sigma6"].rows(data))
     worst = float(np.abs(np.concatenate(gaps)).max())  # a NaN gap fails the check
     ok = worst < 1e-12
     return ok, f"worst |sigma2 - sigma6| {worst:.2e} over {CIRCUITS} random circuits"
@@ -307,7 +308,7 @@ def check_second_law() -> tuple[bool, str]:
     for single in (None, *SINGLE_ERRORS):
         config = replace(PHYSICAL, single_error=single)
         for result in runner._run(_kernel(config), replace(config, dbeta_step=0.5)):
-            for value in _six(result):
+            for value in _estimates(result):
                 if math.isfinite(value):
                     lowest = min(lowest, value)
     ok = lowest >= -1e-9
@@ -403,19 +404,19 @@ def check_closed_form_anchors() -> tuple[bool, str]:
     s1_pos = entropy.sigma1(fwd6)
     asym = entropy.high_bias_asymptote(gibbs6)
     # at -6 the qubit is hot and every estimator is negligible
-    neg = _six(entropy.evaluate(fwd_neg, bwd_neg))
+    neg = entropy.evaluate(fwd_neg, bwd_neg)
     two_atom = channels.two_atom_probability(0.22, 0.5)
     checks = [
         abs(s1_pos - closed) < 1e-9,
         abs(closed - 5.2465) < 5e-5,
         abs(asym - 5.2449) < 1e-4,
         abs(s1_pos - asym) / asym < 0.02,
-        all(0.0 <= value < 0.01 for value in neg),
+        all(0.0 <= value < 0.01 for value in _estimates(neg)),
         abs(two_atom - 0.0991) < 1e-4,
     ]
     detail = (
         f"sigma1(+6)={s1_pos:.6f} (closed {closed:.6f}), "
-        f"asymptote {asym:.6f}, sigma1(-6)={neg[0]:.6f}, two-atom {two_atom:.5f}"
+        f"asymptote {asym:.6f}, sigma1(-6)={neg.sigma1:.6f}, two-atom {two_atom:.5f}"
     )
     return all(checks), detail
 

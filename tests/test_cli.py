@@ -246,6 +246,18 @@ def test_grid_without_a_finite_point_count_exits_1(tmp_path, capsys, text):
     assert "give a grid whose point count is not finite" in err
 
 
+def test_grid_above_the_point_ceiling_exits_1(tmp_path, capsys):
+    # about 4e301 points with finite Gibbs weights: numpy's bare "Maximum
+    # allowed size exceeded" (exit 2, no key named) before the ceiling
+    conf = tmp_path / "run.conf"
+    conf.write_text("dbeta_start = -1e301\n")
+    assert cli.main(["sweep", "--config", str(conf)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "configuration error: dbeta_start = -1e+301, dbeta_stop = 6.0 and " in err
+    assert "dbeta_step = 0.25 give 4e+301 grid points, more than the 1,000,000" in err
+
+
 _EXTREME_BIAS = [
     # exp(-beta_Q) overflows past dbeta 813: a "mass nan" data error (exit 2) before
     (("sweep",), "dbeta_stop = 1000", "dbeta_stop = 1000.0"),

@@ -30,7 +30,7 @@ from demon_ep import (
     sweep_csv_text,
     write_table,
 )
-from demon_ep.dataio import BOLTZMANN_CONSTANT, PLANCK_CONSTANT
+from demon_ep.dataio import BOLTZMANN_CONSTANT, MAX_GRID_POINTS, PLANCK_CONSTANT
 
 from conftest import BETA_C
 
@@ -400,6 +400,20 @@ def test_config_validation():
         RunConfig(dbeta_step=0.0)
     with pytest.raises(ValueError):
         RunConfig(floor=2.0)
+
+
+def test_grid_point_ceiling():
+    # a grid of exactly MAX_GRID_POINTS points is accepted
+    step = 2.0**-20
+    low = -(MAX_GRID_POINTS - 1) * step
+    config = RunConfig(dbeta_start=low, dbeta_stop=0.0, dbeta_step=step)
+    assert config.grid().size == MAX_GRID_POINTS
+    # one point more, or the about 4e301 points that once reached numpy, is a config error
+    for start, stop in ((low - step, 0.0), (-1e301, 6.0)):
+        with pytest.raises(ValueError, match="grid points, more than the 1,000,000") as err:
+            RunConfig(dbeta_start=start, dbeta_stop=stop, dbeta_step=step)
+        for key in ("dbeta_start", "dbeta_stop", "dbeta_step"):
+            assert f"{key} = " in str(err.value)
 
 
 @pytest.mark.parametrize(

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,18 +13,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from demon_ep import (
+    DEFAULT_DIMS,
+    ESTIMATORS,
+    EpResult,
     ErrorModel,
     GibbsSpec,
+    RunConfig,
     backward_table,
     branch_probability,
-    cavity_heat,
+    cli,
+    entropy,
     evaluate,
     feedback_balance_residual,
     forward_table,
     gibbs_distribution,
     high_bias_asymptote,
     jarzynski_average,
-    mean_information,
     oracle_full_state,
     shannon_entropy,
     sigma1,
@@ -31,8 +38,11 @@ from demon_ep import (
     sigma5,
     sigma6,
     sigma_histogram,
+    simulate_report,
     support_mismatch,
+    sweep_csv_text,
 )
+from demon_ep.protocol import weigh_rows
 
 from conftest import BETA_C
 
@@ -52,18 +62,23 @@ def _tables(dbt: float, model=None, mode="ideal"):
 # forward-only pieces
 
 
+def _heat(fwd, from_atom: bool) -> float:
+    """Average cavity heat, from the atom side or the photon side."""
+    return evaluate(fwd, None, heat_from_atom=from_atom).heat_cavity
+
+
 def test_mean_information_is_outcome_entropy():
     fwd, _ = _tables(3.0)
     pk = branch_probability(fwd)
-    assert mean_information(fwd) == pytest.approx(shannon_entropy(pk), rel=1e-14)
+    assert evaluate(fwd, None).mean_info == pytest.approx(shannon_entropy(pk), rel=1e-14)
 
 
 def test_ideal_heat_equals_extraction_probability():
     # each read-1 run moves exactly one quantum into the cavity
     fwd, _ = _tables(6.0)
     pk = branch_probability(fwd)
-    assert cavity_heat(fwd) == pytest.approx(pk[1], rel=1e-13)
-    assert cavity_heat(fwd, from_atom=True) == pytest.approx(pk[1], rel=1e-13)
+    assert _heat(fwd, from_atom=False) == pytest.approx(pk[1], rel=1e-13)
+    assert _heat(fwd, from_atom=True) == pytest.approx(pk[1], rel=1e-13)
 
 
 def test_heat_sides_agree_when_labels_are_faithful():
@@ -73,19 +88,17 @@ def test_heat_sides_agree_when_labels_are_faithful():
         eps_prep=0.0, confusion=np.eye(3), cavity_prep=np.eye(4, 5)
     )
     fwd, _ = _tables(2.0, model, mode="physical")
-    assert cavity_heat(fwd, from_atom=True) == pytest.approx(
-        cavity_heat(fwd, from_atom=False), abs=1e-13
-    )
+    assert _heat(fwd, from_atom=True) == pytest.approx(_heat(fwd, from_atom=False), abs=1e-13)
 
 
 def test_heat_sides_differ_when_labels_lie():
     # detection confusion corrupts the recorded final atom level, and the
     # atom-side account is computed from the records
     fwd, _ = _tables(2.0, ErrorModel.single("eps_meas"), mode="physical")
-    assert abs(cavity_heat(fwd, from_atom=True) - cavity_heat(fwd)) > 1e-3
+    assert abs(_heat(fwd, from_atom=True) - _heat(fwd, from_atom=False)) > 1e-3
     # an atom decaying in flight sheds a quantum the cavity never received
     fwd, _ = _tables(2.0, ErrorModel(relax_atom_prob=0.2), mode="physical")
-    assert abs(cavity_heat(fwd, from_atom=True) - cavity_heat(fwd)) > 1e-3
+    assert abs(_heat(fwd, from_atom=True) - _heat(fwd, from_atom=False)) > 1e-3
 
 
 def test_sigma1_closed_form():
@@ -287,6 +300,90 @@ def test_result_row_layout():
     ]
     assert row["dbeta_tilde"] == 0.5
     assert row["flags"] == ""
+
+
+def test_estimator_table_order_and_backward_split():
+    assert list(ESTIMATORS) == [f"sigma{n}" for n in range(1, 7)]
+    references = {name: entry.reference for name, entry in ESTIMATORS.items()}
+    assert references == {
+        "sigma1": None, "sigma2": "thermal", "sigma3": "backward table",
+        "sigma4": "backward table", "sigma5": "backward histogram", "sigma6": "thermal",
+    }
+    backward = [name for name, entry in ESTIMATORS.items() if entry.needs_backward]
+    assert backward == ["sigma3", "sigma4", "sigma5"]
+
+
+def test_a_block_builds_one_thermal_reference(monkeypatch):
+    # sigma2 and sigma6 compare with the same reference, built once per block
+    calls = []
+    original = entropy._thermal_reference
+    monkeypatch.setattr(entropy, "_thermal_reference",
+                        lambda *args: calls.append(1) or original(*args))
+    cond = forward_table(_gibbs(0.0)).conditionals
+    rows = weigh_rows(cond, None, DEFAULT_DIMS, BETA_C, np.linspace(-6.0, 6.0, 64))
+    results = entropy.evaluate_rows(rows)
+    assert len(results) == 64 and len(calls) == 1
+
+
+def test_readme_estimator_table_mirrors_the_table():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    lines = readme.splitlines()
+    rows = [line.split("|")[1:5] for line in lines if re.match(r"\| `sigma\d`", line)]
+    mirrored = [[cell.strip() for cell in row] for row in rows]
+    assert mirrored == [
+        [f"`{name}`", e.trajectories, e.reference or "none", "yes" if e.needs_backward else "no"]
+        for name, e in ESTIMATORS.items()
+    ]
+
+
+def _table_names(forward_only: bool) -> list[str]:
+    return [name for name, e in ESTIMATORS.items() if not (forward_only and e.needs_backward)]
+
+
+# each list that derives from the table, read back from what the package prints
+def _csv_header(forward_only: bool, capsys) -> list[str]:
+    return sweep_csv_text([], forward_only=forward_only).rstrip("\n").split(",")
+
+
+def _simulate_lines(forward_only: bool, capsys) -> list[str]:
+    lines = simulate_report(RunConfig(), 0.5).splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("sigma1 "))
+    return [line.split()[0] for line in lines[start:start + len(ESTIMATORS) + 1]]
+
+
+def _forward_only_help(forward_only: bool, capsys) -> list[str]:
+    with pytest.raises(SystemExit):
+        cli.main(["analyze", "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    help_text = r"--forward-only compute only the forward-protocol estimators \((.*?)\)"
+    names = re.search(help_text, text)
+    return names.group(1).split(", ")
+
+
+def _result_fields(forward_only: bool, capsys) -> list[str]:
+    return [item.name for item in dataclasses.fields(EpResult)]
+
+
+def _row_keys(forward_only: bool, capsys) -> list[str]:
+    fwd, bwd = _tables(0.5)
+    return list(evaluate(fwd, None if forward_only else bwd).as_row())
+
+
+@pytest.mark.parametrize(
+    "derived, forward_only, before, after",
+    [
+        (_csv_header, False, ["dbeta_tilde"], ["heat_C", "mean_info", "flags"]),
+        (_csv_header, True, ["dbeta_tilde"], ["heat_C", "mean_info", "flags"]),
+        (_simulate_lines, False, [], ["cavity"]),
+        (_forward_only_help, True, [], []),
+        (_result_fields, False, ["dbeta_tilde"], ["heat_cavity", "mean_info", "flags"]),
+        (_row_keys, False, ["dbeta_tilde"], ["heat_C", "mean_info", "flags"]),
+    ],
+    ids=["csv", "csv-forward-only", "simulate", "analyze-help", "result-fields", "as-row"],
+)
+def test_every_estimator_list_follows_the_table(capsys, derived, forward_only, before, after):
+    # the order of the table, and only its forward half where the backward run is absent
+    assert derived(forward_only, capsys) == [*before, *_table_names(forward_only), *after]
 
 
 # ---------------------------------------------------------------------------

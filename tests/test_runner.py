@@ -231,7 +231,8 @@ def test_circuit_draw_matches_the_per_circuit_loop():
             assert new.tobytes() == old.tobytes()
         cond, beta_cavity, dbeta = drawn
         rows = weigh_rows(cond, None, DEFAULT_DIMS, beta_cavity, dbeta)
-        pairs = np.stack([entropy._sigma2_rows(rows, None), entropy._sigma6_rows(rows, None)], 1)
+        data = entropy.EstimatorInputs(rows)
+        pairs = np.stack([entropy.ESTIMATORS[name].rows(data) for name in ("sigma2", "sigma6")], 1)
         for r in range(count):
             gibbs = GibbsSpec.from_dbeta(float(beta_cavity[r]), float(dbeta[r]))
             fwd, _ = reference.point_tables(ProtocolKernel(DEFAULT_DIMS, cond[r], None), gibbs)
