@@ -38,6 +38,7 @@ from .dataio import (
 )
 from .entropy import (
     ESTIMATORS,
+    EpColumns,
     EpResult,
     evaluate,
     feedback_balance_residual,

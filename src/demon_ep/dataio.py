@@ -21,8 +21,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-import operator
-import re
 import warnings
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -30,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .channels import ENCODINGS, ERROR_CHANNELS, AtomLevel, ErrorModel
-from .entropy import COLUMNS, FORWARD_COLUMNS
+from .entropy import COLUMNS, FORWARD_COLUMNS, EpColumns
 from .statespace import (
     MASS_HARD_TOL,
     MASS_SOFT_TOL,
@@ -292,40 +290,40 @@ def conditional_from_table(traj_table) -> ConditionalTable:
 # ---------------------------------------------------------------------------
 # Sweep CSV
 
-#: a character that can make csv quote a field
-_CSV_SPECIAL = re.compile('[,"\r\n]')
 
-
-def _csv_field(text: str) -> str:
-    """``text`` as the csv writer writes a field (quoted if it must be)."""
+def _csv_field(flags: tuple[str, ...]) -> str:
+    """A flags tuple as the csv writer writes its field (quoted if it must be)."""
+    text = ";".join(flags)
     buffer = io.StringIO()
     csv.writer(buffer, lineterminator="\n").writerow([text])
-    return buffer.getvalue()[:-1]
+    return buffer.getvalue()[:-1] if text else ""  # csv writes a lone empty field as ""
 
 
 def sweep_csv_text(results, forward_only: bool = False) -> str:
     """Estimator rows as CSV text with deterministic full-precision numbers.
 
-    ``results`` is an iterable of objects exposing ``as_row()``, one row per
-    bias point, in the given order.  ``forward_only`` keeps only the columns
-    computable without the backward protocol.  Numbers are written with
-    ``%.17g`` (``inf``, ``-inf`` and ``nan`` spelled out); a flags field csv
-    might quote goes through the csv writer.
+    ``results`` is an :class:`~demon_ep.entropy.EpColumns` or a sequence of
+    :class:`~demon_ep.entropy.EpResult`, one row per bias point, in the given
+    order.  ``forward_only`` keeps only the columns computable without the
+    backward protocol.  Numbers are written with ``%.17g`` (``inf`` and
+    ``-inf`` spelled out); a NaN in a written column raises ``ValueError``.
+    A flags field csv might quote goes through the csv writer.
     """
+    if not isinstance(results, EpColumns):
+        results = EpColumns.stack(results)
     columns = FORWARD_COLUMNS if forward_only else COLUMNS
-    numbers = operator.itemgetter(*columns[:-1])  # every column but the trailing flags
-    line = ",".join(["%.17g"] * (len(columns) - 1)) + ",%s\n"
-    lines = [",".join(columns) + "\n"]
-    quoted: dict[str, str] = {}  # flags text -> field; support flags repeat across rows
-    for result in results:
-        row = result.as_row()
-        flags = row["flags"]
-        if _CSV_SPECIAL.search(flags):
-            if flags not in quoted:
-                quoted[flags] = _csv_field(flags)
-            flags = quoted[flags]
-        lines.append(line % (*numbers(row), flags))
-    return "".join(lines)
+    numbers = results.numbers[[COLUMNS.index(name) for name in columns[:-1]]]
+    nan = np.argwhere(np.isnan(numbers).T)  # (row, column) pairs in row order
+    if len(nan):
+        raise ValueError(
+            f"{columns[nan[0, 1]]} is NaN at dbeta_tilde {numbers[0, nan[0, 0]]:.17g}; without"
+            " backward tables write the forward-only layout (forward_only=True)"
+        )
+    fields = {flags: _csv_field(flags) for flags in set(results.flags)}
+    line = ",".join(["%.17g"] * len(numbers)) + ",%s\n"
+    return ",".join(columns) + "\n" + "".join([
+        line % (*row, fields[flags]) for row, flags in zip(numbers.T.tolist(), results.flags)
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -341,9 +339,9 @@ _CONFUSION_KEYS = {
 _MODEL_FIELDS = tuple(item.name for item in fields(ErrorModel))
 
 #: the most bias points a configured grid may have.  A sweep peaks at about
-#: 1.3 kB per point (physical mode, its results and CSV text held at once;
-#: tracemalloc over 4,801- and 19,201-point grids), so this largest grid
-#: peaks near 1.3 GB.
+#: 0.9 kB per point (physical mode, its result columns and CSV text held at
+#: once; tracemalloc over 4,801- and 19,201-point grids), so this largest grid
+#: peaks near 0.9 GB.
 MAX_GRID_POINTS = 1_000_000
 
 

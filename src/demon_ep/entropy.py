@@ -48,6 +48,7 @@ from .statespace import (
 __all__ = [
     "COLUMNS",
     "ESTIMATORS",
+    "EpColumns",
     "EpResult",
     "Estimator",
     "EstimatorInputs",
@@ -333,10 +334,43 @@ EpResult = make_dataclass(
 )
 
 
-@functools.lru_cache(maxsize=256)
-def _support_flag(pattern: bytes, shape: tuple[int, ...]) -> str:
-    """Flag text of one support-mismatch pattern (``bad.tobytes()``)."""
-    bad = np.argwhere(np.frombuffer(pattern, dtype=bool).reshape(shape))
+@dataclass(frozen=True, eq=False)
+class EpColumns:
+    """Results at many bias points as columns: ``numbers`` has one row per number
+    column of :data:`COLUMNS` and one column per point, ``flags`` one tuple per
+    point.  ``len``, indexing and iteration give :class:`EpResult` views; a
+    slice gives columns."""
+
+    numbers: np.ndarray
+    flags: list[tuple[str, ...]]
+
+    @classmethod
+    def stack(cls, results) -> EpColumns:
+        """Single results, such as :func:`evaluate` gives, as columns."""
+        results = list(results)
+        numbers = np.array([_row_numbers(result) for result in results], dtype=float)
+        return cls(numbers.reshape(-1, len(_NUMBERS)).T, [result.flags for result in results])
+
+    @property
+    def estimators(self) -> np.ndarray:
+        """The rows of the six estimators, in :data:`ESTIMATORS` order."""
+        return self.numbers[1:1 + len(ESTIMATORS)]
+
+    def __len__(self) -> int:
+        return len(self.flags)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return EpColumns(self.numbers[:, index], self.flags[index])
+        return EpResult(*self.numbers[:, index].tolist(), self.flags[index])
+
+    def __iter__(self):
+        return map(EpResult, *self.numbers.tolist(), self.flags)
+
+
+def _support_flag(bad: np.ndarray) -> str:
+    """Flag text of one point's support-mismatch pattern."""
+    bad = np.argwhere(bad)
     sample = ",".join(
         f"(n_Q={n_q},k={k},n_C={n_c},m_Q={m_q},m_C={m_c})"
         for n_q, k, n_c, m_q, m_c in bad[:3].tolist()
@@ -367,30 +401,29 @@ def evaluate_rows(
     hist: HistogramRows | None = None,
     floor: float | None = None,
     heat_from_atom: bool = True,
-) -> list[EpResult]:
-    """:func:`evaluate` at every row of a block, in row order.
+) -> EpColumns:
+    """:func:`evaluate` at every row of a block, as columns in row order.
 
     ``hist`` holds the rows' sigma histograms and is required when the rows
     carry backward tables.
     """
-    count = len(rows.dbeta)
     data = EstimatorInputs(rows, hist, floor, heat_from_atom)
     backward = rows.backward is not None
     values = np.array([
         estimator.rows(data) if backward or not estimator.needs_backward
-        else np.full(count, math.nan) for estimator in ESTIMATORS.values()
+        else np.full(len(rows.dbeta), math.nan) for estimator in ESTIMATORS.values()
     ])
-    support = [None] * count
-    if backward:
-        bad = _mismatch_rows(rows)
-        for r in np.flatnonzero(bad.reshape(count, -1).any(axis=1)).tolist():
-            support[r] = _support_flag(bad[r].tobytes(), bad.shape[1:])
-    infinite = np.isinf(values).T.tolist()
-    columns = (rows.dbeta, *values, data.heat, data.info)
-    results = []
-    for r, (dbeta, *numbers) in enumerate(zip(*(c.tolist() for c in columns))):
-        flags = () if support[r] is None else (support[r],)
-        if any(infinite[r]):
-            flags += tuple(f"{name}:infinite" for name, inf in zip(ESTIMATORS, infinite[r]) if inf)
-        results.append(EpResult(dbeta, *numbers, flags))
-    return results
+    # rows with the same unmatched support and infinite estimators share one flags tuple
+    bad = _mismatch_rows(rows) if backward else np.zeros((len(rows.dbeta), 0), bool)
+    infinite = np.isinf(values).T
+    keys = np.packbits(np.concatenate([bad.reshape(len(bad), -1), infinite], axis=1), axis=1)
+    _, first, inverse = np.unique(
+        keys.view(f"V{keys.shape[1]}").ravel(), return_index=True, return_inverse=True
+    )
+    shared = [
+        ((_support_flag(bad[r]),) if bad[r].any() else ())
+        + tuple(f"{name}:infinite" for name, inf in zip(ESTIMATORS, infinite[r]) if inf)
+        for r in first.tolist()
+    ]
+    return EpColumns(np.vstack([rows.dbeta, values, data.heat, data.info]),
+                     [shared[i] for i in inverse.tolist()])

@@ -17,7 +17,7 @@ from .channels import ErrorModel, two_atom_probability
 from .dataio import ConditionalTable, RunConfig, parse_table
 from .entropy import (
     ESTIMATORS,
-    EpResult,
+    EpColumns,
     evaluate,
     evaluate_rows,
     feedback_balance_residual,
@@ -58,18 +58,18 @@ def build_kernel(config: RunConfig, dims: SystemDims = DEFAULT_DIMS) -> Protocol
 
 #: bias points weighted, binned and evaluated together as stacked arrays.
 #: Larger blocks run little faster but hold more memory: a whole 1,200-point
-#: physical grid in one block raised the peak resident size by 28 MB, in
-#: blocks of 64 by 1.4 MB.
+#: physical grid in one block raised the peak resident size by 24 MB, in
+#: blocks of 64 by 0.8 MB.
 BLOCK_POINTS = 64
 
 
-def _run(kernel: ProtocolKernel, config: RunConfig) -> list[EpResult]:
+def _run(kernel: ProtocolKernel, config: RunConfig) -> EpColumns:
     """Estimators of a kernel at every point of the configured bias grid."""
     grid = config.grid()
-    results = []
-    for start in range(0, grid.size, BLOCK_POINTS):
-        results += _run_block(kernel, config, grid[start:start + BLOCK_POINTS])
-    return results
+    blocks = [_run_block(kernel, config, grid[start:start + BLOCK_POINTS])
+              for start in range(0, grid.size, BLOCK_POINTS)]
+    return EpColumns(np.concatenate([block.numbers for block in blocks], axis=1),
+                     [flags for block in blocks for flags in block.flags])
 
 
 def checked_rows(
@@ -86,13 +86,13 @@ def checked_rows(
     return rows, hist
 
 
-def _run_block(kernel: ProtocolKernel, config: RunConfig, dbeta: np.ndarray) -> list[EpResult]:
+def _run_block(kernel: ProtocolKernel, config: RunConfig, dbeta: np.ndarray) -> EpColumns:
     rows, hist = checked_rows(kernel, config, dbeta)
     return evaluate_rows(rows, hist, floor=config.floor, heat_from_atom=config.heat_from_atom)
 
 
-def run_sweep(config: RunConfig, dims: SystemDims = DEFAULT_DIMS) -> list[EpResult]:
-    """All six estimators on the configured bias grid, in grid order."""
+def run_sweep(config: RunConfig, dims: SystemDims = DEFAULT_DIMS) -> EpColumns:
+    """All six estimators on the configured bias grid, as columns in grid order."""
     return _run(build_kernel(config, dims), config)
 
 
@@ -101,8 +101,8 @@ def run_analysis(
     forward: ConditionalTable | str,
     backward: ConditionalTable | str | None = None,
     dims: SystemDims = DEFAULT_DIMS,
-) -> list[EpResult]:
-    """Estimators over the bias grid from measured conditional tables.
+) -> EpColumns:
+    """Estimators over the bias grid from measured conditional tables, as columns.
 
     Accepts parsed tables or paths.  Without a backward table only the
     forward-protocol estimators are meaningful; the remaining fields are NaN

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from demon_ep import (
     ConditionalTable,
+    EpResult,
     ErrorModel,
     GibbsSpec,
     RunConfig,
@@ -291,23 +292,15 @@ def test_forward_conditional_table_columns_are_evolution_outcomes():
 # sweep CSV
 
 
-class _Row:
-    def __init__(self, **kv):
-        self.kv = kv
-
-    def as_row(self):
-        return self.kv
-
-
-def _fake_result(**overrides):
+def _fake_result(flags: str = "", **overrides):
     row = {
         "dbeta_tilde": -6.0,
         "sigma1": 0.1, "sigma2": 0.2, "sigma3": 0.3,
         "sigma4": 0.4, "sigma5": 0.5, "sigma6": 0.6,
-        "heat_C": -0.01, "mean_info": 0.7, "flags": "",
+        "heat_C": -0.01, "mean_info": 0.7,
     }
     row.update(overrides)
-    return _Row(**row)
+    return EpResult(*row.values(), flags=(flags,) if flags else ())
 
 
 def test_sweep_csv_header_and_layout():
@@ -344,7 +337,7 @@ def _csv_writer_text(results) -> str:
         value = float(value)
         if math.isinf(value):
             return "inf" if value > 0 else "-inf"
-        return "nan" if math.isnan(value) else format(value, ".17g")
+        return format(value, ".17g")
 
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
@@ -358,7 +351,7 @@ def _csv_writer_text(results) -> str:
 def test_sweep_csv_bytes_equal_the_csv_writers():
     results = [
         _fake_result(),
-        _fake_result(sigma1=math.inf, sigma2=-math.inf, sigma3=math.nan, sigma4=-0.0),
+        _fake_result(sigma1=math.inf, sigma2=-math.inf, sigma4=-0.0),
         _fake_result(sigma5=5e-324, sigma6=np.float64(1) / 3, flags="sigma4:infinite"),
         _fake_result(flags='support:2 forward trajectories unmatched:(n_Q=1,k=0),"x"'),
         _fake_result(flags='a "quoted" flag'),
@@ -366,6 +359,15 @@ def test_sweep_csv_bytes_equal_the_csv_writers():
         _fake_result(heat_C=-1e300, mean_info=1, flags=" lead;trail "),
     ]
     assert sweep_csv_text(results) == _csv_writer_text(results)
+
+
+def test_sweep_csv_refuses_nan():
+    # a NaN written as "nan" with no flag would read as a number
+    bad = _fake_result(dbeta_tilde=0.5, sigma3=math.nan)
+    with pytest.raises(ValueError, match=r"sigma3 is NaN at dbeta_tilde 0\.5.*forward_only=True"):
+        sweep_csv_text([_fake_result(), bad])
+    # the forward-only layout does not write sigma3
+    assert "nan" not in sweep_csv_text([bad], forward_only=True)
 
 
 def test_sweep_csv_numbers_survive_round_trip():

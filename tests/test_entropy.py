@@ -12,9 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import demon_ep.runner as runner
 from demon_ep import (
     DEFAULT_DIMS,
     ESTIMATORS,
+    EpColumns,
     EpResult,
     ErrorModel,
     GibbsSpec,
@@ -323,6 +325,33 @@ def test_a_block_builds_one_thermal_reference(monkeypatch):
     rows = weigh_rows(cond, None, DEFAULT_DIMS, BETA_C, np.linspace(-6.0, 6.0, 64))
     results = entropy.evaluate_rows(rows)
     assert len(results) == 64 and len(calls) == 1
+
+
+def test_a_block_builds_its_flag_text_once(monkeypatch):
+    # every point of this block misses the same support, and the same
+    # estimators diverge: its rows share one flags tuple
+    calls = []
+    original = entropy._support_flag
+    monkeypatch.setattr(entropy, "_support_flag", lambda bad: calls.append(1) or original(bad))
+    config = RunConfig(mode="physical")
+    grid = np.linspace(-6.0, 6.0, 64)
+    rows, hist = runner.checked_rows(runner.build_kernel(config), config, grid)
+    results = entropy.evaluate_rows(rows, hist)
+    assert len(results) == 64 and len(calls) == 1
+    assert results.flags[0][0].startswith("support:")
+    assert all(flags is results.flags[0] for flags in results.flags)
+
+
+def test_columns_read_as_results():
+    results = [
+        EpResult(float(i), *(0.5 * i,) * 6, -1.0, 2.0, flags=("sigma4:infinite",) * (i % 2))
+        for i in range(5)
+    ]
+    columns = EpColumns.stack(results)
+    assert columns.numbers.shape == (9, 5) and len(columns) == 5
+    assert list(columns) == results and [columns[i] for i in range(-5, 5)] == results * 2
+    assert isinstance(columns[1:4], EpColumns) and list(columns[1:4]) == results[1:4]
+    np.testing.assert_array_equal(columns.estimators, [[0.5 * i for i in range(5)]] * 6)
 
 
 def test_readme_estimator_table_mirrors_the_table():

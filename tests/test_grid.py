@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import re
 import warnings
@@ -12,6 +13,7 @@ import pytest
 import demon_ep.runner as runner
 import pointwise_reference as reference
 from demon_ep import (
+    EpColumns,
     GibbsSpec,
     RunConfig,
     conditional_from_table,
@@ -118,6 +120,55 @@ def test_analysis_matches_the_reference(case):
     assert alone == expected
 
 
+def _single_points(kernel, config: RunConfig) -> list:
+    """:func:`evaluate` at each point of the configured grid, one call per point."""
+    results = []
+    for dbeta in config.grid().tolist():
+        fwd, bwd = point_tables(kernel, GibbsSpec.from_dbeta(config.beta_cavity, dbeta))
+        hist = None if bwd is None else sigma_histogram(fwd, bwd, tol=config.sigma_tol)
+        results.append(
+            evaluate(fwd, bwd, hist, floor=config.floor, heat_from_atom=config.heat_from_atom)
+        )
+    return results
+
+
+def _bits(result) -> tuple:
+    """A result's numbers as bytes (NaN and the sign of zero included), and its flags."""
+    *numbers, flags = dataclasses.astuple(result)
+    return np.array(numbers).tobytes(), flags
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_sweep_rows_are_the_single_point_results(case):
+    config = CASES[case]
+    results = run_sweep(config)
+    singles = _single_points(runner.build_kernel(config), config)
+    assert len(results) == len(singles)
+    assert [_bits(result) for result in results] == [_bits(single) for single in singles]
+    assert _bits(results[-1]) == _bits(singles[-1])
+    assert [_bits(result) for result in results[3:5]] == [_bits(s) for s in singles[3:5]]
+
+
+@pytest.mark.parametrize("case", ["physical", "random_1"])
+def test_forward_only_analysis_rows_are_the_single_point_results(case):
+    config = CASES[case]
+    forward, _ = _tables(config)
+    results = run_analysis(config, forward)
+    singles = _single_points(runner.measured_kernel(forward, None), config)
+    assert [_bits(result) for result in results] == [_bits(single) for single in singles]
+    # sigma3-sigma5 are NaN without a backward table: only the forward-only layout holds them
+    with pytest.raises(ValueError, match="sigma3 is NaN at dbeta_tilde -6;.*forward_only=True"):
+        sweep_csv_text(results)
+
+
+def test_csv_of_single_results_equals_the_csv_of_their_columns():
+    # support and flags change inside a block on this grid
+    config = CASES["underflow_physical"]
+    singles = _single_points(runner.build_kernel(config), config)
+    text = sweep_csv_text(singles)
+    assert text == sweep_csv_text(EpColumns.stack(singles)) == sweep_csv_text(run_sweep(config))
+
+
 def _assert_histograms_match(kernel, config: RunConfig) -> None:
     grid = config.grid()
     rows = weigh_rows(
@@ -195,8 +246,8 @@ def test_single_point_functions_match_the_reference(case):
         assert sweep_csv_text([evaluate(fwd, bwd, hist)]) == sweep_csv_text(
             [reference.evaluate(fwd, bwd, hist)]
         )
-        assert sweep_csv_text([evaluate(fwd, None)]) == sweep_csv_text(
-            [reference.evaluate(fwd, None)]
+        assert sweep_csv_text([evaluate(fwd, None)], forward_only=True) == sweep_csv_text(
+            [reference.evaluate(fwd, None)], forward_only=True
         )
 
 
