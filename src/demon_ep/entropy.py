@@ -338,8 +338,8 @@ EpResult = make_dataclass(
 class EpColumns:
     """Results at many bias points as columns: ``numbers`` has one row per number
     column of :data:`COLUMNS` and one column per point, ``flags`` one tuple per
-    point.  ``len``, indexing and iteration give :class:`EpResult` views; a
-    slice gives columns."""
+    point.  Indexing and iteration give :class:`EpResult` views, ``len`` the
+    number of points; a slice gives columns."""
 
     numbers: np.ndarray
     flags: list[tuple[str, ...]]
