@@ -54,7 +54,6 @@ from .entropy import (
 )
 from .protocol import (
     SigmaHistogram,
-    Trajectory,
     TrajectoryTable,
     backward_table,
     branch_probability,

@@ -26,7 +26,6 @@ from .protocol import (
     HistogramRows,
     SigmaHistogram,
     TableRows,
-    Trajectory,
     TrajectoryTable,
     final_state_rows,
     quanta_change,
@@ -250,10 +249,13 @@ def _mismatch_rows(rows: TableRows) -> np.ndarray:
     return (rows.forward > 0.0) & (rows.backward <= 0.0)
 
 
-def support_mismatch(fwd: TrajectoryTable, bwd: TrajectoryTable) -> tuple[Trajectory, ...]:
-    """Forward-possible trajectories with zero backward weight, in index order."""
+def support_mismatch(
+    fwd: TrajectoryTable, bwd: TrajectoryTable
+) -> tuple[tuple[int, int, int, int, int], ...]:
+    """Forward-possible trajectories with zero backward weight, as
+    (n_Q, k, n_C, m_Q, m_C) labels in index order."""
     bad = _mismatch_rows(TableRows.of(fwd, bwd))[0]
-    return tuple(Trajectory(*map(int, idx)) for idx in np.argwhere(bad))
+    return tuple(map(tuple, np.argwhere(bad).tolist()))
 
 
 def jarzynski_average(hist: SigmaHistogram, direction: str = "reversed") -> float:

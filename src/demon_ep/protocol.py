@@ -24,6 +24,10 @@ reads it back off the conditionals.  A model's chain (:class:`GateChain`:
 readout, feedback, relaxation and detection on the register) is built once
 per kernel; both directions of the kernel and every oracle pass over it take
 their channels from that one chain.
+
+One thermal weighting serves every bias point: :func:`weigh_rows` weighs a
+block of them as stacked rows, and the tables of a single point
+(:func:`point_tables`) are a block's row 0 (:meth:`TableRows.tables`).
 """
 
 from __future__ import annotations
@@ -72,7 +76,6 @@ __all__ = [
     "ProtocolKernel",
     "SigmaHistogram",
     "TableRows",
-    "Trajectory",
     "TrajectoryTable",
     "backward_table",
     "branch_probability",
@@ -96,28 +99,6 @@ STAGES = {"initial": 0, "pre_feedback": 1, "post_feedback": 2, "final": 4}
 _NEGATIVE_TOL = 1e-15
 #: the table axes behind a leading row axis
 _TABLE_AXES = (1, 2, 3, 4, 5)
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """Two-point-measurement label (n_Q, k, n_C, m_Q, m_C)."""
-
-    n_qubit: int
-    k: int
-    n_cavity: int
-    m_qubit: int
-    m_cavity: int
-
-    def __post_init__(self) -> None:
-        for name in ("n_qubit", "k", "m_qubit"):
-            if getattr(self, name) not in (0, 1):
-                raise ValueError(f"{name} must be 0 or 1")
-        if self.n_cavity < 0 or self.m_cavity < 0:
-            raise ValueError("photon numbers must be non-negative")
-
-    @property
-    def index(self) -> tuple[int, int, int, int, int]:
-        return (self.n_qubit, self.k, self.n_cavity, self.m_qubit, self.m_cavity)
 
 
 # The checks of tables and histograms run on stacked rows, and report each
@@ -351,29 +332,17 @@ def _evolve(chain: GateChain, backward: bool):
     return starts, final, reset
 
 
-def forward_conditionals(
-    model: ErrorModel | None = None,
-    dims: SystemDims = DEFAULT_DIMS,
-    mode: str = "ideal",
-) -> np.ndarray:
+def _forward_conditionals(chain: GateChain) -> np.ndarray:
     """p(m_Q, k, m_C | n_Q, n_C): outcome statistics per initial label.
 
     Shape (2, 2, dim_cavity_full, 2, dim_cavity_init); summing the first
     three axes gives one for every initial label.  The memory starts at 1.
     """
-    return _forward_conditionals(_gate_chain(model, dims, mode))
-
-
-def _forward_conditionals(chain: GateChain) -> np.ndarray:
     _, final, _ = _evolve(chain, False)
     return np.ascontiguousarray(np.transpose(final, (2, 3, 4, 0, 1)))
 
 
-def backward_conditionals(
-    model: ErrorModel | None = None,
-    dims: SystemDims = DEFAULT_DIMS,
-    mode: str = "ideal",
-) -> tuple[np.ndarray, np.ndarray]:
+def _backward_conditionals(chain: GateChain) -> tuple[np.ndarray, np.ndarray]:
     """Backward-run statistics p(n_Q, n_C | m_Q, k, m_C) plus reset diagnostic.
 
     Returns ``(bcond, reset)``.  ``bcond`` has shape
@@ -386,10 +355,6 @@ def backward_conditionals(
     Columns of a pair (m_Q, k) the register cannot hold — (1, 0) in physical
     mode — are identically zero.
     """
-    return _backward_conditionals(_gate_chain(model, dims, mode))
-
-
-def _backward_conditionals(chain: GateChain) -> tuple[np.ndarray, np.ndarray]:
     full = chain.dims.dim_cavity_full
     starts, final, runs_reset = _evolve(chain, True)
     bcond = np.zeros((2, full, 2, 2, full))
@@ -402,12 +367,6 @@ def _backward_conditionals(chain: GateChain) -> tuple[np.ndarray, np.ndarray]:
 
 # ---------------------------------------------------------------------------
 # Thermal weighting
-
-
-def _forward_priors(gibbs: GibbsSpec, dims: SystemDims) -> tuple[np.ndarray, np.ndarray]:
-    p_qubit = gibbs_distribution(gibbs.beta_qubit, 2)
-    p_cavity = gibbs_distribution(gibbs.beta_cavity, dims.dim_cavity_init)
-    return p_qubit, p_cavity
 
 
 def _forward_rows(cond: np.ndarray, p_qubit: np.ndarray, p_cavity: np.ndarray) -> np.ndarray:
@@ -447,34 +406,6 @@ def _backward_rows(
     return labeled, unlabeled, weights
 
 
-def _weight_backward(
-    bcond: np.ndarray,
-    gibbs: GibbsSpec,
-    pk: np.ndarray,
-    dims: SystemDims,
-    reset: np.ndarray | None = None,
-) -> TrajectoryTable:
-    zeta_q = gibbs_distribution(gibbs.beta_qubit, 2)[None]
-    w_cav = extended_gibbs(gibbs.beta_cavity, dims.dim_cavity_init, dims.dim_cavity_full)
-    pk = np.asarray(pk, dtype=float)[None]
-    labeled, unlabeled, weights = _backward_rows(bcond, zeta_q, w_cav, pk, dims)
-    weights = weights[0]
-    total = float(weights.sum())
-    reset_prob = None
-    if reset is not None:
-        reset_prob = float((reset * weights).sum() / total) if total > 0 else None
-    return TrajectoryTable(
-        labeled[0],
-        "backward",
-        gibbs,
-        dims,
-        prior_mass=total,
-        unlabeled_mass=float(unlabeled[0]),
-        demon_reset_prob=reset_prob,
-        conditionals=bcond,
-    )
-
-
 @dataclass(frozen=True, eq=False)
 class TableRows:
     """Forward (and backward) tables of several bias points, stacked on axis 0.
@@ -482,10 +413,11 @@ class TableRows:
     Row ``r`` holds the ``probs`` of the tables at inverse temperatures
     ``beta_qubit[r]`` and ``beta_cavity``, a float shared by every row or an
     array with one value per row.  :func:`weigh_rows` builds a block of them
-    from a kernel; :meth:`of` wraps one table pair, which is how the
-    single-point functions run the same row-wise code.  ``unlabeled`` and
-    ``prior_mass`` are the backward masses :func:`check_rows` checks, kept by
-    :func:`weigh_rows` only.
+    from a kernel, and :meth:`tables` gives one row's table pair; :meth:`of`
+    wraps one table pair, which is how the single-point functions run the
+    same row-wise code.  ``unlabeled`` (the backward mass without a label),
+    ``weights`` (the backward priors ``[r, m_Q, k, m_C]``) and ``kernel`` are
+    kept by :func:`weigh_rows` only.
     """
 
     dims: SystemDims
@@ -497,11 +429,23 @@ class TableRows:
     pk: np.ndarray
     backward: np.ndarray | None = None
     unlabeled: np.ndarray | None = None
-    prior_mass: np.ndarray | None = None
+    weights: np.ndarray | None = None
+    kernel: ProtocolKernel | None = None
 
     @classmethod
     def of(cls, fwd: TrajectoryTable, bwd: TrajectoryTable | None = None) -> "TableRows":
+        """One forward table, or a forward/backward pair of one bias point, as one row."""
         gibbs = fwd.gibbs
+        if bwd is not None:
+            if fwd.direction != "forward" or bwd.direction != "backward":
+                raise ValueError("need one forward and one backward table")
+            if fwd.dims != bwd.dims:
+                raise ValueError("tables built over different spaces")
+            if gibbs != bwd.gibbs:
+                raise ValueError(
+                    f"tables weighted at different bias points: forward dbeta_tilde "
+                    f"{gibbs.dbeta_tilde!r}, backward dbeta_tilde {bwd.gibbs.dbeta_tilde!r}"
+                )
         forward = fwd.probs[None]
         return cls(
             fwd.dims,
@@ -513,35 +457,71 @@ class TableRows:
             None if bwd is None else bwd.probs[None],
         )
 
+    def tables(self, r: int) -> tuple[TrajectoryTable, TrajectoryTable | None]:
+        """Row ``r`` as a :class:`TrajectoryTable` pair, whose checks then run.
+
+        For rows :func:`weigh_rows` built from a kernel of shared conditionals;
+        the memory-reset probability is computed here, not for a whole block.
+        """
+        kernel = self.kernel
+        beta_cavity = np.broadcast_to(self.beta_cavity, self.dbeta.shape)[r]
+        gibbs = GibbsSpec(float(self.beta_qubit[r]), float(beta_cavity), float(self.dbeta[r]))
+        fwd = TrajectoryTable(
+            self.forward[r], "forward", gibbs, self.dims, conditionals=kernel.forward_cond
+        )
+        if self.backward is None:
+            return fwd, None
+        weights = self.weights[r]
+        prior_mass = float(weights.sum())
+        reset_prob = None
+        if kernel.backward_reset is not None and prior_mass > 0:
+            reset_prob = float((kernel.backward_reset * weights).sum() / prior_mass)
+        return fwd, TrajectoryTable(
+            self.backward[r], "backward", gibbs, self.dims, prior_mass=prior_mass,
+            unlabeled_mass=float(self.unlabeled[r]), demon_reset_prob=reset_prob,
+            conditionals=kernel.backward_cond,
+        )
+
 
 def weigh_rows(
-    forward_cond: np.ndarray,
-    backward_cond: np.ndarray | None,
-    dims: SystemDims,
-    beta_cavity: float | np.ndarray,
-    dbeta: np.ndarray,
+    kernel: ProtocolKernel, beta_cavity: float | np.ndarray, dbeta: np.ndarray
 ) -> TableRows:
-    """Tables of one kernel at every bias point of ``dbeta``, stacked.
+    """Tables of ``kernel`` at every bias point of ``dbeta``, stacked.
 
-    Row ``r`` equals the tables :func:`point_tables` weights from the same
-    conditionals at ``GibbsSpec.from_dbeta(beta_cavity, dbeta[r])``, bit for
-    bit; no table check runs (see :func:`check_rows`).  A row may also have
-    its own cavity temperature (``beta_cavity[r]``) and, without backward
-    conditionals, its own forward conditionals (``forward_cond[r]``).
+    Row ``r`` is the table pair :func:`point_tables` gives at
+    ``GibbsSpec.from_dbeta(beta_cavity, dbeta[r])``, bit for bit
+    (:meth:`TableRows.tables`); no table check runs (see :func:`check_rows`).
+    A row may also have its own cavity temperature (``beta_cavity[r]``) and,
+    without backward conditionals, its own forward conditionals
+    (``kernel.forward_cond[r]``).
     """
-    beta_qubit = beta_cavity * (1.0 - dbeta)
+    return _weigh_rows(kernel, beta_cavity, beta_cavity * (1.0 - dbeta), dbeta)
+
+
+def _weigh_rows(
+    kernel: ProtocolKernel,
+    beta_cavity: float | np.ndarray,
+    beta_qubit: np.ndarray,
+    dbeta: np.ndarray,
+    backward_pk: np.ndarray | None = None,
+) -> TableRows:
+    """The thermal weighting: :func:`weigh_rows` at each row's ``beta_qubit`` as
+    given.  ``backward_pk[r]``, if given, weights the backward branches in place
+    of the forward tables' p(k)."""
+    dims = kernel.dims
     p_qubit = gibbs_distribution(beta_qubit[:, None], 2)
     beta_column = np.asarray(beta_cavity)[..., None]  # (1,) when shared, else (R, 1)
     p_cavity = gibbs_distribution(beta_column, dims.dim_cavity_init)
-    forward = _forward_rows(forward_cond, p_qubit, p_cavity)
+    forward = _forward_rows(kernel.forward_cond, p_qubit, p_cavity)
     pk = _branch_rows(forward)
-    if backward_cond is None:
-        return TableRows(dims, beta_cavity, beta_qubit, dbeta, forward, pk)
+    if kernel.backward_cond is None:
+        return TableRows(dims, beta_cavity, beta_qubit, dbeta, forward, pk, kernel=kernel)
     w_cav = extended_gibbs(beta_column, dims.dim_cavity_init, dims.dim_cavity_full)
-    labeled, unlabeled, weights = _backward_rows(backward_cond, p_qubit, w_cav, pk, dims)
+    labeled, unlabeled, weights = _backward_rows(
+        kernel.backward_cond, p_qubit, w_cav, pk if backward_pk is None else backward_pk, dims
+    )
     return TableRows(
-        dims, beta_cavity, beta_qubit, dbeta, forward, pk,
-        labeled, unlabeled, weights.sum(axis=(1, 2, 3)),
+        dims, beta_cavity, beta_qubit, dbeta, forward, pk, labeled, unlabeled, weights, kernel
     )
 
 
@@ -555,7 +535,8 @@ class ProtocolKernel:
 
     ``backward_cond`` is None for a forward-only analysis, and
     ``backward_reset`` and ``chain`` (the forward gate chain) are None when
-    the kernel was read from measured tables.
+    the kernel was read from measured tables.  Without backward conditionals,
+    ``forward_cond`` may hold one array per row of :func:`weigh_rows`.
     """
 
     dims: SystemDims
@@ -603,97 +584,52 @@ def measured_kernel(
     return ProtocolKernel(dims, cond, bcond)
 
 
+def _point_rows(kernel: ProtocolKernel, gibbs: GibbsSpec, pk=None) -> TableRows:
+    """The one row of ``kernel`` at ``gibbs``; a given ``pk`` weights the backward run."""
+    return _weigh_rows(
+        kernel,
+        gibbs.beta_cavity,
+        np.array([gibbs.beta_qubit]),
+        np.array([gibbs.dbeta_tilde]),
+        None if pk is None else np.asarray(pk, dtype=float)[None],
+    )
+
+
 def point_tables(
     kernel: ProtocolKernel, gibbs: GibbsSpec
 ) -> tuple[TrajectoryTable, TrajectoryTable | None]:
-    """Thermally weighted forward/backward tables at one bias point."""
-    dims = kernel.dims
-    p_qubit, p_cavity = _forward_priors(gibbs, dims)
-    probs = _forward_rows(kernel.forward_cond, p_qubit[None], p_cavity)[0]
-    fwd = TrajectoryTable(probs, "forward", gibbs, dims, conditionals=kernel.forward_cond)
-    if kernel.backward_cond is None:
-        return fwd, None
-    pk = branch_probability(fwd)
-    return fwd, _weight_backward(kernel.backward_cond, gibbs, pk, dims, reset=kernel.backward_reset)
-
-
-def forward_table(
-    gibbs: GibbsSpec,
-    model: ErrorModel | None = None,
-    dims: SystemDims = DEFAULT_DIMS,
-    mode: str = "ideal",
-) -> TrajectoryTable:
-    """Exact forward trajectory statistics p(gamma), simulated for one bias point.
-
-    A run over many points weights one :class:`ProtocolKernel` instead.
-    """
-    kernel = ProtocolKernel(dims, forward_conditionals(model, dims, mode), None)
-    return point_tables(kernel, gibbs)[0]
-
-
-def backward_table(
-    gibbs: GibbsSpec,
-    model: ErrorModel | None = None,
-    dims: SystemDims = DEFAULT_DIMS,
-    mode: str = "ideal",
-    forward_pk: np.ndarray | None = None,
-) -> TrajectoryTable:
-    """Exact backward trajectory statistics p(gamma-tilde), simulated for one bias point.
-
-    ``forward_pk`` is the forward readout distribution used to weight the
-    branches; by default it is computed from the matching forward table.
-    """
-    if forward_pk is None:
-        forward_pk = branch_probability(forward_table(gibbs, model, dims, mode))
-    bcond, reset = backward_conditionals(model, dims, mode)
-    return _weight_backward(bcond, gibbs, forward_pk, dims, reset=reset)
-
-
-def tables_from_conditionals(
-    fwd_cond, bwd_cond, gibbs: GibbsSpec, dims: SystemDims = DEFAULT_DIMS
-) -> tuple[TrajectoryTable, TrajectoryTable | None]:
-    """Tables at one bias point from measured conditional tables.
-
-    Equal to ``point_tables(measured_kernel(...), gibbs)``; a run over many
-    points reads the tables once instead.  Unused by the package; still
-    listed by perfbench's tracer.
-    """
-    return point_tables(measured_kernel(fwd_cond, bwd_cond, dims), gibbs)
+    """Thermally weighted forward/backward tables at one bias point: row 0 of
+    :func:`weigh_rows`, at ``gibbs.beta_qubit`` as given."""
+    return _point_rows(kernel, gibbs).tables(0)
 
 
 # ---------------------------------------------------------------------------
 # Full-state oracle
 
 
-def oracle_full_state(
-    gibbs: GibbsSpec,
-    model: ErrorModel | None = None,
-    dims: SystemDims = DEFAULT_DIMS,
-    mode: str = "ideal",
-    stage: str = "final",
-) -> JointDistribution:
-    """Average joint (qubit, memory, cavity) state of the forward protocol.
-
-    Evolves the thermal initial mixture as one distribution instead of
-    trajectory-by-trajectory; marginals of the trajectory table must agree
-    with it, which cross-checks the bookkeeping.  ``stage`` taps the state
-    before the readout ("initial"), between readout and feedback
-    ("pre_feedback"), after feedback ("post_feedback") or after relaxation
-    and detection ("final"; identical to post_feedback in ideal mode).
-    """
-    return oracle_states(_gate_chain(model, dims, mode), gibbs, (stage,))[0]
-
-
 def oracle_states(
     chain: GateChain, gibbs: GibbsSpec, stages: tuple[str, ...]
 ) -> tuple[JointDistribution, ...]:
-    """:func:`oracle_full_state` at each of ``stages``, from one pass over ``chain``."""
+    """Average joint (qubit, memory, cavity) state of the forward protocol at
+    each of ``stages``, from one pass over ``chain``.
+
+    Evolves the thermal initial mixture as one distribution instead of
+    trajectory-by-trajectory, from priors of its own; marginals of the
+    trajectory table must agree with it, which cross-checks the bookkeeping.
+    A stage taps the state before the readout ("initial"), between readout
+    and feedback ("pre_feedback"), after feedback ("post_feedback") or after
+    relaxation and detection ("final"; identical to post_feedback in ideal
+    mode).  No stages give no states.
+    """
     for stage in stages:
         if stage not in STAGES:
             raise ValueError(f"stage must be one of {tuple(STAGES)}, got {stage!r}")
+    if not stages:
+        return ()
     model, dims, encoding = chain.model, chain.dims, chain.encoding
     full = dims.dim_cavity_full
-    p_qubit, p_cavity = _forward_priors(gibbs, dims)
+    p_qubit = gibbs_distribution(gibbs.beta_qubit, 2)
+    p_cavity = gibbs_distribution(gibbs.beta_cavity, dims.dim_cavity_init)
     register = sum(
         p_qubit[n_q] * prepare_register((n_q, 1), model.eps_prep, encoding)
         for n_q in range(2)
@@ -715,11 +651,75 @@ def oracle_states(
     return tuple(taps)
 
 
+# ---------------------------------------------------------------------------
+# One-point wrappers, kept because ``perfbench/`` names them (ROADMAP items 1→2)
+
+
+def forward_conditionals(
+    model: ErrorModel | None = None, dims: SystemDims = DEFAULT_DIMS, mode: str = "ideal"
+) -> np.ndarray:
+    """``simulated_kernel(model, dims, mode).forward_cond``; kept because
+    ``perfbench/`` names it (ROADMAP items 1→2)."""
+    return simulated_kernel(model, dims, mode).forward_cond
+
+
+def backward_conditionals(
+    model: ErrorModel | None = None, dims: SystemDims = DEFAULT_DIMS, mode: str = "ideal"
+) -> tuple[np.ndarray, np.ndarray]:
+    """The kernel's ``(backward_cond, backward_reset)``; kept because
+    ``perfbench/`` names it (ROADMAP items 1→2)."""
+    return (kernel := simulated_kernel(model, dims, mode)).backward_cond, kernel.backward_reset
+
+
+def forward_table(
+    gibbs: GibbsSpec,
+    model: ErrorModel | None = None,
+    dims: SystemDims = DEFAULT_DIMS,
+    mode: str = "ideal",
+) -> TrajectoryTable:
+    """The forward table of :func:`point_tables` on a model's kernel; kept because
+    ``perfbench/`` names it (ROADMAP items 1→2)."""
+    return point_tables(simulated_kernel(model, dims, mode), gibbs)[0]
+
+
+def backward_table(
+    gibbs: GibbsSpec,
+    model: ErrorModel | None = None,
+    dims: SystemDims = DEFAULT_DIMS,
+    mode: str = "ideal",
+    forward_pk: np.ndarray | None = None,
+) -> TrajectoryTable:
+    """The backward table of :func:`point_tables` on a model's kernel, its branches
+    weighted by ``forward_pk`` (default: the forward table's p(k)); kept because
+    ``perfbench/`` names it (ROADMAP items 1→2)."""
+    return _point_rows(simulated_kernel(model, dims, mode), gibbs, forward_pk).tables(0)[1]
+
+
+def tables_from_conditionals(
+    fwd_cond, bwd_cond, gibbs: GibbsSpec, dims: SystemDims = DEFAULT_DIMS
+) -> tuple[TrajectoryTable, TrajectoryTable | None]:
+    """``point_tables(measured_kernel(...), gibbs)``; kept because ``perfbench/``
+    names it (ROADMAP items 1→2)."""
+    return point_tables(measured_kernel(fwd_cond, bwd_cond, dims), gibbs)
+
+
+def oracle_full_state(
+    gibbs: GibbsSpec,
+    model: ErrorModel | None = None,
+    dims: SystemDims = DEFAULT_DIMS,
+    mode: str = "ideal",
+    stage: str = "final",
+) -> JointDistribution:
+    """:func:`oracle_states` at one ``stage``; kept because ``perfbench/`` names it
+    (ROADMAP items 1→2)."""
+    return oracle_states(_gate_chain(model, dims, mode), gibbs, (stage,))[0]
+
+
 def final_state_marginal(table: TrajectoryTable) -> np.ndarray:
     """Final joint state implied by a forward table, as (m_Q, k, m_C) array.
 
     The memory axis carries the readout outcome, matching the layout of
-    :func:`oracle_full_state` at stage "final".
+    :func:`oracle_states` at stage "final".
     """
     if table.direction != "forward":
         raise ValueError("final-state marginal is defined for forward tables")
@@ -777,10 +777,6 @@ def sigma_histogram(
     backward run ending in a label the forward protocol cannot produce is a
     failed reversal with no partner trajectory.
     """
-    if fwd.direction != "forward" or bwd.direction != "backward":
-        raise ValueError("need one forward and one backward table")
-    if fwd.dims != bwd.dims:
-        raise ValueError("tables built over different spaces")
     return histogram_rows(TableRows.of(fwd, bwd), tol).row(0)
 
 
@@ -844,7 +840,8 @@ def check_rows(rows: TableRows, hist: HistogramRows | None = None) -> None:
     """
     checks = [_table_faults(rows.forward, "forward")]
     if rows.backward is not None:
-        checks.append(_table_faults(rows.backward, "backward", rows.prior_mass, rows.unlabeled))
+        prior_mass = rows.weights.sum(axis=(1, 2, 3))
+        checks.append(_table_faults(rows.backward, "backward", prior_mass, rows.unlabeled))
         checks.append(hist.faults())
     for r in sorted(set().union(*checks)):
         for faults in checks:

@@ -78,9 +78,7 @@ def checked_rows(
     """Tables and sigma histograms of a kernel at the points ``dbeta``, checked
     row after row as :func:`point_tables` and :func:`sigma_histogram` would."""
     with np.errstate(all="ignore"):  # a point this spoils fails its checks
-        rows = weigh_rows(
-            kernel.forward_cond, kernel.backward_cond, kernel.dims, config.beta_cavity, dbeta
-        )
+        rows = weigh_rows(kernel, config.beta_cavity, dbeta)
         hist = None if rows.backward is None else histogram_rows(rows, config.sigma_tol)
     check_rows(rows, hist)
     return rows, hist

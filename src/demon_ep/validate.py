@@ -8,11 +8,11 @@ so a single command can certify an installation end to end.
 
 :data:`CHECKS` is the one place each invariant is derived: the acceptance
 tests look checks up there by label instead of restating them.  Checks that
-need trajectory tables weight a kernel on the package's own paths: the
-sweep's block path (stacked rows, checked by
-:func:`~demon_ep.protocol.check_rows`) where a check covers many points or
-many circuits, and the single-point :func:`~demon_ep.protocol.point_tables`
-(:func:`_points`) where it inspects a few tables one by one.
+need trajectory tables weight a kernel on the sweep's one weighting path
+(:func:`~demon_ep.protocol.weigh_rows`): a check of many points or many
+circuits runs on the stacked rows (checked by
+:func:`~demon_ep.protocol.check_rows`), and one that reads tables takes each
+row's pair (:func:`_points`).
 
 One :func:`run_all` builds each configuration's kernel once (ideal, physical
 and the seven single errors: nine), and with it the gate chain that the
@@ -55,15 +55,13 @@ def _kernel(config: dataio.RunConfig) -> protocol.ProtocolKernel:
     return _kernels[config]
 
 
-def _gibbs(dbeta: float) -> statespace.GibbsSpec:
-    return statespace.GibbsSpec.from_dbeta(IDEAL.beta_cavity, dbeta)
-
-
 def _points(kernel: protocol.ProtocolKernel, grid=GRID_COARSE):
-    """(gibbs, forward, backward) at each bias point, weighted from ``kernel``."""
-    for dbeta in grid:
-        gibbs = _gibbs(float(dbeta))
-        yield (gibbs, *runner.point_tables(kernel, gibbs))
+    """(gibbs, forward, backward) at each bias point, ``grid`` weighted from
+    ``kernel`` as one block."""
+    rows = protocol.weigh_rows(kernel, IDEAL.beta_cavity, np.array(grid, dtype=float))
+    for r in range(len(grid)):
+        fwd, bwd = rows.tables(r)
+        yield fwd.gibbs, fwd, bwd
 
 
 def check_thermal_distributions() -> tuple[bool, str]:
@@ -288,7 +286,8 @@ def check_sigma2_sigma6_identity() -> tuple[bool, str]:
     gaps = []
     estimators = entropy.ESTIMATORS
     for cond, beta_cavity, dbeta in _circuit_blocks():
-        rows = protocol.weigh_rows(cond, None, statespace.DEFAULT_DIMS, beta_cavity, dbeta)
+        kernel = protocol.ProtocolKernel(statespace.DEFAULT_DIMS, cond, None)
+        rows = protocol.weigh_rows(kernel, beta_cavity, dbeta)
         protocol.check_rows(rows)
         data = entropy.EstimatorInputs(rows)
         gaps.append(estimators["sigma2"].rows(data) - estimators["sigma6"].rows(data))
@@ -311,7 +310,7 @@ def check_feedback_balance() -> tuple[bool, str]:
     worst = 0.0
     chain = _kernel(IDEAL).chain
     for dbeta in GRID_COARSE:
-        gibbs = _gibbs(dbeta)
+        gibbs = statespace.GibbsSpec.from_dbeta(IDEAL.beta_cavity, dbeta)
         pre, post = protocol.oracle_states(chain, gibbs, ("pre_feedback", "post_feedback"))
         worst = max(worst, abs(entropy.feedback_balance_residual(pre, post, gibbs)))
     ok = worst < 1e-9
@@ -319,7 +318,7 @@ def check_feedback_balance() -> tuple[bool, str]:
 
 
 def check_serialization_roundtrip() -> tuple[bool, str]:
-    ((gibbs, fwd, bwd),) = _points(_kernel(PHYSICAL), (0.75,))
+    ((_, fwd, bwd),) = _points(_kernel(PHYSICAL), (0.75,))
     worst = 0.0
     conds = []
     for table, orientation in ((fwd, "forward-rows-initial"), (bwd, "backward-rows-final")):
@@ -332,8 +331,7 @@ def check_serialization_roundtrip() -> tuple[bool, str]:
         worst = max(worst, float(np.abs(reparsed.values - cond.values).max()))
         if dataio.serialize_table(reparsed) != text:
             return False, "serialization not idempotent"
-    kernel = runner.measured_kernel(*conds)
-    fwd2, bwd2 = runner.point_tables(kernel, gibbs)
+    ((_, fwd2, bwd2),) = _points(runner.measured_kernel(*conds), (0.75,))
     worst = max(worst, float(np.abs(fwd2.probs - fwd.probs).max()))
     worst = max(worst, float(np.abs(bwd2.probs - bwd.probs).max()))
     worst = max(worst, abs(bwd2.unlabeled_mass - bwd.unlabeled_mass))

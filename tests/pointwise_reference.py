@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from demon_ep.entropy import EpResult
-from demon_ep.protocol import SigmaHistogram, Trajectory, TrajectoryTable
+from demon_ep.protocol import SigmaHistogram, TrajectoryTable
 from demon_ep.statespace import DEFAULT_DIMS, GibbsSpec
 
 
@@ -230,16 +230,14 @@ def sigma6(fwd, floor=None) -> float:
     return divergence(rho_qc, ref, floor) + info
 
 
-def support_mismatch(fwd, bwd) -> tuple[Trajectory, ...]:
+def support_mismatch(fwd, bwd) -> tuple[tuple[int, int, int, int, int], ...]:
     bad = np.argwhere((fwd.probs > 0.0) & (bwd.probs <= 0.0))
-    return tuple(Trajectory(*map(int, idx)) for idx in bad)
+    return tuple(tuple(map(int, idx)) for idx in bad)
 
 
-def _format_trajectory(traj: Trajectory) -> str:
-    return (
-        f"(n_Q={traj.n_qubit},k={traj.k},n_C={traj.n_cavity},"
-        f"m_Q={traj.m_qubit},m_C={traj.m_cavity})"
-    )
+def _format_trajectory(traj: tuple[int, int, int, int, int]) -> str:
+    n_q, k, n_c, m_q, m_c = traj
+    return f"(n_Q={n_q},k={k},n_C={n_c},m_Q={m_q},m_C={m_c})"
 
 
 def evaluate(fwd, bwd, hist=None, floor=None, heat_from_atom: bool = True) -> EpResult:

@@ -21,6 +21,7 @@ from demon_ep import (
     ErrorModel,
     GibbsSpec,
     RunConfig,
+    SystemDims,
     backward_table,
     branch_probability,
     cli,
@@ -44,7 +45,7 @@ from demon_ep import (
     support_mismatch,
     sweep_csv_text,
 )
-from demon_ep.protocol import weigh_rows
+from demon_ep.protocol import ProtocolKernel, weigh_rows
 
 from conftest import BETA_C
 
@@ -180,7 +181,7 @@ def test_preparation_error_breaks_backward_support():
     fwd, bwd = _tables(1.0, ErrorModel.single("eps_prep"), mode="physical")
     missing = support_mismatch(fwd, bwd)
     assert missing  # forward runs whose reversal cannot occur
-    assert all(t.n_qubit == 1 and t.k == 0 for t in missing)
+    assert all(n_q == 1 and k == 0 for n_q, k, *_ in missing)
     assert sigma4(fwd, bwd) == math.inf
     assert sigma3(fwd, bwd) == math.inf
 
@@ -197,6 +198,31 @@ def test_floor_regularizes_infinite_divergence():
 def test_ideal_mode_has_full_support():
     fwd, bwd = _tables(2.0)
     assert support_mismatch(fwd, bwd) == ()
+
+
+#: the public entries that take a forward/backward table pair
+PAIR_ENTRIES = {
+    "evaluate": evaluate,
+    "sigma_histogram": sigma_histogram,
+    "sigma3": sigma3,
+    "sigma4": sigma4,
+    "support_mismatch": support_mismatch,
+}
+
+
+@pytest.mark.parametrize("entry", sorted(PAIR_ENTRIES))
+def test_a_pair_of_tables_of_two_bias_points_is_rejected(entry):
+    run = PAIR_ENTRIES[entry]
+    f0, b0 = _tables(0.0, ErrorModel(), mode="physical")
+    f6, b6 = _tables(6.0, ErrorModel(), mode="physical")
+    with pytest.raises(ValueError, match=r"forward dbeta_tilde 0\.0, backward dbeta_tilde 6\.0$"):
+        run(f0, b6)
+    with pytest.raises(ValueError, match="^need one forward and one backward table$"):
+        run(b0, f0)
+    small = forward_table(_gibbs(0.0), None, SystemDims(3, 4))
+    with pytest.raises(ValueError, match="^tables built over different spaces$"):
+        run(small, _tables(0.0)[1])
+    run(f0, b0)  # a matching pair passes
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +348,8 @@ def test_a_block_builds_one_thermal_reference(monkeypatch):
     monkeypatch.setattr(entropy, "_thermal_reference",
                         lambda *args: calls.append(1) or original(*args))
     cond = forward_table(_gibbs(0.0)).conditionals
-    rows = weigh_rows(cond, None, DEFAULT_DIMS, BETA_C, np.linspace(-6.0, 6.0, 64))
+    kernel = ProtocolKernel(DEFAULT_DIMS, cond, None)
+    rows = weigh_rows(kernel, BETA_C, np.linspace(-6.0, 6.0, 64))
     results = entropy.evaluate_rows(rows)
     assert len(results) == 64 and len(calls) == 1
 

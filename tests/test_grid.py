@@ -96,6 +96,49 @@ def test_sweep_matches_the_point_by_point_reference(case):
     assert sweep_csv_text(run_sweep(config)) == _reference_csv(config)
 
 
+def _table_bits(table) -> tuple:
+    """A table's probs and masses as bytes, its labels and its conditionals."""
+    masses = np.array([table.prior_mass, table.unlabeled_mass,
+                       np.nan if table.demon_reset_prob is None else table.demon_reset_prob])
+    return (table.probs.tobytes(), masses.tobytes(), table.direction, table.gibbs,
+            table.dims, table.conditionals.tobytes())
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_the_tables_of_a_row_are_the_point_tables(case):
+    config = CASES[case]
+    kernel = runner.build_kernel(config)
+    grid = config.grid()
+    rows = weigh_rows(kernel, config.beta_cavity, grid)
+    for r, dbeta in enumerate(grid.tolist()):
+        expected = point_tables(kernel, GibbsSpec.from_dbeta(config.beta_cavity, dbeta))
+        assert [_table_bits(t) for t in rows.tables(r)] == [_table_bits(t) for t in expected]
+
+
+def test_a_single_point_keeps_the_given_qubit_temperature():
+    config = CASES["physical"]
+    kernel = runner.build_kernel(config)
+    dbeta = -1.0
+    beta_qubit = np.nextafter(config.beta_cavity * (1.0 - dbeta), np.inf)
+    gibbs = GibbsSpec(beta_qubit, config.beta_cavity, dbeta)
+    assert gibbs.beta_qubit != config.beta_cavity * (1.0 - dbeta)  # one bit apart
+    tables = point_tables(kernel, gibbs)
+    assert tables[0].gibbs.beta_qubit == beta_qubit
+    expected = reference.point_tables(kernel, gibbs)
+    assert [_table_bits(t) for t in tables] == [_table_bits(t) for t in expected]
+    from_dbeta = point_tables(kernel, GibbsSpec.from_dbeta(config.beta_cavity, dbeta))
+    assert tables[0].probs.tobytes() != from_dbeta[0].probs.tobytes()
+
+
+def test_the_tables_of_a_row_run_the_table_checks():
+    config = CASES["physical"]
+    kernel = runner.build_kernel(config)
+    shrunk = ProtocolKernel(kernel.dims, kernel.forward_cond * (1.0 - 2e-7), None)
+    rows = weigh_rows(shrunk, config.beta_cavity, config.grid())
+    with pytest.warns(UserWarning, match="^forward table: mass off by"):
+        rows.tables(3)
+
+
 def test_underflow_grid_changes_support_inside_a_block():
     results = run_sweep(CASES["underflow_physical"])
     assert len(results) == 121
@@ -171,9 +214,7 @@ def test_csv_of_single_results_equals_the_csv_of_their_columns():
 
 def _assert_histograms_match(kernel, config: RunConfig) -> None:
     grid = config.grid()
-    rows = weigh_rows(
-        kernel.forward_cond, kernel.backward_cond, kernel.dims, config.beta_cavity, grid
-    )
+    rows = weigh_rows(kernel, config.beta_cavity, grid)
     hist = histogram_rows(rows, config.sigma_tol)
     for r, dbeta in enumerate(grid):
         gibbs = GibbsSpec.from_dbeta(config.beta_cavity, float(dbeta))
@@ -270,7 +311,7 @@ def _random_circuits(seed: int, count: int = runner.BLOCK_POINTS):
 @pytest.mark.parametrize("heat_from_atom", [True, False])
 def test_rows_with_their_own_kernel_and_cavity_temperature_match_each_circuit(heat_from_atom):
     cond, beta_cavity, dbeta = _random_circuits(11)
-    rows = weigh_rows(cond, None, DEFAULT_DIMS, beta_cavity, dbeta)
+    rows = weigh_rows(ProtocolKernel(DEFAULT_DIMS, cond, None), beta_cavity, dbeta)
     check_rows(rows)
     singles, references = [], []
     for r in range(len(cond)):

@@ -16,7 +16,6 @@ from demon_ep import (
     GibbsSpec,
     RunConfig,
     SigmaHistogram,
-    Trajectory,
     backward_table,
     branch_probability,
     conditional_from_table,
@@ -31,8 +30,11 @@ from demon_ep import (
     sigma_histogram,
 )
 from demon_ep.protocol import (
+    _point_rows,
     backward_conditionals,
     forward_conditionals,
+    oracle_states,
+    simulated_kernel,
     tables_from_conditionals,
 )
 from demon_ep.statespace import extended_gibbs
@@ -55,34 +57,22 @@ def _qubit_thermal(gibbs: GibbsSpec) -> np.ndarray:
 # trajectory labels
 
 
-def test_trajectory_index_round_trip():
-    t = Trajectory(1, 1, 2, 0, 3)
-    assert t.index == (1, 1, 2, 0, 3)
-
-
-def test_trajectory_rejects_out_of_range_bits():
-    with pytest.raises(ValueError):
-        Trajectory(2, 0, 0, 0, 0)
-    with pytest.raises(ValueError):
-        Trajectory(0, 0, -1, 0, 0)
-
-
 def test_sigma_is_two_point_energy_plus_surprisal():
     gibbs = _gibbs(2.0)
     sigma = sigma_grid(gibbs, np.array([0.3, 0.7]))
     assert sigma.shape == (2, 2, INIT, 2, FULL)
     # no energy change: sigma is the outcome surprisal alone
-    flat = Trajectory(0, 0, 2, 0, 2)
-    assert sigma[flat.index] == pytest.approx(-math.log(0.3))
+    flat = (0, 0, 2, 0, 2)  # (n_Q, k, n_C, m_Q, m_C)
+    assert sigma[flat] == pytest.approx(-math.log(0.3))
     # one quantum moved from qubit to cavity
-    swap = Trajectory(1, 1, 2, 0, 3)
+    swap = (1, 1, 2, 0, 3)
     expected = gibbs.delta_beta - math.log(0.7)
-    assert sigma[swap.index] == pytest.approx(expected, rel=1e-14)
+    assert sigma[swap] == pytest.approx(expected, rel=1e-14)
 
 
 def test_sigma_infinite_on_unused_branch():
     sigma = sigma_grid(_gibbs(0.0), np.array([0.0, 1.0]))
-    assert sigma[Trajectory(0, 0, 0, 0, 0).index] == math.inf
+    assert sigma[0, 0, 0, 0, 0] == math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -277,6 +267,54 @@ def test_oracle_initial_stage_physical():
 def test_oracle_rejects_unknown_stage():
     with pytest.raises(ValueError):
         oracle_full_state(_gibbs(0.0), stage="halfway")
+
+
+def test_oracle_of_no_stages_is_empty():
+    assert oracle_states(simulated_kernel(None).chain, _gibbs(0.0), ()) == ()
+
+
+# ---------------------------------------------------------------------------
+# the one-point wrappers are the kernel path
+
+
+def _same_table(a, b) -> bool:
+    return (
+        a.probs.tobytes() == b.probs.tobytes()
+        and (a.direction, a.gibbs, a.dims) == (b.direction, b.gibbs, b.dims)
+        and (a.prior_mass, a.unlabeled_mass, a.demon_reset_prob)
+        == (b.prior_mass, b.unlabeled_mass, b.demon_reset_prob)
+        and a.conditionals.tobytes() == b.conditionals.tobytes()
+    )
+
+
+@pytest.mark.parametrize("mode,model", [("ideal", None), ("physical", ErrorModel())])
+def test_the_one_point_wrappers_are_the_kernel_path(mode, model):
+    gibbs = _gibbs(0.75)
+    kernel = simulated_kernel(model, DEFAULT_DIMS, mode)
+    fwd, bwd = point_tables(kernel, gibbs)
+    cond = forward_conditionals(model, DEFAULT_DIMS, mode)
+    assert cond.tobytes() == kernel.forward_cond.tobytes()
+    bcond, reset = backward_conditionals(model, DEFAULT_DIMS, mode)
+    assert bcond.tobytes() == kernel.backward_cond.tobytes()
+    assert reset.tobytes() == kernel.backward_reset.tobytes()
+    assert _same_table(forward_table(gibbs, model, DEFAULT_DIMS, mode), fwd)
+    assert _same_table(backward_table(gibbs, model, DEFAULT_DIMS, mode), bwd)
+    # a given p(k) weights the branches: the forward table's own gives the same table
+    own = backward_table(gibbs, model, DEFAULT_DIMS, mode, forward_pk=branch_probability(fwd))
+    assert _same_table(own, bwd)
+    pk = np.array([0.25, 0.75])
+    other = backward_table(gibbs, model, DEFAULT_DIMS, mode, forward_pk=pk)
+    assert _same_table(other, _point_rows(kernel, gibbs, pk).tables(0)[1])
+    assert other.prior_mass != bwd.prior_mass
+    tables = (conditional_from_table(fwd), conditional_from_table(bwd))
+    expected = point_tables(measured_kernel(*tables), gibbs)
+    for new, old in zip(tables_from_conditionals(*tables, gibbs), expected):
+        assert new.probs.tobytes() == old.probs.tobytes()
+        assert (new.prior_mass, new.unlabeled_mass) == (old.prior_mass, old.unlabeled_mass)
+    for stage in ("initial", "pre_feedback", "post_feedback", "final"):
+        (state,) = oracle_states(kernel.chain, gibbs, (stage,))
+        new = oracle_full_state(gibbs, model, DEFAULT_DIMS, mode, stage)
+        assert new.probs.tobytes() == state.probs.tobytes()
 
 
 # ---------------------------------------------------------------------------

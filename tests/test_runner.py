@@ -230,7 +230,7 @@ def test_circuit_draw_matches_the_per_circuit_loop():
             assert new.shape == old.shape
             assert new.tobytes() == old.tobytes()
         cond, beta_cavity, dbeta = drawn
-        rows = weigh_rows(cond, None, DEFAULT_DIMS, beta_cavity, dbeta)
+        rows = weigh_rows(ProtocolKernel(DEFAULT_DIMS, cond, None), beta_cavity, dbeta)
         data = entropy.EstimatorInputs(rows)
         pairs = np.stack([entropy.ESTIMATORS[name].rows(data) for name in ("sigma2", "sigma6")], 1)
         for r in range(count):
