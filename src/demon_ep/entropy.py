@@ -41,6 +41,7 @@ from .statespace import (
     mutual_information,
     relative_entropy,
     relative_entropy_rows,
+    row_groups,
     shannon_entropy_rows,
 )
 
@@ -416,16 +417,16 @@ def evaluate_rows(
         else np.full(len(rows.dbeta), math.nan) for estimator in ESTIMATORS.values()
     ])
     # rows with the same unmatched support and infinite estimators share one flags tuple
-    bad = _mismatch_rows(rows) if backward else np.zeros((len(rows.dbeta), 0), bool)
+    count = len(rows.dbeta)
+    bad = _mismatch_rows(rows) if backward else np.zeros((count, 0), bool)
     infinite = np.isinf(values).T
-    keys = np.packbits(np.concatenate([bad.reshape(len(bad), -1), infinite], axis=1), axis=1)
-    _, first, inverse = np.unique(
-        keys.view(f"V{keys.shape[1]}").ravel(), return_index=True, return_inverse=True
-    )
-    shared = [
-        ((_support_flag(bad[r]),) if bad[r].any() else ())
-        + tuple(f"{name}:infinite" for name, inf in zip(ESTIMATORS, infinite[r]) if inf)
-        for r in first.tolist()
-    ]
-    return EpColumns(np.vstack([rows.dbeta, values, data.heat, data.info]),
-                     [shared[i] for i in inverse.tolist()])
+    flags = [()] * count
+    for sel, _ in row_groups(np.concatenate([bad.reshape(count, -1), infinite], axis=1)):
+        sel = np.arange(count)[sel]
+        r = sel[0]
+        shared = ((_support_flag(bad[r]),) if bad[r].any() else ()) + tuple(
+            f"{name}:infinite" for name, inf in zip(ESTIMATORS, infinite[r]) if inf
+        )
+        for i in sel.tolist():
+            flags[i] = shared
+    return EpColumns(np.vstack([rows.dbeta, values, data.heat, data.info]), flags)

@@ -179,13 +179,7 @@ class TrajectoryTable:
     def __post_init__(self) -> None:
         p = np.asarray(self.probs, dtype=float)
         object.__setattr__(self, "probs", p)
-        expected = (
-            2,
-            2,
-            self.dims.dim_cavity_init,
-            2,
-            self.dims.dim_cavity_full,
-        )
+        expected = _label_shape(self.dims)
         if p.shape != expected:
             raise ValueError(f"probs shape {p.shape}, expected {expected}")
         if self.direction not in ("forward", "backward"):
@@ -220,14 +214,27 @@ def sigma_grid(gibbs: GibbsSpec, pk: np.ndarray, dims: SystemDims = DEFAULT_DIMS
 def _sigma_rows(
     beta_qubit: np.ndarray, beta_cavity: float | np.ndarray, pk: np.ndarray, dims: SystemDims
 ) -> np.ndarray:
-    qubit, cavity = quanta_change(dims)
+    count = len(beta_qubit)
+    sigma = _class_sigma_rows(beta_qubit, beta_cavity, pk, dims)
+    return sigma[:, label_classes(dims)[0]].reshape(count, *_label_shape(dims))
+
+
+def _class_sigma_rows(
+    beta_qubit: np.ndarray, beta_cavity: float | np.ndarray, pk: np.ndarray, dims: SystemDims
+) -> np.ndarray:
+    """sigma of each (Delta q, Delta c, k) class of :func:`label_classes`, per row."""
+    _, qubit, cavity, k = label_classes(dims)
     with np.errstate(divide="ignore"):
         log_pk = np.log(pk)
     return (
-        beta_qubit[:, None, None, None, None, None] * qubit
-        + np.reshape(beta_cavity, (-1, 1, 1, 1, 1, 1)) * cavity
-        - log_pk[:, None, :, None, None, None]
+        beta_qubit[:, None] * qubit
+        + np.reshape(beta_cavity, (-1, 1)) * cavity
+        - log_pk[:, k]
     )
+
+
+def _label_shape(dims: SystemDims) -> tuple[int, ...]:
+    return (2, 2, dims.dim_cavity_init, 2, dims.dim_cavity_full)
 
 
 @functools.lru_cache(maxsize=16)
@@ -246,6 +253,25 @@ def quanta_change(dims: SystemDims) -> tuple[np.ndarray, np.ndarray]:
     for change in changes:
         change.setflags(write=False)
     return changes
+
+
+@functools.lru_cache(maxsize=16)
+def label_classes(dims: SystemDims) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The (Delta q, Delta c, k) class of every label, and each class's three values.
+
+    Returns ``(class_of, qubit, cavity, k)``: ``class_of[label]`` over the
+    flattened ``TrajectoryTable.probs`` and, per class, its quanta changes
+    and readout outcome.  sigma is a function of the class alone, so every
+    label of a class has bit-identical sigma.  Read-only integer arrays.
+    """
+    qubit, cavity = quanta_change(dims)
+    k = np.arange(2)[None, :, None, None, None]
+    keys = np.stack([a.ravel() for a in np.broadcast_arrays(qubit, cavity, k)], axis=1)
+    classes, class_of = np.unique(keys, axis=0, return_inverse=True)
+    arrays = (class_of.ravel(), *np.ascontiguousarray(classes.T))
+    for array in arrays:
+        array.setflags(write=False)
+    return arrays
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +462,10 @@ class TableRows:
     def of(cls, fwd: TrajectoryTable, bwd: TrajectoryTable | None = None) -> "TableRows":
         """One forward table, or a forward/backward pair of one bias point, as one row."""
         gibbs = fwd.gibbs
-        if bwd is not None:
+        if bwd is None:
+            if fwd.direction != "forward":
+                raise ValueError(f"need a forward table, got a {fwd.direction} one")
+        else:
             if fwd.direction != "forward" or bwd.direction != "backward":
                 raise ValueError("need one forward and one backward table")
             if fwd.dims != bwd.dims:
@@ -851,44 +880,49 @@ def check_rows(rows: TableRows, hist: HistogramRows | None = None) -> None:
 def histogram_rows(rows: TableRows, tol: float = SIGMA_TOL) -> HistogramRows:
     """:func:`sigma_histogram` of every row of a block, bit for bit.
 
-    Rows sharing a forward support are sorted together.  A bin opens where
+    Rows sharing a forward support are binned together.  A bin opens where
     the gap to the previous value exceeds ``tol``, and again wherever a value
     lies beyond ``tol`` of its bin's anchor.  Each bin sums its members left
     to right in sorted order (a running sum, never pairwise).
+
+    Every label of a (Delta q, Delta c, k) class has the same sigma
+    (:func:`label_classes`).  So a row whose class values lie more than
+    ``tol`` apart has one bin per class, holding the class's labels in index
+    order as the stable sort leaves them: such a row sorts its classes, not
+    its labels, and sums each class's labels in the same order
+    (:func:`_class_bins`).  The other rows sort their labels
+    (:func:`_label_bins`).
     """
     count = len(rows.dbeta)
     fwd = rows.forward.reshape(count, -1)
-    # [r, label, (sigma, forward weight, backward weight)]
-    labels = np.stack(
-        (_sigma_rows(rows.beta_qubit, rows.beta_cavity, rows.pk, rows.dims).reshape(count, -1),
-         fwd, rows.backward.reshape(count, -1)),
-        axis=-1,
-    )
+    bwd = rows.backward.reshape(count, -1)
+    class_sigma = _class_sigma_rows(rows.beta_qubit, rows.beta_cavity, rows.pk, rows.dims)
+    class_of = label_classes(rows.dims)[0]
     parts = []
     for sel, cols in row_groups(fwd > 0.0):
-        lines = np.arange(len(labels[sel]))[:, None]
         if not cols.size:  # nothing is forward-possible: a table check fails these rows
-            parts.append((sel, np.zeros((3, len(lines), 0)), 0))
+            parts.append((sel, np.zeros((3, len(fwd[sel]), 0)), 0))
             continue
-        cols = cols[np.argsort(labels[sel][:, cols, 0], axis=1, kind="stable")]
-        sorted_labels = labels[sel][lines, cols]
-        s = sorted_labels[..., 0]
-        start, anchor = _bins(s, tol)
-        depth = np.arange(s.shape[1]) - anchor  # position within the bin
-        bin_of = np.cumsum(start, axis=1) - 1
-        members = np.zeros((int(depth.max()) + 1, len(s), int(bin_of.max()) + 1, 3))
-        members[depth, lines, bin_of] = sorted_labels
-        anchors = members[0, :, :, 0].copy()
-        # a running sum along depth adds each bin's weights left to right, never
-        # pairwise; a bin's total sits at the depth of its last member
-        members = np.cumsum(members, axis=0)
-        ends = np.ones_like(start)
-        ends[:, :-1] = start[:, 1:]
-        r, c = np.nonzero(ends)
-        bins = np.zeros((3, *anchors.shape))  # anchor sigma, forward, backward
-        bins[0] = anchors
-        bins[1:, r, bin_of[r, c]] = members[depth[r, c], r, bin_of[r, c], 1:].T
-        parts.append((sel, bins, bin_of[:, -1] + 1))
+        present, members = _support_members(rows.dims, cols.tobytes())
+        sigma = class_sigma[sel][:, present]
+        order = np.argsort(sigma, axis=1, kind="stable")
+        sigma = sigma[np.arange(len(sigma))[:, None], order]
+        # a tie, a near-tie or a non-finite value puts several classes in one bin,
+        # and a negative tolerance gives every label a bin of its own
+        apart = np.isfinite(sigma).all(axis=1) & (np.diff(sigma, axis=1) > tol).all(axis=1)
+        apart &= tol >= 0.0
+        if apart.all():  # the common case, without copying the rows
+            parts.append((sel, _class_bins(sigma, order, fwd[sel], bwd[sel], members),
+                          len(present)))
+            continue
+        sel = np.arange(count)[sel]
+        by_class, by_label = sel[apart], sel[~apart]
+        if by_class.size:
+            bins = _class_bins(sigma[apart], order[apart], fwd[by_class], bwd[by_class], members)
+            parts.append((by_class, bins, len(present)))
+        labels = np.stack((class_sigma[by_label][:, class_of[cols]],
+                           fwd[by_label][:, cols], bwd[by_label][:, cols]), axis=-1)
+        parts.append((by_label, *_label_bins(labels, tol)))
     width = max(bins.shape[2] for _, bins, _ in parts)
     sigma, p_f, p_b = out = np.zeros((3, count, width))
     size = np.empty(count, dtype=int)
@@ -896,6 +930,74 @@ def histogram_rows(rows: TableRows, tol: float = SIGMA_TOL) -> HistogramRows:
         out[:, sel, :bins.shape[2]] = bins
         size[sel] = sizes
     return HistogramRows(sigma, p_f, p_b, size, tol)
+
+
+@functools.lru_cache(maxsize=64)
+def _support_members(dims: SystemDims, support: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """The classes of the labels of a support, and each class's labels in index order.
+
+    ``support`` holds the label indices as ``np.intp`` bytes.  ``members[d, c]``
+    is the ``d``-th label of class ``present[c]``; a class with fewer labels is
+    padded with the index one past the last label.  Read-only arrays.
+    """
+    class_of = label_classes(dims)[0]
+    cols = np.frombuffer(support, dtype=np.intp)  # ascending: index order
+    present, class_index = np.unique(class_of[cols], return_inverse=True)
+    earlier = np.cumsum(class_index[:, None] == np.arange(len(present)), axis=0)
+    depth = earlier[np.arange(len(cols)), class_index] - 1
+    members = np.full((int(depth.max()) + 1, len(present)), len(class_of))
+    members[depth, class_index] = cols
+    for array in (present, members):
+        array.setflags(write=False)
+    return present, members
+
+
+def _class_bins(sigma, order, fwd, bwd, members) -> np.ndarray:
+    """Bins of rows with one class per bin.
+
+    ``sigma[r]`` holds the row's sorted class values and ``order[r]`` their
+    classes.  Each class sums its labels in index order, the running sum the
+    label sort would make; the padding label weighs -0.0, and x + -0.0 is x.
+    """
+    weights = np.empty((fwd.shape[1] + 1, 2, len(fwd)))  # [label, (forward, backward), r]
+    weights[:-1, 0] = fwd.T
+    weights[:-1, 1] = bwd.T
+    weights[-1] = -0.0
+    members = weights[members]  # [depth, class, (forward, backward), r]
+    total = members[0]
+    for depth in range(1, len(members)):
+        total = total + members[depth]
+    lines = np.arange(len(sigma))[:, None]
+    bins = np.empty((3, *sigma.shape))
+    bins[0] = sigma
+    bins[1] = total[order, 0, lines]
+    bins[2] = total[order, 1, lines]
+    return bins
+
+
+def _label_bins(labels: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Bins and bin counts of rows of ``labels[r, label, (sigma, forward, backward)]``,
+    sorted label by label."""
+    lines = np.arange(len(labels))[:, None]
+    cols = np.argsort(labels[..., 0], axis=1, kind="stable")
+    sorted_labels = labels[lines, cols]
+    s = sorted_labels[..., 0]
+    start, anchor = _bins(s, tol)
+    depth = np.arange(s.shape[1]) - anchor  # position within the bin
+    bin_of = np.cumsum(start, axis=1) - 1
+    members = np.zeros((int(depth.max()) + 1, len(s), int(bin_of.max()) + 1, 3))
+    members[depth, lines, bin_of] = sorted_labels
+    anchors = members[0, :, :, 0].copy()
+    # a running sum along depth adds each bin's weights left to right, never
+    # pairwise; a bin's total sits at the depth of its last member
+    members = np.cumsum(members, axis=0)
+    ends = np.ones_like(start)
+    ends[:, :-1] = start[:, 1:]
+    r, c = np.nonzero(ends)
+    bins = np.zeros((3, *anchors.shape))  # anchor sigma, forward, backward
+    bins[0] = anchors
+    bins[1:, r, bin_of[r, c]] = members[depth[r, c], r, bin_of[r, c], 1:].T
+    return bins, bin_of[:, -1] + 1
 
 
 def _bins(s: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:

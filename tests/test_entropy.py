@@ -225,6 +225,24 @@ def test_a_pair_of_tables_of_two_bias_points_is_rejected(entry):
     run(f0, b0)  # a matching pair passes
 
 
+#: the public entries that take one forward table
+SINGLE_ENTRIES = {
+    "evaluate": lambda table: evaluate(table, None),
+    "sigma1": sigma1,
+    "sigma2": sigma2,
+    "sigma6": sigma6,
+}
+
+
+@pytest.mark.parametrize("entry", sorted(SINGLE_ENTRIES))
+def test_a_backward_table_is_rejected_as_the_forward_one(entry):
+    run = SINGLE_ENTRIES[entry]
+    fwd, bwd = _tables(0.0, ErrorModel(), mode="physical")
+    with pytest.raises(ValueError, match="^need a forward table, got a backward one$"):
+        run(bwd)
+    run(fwd)  # the forward table passes
+
+
 # ---------------------------------------------------------------------------
 # fluctuation identities
 

@@ -85,6 +85,12 @@ CASES = {
     "chained_bins": RunConfig(
         mode="physical", sigma_tol=1e-6, dbeta_start=-2e-6, dbeta_stop=2e-6, dbeta_step=1e-7
     ),
+    # faithful readout: the (dq, dc, k) classes (0, 0, 0) and (-1, 0, 1) have sigma
+    # -ln p(k=0) and -beta_Q - ln p(k=1), equal to rounding, so every row has a
+    # bin of two classes and bins its labels
+    "cavity_prep": RunConfig(mode="physical", single_error="cavity_prep"),
+    "relax_cavity": RunConfig(mode="physical", single_error="relax_cavity",
+                              relax_cavity_prob=0.02),
     **{f"random_{seed}": _random_physical(seed, dbeta_step=0.1) for seed in range(4)},
     "random_floor": _random_physical(7, floor=1e-12, heat_from_atom=False),
 }
@@ -224,7 +230,9 @@ def _assert_histograms_match(kernel, config: RunConfig) -> None:
             assert getattr(hist.row(r), name).tobytes() == getattr(expected, name).tobytes()
 
 
-@pytest.mark.parametrize("case", ["chained_bins", "sigma_tol_0", "underflow_physical"])
+@pytest.mark.parametrize(
+    "case", ["cavity_prep", "chained_bins", "relax_cavity", "sigma_tol_0", "underflow_physical"]
+)
 def test_block_histograms_match_the_reference(case):
     config = CASES[case]
     _assert_histograms_match(runner.build_kernel(config), config)
@@ -241,6 +249,20 @@ def test_negative_zero_table_entries_keep_their_sign():
     _assert_histograms_match(kernel, config)
     expected = _reference_csv(config, kernel)
     assert sweep_csv_text(run_analysis(config, forward, backward)) == expected
+
+
+@pytest.mark.parametrize("tol", [-1.0, np.nan])
+def test_a_tolerance_below_zero_bins_every_label_alone(tol):
+    # every gap fails "<= tol", so the loop opens a bin at every label, and no
+    # row may sum a class in one bin
+    config = CASES["physical"]
+    kernel = runner.build_kernel(config)
+    fwd, bwd = point_tables(kernel, GibbsSpec.from_dbeta(config.beta_cavity, 0.75))
+    hist = sigma_histogram(fwd, bwd, tol=tol)
+    expected = reference.sigma_histogram(fwd, bwd, tol=tol)
+    assert hist.sigma.size == np.count_nonzero(fwd.probs)
+    for name in ("sigma", "p_forward", "p_backward"):
+        assert getattr(hist, name).tobytes() == getattr(expected, name).tobytes()
 
 
 @pytest.mark.parametrize(

@@ -29,6 +29,8 @@ from demon_ep import (
     sigma_grid,
     sigma_histogram,
 )
+import demon_ep.protocol as protocol
+import demon_ep.runner as runner
 from demon_ep.protocol import (
     _point_rows,
     backward_conditionals,
@@ -369,6 +371,44 @@ def test_histogram_validation():
             forward_table(_gibbs(0.0), mode="ideal"),
             forward_table(_gibbs(0.0), mode="ideal"),
         )
+
+
+#: (config, rows whose bins sort labels, not classes, of all rows)
+LABEL_PATH_ROWS = {
+    "physical": (RunConfig(mode="physical"), 13, 49),
+    "ideal": (RunConfig(), 0, 49),
+    "cavity_prep": (RunConfig(mode="physical", single_error="cavity_prep"), 49, 49),
+    "dense_physical": (RunConfig(mode="physical", dbeta_step=0.0025), 13, 4801),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LABEL_PATH_ROWS))
+def test_only_rows_with_a_bin_of_several_classes_sort_their_labels(monkeypatch, case):
+    # a fallback to the label sort everywhere would keep every bit and lose the speed
+    config, expected, points = LABEL_PATH_ROWS[case]
+    label_rows = []
+    label_bins = protocol._label_bins
+    monkeypatch.setattr(
+        protocol, "_label_bins", lambda labels, tol: label_rows.append(len(labels))
+        or label_bins(labels, tol)
+    )
+    kernel = runner.build_kernel(config)
+    grid = config.grid()
+    for start in range(0, grid.size, runner.BLOCK_POINTS):
+        runner.checked_rows(kernel, config, grid[start:start + runner.BLOCK_POINTS])
+    assert (sum(label_rows), grid.size) == (expected, points)
+
+
+def test_every_label_of_a_class_has_the_same_sigma():
+    class_of, qubit, cavity, k = protocol.label_classes(DEFAULT_DIMS)
+    assert class_of.shape == (2 * 2 * INIT * 2 * FULL,) and not class_of.flags.writeable
+    labels = np.indices((2, 2, INIT, 2, FULL)).reshape(5, -1)  # n_Q, k, n_C, m_Q, m_C
+    np.testing.assert_array_equal(qubit[class_of], labels[3] - labels[0])
+    np.testing.assert_array_equal(cavity[class_of], labels[4] - labels[2])
+    np.testing.assert_array_equal(k[class_of], labels[1])
+    sigma = sigma_grid(_gibbs(0.75), np.array([0.3, 0.7])).ravel()
+    for c in range(len(qubit)):
+        assert len(set(sigma[class_of == c].tolist())) == 1
 
 
 # ---------------------------------------------------------------------------

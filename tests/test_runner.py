@@ -38,7 +38,7 @@ from demon_ep import (
     two_atom_probability,
     validate,
 )
-from demon_ep.protocol import ProtocolKernel, simulated_kernel, weigh_rows
+from demon_ep.protocol import ProtocolKernel, histogram_rows, simulated_kernel, weigh_rows
 
 # SHA-256 of sweep_csv_text on the default 49-point grid.  Recorded from the
 # separate ideal/physical implementation that the shared kernel path
@@ -385,7 +385,15 @@ def test_invariants_hold_for_any_physical_model_and_bias(
         model if mode == "physical" else None, DEFAULT_DIMS, mode,
         ErrorModel.ideal() if idealized_backward else None,
     )
-    for result in runner._run(kernel, config):  # raises if a table check fails
+    results = runner._run(kernel, config)  # raises if a table check fails
+    # the class path and the label path both give the loop's histogram, bit for bit
+    rows = weigh_rows(kernel, config.beta_cavity, config.grid())
+    hist = histogram_rows(rows, config.sigma_tol)
+    for r in range(len(rows.dbeta)):
+        expected = reference.sigma_histogram(*rows.tables(r), tol=config.sigma_tol)
+        for name in ("sigma", "p_forward", "p_backward"):
+            assert getattr(hist.row(r), name).tobytes() == getattr(expected, name).tobytes()
+    for result in results:
         sigmas = [result.sigma1, result.sigma2, result.sigma3,
                   result.sigma4, result.sigma5, result.sigma6]
         assert not np.isnan([*sigmas, result.heat_cavity, result.mean_info]).any()
