@@ -154,92 +154,95 @@ class ConditionalTable:
 
         n_C runs over the initial truncation of ``dims`` for forward tables
         and over the evolved space for backward ones; m_C over the evolved
-        space.  Labels outside those ranges raise.
+        space.  Labels outside those ranges raise, and so does a forward table
+        without a row for every initial state.
         """
         what = self.orientation.split("-")[0]
         full = dims.dim_cavity_full
         rows = dims.dim_cavity_init if what == "forward" else full
-        for m_q, k, m_c in self.col_labels:
-            if not (0 <= m_q < 2 and 0 <= k < 2 and 0 <= m_c < full):
-                raise ValueError(f"{what} column label ({m_q}, {k}, {m_c}) out of range")
+        cols = np.array(self.col_labels).reshape(-1, 3)  # of objects for a label past int64
+        bad = ((cols < 0) | (cols >= (2, 2, full))).any(axis=1)
+        if bad.any():
+            raise ValueError(f"{what} column label {self.col_labels[bad.argmax()]} out of range")
+        initial = np.array(self.row_labels).reshape(-1, 2)
+        bad = ((initial < 0) | (initial >= (2, rows))).any(axis=1)
+        if bad.any():
+            raise ValueError(f"{what} row label {self.row_labels[bad.argmax()]} out of range")
+        if what == "forward" and len(initial) < 2 * rows:
+            missing = sorted(set(np.ndindex(2, rows)) - set(self.row_labels))
+            raise ValueError(f"forward table has no row for initial state {str(missing)[1:-1]}")
+        initial, cols = initial.astype(np.intp), cols.astype(np.intp)  # float if empty
         out = np.zeros((2, rows, 2, 2, full))
-        for i, (n_q, n_c) in enumerate(self.row_labels):
-            if not (0 <= n_q < 2 and 0 <= n_c < rows):
-                raise ValueError(f"{what} row label ({n_q}, {n_c}) out of range")
-            for j, col in enumerate(self.col_labels):
-                out[(n_q, n_c) + col] = self.values[i, j]
+        out[initial[:, :1], initial[:, 1:], cols[:, 0], cols[:, 1], cols[:, 2]] = self.values
         return out
-
-
-def _parse_label(token: str) -> tuple:
-    body = token.strip()
-    if not (body.startswith("(") and body.endswith(")")):
-        raise ValueError(f"malformed state label {token!r}")
-    try:
-        return tuple(int(part) for part in body[1:-1].split(","))
-    except ValueError:
-        raise ValueError(f"malformed state label {token!r}") from None
-
-
-def _clamp(value: float, where: str) -> float:
-    if not math.isfinite(value):
-        raise ValueError(f"non-finite probability {value!r} at {where}")
-    if 0.0 <= value <= 1.0:
-        return value
-    excess = max(-value, value - 1.0)
-    if excess > _CLAMP_TOL:
-        raise ValueError(f"probability {value!r} at {where} outside [0, 1]")
-    warnings.warn(f"clamping probability {value!r} at {where}", stacklevel=3)
-    return min(1.0, max(0.0, value))
 
 
 def parse_table(source, orientation: str) -> ConditionalTable:
     """Parse an ASCII conditional table from a path or file-like object.
 
     Blank lines and lines starting with ``#`` are skipped.  The first content
-    line holds the column labels (optionally preceded by a corner token);
-    every following line is a row label followed by one value per column.
-    Values barely outside [0, 1] (within 1e-6) are clamped with a warning;
-    NaN and infinities are rejected.
+    line holds the column labels (after a corner token if its first token is
+    not a label); every following line is a row label followed by one value
+    per column.  Values barely outside [0, 1] (within 1e-6) are clamped with
+    a warning; NaN, infinities and the first fault in reading order raise.
     """
     if hasattr(source, "read"):
         text = source.read()
     else:
         text = Path(source).read_text()
-    rows: list[list[str]] = []
-    for line in text.splitlines():
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        rows.append(stripped.split())
+    rows = [row for row in map(str.split, text.splitlines()) if row and not row[0].startswith("#")]
     if len(rows) < 2:
         raise ValueError("table needs a header line and at least one data row")
-    header = rows[0]
-    data = rows[1:]
-    n_values = len(data[0]) - 1
-    if n_values < 1:
-        raise ValueError("data rows need a label plus at least one value")
-    if len(header) == n_values + 1:
+    header, data = rows[0], rows[1:]
+    if not (header[0].startswith("(") and header[0].endswith(")")):
         header = header[1:]  # drop corner token
-    if len(header) != n_values:
-        raise ValueError(
-            f"header has {len(header)} column labels but rows carry {n_values} values"
-        )
-    col_labels = tuple(_parse_label(tok) for tok in header)
-    row_labels = []
-    values = np.zeros((len(data), n_values))
-    for i, row in enumerate(data):
-        if len(row) != n_values + 1:
-            raise ValueError(f"row {i + 1} has {len(row) - 1} values, expected {n_values}")
-        label = _parse_label(row[0])
-        row_labels.append(label)
-        for j, tok in enumerate(row[1:]):
+    width = len(header)
+    if width < 1:
+        raise ValueError("header needs at least one column label")
+    # each row is read as its length, its label, then its values
+    ragged = next((i for i, row in enumerate(data) if len(row) != width + 1), len(data))
+    labels, fault = [], None
+    for tok in header + [row[0] for row in data[:ragged]]:
+        try:
+            if not (tok.startswith("(") and tok.endswith(")")):
+                raise ValueError(tok)
+            labels.append(tuple(map(int, tok[1:-1].split(","))))
+        except ValueError:
+            fault = ValueError(f"malformed state label {tok!r}")
+            break
+    if len(labels) < width:  # a malformed column label
+        raise fault
+    col_labels, row_labels = labels[:width], labels[width:]
+    if fault is None and ragged < len(data):
+        count = len(data[ragged]) - 1
+        fault = ValueError(f"row {ragged + 1} has {count} values, expected {width}")
+    tokens = [tok for row in data[: len(row_labels)] for tok in row[1:]]
+    try:
+        numbers = list(map(float, tokens))
+    except ValueError:
+        numbers = []
+        for tok in tokens:
             try:
-                raw = float(tok)
+                numbers.append(float(tok))
             except ValueError:
-                raise ValueError(f"bad number {tok!r} at row {label}") from None
-            values[i, j] = _clamp(raw, f"row {label}, column {col_labels[j]}")
-    return ConditionalTable(tuple(row_labels), col_labels, values, orientation)
+                label = row_labels[len(numbers) // width]
+                fault = ValueError(f"bad number {tok!r} at row {label}")
+                break
+    values = np.array(numbers, dtype=float)
+    for at in np.flatnonzero(~((values >= 0.0) & (values <= 1.0))).tolist():
+        value = numbers[at]
+        where = f"row {row_labels[at // width]}, column {col_labels[at % width]}"
+        if not math.isfinite(value):
+            fault = ValueError(f"non-finite probability {value!r} at {where}")
+            break
+        if max(-value, value - 1.0) > _CLAMP_TOL:
+            fault = ValueError(f"probability {value!r} at {where} outside [0, 1]")
+            break
+        warnings.warn(f"clamping probability {value!r} at {where}", stacklevel=2)
+        values[at] = min(1.0, max(0.0, value))
+    if fault is not None:
+        raise fault
+    return ConditionalTable(row_labels, col_labels, values.reshape(-1, width), orientation)
 
 
 def _label_str(label: tuple) -> str:

@@ -231,22 +231,33 @@ def shannon_entropy_rows(p: np.ndarray) -> np.ndarray:
     return -_over_supports(p, sum_p_log_p)
 
 
+def _finite_divergence(pm: np.ndarray, qm: np.ndarray) -> np.ndarray:
+    """Divergences of compacted rows with no reference entry at or below zero."""
+    logs = np.log(pm / qm)
+    total = _dot_rows(pm, logs)
+    if not np.isfinite(total).all():
+        # a ratio overflowed to inf or underflowed to 0: take ln p - ln q there
+        lost = ~np.isfinite(total)
+        logs = logs[lost]
+        gone = np.isinf(logs)
+        logs[gone] = np.log(pm[lost][gone]) - np.log(qm[lost][gone])
+        total[lost] = _dot_rows(pm[lost], logs)
+    return total
+
+
 def relative_entropy_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """:func:`relative_entropy` of each pair of entries along the leading axis."""
     p, q = p.reshape(len(p), -1), q.reshape(len(q), -1)
 
     def divergence(rows, columns):
         pm, qm = p[rows].take(columns, axis=1), q[rows].take(columns, axis=1)
-        logs = np.log(pm / qm)
-        total = _dot_rows(pm, logs)
-        if not np.isfinite(total).all():  # as a q <= 0 always makes it
-            # a ratio overflowed to inf or underflowed to 0: take ln p - ln q there
-            lost = ~np.isfinite(total)
-            logs = logs[lost]
-            gone = np.isinf(logs)
-            logs[gone] = np.log(pm[lost][gone]) - np.log(qm[lost][gone])
-            total[lost] = _dot_rows(pm[lost], logs)
-            total[(qm <= 0.0).any(axis=1)] = math.inf
+        if qm.min(initial=math.inf) > 0.0:
+            return _finite_divergence(pm, qm)
+        # a reference that vanishes on p's support makes the divergence +inf:
+        # only the other rows take logarithms
+        live = ~(qm <= 0.0).any(axis=1)
+        total = np.full(len(pm), math.inf)
+        total[live] = _finite_divergence(pm[live], qm[live])
         return total
 
     with np.errstate(all="ignore"):

@@ -5,19 +5,24 @@ ran before it evaluated the bias grid in array blocks, kept verbatim (with the
 statespace helpers they called) so the tests can demand that the block
 evaluator reproduces them bit for bit.  :func:`run` is the old per-point loop
 of ``runner._run``, and :func:`random_circuits` the circuit-by-circuit draw of
-``validate``'s sigma2 = sigma6 check.  Nothing in the package imports this
-module.
+``validate``'s sigma2 = sigma6 check.  :func:`parse_table` and :func:`to_grid`
+are the value-by-value table reader and grid fill, and
+:func:`relative_entropy_rows` the row divergence that took logarithms on every
+row.  Nothing in the package imports this module.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
+from pathlib import Path
 
 import numpy as np
 
+from demon_ep.dataio import _CLAMP_TOL, ConditionalTable
 from demon_ep.entropy import EpResult
 from demon_ep.protocol import SigmaHistogram, TrajectoryTable
-from demon_ep.statespace import DEFAULT_DIMS, GibbsSpec
+from demon_ep.statespace import DEFAULT_DIMS, GibbsSpec, _dot_rows, _over_supports
 
 
 # ---------------------------------------------------------------------------
@@ -58,6 +63,110 @@ def relative_entropy(p, q) -> float:
     lost = np.isinf(logs)
     logs[lost] = np.log(pm[lost]) - np.log(qm[lost])
     return float(np.dot(pm, logs))
+
+
+def relative_entropy_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    p, q = p.reshape(len(p), -1), q.reshape(len(q), -1)
+
+    def divergence(rows, columns):
+        pm, qm = p[rows].take(columns, axis=1), q[rows].take(columns, axis=1)
+        logs = np.log(pm / qm)
+        total = _dot_rows(pm, logs)
+        if not np.isfinite(total).all():  # as a q <= 0 always makes it
+            # a ratio overflowed to inf or underflowed to 0: take ln p - ln q there
+            lost = ~np.isfinite(total)
+            logs = logs[lost]
+            gone = np.isinf(logs)
+            logs[gone] = np.log(pm[lost][gone]) - np.log(qm[lost][gone])
+            total[lost] = _dot_rows(pm[lost], logs)
+            total[(qm <= 0.0).any(axis=1)] = math.inf
+        return total
+
+    with np.errstate(all="ignore"):
+        return _over_supports(p, divergence)
+
+
+# ---------------------------------------------------------------------------
+# dataio
+
+
+def to_grid(table: ConditionalTable, dims) -> np.ndarray:
+    what = table.orientation.split("-")[0]
+    full = dims.dim_cavity_full
+    rows = dims.dim_cavity_init if what == "forward" else full
+    for m_q, k, m_c in table.col_labels:
+        if not (0 <= m_q < 2 and 0 <= k < 2 and 0 <= m_c < full):
+            raise ValueError(f"{what} column label ({m_q}, {k}, {m_c}) out of range")
+    out = np.zeros((2, rows, 2, 2, full))
+    for i, (n_q, n_c) in enumerate(table.row_labels):
+        if not (0 <= n_q < 2 and 0 <= n_c < rows):
+            raise ValueError(f"{what} row label ({n_q}, {n_c}) out of range")
+        for j, col in enumerate(table.col_labels):
+            out[(n_q, n_c) + col] = table.values[i, j]
+    return out
+
+
+def _parse_label(token: str) -> tuple:
+    body = token.strip()
+    if not (body.startswith("(") and body.endswith(")")):
+        raise ValueError(f"malformed state label {token!r}")
+    try:
+        return tuple(int(part) for part in body[1:-1].split(","))
+    except ValueError:
+        raise ValueError(f"malformed state label {token!r}") from None
+
+
+def _clamp(value: float, where: str) -> float:
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite probability {value!r} at {where}")
+    if 0.0 <= value <= 1.0:
+        return value
+    excess = max(-value, value - 1.0)
+    if excess > _CLAMP_TOL:
+        raise ValueError(f"probability {value!r} at {where} outside [0, 1]")
+    warnings.warn(f"clamping probability {value!r} at {where}", stacklevel=3)
+    return min(1.0, max(0.0, value))
+
+
+def parse_table(source, orientation: str) -> ConditionalTable:
+    if hasattr(source, "read"):
+        text = source.read()
+    else:
+        text = Path(source).read_text()
+    rows: list[list[str]] = []
+    for line in text.splitlines():
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        rows.append(stripped.split())
+    if len(rows) < 2:
+        raise ValueError("table needs a header line and at least one data row")
+    header = rows[0]
+    data = rows[1:]
+    n_values = len(data[0]) - 1
+    if n_values < 1:
+        raise ValueError("data rows need a label plus at least one value")
+    if len(header) == n_values + 1:
+        header = header[1:]  # drop corner token
+    if len(header) != n_values:
+        raise ValueError(
+            f"header has {len(header)} column labels but rows carry {n_values} values"
+        )
+    col_labels = tuple(_parse_label(tok) for tok in header)
+    row_labels = []
+    values = np.zeros((len(data), n_values))
+    for i, row in enumerate(data):
+        if len(row) != n_values + 1:
+            raise ValueError(f"row {i + 1} has {len(row) - 1} values, expected {n_values}")
+        label = _parse_label(row[0])
+        row_labels.append(label)
+        for j, tok in enumerate(row[1:]):
+            try:
+                raw = float(tok)
+            except ValueError:
+                raise ValueError(f"bad number {tok!r} at row {label}") from None
+            values[i, j] = _clamp(raw, f"row {label}, column {col_labels[j]}")
+    return ConditionalTable(tuple(row_labels), col_labels, values, orientation)
 
 
 # ---------------------------------------------------------------------------

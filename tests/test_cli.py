@@ -122,6 +122,21 @@ def test_analyze_corrupt_table_is_a_data_error(tmp_path):
     assert "not stochastic" in proc.stderr
 
 
+def test_analyze_forward_table_missing_an_initial_state_is_a_data_error(tmp_path, table_files):
+    # zero-filled, the missing row took its mass from every bias point and
+    # the run passed with tolerated-mass warnings only
+    fwd_path, bwd_path = table_files
+    short = tmp_path / "short.txt"
+    lines = fwd_path.read_text().splitlines(True)
+    short.write_text("".join(line for line in lines if not line.startswith("(1,3) ")))
+    grid = tmp_path / "grid.conf"
+    grid.write_text("dbeta_start = -6\ndbeta_stop = -4\ndbeta_step = 1\n")
+    proc = run_cli("analyze", str(short), str(bwd_path), "--config", str(grid))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "forward table has no row for initial state (1, 3)" in proc.stderr
+
+
 def test_analyze_missing_file_is_a_data_error(tmp_path):
     proc = run_cli("analyze", str(tmp_path / "nowhere.txt"), "--forward-only")
     assert proc.returncode == 2

@@ -6,6 +6,7 @@ import csv
 import dataclasses
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -32,7 +33,9 @@ from demon_ep import (
     write_table,
 )
 from demon_ep.dataio import BOLTZMANN_CONSTANT, MAX_GRID_POINTS, PLANCK_CONSTANT
+from demon_ep.statespace import DEFAULT_DIMS
 
+import pointwise_reference as reference
 from conftest import BETA_C
 
 HEADER = "dbeta_tilde,sigma1,sigma2,sigma3,sigma4,sigma5,sigma6,heat_C,mean_info,flags"
@@ -211,6 +214,133 @@ def test_parse_table_rejects_ragged_rows():
     text = "state (0,0,0) (0,1,0)\n(0,0) 0.5\n"
     with pytest.raises(ValueError):
         parse_table(io.StringIO(text), "forward-rows-initial")
+
+
+@pytest.mark.parametrize("short_row", [1, 2])
+def test_parse_table_reports_a_short_row_by_its_number(short_row):
+    # the header alone decides the corner token, so a short first row is a
+    # short row, not a header mismatch
+    rows = ["(0,0) 1 0", "(0,1) 0 1"]
+    rows[short_row - 1] = rows[short_row - 1][: -len(" 0")]
+    text = "state (0,0,0) (0,0,1)\n" + "\n".join(rows) + "\n"
+    with pytest.raises(ValueError, match=rf"^row {short_row} has 1 values, expected 2$"):
+        parse_table(io.StringIO(text), "forward-rows-initial")
+
+
+def test_forward_table_must_list_every_initial_state():
+    fwd = forward_table(GibbsSpec.from_dbeta(BETA_C, 0.0), ErrorModel(), mode="physical")
+    text = serialize_table(conditional_from_table(fwd))
+    lines = [line for line in text.splitlines(True) if not line.startswith(("(1,3) ", "(0,0) "))]
+    table = parse_table(io.StringIO("".join(lines)), "forward-rows-initial")
+    with pytest.raises(ValueError, match=r"no row for initial state \(0, 0\), \(1, 3\)$"):
+        measured_kernel(table, None)
+    # a backward table may leave rows out: its column sums count what they would hold
+    backward = ConditionalTable(((0, 0),), ((0, 0, 0),), [[1.0]], "backward-rows-final")
+    assert backward.to_grid(DEFAULT_DIMS).sum() == 1.0
+
+
+_ALL_ROWS = {
+    "forward-rows-initial": [(n_q, n_c) for n_q in range(2) for n_c in range(4)],
+    "backward-rows-final": [(n_q, n_c) for n_q in range(2) for n_c in range(5)],
+}
+_ALL_COLUMNS = [(m_q, k, m_c) for m_q in range(2) for k in range(2) for m_c in range(5)]
+_BAD_NUMBERS = ["nan", "NaN", "inf", "-inf", "abc", "1.5", "-0.25", "1,0", "0x1p-3", "1.0000011"]
+_BAD_LABELS = ["(0;1)", "x", "(0,a)", "()", "(0,1,2)", "(0,7)", "(0,0)", "(1,3", "(1,4)", "(0,5)",
+               "(0,0,5)", "(2,0,0)", "(-1,0)", "(0,99999999999999999999)", "(0,0,-1)"]
+
+
+def _label_text(label) -> str:
+    return "(" + ",".join(map(str, label)) + ")"
+
+
+def _random_table_text(rng: np.random.Generator) -> tuple[str, str]:
+    """A seeded table in the exchange format: permuted row and column labels,
+    an optional corner token, comments, -0.0 and clamped entries, and up to
+    three faults (a bad number, NaN or inf, a value out of range, a bad label
+    or a ragged row) at random positions."""
+    orientation = str(rng.choice(list(_ALL_ROWS)))
+    forward = orientation.startswith("forward")
+    rows = [_ALL_ROWS[orientation][i] for i in rng.permutation(len(_ALL_ROWS[orientation]))]
+    if not forward:
+        rows = rows[: rng.integers(1, len(rows) + 1)]
+    cols = [_ALL_COLUMNS[i] for i in rng.permutation(20)[: rng.integers(1, 21)]]
+    values = rng.random((len(rows), len(cols))) * (rng.random((len(rows), len(cols))) < 0.6)
+    values[rng.random(values.shape) < 0.1] = 1.0
+    axis = 1 if forward else 0
+    empty = values.sum(axis=axis) == 0.0
+    if forward:
+        values[empty, rng.integers(len(cols), size=empty.sum())] = 1.0
+    else:
+        values[rng.integers(len(rows), size=empty.sum()), empty] = 1.0
+    values /= values.sum(axis=axis, keepdims=True)
+    values[(values == 0.0) & (rng.random(values.shape) < 0.5)] = -0.0
+    for _ in range(rng.integers(0, 6)):  # clamped: within 1e-6 outside [0, 1]
+        i, j = rng.integers(len(rows)), rng.integers(len(cols))
+        excess = float(rng.choice([1e-12, 3e-9, 1e-7, 1e-6]))
+        if values[i, j] in (0.0, 1.0):
+            values[i, j] = 1.0 + excess if values[i, j] == 1.0 else -excess
+    spell = format if rng.random() < 0.5 else (lambda v, _: repr(float(v)))
+    header = [_label_text(c) for c in cols]
+    data = [[_label_text(r)] + [spell(v, ".17g") for v in row] for r, row in zip(rows, values)]
+    for _ in range(rng.integers(1, 4) * (rng.random() < 0.5)):
+        i = int(rng.integers(len(data)))
+        fault = rng.integers(4)
+        if fault == 0 and len(data[i]) > 1:
+            data[i][rng.integers(1, len(data[i]))] = str(rng.choice(_BAD_NUMBERS))
+        elif fault == 1:
+            data[i][0] = str(rng.choice(_BAD_LABELS))
+        elif fault == 2 and i > 0:  # a short or long first row is tested on its own
+            data[i] = data[i][:-1] if rng.random() < 0.5 else data[i] + ["0"]
+        elif fault == 3 and len(header) > 1:  # a first bad label would read as a corner
+            header[rng.integers(1, len(header))] = str(rng.choice(_BAD_LABELS))
+    corner = [str(rng.choice(["state", "n\\m", "-"]))] if rng.random() < 0.5 else []
+    lines = [" ".join(corner + header)] + [" ".join(row) for row in data]
+    for _ in range(rng.integers(0, 3)):
+        lines.insert(int(rng.integers(len(lines) + 1)), str(rng.choice(["", "# note", "  "])))
+    return "\n".join("\t" * int(rng.integers(2)) + line for line in lines) + "\n", orientation
+
+
+def _read(parse, text: str, orientation: str):
+    """What ``parse`` makes of ``text``, and every warning it issues, in order."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = parse(io.StringIO(text), orientation)
+        except ValueError as exc:
+            result = exc
+    return result, [(str(w.message), w.category, w.filename, w.lineno) for w in caught]
+
+
+def _grid(to_grid, table):
+    try:
+        return to_grid(table, DEFAULT_DIMS).tobytes()
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_parse_table_matches_the_value_by_value_reader(seed):
+    rng = np.random.default_rng(seed)
+    seen = {"parsed": 0, "clamped": 0, "clamped, then failed": 0, "failed": set()}
+    for _ in range(150):
+        text, orientation = _random_table_text(rng)
+        got, got_warnings = _read(parse_table, text, orientation)
+        want, want_warnings = _read(reference.parse_table, text, orientation)
+        assert got_warnings == want_warnings, text
+        clamped = any("clamping" in w[0] for w in want_warnings)
+        seen["clamped"] += clamped
+        if isinstance(want, ValueError):
+            assert type(got) is ValueError and str(got) == str(want), text
+            seen["failed"].add(str(want).split(" ")[0])
+            seen["clamped, then failed"] += clamped
+            continue
+        seen["parsed"] += 1
+        assert got.row_labels == want.row_labels and got.col_labels == want.col_labels
+        assert got.values.shape == want.values.shape
+        assert got.values.tobytes() == want.values.tobytes(), text  # -0.0 included
+        assert _grid(ConditionalTable.to_grid, got) == _grid(reference.to_grid, want)
+    assert seen["parsed"] > 30 and seen["clamped"] > 30 and seen["clamped, then failed"] > 5
+    assert {"row", "bad", "non-finite", "probability", "malformed"} <= seen["failed"]
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,10 @@ from demon_ep import (
     mutual_information,
     relative_entropy,
     shannon_entropy,
+    statespace,
 )
+
+import pointwise_reference as reference
 
 # ---------------------------------------------------------------------------
 # thermal distributions
@@ -134,6 +137,40 @@ def test_relative_entropy_survives_an_underflowing_ratio():
         value = relative_entropy(np.array([5e-324, 1.0]), np.array([10.0, 1.0]))
     assert math.isfinite(value)
     assert abs(value) < 1e-300
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("floor", [None, 1e-12])
+def test_row_divergences_equal_the_logarithm_on_every_row_reference(seed, floor):
+    # rows mixing references that vanish on p's support, overflow p/q
+    # (q ~ 1e-310), are NaN, are floor-replaced or are ordinary, over several
+    # supports of p: only the rows that reach the logarithm changed, not a bit
+    rng = np.random.default_rng(seed)
+    p = rng.random((97, 12)) * (rng.random((97, 12)) < 0.8)
+    p /= p.sum(axis=1, keepdims=True)
+    p[0] = 0.0  # an empty support: no columns at all
+    q = rng.random((97, 12)) + 1e-3
+    kind = rng.integers(0, 6, size=97)
+    cols = rng.integers(0, 12, size=(97, 2))
+    for r in np.flatnonzero(kind == 1):  # vanishing, on or off p's support
+        q[r, cols[r]] = 0.0
+    for r in np.flatnonzero(kind == 2):
+        q[r, cols[r, 0]] = 1e-310
+    for r in np.flatnonzero(kind == 3):
+        q[r, cols[r, 0]] = math.nan
+    for r in np.flatnonzero(kind == 4):  # a vanishing and a NaN reference in one row
+        q[r, cols[r]] = (-0.0, math.nan)
+    for r in np.flatnonzero(kind == 5):
+        p[r, cols[r, 0]] = 5e-324
+    if floor is not None:
+        q = np.where((p > 0.0) & (q <= 0.0), floor, q)
+    got = statespace.relative_entropy_rows(p, q)
+    want = reference.relative_entropy_rows(p, q)
+    assert got.tobytes() == want.tobytes()
+    assert np.isinf(got).any() == (floor is None)
+    assert np.isnan(got).any() and np.isfinite(got).any()
+    one_by_one = [statespace.relative_entropy_rows(p[r : r + 1], q[r : r + 1]) for r in range(97)]
+    assert np.concatenate(one_by_one).tobytes() == want.tobytes()
 
 
 def test_relative_entropy_accepts_unnormalized_reference():
