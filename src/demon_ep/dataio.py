@@ -18,6 +18,7 @@ Three formats live here:
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import math
@@ -153,9 +154,8 @@ class ConditionalTable:
         """Values at ``[n_Q, n_C, m_Q, k, m_C]``; unlisted labels read zero.
 
         n_C runs over the initial truncation of ``dims`` for forward tables
-        and over the evolved space for backward ones; m_C over the evolved
-        space.  Labels outside those ranges raise, and so does a forward table
-        without a row for every initial state.
+        (every one needs a row) and over the evolved space for backward ones;
+        m_C over the evolved space.  Labels outside those ranges raise.
         """
         what = self.orientation.split("-")[0]
         full = dims.dim_cavity_full
@@ -177,57 +177,50 @@ class ConditionalTable:
         return out
 
 
+def _parse_label(token: str) -> tuple | None:
+    """``(a,b,...)`` as a tuple of ints, or None if ``token`` is not a state label."""
+    if token.startswith("(") and token.endswith(")"):
+        with contextlib.suppress(ValueError):
+            return tuple(map(int, token[1:-1].split(",")))
+    return None
+
+
 def parse_table(source, orientation: str) -> ConditionalTable:
     """Parse an ASCII conditional table from a path or file-like object.
 
-    Blank lines and lines starting with ``#`` are skipped.  The first content
-    line holds the column labels (after a corner token if its first token is
-    not a label); every following line is a row label followed by one value
-    per column.  Values barely outside [0, 1] (within 1e-6) are clamped with
-    a warning; NaN, infinities and the first fault in reading order raise.
+    Blank lines and ``#`` lines are skipped.  The first content line holds the
+    column labels, after a corner token if the first is no state label and the
+    first row has no value for it; each later line is a row label and one value
+    per column.  Values within 1e-6 outside [0, 1] are clamped with a warning;
+    NaN, infinities and the first fault in reading order raise.
     """
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        text = Path(source).read_text()
+    text = source.read() if hasattr(source, "read") else Path(source).read_text()
     rows = [row for row in map(str.split, text.splitlines()) if row and not row[0].startswith("#")]
     if len(rows) < 2:
         raise ValueError("table needs a header line and at least one data row")
     header, data = rows[0], rows[1:]
-    if not (header[0].startswith("(") and header[0].endswith(")")):
+    if _parse_label(header[0]) is None and len(data[0]) != len(header) + 1:
         header = header[1:]  # drop corner token
     width = len(header)
     if width < 1:
         raise ValueError("header needs at least one column label")
     # each row is read as its length, its label, then its values
     ragged = next((i for i, row in enumerate(data) if len(row) != width + 1), len(data))
-    labels, fault = [], None
-    for tok in header + [row[0] for row in data[:ragged]]:
-        try:
-            if not (tok.startswith("(") and tok.endswith(")")):
-                raise ValueError(tok)
-            labels.append(tuple(map(int, tok[1:-1].split(","))))
-        except ValueError:
-            fault = ValueError(f"malformed state label {tok!r}")
-            break
-    if len(labels) < width:  # a malformed column label
+    tokens = header + [row[0] for row in data[:ragged]]
+    labels = [*map(_parse_label, tokens), None]
+    good = labels.index(None)  # labels before the first malformed one
+    fault = ValueError(f"malformed state label {tokens[good]!r}") if good < len(tokens) else None
+    if good < width:
         raise fault
-    col_labels, row_labels = labels[:width], labels[width:]
+    col_labels, row_labels = labels[:width], labels[width:good]
     if fault is None and ragged < len(data):
-        count = len(data[ragged]) - 1
-        fault = ValueError(f"row {ragged + 1} has {count} values, expected {width}")
-    tokens = [tok for row in data[: len(row_labels)] for tok in row[1:]]
+        fault = ValueError(f"row {ragged + 1} has {len(data[ragged]) - 1} values, expected {width}")
+    tokens, numbers = [tok for row in data[: len(row_labels)] for tok in row[1:]], []
     try:
-        numbers = list(map(float, tokens))
+        numbers.extend(map(float, tokens))  # keeps the numbers before a bad token
     except ValueError:
-        numbers = []
-        for tok in tokens:
-            try:
-                numbers.append(float(tok))
-            except ValueError:
-                label = row_labels[len(numbers) // width]
-                fault = ValueError(f"bad number {tok!r} at row {label}")
-                break
+        label = row_labels[len(numbers) // width]
+        fault = ValueError(f"bad number {tokens[len(numbers)]!r} at row {label}")
     values = np.array(numbers, dtype=float)
     for at in np.flatnonzero(~((values >= 0.0) & (values <= 1.0))).tolist():
         value = numbers[at]

@@ -231,33 +231,26 @@ def shannon_entropy_rows(p: np.ndarray) -> np.ndarray:
     return -_over_supports(p, sum_p_log_p)
 
 
-def _finite_divergence(pm: np.ndarray, qm: np.ndarray) -> np.ndarray:
-    """Divergences of compacted rows with no reference entry at or below zero."""
-    logs = np.log(pm / qm)
-    total = _dot_rows(pm, logs)
-    if not np.isfinite(total).all():
-        # a ratio overflowed to inf or underflowed to 0: take ln p - ln q there
-        lost = ~np.isfinite(total)
-        logs = logs[lost]
-        gone = np.isinf(logs)
-        logs[gone] = np.log(pm[lost][gone]) - np.log(qm[lost][gone])
-        total[lost] = _dot_rows(pm[lost], logs)
-    return total
-
-
 def relative_entropy_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """:func:`relative_entropy` of each pair of entries along the leading axis."""
     p, q = p.reshape(len(p), -1), q.reshape(len(q), -1)
 
     def divergence(rows, columns):
         pm, qm = p[rows].take(columns, axis=1), q[rows].take(columns, axis=1)
-        if qm.min(initial=math.inf) > 0.0:
-            return _finite_divergence(pm, qm)
-        # a reference that vanishes on p's support makes the divergence +inf:
-        # only the other rows take logarithms
+        # rows whose reference vanishes on p's support stay +inf without a logarithm
         live = ~(qm <= 0.0).any(axis=1)
-        total = np.full(len(pm), math.inf)
-        total[live] = _finite_divergence(pm[live], qm[live])
+        pm, qm = pm[live], qm[live]
+        logs = np.log(pm / qm)
+        sums = _dot_rows(pm, logs)
+        if not np.isfinite(sums).all():
+            # a ratio overflowed to inf or underflowed to 0: take ln p - ln q there
+            lost = ~np.isfinite(sums)
+            logs = logs[lost]
+            gone = np.isinf(logs)
+            logs[gone] = np.log(pm[lost][gone]) - np.log(qm[lost][gone])
+            sums[lost] = _dot_rows(pm[lost], logs)
+        total = np.full(len(live), math.inf)
+        total[live] = sums
         return total
 
     with np.errstate(all="ignore"):

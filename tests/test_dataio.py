@@ -216,15 +216,38 @@ def test_parse_table_rejects_ragged_rows():
         parse_table(io.StringIO(text), "forward-rows-initial")
 
 
+@pytest.mark.parametrize("corner", ["state ", ""])
 @pytest.mark.parametrize("short_row", [1, 2])
-def test_parse_table_reports_a_short_row_by_its_number(short_row):
-    # the header alone decides the corner token, so a short first row is a
-    # short row, not a header mismatch
+def test_parse_table_reports_a_short_row_by_its_number(short_row, corner):
+    # every row, the first included, is checked against the header's labels: a
+    # short first row is a short row, not a header mismatch (the old reader took
+    # "(0,0,0)" for a corner token when the first row was one value short)
     rows = ["(0,0) 1 0", "(0,1) 0 1"]
     rows[short_row - 1] = rows[short_row - 1][: -len(" 0")]
-    text = "state (0,0,0) (0,0,1)\n" + "\n".join(rows) + "\n"
+    text = corner + "(0,0,0) (0,0,1)\n" + "\n".join(rows) + "\n"
     with pytest.raises(ValueError, match=rf"^row {short_row} has 1 values, expected 2$"):
         parse_table(io.StringIO(text), "forward-rows-initial")
+
+
+def _col_labels_or_error(parse, text: str):
+    try:
+        return parse(io.StringIO(text), "forward-rows-initial").col_labels
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize(
+    "text, want",
+    [
+        ("(nQ,nC) (0,0,0) (0,1,0)\n(0,0) 0.5 0.5\n", ((0, 0, 0), (0, 1, 0))),
+        ("bogus (0,1,0)\n(0,0) 0.5 0.5\n", "malformed state label 'bogus'"),
+    ],
+)
+def test_parse_table_takes_a_corner_token_that_has_no_value_and_is_no_label(text, want):
+    # as in the old reader: a first token that is no state label, "(nQ,nC)"
+    # included, is a corner token unless the first row carries a value for it
+    assert _col_labels_or_error(parse_table, text) == want
+    assert _col_labels_or_error(reference.parse_table, text) == want
 
 
 def test_forward_table_must_list_every_initial_state():
@@ -291,9 +314,9 @@ def _random_table_text(rng: np.random.Generator) -> tuple[str, str]:
             data[i][0] = str(rng.choice(_BAD_LABELS))
         elif fault == 2 and i > 0:  # a short or long first row is tested on its own
             data[i] = data[i][:-1] if rng.random() < 0.5 else data[i] + ["0"]
-        elif fault == 3 and len(header) > 1:  # a first bad label would read as a corner
-            header[rng.integers(1, len(header))] = str(rng.choice(_BAD_LABELS))
-    corner = [str(rng.choice(["state", "n\\m", "-"]))] if rng.random() < 0.5 else []
+        elif fault == 3:
+            header[rng.integers(len(header))] = str(rng.choice(_BAD_LABELS))
+    corner = [str(rng.choice(["state", "n\\m", "-", "(n,m)"]))] if rng.random() < 0.5 else []
     lines = [" ".join(corner + header)] + [" ".join(row) for row in data]
     for _ in range(rng.integers(0, 3)):
         lines.insert(int(rng.integers(len(lines) + 1)), str(rng.choice(["", "# note", "  "])))
