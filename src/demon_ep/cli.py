@@ -5,7 +5,8 @@ Commands
 sweep
     Simulate forward+backward protocols across the bias grid, write CSV.
 analyze
-    Re-analyze measured conditional-probability tables across the grid.
+    Re-analyze measured conditional-probability tables across the grid; a
+    forward table alone gives the forward-protocol estimators only.
 simulate
     Full diagnostic dump (tables, histogram, estimators) at one bias point.
 validate
@@ -63,10 +64,10 @@ _ARGUMENTS = {
                     help="replace zero backward weights with X inside divergences (diagnostic)"),
     "--out": dict(metavar="PATH", help="write output here instead of stdout ('none': stdout)"),
     "forward": dict(help="forward conditional table (ASCII)"),
-    "backward": dict(nargs="?", help="backward conditional table (ASCII)"),
-    "--forward-only": dict(
-        action="store_true",
-        help="compute only the forward-protocol estimators (%s)" % ", ".join(
+    "backward": dict(
+        nargs="?",
+        help="backward conditional table (ASCII); without it only the forward-protocol "
+        "estimators (%s) are computed" % ", ".join(
             name for name, estimator in ESTIMATORS.items() if not estimator.needs_backward)),
     "--dbeta": dict(type=float, default=0.0, metavar="X", help="bias point (default 0)"),
 }
@@ -96,20 +97,8 @@ def _cmd_sweep(config: RunConfig, args: argparse.Namespace) -> int:
 
 
 def _cmd_analyze(config: RunConfig, args: argparse.Namespace) -> int:
-    if args.forward_only and args.backward is not None:
-        print(
-            "demon-ep analyze: error: --forward-only takes no backward table",
-            file=sys.stderr,
-        )
-        return 1
-    if not args.forward_only and args.backward is None:
-        print(
-            "demon-ep analyze: error: backward table required unless --forward-only",
-            file=sys.stderr,
-        )
-        return 1
     results = run_analysis(config, args.forward, args.backward)
-    _emit(sweep_csv_text(results, forward_only=args.forward_only), config)
+    _emit(sweep_csv_text(results, forward_only=args.backward is None), config)
     return 0
 
 
@@ -128,7 +117,7 @@ _SIMULATED = ("--config", "--mode", "--single-error", "--floor", "--out")
 _COMMANDS = {
     "sweep": ("estimators across the bias grid (CSV)", _SIMULATED, _cmd_sweep),
     "analyze": ("estimators from measured conditional tables (CSV)",
-                ("--config", "forward", "backward", "--forward-only", "--floor", "--out"),
+                ("--config", "forward", "backward", "--floor", "--out"),
                 _cmd_analyze),
     "simulate": ("full diagnostic report at one bias point", (*_SIMULATED, "--dbeta"),
                  _cmd_simulate),

@@ -509,22 +509,36 @@ def _parse_bool(value: str) -> bool:
     raise ValueError(value)
 
 
-_PARSERS = {"float": float, "str": str, "bool": _parse_bool}
+def _parse_prep_row(value: str) -> tuple:
+    """Whitespace-separated ``level:probability`` pairs as ``((level, p), ...)``."""
+    pairs = (pair.split(":") for pair in value.split())
+    return tuple((int(level), float(prob)) for level, prob in pairs)
+
+
+_PREP_KIND = "level:probability list"
+_PARSERS = {"float": float, "str": str, "bool": _parse_bool, _PREP_KIND: _parse_prep_row}
 
 
 def _parse_field(kind: str, value: str):
     """``value`` as the declared type ``kind``; ``none`` clears an optional key."""
-    base, *rest = kind.replace(" ", "").split("|")
-    if rest == ["None"] and value.lower() == "none":
+    base, _, optional = kind.partition(" | ")
+    if optional == "None" and value.lower() == "none":
         return None
+    if not value:
+        raise ValueError(value)
     return _PARSERS[base](value)
 
 
-#: config key -> declared type of its RunConfig field
-_FIELD_KINDS = {
-    item.name: item.type
-    for item in fields(RunConfig)
-    if item.name not in ("confusion_overrides", "cavity_prep_overrides")
+#: config key -> declared type of its value: a RunConfig field's type, or a
+#: float for an entry of the confusion matrix; a ``cavity_prep_<n>`` key takes
+#: :data:`_PREP_KIND`
+_KEY_KINDS = {
+    **{
+        item.name: item.type
+        for item in fields(RunConfig)
+        if item.name not in ("confusion_overrides", "cavity_prep_overrides")
+    },
+    **dict.fromkeys(_CONFUSION_KEYS, "float"),
 }
 
 
@@ -532,7 +546,9 @@ def load_config(path=None, **overrides) -> RunConfig:
     """Load a ``key = value`` configuration file; ``None`` gives defaults.
 
     Unknown keys are rejected (silent typos in an analysis config are worse
-    than a crash).  ``#`` starts a comment, full-line or trailing.  Keyword
+    than a crash), and a value that does not parse as its key's declared
+    type is an error naming the line and the key.  A repeated key keeps its
+    last value.  ``#`` starts a comment, full-line or trailing.  Keyword
     ``overrides`` (the command-line flags) apply before the config is checked.
     """
     if path is None:
@@ -549,27 +565,22 @@ def load_config(path=None, **overrides) -> RunConfig:
         key, _, value = line.partition("=")
         key = key.strip().lower()
         value = value.strip()
-        if not value:
-            raise ValueError(f"line {lineno}: empty value for {key!r}")
-        if key in _FIELD_KINDS:
-            try:
-                kwargs[key] = _parse_field(_FIELD_KINDS[key], value)
-            except ValueError:
-                raise ValueError(
-                    f"line {lineno}: config key {key} needs a value of type "
-                    f"{_FIELD_KINDS[key]}, got {value!r}"
-                ) from None
-        elif key in _CONFUSION_KEYS:
-            confusion.append((key, float(value)))
-        elif key.startswith("cavity_prep_"):
-            target = int(key.removeprefix("cavity_prep_"))
-            row = []
-            for pair in value.split():
-                level, _, prob = pair.partition(":")
-                row.append((int(level), float(prob)))
-            cavity.append((target, tuple(row)))
-        else:
+        target = key.removeprefix("cavity_prep_")
+        kind = _PREP_KIND if target != key and target.isdecimal() else _KEY_KINDS.get(key)
+        if kind is None:
             raise ValueError(f"line {lineno}: unknown config key {key!r}")
+        try:
+            parsed = _parse_field(kind, value)
+        except ValueError:
+            raise ValueError(
+                f"line {lineno}: config key {key} needs a value of type {kind}, got {value!r}"
+            ) from None
+        if key in _CONFUSION_KEYS:
+            confusion.append((key, parsed))
+        elif kind == _PREP_KIND:
+            cavity.append((int(target), parsed))
+        else:
+            kwargs[key] = parsed
     if confusion:
         kwargs["confusion_overrides"] = tuple(confusion)
     if cavity:

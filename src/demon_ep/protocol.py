@@ -208,15 +208,8 @@ def sigma_grid(gibbs: GibbsSpec, pk: np.ndarray, dims: SystemDims = DEFAULT_DIMS
     energies in units of omega; an outcome with p(k) = 0 gives ``inf``.
     """
     pk = np.asarray(pk, dtype=float)[None]
-    return _sigma_rows(np.array([gibbs.beta_qubit]), gibbs.beta_cavity, pk, dims)[0]
-
-
-def _sigma_rows(
-    beta_qubit: np.ndarray, beta_cavity: float | np.ndarray, pk: np.ndarray, dims: SystemDims
-) -> np.ndarray:
-    count = len(beta_qubit)
-    sigma = _class_sigma_rows(beta_qubit, beta_cavity, pk, dims)
-    return sigma[:, label_classes(dims)[0]].reshape(count, *_label_shape(dims))
+    sigma = _class_sigma_rows(np.array([gibbs.beta_qubit]), gibbs.beta_cavity, pk, dims)[0]
+    return sigma[label_classes(dims)[0]].reshape(_label_shape(dims))
 
 
 def _class_sigma_rows(
@@ -491,8 +484,11 @@ class TableRows:
 
         For rows :func:`weigh_rows` built from a kernel of shared conditionals;
         the memory-reset probability is computed here, not for a whole block.
+        Rows made by :meth:`of` hold no kernel and raise ``ValueError``.
         """
         kernel = self.kernel
+        if kernel is None:
+            raise ValueError("rows made by TableRows.of carry no kernel to rebuild tables from")
         beta_cavity = np.broadcast_to(self.beta_cavity, self.dbeta.shape)[r]
         gibbs = GibbsSpec(float(self.beta_qubit[r]), float(beta_cavity), float(self.dbeta[r]))
         fwd = TrajectoryTable(
@@ -788,9 +784,6 @@ class SigmaHistogram:
         if not (s.shape == pf.shape == pb.shape) or s.ndim != 1:
             raise ValueError("sigma, p_forward, p_backward must be equal-length vectors")
         _report(HistogramRows.of(self).faults().get(0), stacklevel=2)
-
-    def mean_sigma(self) -> float:
-        return float(np.dot(self.sigma, self.p_forward))
 
 
 def sigma_histogram(

@@ -132,9 +132,7 @@ def gibbs_distribution(beta_omega, levels: int) -> np.ndarray:
     """
     if levels < 1:
         raise ValueError("need at least one level")
-    n = np.arange(levels, dtype=float)
-    weights = np.exp(-beta_omega * n)
-    return weights / weights.sum(axis=-1, keepdims=True)
+    return extended_gibbs(beta_omega, levels, levels)
 
 
 def extended_gibbs(beta_omega, levels_norm: int, levels_total: int) -> np.ndarray:

@@ -191,7 +191,7 @@ def test_ac10_cli_round_trip_and_exit_codes(tmp_path):
     usage = cli("sweep", "--no-such-flag")
     bad = tmp_path / "bad.txt"
     bad.write_text("state (0,0,0)\n(0,0) 0.4\n")
-    data = cli("analyze", str(bad), "--forward-only")
+    data = cli("analyze", str(bad))
     checks = cli("validate")
     ok = (
         sweep_ok

@@ -98,26 +98,29 @@ def test_analyze_reproduces_direct_sweep(tmp_path, table_files, coarse_config):
 
 def test_analyze_forward_only_layout(table_files, coarse_config):
     fwd_path, _ = table_files
-    proc = run_cli("analyze", str(fwd_path), "--forward-only", "--config", str(coarse_config))
+    # a forward table alone gives the forward-only layout
+    proc = run_cli("analyze", str(fwd_path), "--config", str(coarse_config))
     assert proc.returncode == 0
     header = proc.stdout.splitlines()[0]
     assert header == "dbeta_tilde,sigma1,sigma2,sigma6,heat_C,mean_info,flags"
 
 
-def test_analyze_requires_backward_or_flag(table_files):
+def test_analyze_takes_its_layout_from_the_tables(table_files):
     fwd_path, bwd_path = table_files
-    missing = run_cli("analyze", str(fwd_path))
+    missing = run_cli("analyze")
     assert missing.returncode == 1
-    assert "backward table required" in missing.stderr
+    assert "the following arguments are required: forward" in missing.stderr
+    # the backward table is the only switch: the old flag is a usage error
     both = run_cli("analyze", str(fwd_path), str(bwd_path), "--forward-only")
     assert both.returncode == 1
-    assert "takes no backward table" in both.stderr
+    assert "unrecognized arguments: --forward-only" in both.stderr
+    assert both.stdout == ""
 
 
 def test_analyze_corrupt_table_is_a_data_error(tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("state (0,0,0)\n(0,0) 0.4\n(0,1) 0.9\n")
-    proc = run_cli("analyze", str(bad), "--forward-only")
+    proc = run_cli("analyze", str(bad))
     assert proc.returncode == 2
     assert "not stochastic" in proc.stderr
 
@@ -138,7 +141,7 @@ def test_analyze_forward_table_missing_an_initial_state_is_a_data_error(tmp_path
 
 
 def test_analyze_missing_file_is_a_data_error(tmp_path):
-    proc = run_cli("analyze", str(tmp_path / "nowhere.txt"), "--forward-only")
+    proc = run_cli("analyze", str(tmp_path / "nowhere.txt"))
     assert proc.returncode == 2
 
 
@@ -328,6 +331,34 @@ def test_out_of_range_error_parameter_exits_1(tmp_path, text):
     proc = run_cli("simulate", "--config", str(conf))
     assert proc.returncode == 1
     assert "configuration error" in proc.stderr
+
+
+_MALFORMED_LINES = [
+    ("dbeta_step = fast", "config key dbeta_step needs a value of type float, got 'fast'"),
+    ("eta_e_g = abc", "config key eta_e_g needs a value of type float, got 'abc'"),
+    ("cavity_prep_1 = x:1",
+     "config key cavity_prep_1 needs a value of type level:probability list, got 'x:1'"),
+    ("cavity_prep_1 = 0:abc",
+     "config key cavity_prep_1 needs a value of type level:probability list, got '0:abc'"),
+    ("cavity_prep_1 = 0.5",
+     "config key cavity_prep_1 needs a value of type level:probability list, got '0.5'"),
+    ("out =", "config key out needs a value of type str | None, got ''"),
+    ("cavity_prep_x = 0:1", "unknown config key 'cavity_prep_x'"),
+    ("cavity_prep_ = 0:1", "unknown config key 'cavity_prep_'"),
+    ("cavity_prep_overrides = 0:1", "unknown config key 'cavity_prep_overrides'"),
+]
+
+
+@pytest.mark.parametrize(
+    "line, message", _MALFORMED_LINES, ids=[line for line, _ in _MALFORMED_LINES]
+)
+def test_malformed_config_line_names_its_line_and_key(tmp_path, capsys, line, message):
+    conf = tmp_path / "run.conf"
+    conf.write_text(f"mode = physical\n{line}\n")
+    assert cli.main(["sweep", "--config", str(conf)]) == 1
+    out, err = capsys.readouterr()
+    assert err == f"demon-ep: configuration error: line 2: {message}\n"
+    assert out == ""
 
 
 def test_missing_config_file_exits_1(tmp_path):

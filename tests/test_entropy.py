@@ -429,7 +429,7 @@ def _forward_only_help(forward_only: bool, capsys) -> list[str]:
     with pytest.raises(SystemExit):
         cli.main(["analyze", "--help"])
     text = " ".join(capsys.readouterr().out.split())
-    help_text = r"--forward-only compute only the forward-protocol estimators \((.*?)\)"
+    help_text = r"backward .* without it only the forward-protocol estimators \((.*?)\)"
     names = re.search(help_text, text)
     return names.group(1).split(", ")
 

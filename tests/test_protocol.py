@@ -32,6 +32,7 @@ from demon_ep import (
 import demon_ep.protocol as protocol
 import demon_ep.runner as runner
 from demon_ep.protocol import (
+    TableRows,
     _point_rows,
     backward_conditionals,
     forward_conditionals,
@@ -319,6 +320,14 @@ def test_the_one_point_wrappers_are_the_kernel_path(mode, model):
         assert new.probs.tobytes() == state.probs.tobytes()
 
 
+def test_rows_made_from_tables_have_no_kernel_to_rebuild_them():
+    gibbs = _gibbs(0.75)
+    fwd, bwd = point_tables(simulated_kernel(None, DEFAULT_DIMS, "ideal"), gibbs)
+    for rows in (TableRows.of(fwd, bwd), TableRows.of(fwd)):
+        with pytest.raises(ValueError, match="no kernel"):
+            rows.tables(0)
+
+
 # ---------------------------------------------------------------------------
 # sigma histogram
 
@@ -341,7 +350,7 @@ def test_histogram_mean_equals_two_point_average(gibbs_at):
     hist = sigma_histogram(fwd, bwd)
     from demon_ep import sigma1
 
-    assert hist.mean_sigma() == pytest.approx(sigma1(fwd), rel=1e-12)
+    assert np.dot(hist.sigma, hist.p_forward) == pytest.approx(sigma1(fwd), rel=1e-12)
 
 
 def test_histogram_wide_tolerance_merges_bins():

@@ -147,6 +147,19 @@ def test_analysis_csv_bytes_are_frozen():
     assert _digest(forward_only) == ANALYZE_DIGESTS["forward_only"]
 
 
+def test_analyze_command_takes_its_layout_from_the_tables(tmp_path, capsys):
+    # a forward table alone writes the bytes the forward-only layout froze
+    fwd_text, bwd_text = _serialized_tables(_config("eps_prep"))
+    (tmp_path / "fwd.txt").write_text(fwd_text)
+    (tmp_path / "bwd.txt").write_text(bwd_text)
+    conf = tmp_path / "run.conf"
+    conf.write_text("mode = physical\nsingle_error = eps_prep\n")
+    for tables, layout in ((["fwd.txt"], "forward_only"), (["fwd.txt", "bwd.txt"], "backward")):
+        argv = ["analyze", *(str(tmp_path / name) for name in tables), "--config", str(conf)]
+        assert cli.main(argv) == 0
+        assert _digest(capsys.readouterr().out) == ANALYZE_DIGESTS[layout]
+
+
 def test_analysis_builds_its_kernel_once(monkeypatch):
     config = RunConfig(mode="physical", dbeta_step=1.0)
     fwd_text, bwd_text = _serialized_tables(config)
