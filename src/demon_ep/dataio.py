@@ -332,7 +332,12 @@ _CONFUSION_KEYS = {
     for true in AtomLevel
     if seen != true
 }
+#: ``cavity_prep_<target>``, one key per row of the cavity-preparation table
+_PREP_KEYS = tuple(f"cavity_prep_{target}" for target in range(len(ErrorModel().cavity_prep)))
 _MODEL_FIELDS = tuple(item.name for item in fields(ErrorModel))
+
+#: a ``cavity_prep_<target>`` row: ``(level, probability)`` pairs
+PrepRow = tuple[tuple[int, float], ...]
 
 #: the most bias points a configured grid may have.  A sweep peaks at about
 #: 0.9 kB per point (physical mode, its result columns and CSV text held at
@@ -341,12 +346,21 @@ _MODEL_FIELDS = tuple(item.name for item in fields(ErrorModel))
 MAX_GRID_POINTS = 1_000_000
 
 
+def _probability(key: str, value: float) -> float:
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"{key} must lie in [0, 1], got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Everything a command run needs, with the experiment's defaults.
 
-    Every field but the two override tuples is a config key of the same name,
-    parsed by its declared type (:func:`load_config`).
+    Every field is a config key of the same name, parsed by its declared type
+    (:func:`load_config`).  ``eta_<detected>_<true>`` sets an off-diagonal
+    entry of the confusion matrix, whose diagonal takes the rest of its
+    column; ``cavity_prep_<target>`` replaces that row of the
+    cavity-preparation table.
     """
 
     temperature_kelvin: float = 2.8
@@ -368,20 +382,24 @@ class RunConfig:
     relax_cavity_prob: float | None = None
     nbar_atoms: float | None = None
     detect_eff: float | None = None
-    confusion_overrides: tuple = ()
-    cavity_prep_overrides: tuple = ()
+    eta_e_g: float | None = None
+    eta_e_f: float | None = None
+    eta_g_e: float | None = None
+    eta_g_f: float | None = None
+    eta_f_e: float | None = None
+    eta_f_g: float | None = None
+    cavity_prep_0: PrepRow | None = None
+    cavity_prep_1: PrepRow | None = None
+    cavity_prep_2: PrepRow | None = None
+    cavity_prep_3: PrepRow | None = None
 
     def __post_init__(self) -> None:
-        numbers = [(item.name, getattr(self, item.name)) for item in fields(self)]
-        numbers += list(self.confusion_overrides)
-        numbers += [
-            (f"cavity_prep_{target}", p)
-            for target, row in self.cavity_prep_overrides
-            for _, p in row
-        ]
-        for key, value in numbers:
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ValueError(f"{key} must be finite, got {value!r}")
+        for item in fields(self):
+            value = getattr(self, item.name)
+            # a float field, or the probabilities of a cavity_prep row
+            for number in [p for _, p in value] if isinstance(value, tuple) else [value]:
+                if isinstance(number, float) and not math.isfinite(number):
+                    raise ValueError(f"{item.name} must be finite, got {number!r}")
         if self.mode not in ENCODINGS:
             raise ValueError(f"mode must be one of {tuple(ENCODINGS)}, got {self.mode!r}")
         if self.single_error is not None and self.single_error not in ERROR_CHANNELS:
@@ -390,11 +408,9 @@ class RunConfig:
                 f"got {self.single_error!r}"
             )
         if self.mode == "ideal":
-            # keys that set an error channel; confusion and cavity_prep come as overrides
-            keys = [name for name in ("single_error", *ERROR_CHANNELS.values())
-                    if getattr(self, name, None) is not None]
-            keys += [key for key, _ in self.confusion_overrides]
-            keys += [f"cavity_prep_{target}" for target, _ in self.cavity_prep_overrides]
+            # keys that set an error channel; confusion and cavity_prep are set entry-wise
+            names = ("single_error", *ERROR_CHANNELS.values(), *_CONFUSION_KEYS, *_PREP_KEYS)
+            keys = [name for name in names if getattr(self, name, None) is not None]
             if keys:
                 raise ValueError(f"ideal mode runs no error channels; remove {', '.join(keys)}")
         if self.dbeta_step <= 0:
@@ -468,29 +484,34 @@ class RunConfig:
             for name in _MODEL_FIELDS
             if getattr(self, name, None) is not None
         }
-        if self.confusion_overrides:
+        etas = [key for key in _CONFUSION_KEYS if getattr(self, key) is not None]
+        if etas:
             conf = base.confusion.copy()
-            for key, value in self.confusion_overrides:
-                conf[_CONFUSION_KEYS[key]] = value
+            for key in etas:
+                conf[_CONFUSION_KEYS[key]] = _probability(key, getattr(self, key))
             for col in range(3):
                 off = sum(conf[r, col] for r in range(3) if r != col)
                 if off > 1.0:
-                    raise ValueError(f"confusion column {col} exceeds unit mass")
+                    keys = [key for key, (_, true) in _CONFUSION_KEYS.items() if true == col]
+                    raise ValueError(f"{' + '.join(keys)} must lie in [0, 1], got {float(off)!r}")
                 conf[col, col] = 1.0 - off
             overrides["confusion"] = conf
-        if self.cavity_prep_overrides:
-            prep = base.cavity_prep.copy()
-            for target, row in self.cavity_prep_overrides:
-                if not 0 <= target < prep.shape[0]:
-                    raise ValueError(f"cavity_prep target {target} out of range")
-                new_row = np.zeros(prep.shape[1])
-                for level, p in row:
-                    if not 0 <= level < prep.shape[1]:
-                        raise ValueError(f"cavity_prep level {level} out of range")
-                    new_row[level] = p
-                if abs(new_row.sum() - 1.0) > _CLAMP_TOL:
-                    raise ValueError(f"cavity_prep_{target} must sum to 1")
-                prep[target] = new_row / new_row.sum()
+        prep = base.cavity_prep.copy()
+        for target, key in enumerate(_PREP_KEYS):
+            row, levels = getattr(self, key), set()
+            if row is None:
+                continue
+            new_row = np.zeros(prep.shape[1])
+            for level, p in row:
+                if not 0 <= level < prep.shape[1]:
+                    raise ValueError(f"{key} level {level} out of range")
+                if level in levels:
+                    raise ValueError(f"{key} lists level {level} twice")
+                levels.add(level)
+                new_row[level] = _probability(key, p)
+            if abs(new_row.sum() - 1.0) > _CLAMP_TOL:
+                raise ValueError(f"{key} must sum to 1")
+            prep[target] = new_row / new_row.sum()
             overrides["cavity_prep"] = prep
         model = replace(base, **overrides) if overrides else base
         if self.mode == "ideal":  # every channel error-free, the diagnostics kept
@@ -515,8 +536,9 @@ def _parse_prep_row(value: str) -> tuple:
     return tuple((int(level), float(prob)) for level, prob in pairs)
 
 
-_PREP_KIND = "level:probability list"
-_PARSERS = {"float": float, "str": str, "bool": _parse_bool, _PREP_KIND: _parse_prep_row}
+_PARSERS = {
+    "float": float, "str": str, "bool": _parse_bool, "level:probability list": _parse_prep_row
+}
 
 
 def _parse_field(kind: str, value: str):
@@ -529,16 +551,11 @@ def _parse_field(kind: str, value: str):
     return _PARSERS[base](value)
 
 
-#: config key -> declared type of its value: a RunConfig field's type, or a
-#: float for an entry of the confusion matrix; a ``cavity_prep_<n>`` key takes
-#: :data:`_PREP_KIND`
+#: config key -> declared type of its value, its RunConfig field's type; a
+#: parse error names a cavity_prep row by how it is written
 _KEY_KINDS = {
-    **{
-        item.name: item.type
-        for item in fields(RunConfig)
-        if item.name not in ("confusion_overrides", "cavity_prep_overrides")
-    },
-    **dict.fromkeys(_CONFUSION_KEYS, "float"),
+    item.name: item.type.replace("PrepRow", "level:probability list")
+    for item in fields(RunConfig)
 }
 
 
@@ -554,8 +571,6 @@ def load_config(path=None, **overrides) -> RunConfig:
     if path is None:
         return RunConfig(**overrides)
     kwargs: dict = {}
-    confusion: list = []
-    cavity: list = []
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -565,24 +580,13 @@ def load_config(path=None, **overrides) -> RunConfig:
         key, _, value = line.partition("=")
         key = key.strip().lower()
         value = value.strip()
-        target = key.removeprefix("cavity_prep_")
-        kind = _PREP_KIND if target != key and target.isdecimal() else _KEY_KINDS.get(key)
+        kind = _KEY_KINDS.get(key)
         if kind is None:
             raise ValueError(f"line {lineno}: unknown config key {key!r}")
         try:
-            parsed = _parse_field(kind, value)
+            kwargs[key] = _parse_field(kind, value)
         except ValueError:
             raise ValueError(
                 f"line {lineno}: config key {key} needs a value of type {kind}, got {value!r}"
             ) from None
-        if key in _CONFUSION_KEYS:
-            confusion.append((key, parsed))
-        elif kind == _PREP_KIND:
-            cavity.append((int(target), parsed))
-        else:
-            kwargs[key] = parsed
-    if confusion:
-        kwargs["confusion_overrides"] = tuple(confusion)
-    if cavity:
-        kwargs["cavity_prep_overrides"] = tuple(cavity)
     return RunConfig(**{**kwargs, **overrides})

@@ -366,9 +366,7 @@ def check_config_io() -> tuple[bool, str]:
         model = config.build_error_model()
         if model.eps_read != 0.2 or model.eps_prep != 0.0:
             return False, "single-error override not applied"
-        full_model = dataio.RunConfig(
-            mode="physical", confusion_overrides=(("eta_e_g", 0.07),)
-        ).build_error_model()
+        full_model = dataio.RunConfig(mode="physical", eta_e_g=0.07).build_error_model()
         if abs(full_model.confusion[0, 1] - 0.07) > 1e-15 or abs(
             full_model.confusion[1, 1] - 0.91
         ) > 1e-12:

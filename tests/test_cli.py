@@ -335,17 +335,18 @@ def test_out_of_range_error_parameter_exits_1(tmp_path, text):
 
 _MALFORMED_LINES = [
     ("dbeta_step = fast", "config key dbeta_step needs a value of type float, got 'fast'"),
-    ("eta_e_g = abc", "config key eta_e_g needs a value of type float, got 'abc'"),
+    ("eta_e_g = abc", "config key eta_e_g needs a value of type float | None, got 'abc'"),
     ("cavity_prep_1 = x:1",
-     "config key cavity_prep_1 needs a value of type level:probability list, got 'x:1'"),
+     "config key cavity_prep_1 needs a value of type level:probability list | None, got 'x:1'"),
     ("cavity_prep_1 = 0:abc",
-     "config key cavity_prep_1 needs a value of type level:probability list, got '0:abc'"),
+     "config key cavity_prep_1 needs a value of type level:probability list | None, got '0:abc'"),
     ("cavity_prep_1 = 0.5",
-     "config key cavity_prep_1 needs a value of type level:probability list, got '0.5'"),
+     "config key cavity_prep_1 needs a value of type level:probability list | None, got '0.5'"),
     ("out =", "config key out needs a value of type str | None, got ''"),
     ("cavity_prep_x = 0:1", "unknown config key 'cavity_prep_x'"),
     ("cavity_prep_ = 0:1", "unknown config key 'cavity_prep_'"),
     ("cavity_prep_overrides = 0:1", "unknown config key 'cavity_prep_overrides'"),
+    ("cavity_prep_9 = 0:1", "unknown config key 'cavity_prep_9'"),  # rows 0-3 only
 ]
 
 
@@ -358,6 +359,28 @@ def test_malformed_config_line_names_its_line_and_key(tmp_path, capsys, line, me
     assert cli.main(["sweep", "--config", str(conf)]) == 1
     out, err = capsys.readouterr()
     assert err == f"demon-ep: configuration error: line 2: {message}\n"
+    assert out == ""
+
+
+_ERROR_MODEL_RANGES = [
+    ("cavity_prep_1 = 0:0.5 0:0.5 1:0.5", "cavity_prep_1 lists level 0 twice"),
+    ("eta_e_g = -0.5", "eta_e_g must lie in [0, 1], got -0.5"),
+    ("cavity_prep_1 = 0:-0.5 1:1.5", "cavity_prep_1 must lie in [0, 1], got -0.5"),
+    ("eta_e_g = 0.9\neta_f_g = 0.2", "eta_e_g + eta_f_g must lie in [0, 1], got 1.1"),
+]
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    _ERROR_MODEL_RANGES,
+    ids=[text.replace("\n", "; ") for text, _ in _ERROR_MODEL_RANGES],
+)
+def test_error_model_range_error_names_its_key(tmp_path, capsys, text, message):
+    conf = tmp_path / "run.conf"
+    conf.write_text(f"mode = physical\n{text}\n")
+    assert cli.main(["simulate", "--config", str(conf)]) == 1
+    out, err = capsys.readouterr()
+    assert err == f"demon-ep: configuration error: {message}\n"
     assert out == ""
 
 

@@ -32,7 +32,7 @@ from demon_ep import (
     sweep_csv_text,
     write_table,
 )
-from demon_ep.dataio import BOLTZMANN_CONSTANT, MAX_GRID_POINTS, PLANCK_CONSTANT
+from demon_ep.dataio import _KEY_KINDS, BOLTZMANN_CONSTANT, MAX_GRID_POINTS, PLANCK_CONSTANT
 from demon_ep.statespace import DEFAULT_DIMS
 
 import pointwise_reference as reference
@@ -613,13 +613,15 @@ def test_sigma_tol_inside_the_rounding_range_is_accepted(tol):
     [
         {"eps_prep": 2.0},
         {"mode": "physical", "eps_read": -0.1},
-        {"cavity_prep_overrides": ((9, ((0, 1.0),)),)},
-        {"confusion_overrides": (("eta_g_e", 0.7), ("eta_f_e", 0.7))},
+        {"cavity_prep_9": "0:1"},  # the default table has rows for targets 0-3 only
+        {"eta_g_e": 0.7, "eta_f_e": 0.7},
     ],
 )
-def test_run_config_checks_its_error_model_in_every_mode(overrides):
+def test_run_config_checks_its_error_model_in_every_mode(tmp_path, overrides):
+    path = tmp_path / "run.conf"
+    path.write_text("".join(f"{key} = {value}\n" for key, value in overrides.items()))
     with pytest.raises(ValueError):
-        RunConfig(**overrides)
+        load_config(path)
 
 
 def test_build_error_model_scalar_overrides():
@@ -641,7 +643,7 @@ def test_build_error_model_single_error_applies_after_overrides():
 
 
 def test_confusion_override_renormalizes_diagonal():
-    config = RunConfig(mode="physical", confusion_overrides=(("eta_g_e", 0.07),))
+    config = RunConfig(mode="physical", eta_g_e=0.07)
     conf = config.build_error_model().confusion
     assert conf[1, 0] == pytest.approx(0.07)
     # column for true e: off-diagonals 0.07 + 0.0, diagonal picks up the rest
@@ -651,13 +653,48 @@ def test_confusion_override_renormalizes_diagonal():
 
 def test_cavity_prep_override_must_normalize():
     good = RunConfig(
-        mode="physical", cavity_prep_overrides=((1, ((0, 0.1), (1, 0.8), (2, 0.1))),)
+        mode="physical", cavity_prep_1=((0, 0.1), (1, 0.8), (2, 0.1))
     ).build_error_model()
     np.testing.assert_allclose(good.cavity_prep[1], [0.1, 0.8, 0.1, 0, 0])
     with pytest.raises(ValueError, match="sum to 1"):
-        RunConfig(
-            mode="physical", cavity_prep_overrides=((1, ((0, 0.1), (1, 0.8))),)
-        ).build_error_model()
+        RunConfig(mode="physical", cavity_prep_1=((0, 0.1), (1, 0.8))).build_error_model()
+
+
+def test_confusion_and_cavity_prep_keys_build_the_model_by_the_rule(tmp_path):
+    path = tmp_path / "run.conf"
+    path.write_text(
+        "mode = physical\n"
+        "eta_e_g = 0.05\neta_e_f = 0.01\neta_g_e = 0.03\n"
+        "eta_g_f = 0.04\neta_f_e = 0.02\neta_f_g = 0.06\n"
+        "cavity_prep_1 = 0:0.3 1:0.6 2:0.1\n"
+        "cavity_prep_3 = 4:0.25 2:0.5 3:0.25\n"
+    )
+    model = load_config(path).build_error_model()
+    # detected row, true column over (e, g, f): each diagonal is 1 minus its
+    # column's off-diagonals, summed top to bottom
+    confusion = np.array([
+        [1.0 - (0.03 + 0.02), 0.05, 0.01],
+        [0.03, 1.0 - (0.05 + 0.06), 0.04],
+        [0.02, 0.06, 1.0 - (0.01 + 0.04)],
+    ])
+    # a set row is divided by its sum, summed by level (0.9999999999999999 for
+    # row 1); the other rows keep the default
+    cavity_prep = ErrorModel().cavity_prep.copy()
+    cavity_prep[1] = np.array([0.3, 0.6, 0.1, 0.0, 0.0]) / (0.3 + 0.6 + 0.1)
+    cavity_prep[3] = np.array([0.0, 0.0, 0.5, 0.25, 0.25]) / (0.5 + 0.25 + 0.25)
+    np.testing.assert_array_equal(model.confusion, confusion)
+    np.testing.assert_array_equal(model.cavity_prep, cavity_prep)
+
+
+def test_repeated_key_keeps_its_last_value_unchecked(tmp_path):
+    path = tmp_path / "run.conf"
+    path.write_text(
+        "mode = physical\neta_e_g = nan\neta_e_g = 0.04\n"
+        "cavity_prep_1 = 0:2 0:2\ncavity_prep_1 = 0:0.5 1:0.5\n"
+    )
+    config = load_config(path)
+    assert config.eta_e_g == 0.04
+    assert config.cavity_prep_1 == ((0, 0.5), (1, 0.5))
 
 
 def test_load_config_parses_every_value_kind(tmp_path):
@@ -686,10 +723,10 @@ def test_load_config_parses_every_value_kind(tmp_path):
     assert config.idealized_backward is True
     assert config.heat_from_atom is False
     assert config.out == "result.csv"
+    assert config.eta_g_e == 0.04
+    assert config.cavity_prep_2 == ((1, 0.2), (2, 0.7), (3, 0.1))
     model = RunConfig(
-        mode="physical",
-        confusion_overrides=config.confusion_overrides,
-        cavity_prep_overrides=config.cavity_prep_overrides,
+        mode="physical", eta_g_e=config.eta_g_e, cavity_prep_2=config.cavity_prep_2
     ).build_error_model()
     assert model.confusion[1, 0] == pytest.approx(0.04)
     np.testing.assert_allclose(model.cavity_prep[2], [0, 0.2, 0.7, 0.1, 0])
@@ -725,12 +762,25 @@ NON_DEFAULT = {
     "relax_cavity_prob": ("0.002", 0.002),
     "nbar_atoms": ("0.3", 0.3),
     "detect_eff": ("0.7", 0.7),
+    "eta_e_g": ("0.03", 0.03),
+    "eta_e_f": ("0.02", 0.02),
+    "eta_g_e": ("0.04", 0.04),
+    "eta_g_f": ("0.06", 0.06),
+    "eta_f_e": ("0.01", 0.01),
+    "eta_f_g": ("0.05", 0.05),
+    "cavity_prep_0": ("0:0.9 1:0.1", ((0, 0.9), (1, 0.1))),
+    "cavity_prep_1": ("1:1", ((1, 1.0),)),
+    "cavity_prep_2": ("3:0.2 2:0.8", ((3, 0.2), (2, 0.8))),
+    "cavity_prep_3": ("2:0.1 3:0.8 4:0.1", ((2, 0.1), (3, 0.8), (4, 0.1))),
 }
-OVERRIDE_TUPLES = {"confusion_overrides", "cavity_prep_overrides"}
+
+
+def test_every_config_key_is_a_run_config_field():
+    assert {item.name for item in dataclasses.fields(RunConfig)} == set(_KEY_KINDS)
 
 
 def test_every_run_config_field_loads_from_a_config_file(tmp_path):
-    keys = {item.name for item in dataclasses.fields(RunConfig)} - OVERRIDE_TUPLES
+    keys = {item.name for item in dataclasses.fields(RunConfig)}
     assert set(NON_DEFAULT) == keys
     path = tmp_path / "run.conf"
     path.write_text("".join(f"{key} = {text}\n" for key, (text, _) in NON_DEFAULT.items()))
@@ -746,7 +796,8 @@ def test_none_clears_every_optional_key(tmp_path):
         for item in dataclasses.fields(RunConfig)
         if item.default is None
     }
-    assert {"single_error", "floor", "out", "eps_read", "detect_eff"} <= optional
+    assert {"single_error", "floor", "out", "eps_read", "detect_eff", "eta_f_g",
+            "cavity_prep_3"} <= optional
     path = tmp_path / "run.conf"
     path.write_text(
         "mode = physical\n"
