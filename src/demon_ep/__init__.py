@@ -16,7 +16,6 @@ from .channels import (
     compose,
     detection_channel,
     feedback_channel,
-    prepare_atom,
     prepare_cavity,
     prepare_register,
     readout_channel,
@@ -44,13 +43,6 @@ from .entropy import (
     feedback_balance_residual,
     high_bias_asymptote,
     jarzynski_average,
-    sigma1,
-    sigma2,
-    sigma3,
-    sigma4,
-    sigma5,
-    sigma6,
-    support_mismatch,
 )
 from .protocol import (
     SigmaHistogram,
@@ -60,7 +52,6 @@ from .protocol import (
     final_state_marginal,
     forward_table,
     measured_kernel,
-    oracle_full_state,
     point_tables,
     sigma_grid,
     sigma_histogram,

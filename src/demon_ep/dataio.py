@@ -78,6 +78,12 @@ def kelvin_to_beta_omega(temperature_k: float, frequency_ghz: float) -> float:
             f"beta*omega = h f / (k_B T) = {beta!r} at {temperature_k!r} K and "
             f"{frequency_ghz!r} GHz is not finite"
         )
+    if not beta > 0.0:  # h f underflows: every bias point would run at beta_C = 0
+        raise ValueError(
+            f"beta*omega = h f / (k_B T) = {beta!r} at {temperature_k!r} K and "
+            f"{frequency_ghz!r} GHz is not positive; raise frequency_ghz or lower "
+            f"temperature_kelvin"
+        )
     return beta
 
 
@@ -295,18 +301,16 @@ def _csv_field(flags: tuple[str, ...]) -> str:
     return buffer.getvalue()[:-1] if text else ""  # csv writes a lone empty field as ""
 
 
-def sweep_csv_text(results, forward_only: bool = False) -> str:
+def sweep_csv_text(results: EpColumns, forward_only: bool = False) -> str:
     """Estimator rows as CSV text with deterministic full-precision numbers.
 
-    ``results`` is an :class:`~demon_ep.entropy.EpColumns` or a sequence of
-    :class:`~demon_ep.entropy.EpResult`, one row per bias point, in the given
-    order.  ``forward_only`` keeps only the columns computable without the
-    backward protocol.  Numbers are written with ``%.17g`` (``inf`` and
-    ``-inf`` spelled out); a NaN in a written column raises ``ValueError``.
+    ``results`` holds one column per bias point, as ``run_sweep`` and
+    ``run_analysis`` return them, written in their order.  ``forward_only``
+    keeps only the columns computable without the backward protocol.  Numbers
+    are written with ``%.17g`` (``inf`` and ``-inf`` spelled out); a NaN in a
+    written column raises ``ValueError``.
     A flags field csv might quote goes through the csv writer.
     """
-    if not isinstance(results, EpColumns):
-        results = EpColumns.stack(results)
     columns = FORWARD_COLUMNS if forward_only else COLUMNS
     numbers = results.numbers[[COLUMNS.index(name) for name in columns[:-1]]]
     nan = np.argwhere(np.isnan(numbers).T)  # (row, column) pairs in row order

@@ -84,7 +84,6 @@ __all__ = [
     "forward_table",
     "histogram_rows",
     "measured_kernel",
-    "oracle_full_state",
     "oracle_states",
     "point_tables",
     "sigma_grid",
@@ -676,70 +675,6 @@ def oracle_states(
     return tuple(taps)
 
 
-# ---------------------------------------------------------------------------
-# One-point wrappers, kept because ``perfbench/`` names them (ROADMAP items 1→2)
-
-
-def forward_conditionals(
-    model: ErrorModel | None = None, dims: SystemDims = DEFAULT_DIMS, mode: str = "ideal"
-) -> np.ndarray:
-    """``simulated_kernel(model, dims, mode).forward_cond``; kept because
-    ``perfbench/`` names it (ROADMAP items 1→2)."""
-    return simulated_kernel(model, dims, mode).forward_cond
-
-
-def backward_conditionals(
-    model: ErrorModel | None = None, dims: SystemDims = DEFAULT_DIMS, mode: str = "ideal"
-) -> tuple[np.ndarray, np.ndarray]:
-    """The kernel's ``(backward_cond, backward_reset)``; kept because
-    ``perfbench/`` names it (ROADMAP items 1→2)."""
-    return (kernel := simulated_kernel(model, dims, mode)).backward_cond, kernel.backward_reset
-
-
-def forward_table(
-    gibbs: GibbsSpec,
-    model: ErrorModel | None = None,
-    dims: SystemDims = DEFAULT_DIMS,
-    mode: str = "ideal",
-) -> TrajectoryTable:
-    """The forward table of :func:`point_tables` on a model's kernel; kept because
-    ``perfbench/`` names it (ROADMAP items 1→2)."""
-    return point_tables(simulated_kernel(model, dims, mode), gibbs)[0]
-
-
-def backward_table(
-    gibbs: GibbsSpec,
-    model: ErrorModel | None = None,
-    dims: SystemDims = DEFAULT_DIMS,
-    mode: str = "ideal",
-    forward_pk: np.ndarray | None = None,
-) -> TrajectoryTable:
-    """The backward table of :func:`point_tables` on a model's kernel, its branches
-    weighted by ``forward_pk`` (default: the forward table's p(k)); kept because
-    ``perfbench/`` names it (ROADMAP items 1→2)."""
-    return _point_rows(simulated_kernel(model, dims, mode), gibbs, forward_pk).tables(0)[1]
-
-
-def tables_from_conditionals(
-    fwd_cond, bwd_cond, gibbs: GibbsSpec, dims: SystemDims = DEFAULT_DIMS
-) -> tuple[TrajectoryTable, TrajectoryTable | None]:
-    """``point_tables(measured_kernel(...), gibbs)``; kept because ``perfbench/``
-    names it (ROADMAP items 1→2)."""
-    return point_tables(measured_kernel(fwd_cond, bwd_cond, dims), gibbs)
-
-
-def oracle_full_state(
-    gibbs: GibbsSpec,
-    model: ErrorModel | None = None,
-    dims: SystemDims = DEFAULT_DIMS,
-    mode: str = "ideal",
-    stage: str = "final",
-) -> JointDistribution:
-    """:func:`oracle_states` at one ``stage``; kept because ``perfbench/`` names it
-    (ROADMAP items 1→2)."""
-    return oracle_states(_gate_chain(model, dims, mode), gibbs, (stage,))[0]
-
-
 def final_state_marginal(table: TrajectoryTable) -> np.ndarray:
     """Final joint state implied by a forward table, as (m_Q, k, m_C) array.
 
@@ -1008,3 +943,61 @@ def _bins(s: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
         # value beyond tol opens the next bin (the rest are checked again)
         seen = np.cumsum(beyond, axis=1)
         start |= beyond & (seen - seen[lines, anchor] == 1)
+
+
+# ---------------------------------------------------------------------------
+# Pinned by the benchmark: ``perfbench/`` names these and no command calls them
+
+
+def forward_conditionals(
+    model: ErrorModel | None = None, dims: SystemDims = DEFAULT_DIMS, mode: str = "ideal"
+) -> np.ndarray:
+    """``simulated_kernel(model, dims, mode).forward_cond``."""
+    return simulated_kernel(model, dims, mode).forward_cond
+
+
+def backward_conditionals(
+    model: ErrorModel | None = None, dims: SystemDims = DEFAULT_DIMS, mode: str = "ideal"
+) -> tuple[np.ndarray, np.ndarray]:
+    """The kernel's ``(backward_cond, backward_reset)``."""
+    return (kernel := simulated_kernel(model, dims, mode)).backward_cond, kernel.backward_reset
+
+
+def forward_table(
+    gibbs: GibbsSpec,
+    model: ErrorModel | None = None,
+    dims: SystemDims = DEFAULT_DIMS,
+    mode: str = "ideal",
+) -> TrajectoryTable:
+    """The forward table of :func:`point_tables` on a model's kernel."""
+    return point_tables(simulated_kernel(model, dims, mode), gibbs)[0]
+
+
+def backward_table(
+    gibbs: GibbsSpec,
+    model: ErrorModel | None = None,
+    dims: SystemDims = DEFAULT_DIMS,
+    mode: str = "ideal",
+    forward_pk: np.ndarray | None = None,
+) -> TrajectoryTable:
+    """The backward table of :func:`point_tables` on a model's kernel, its branches
+    weighted by ``forward_pk`` (default: the forward table's p(k))."""
+    return _point_rows(simulated_kernel(model, dims, mode), gibbs, forward_pk).tables(0)[1]
+
+
+def tables_from_conditionals(
+    fwd_cond, bwd_cond, gibbs: GibbsSpec, dims: SystemDims = DEFAULT_DIMS
+) -> tuple[TrajectoryTable, TrajectoryTable | None]:
+    """``point_tables(measured_kernel(...), gibbs)``."""
+    return point_tables(measured_kernel(fwd_cond, bwd_cond, dims), gibbs)
+
+
+def oracle_full_state(
+    gibbs: GibbsSpec,
+    model: ErrorModel | None = None,
+    dims: SystemDims = DEFAULT_DIMS,
+    mode: str = "ideal",
+    stage: str = "final",
+) -> JointDistribution:
+    """:func:`oracle_states` at one ``stage``."""
+    return oracle_states(_gate_chain(model, dims, mode), gibbs, (stage,))[0]

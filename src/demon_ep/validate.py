@@ -389,7 +389,7 @@ def check_closed_form_anchors() -> tuple[bool, str]:
     closed = gibbs6.delta_beta * p_excited + statespace.shannon_entropy(
         np.array([1.0 - p_excited, p_excited])
     )
-    s1_pos = entropy.sigma1(fwd6)
+    s1_pos = entropy.evaluate(fwd6, None).sigma1
     asym = entropy.high_bias_asymptote(gibbs6)
     # at -6 the qubit is hot and every estimator is negligible
     neg = entropy.evaluate(fwd_neg, bwd_neg)

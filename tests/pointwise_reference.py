@@ -4,8 +4,10 @@ These are the per-point weighting, histogram and estimator bodies the package
 ran before it evaluated the bias grid in array blocks, kept verbatim (with the
 statespace helpers they called) so the tests can demand that the block
 evaluator reproduces them bit for bit.  :func:`run` is the old per-point loop
-of ``runner._run``, and :func:`random_circuits` the circuit-by-circuit draw of
-``validate``'s sigma2 = sigma6 check.  :func:`parse_table` and :func:`to_grid`
+of ``runner._run``, :func:`columns` the list-to-columns conversion its
+results went through on their way to ``sweep_csv_text``, and
+:func:`random_circuits` the circuit-by-circuit draw of ``validate``'s
+sigma2 = sigma6 check.  :func:`parse_table` and :func:`to_grid`
 are the value-by-value table reader and grid fill, and
 :func:`relative_entropy_rows` the row divergence that took logarithms on every
 row.  Nothing in the package imports this module.
@@ -13,6 +15,7 @@ row.  Nothing in the package imports this module.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import warnings
 from pathlib import Path
@@ -20,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from demon_ep.dataio import _CLAMP_TOL, ConditionalTable
-from demon_ep.entropy import EpResult
+from demon_ep.entropy import COLUMNS, EpColumns, EpResult
 from demon_ep.protocol import SigmaHistogram, TrajectoryTable
 from demon_ep.statespace import DEFAULT_DIMS, GibbsSpec, _dot_rows, _over_supports
 
@@ -396,6 +399,13 @@ def run(kernel, config) -> list[EpResult]:
             evaluate(fwd, bwd, hist, floor=config.floor, heat_from_atom=config.heat_from_atom)
         )
     return results
+
+
+def columns(results) -> EpColumns:
+    """Single results, such as :func:`evaluate` gives, as columns."""
+    results = list(results)
+    numbers = np.array([dataclasses.astuple(result)[:-1] for result in results], dtype=float)
+    return EpColumns(numbers.reshape(-1, len(COLUMNS) - 1).T, [result.flags for result in results])
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ from demon_ep import (
     compose,
     detection_channel,
     feedback_channel,
-    prepare_atom,
     prepare_cavity,
     prepare_register,
     readout_channel,
@@ -28,7 +27,7 @@ from demon_ep import (
     time_reverse,
     two_atom_probability,
 )
-from demon_ep.channels import identity_channel, physical_labels
+from demon_ep.channels import physical_labels
 
 FULL = DEFAULT_DIMS.dim_cavity_full
 
@@ -80,11 +79,6 @@ def test_compose_requires_matching_bases():
         )
 
 
-def test_identity_channel_leaves_distributions_unchanged():
-    ident = identity_channel(("a", "b", "c"))
-    assert ident.labels == ("a", "b", "c")
-    assert np.array_equal(apply(ident, [0.2, 0.3, 0.5]), [0.2, 0.3, 0.5])
-
 def test_time_reverse_inverts_permutations():
     fb = feedback_channel(0.0)
     undo = compose(time_reverse(fb), fb)
@@ -101,9 +95,10 @@ def test_time_reverse_refuses_noisy_channels():
 
 
 def test_prepare_atom_only_upper_level_is_imperfect():
-    np.testing.assert_allclose(prepare_atom(AtomLevel.E, 0.1), [0.9, 0.1, 0.0])
-    np.testing.assert_allclose(prepare_atom(AtomLevel.G, 0.1), [0.0, 1.0, 0.0])
-    np.testing.assert_allclose(prepare_atom(AtomLevel.F, 0.1), [0.0, 0.0, 1.0])
+    physical = ENCODINGS["physical"]
+    for level, expected in ((AtomLevel.E, [0.9, 0.1, 0.0]), (AtomLevel.G, [0.0, 1.0, 0.0]),
+                            (AtomLevel.F, [0.0, 0.0, 1.0])):
+        np.testing.assert_allclose(prepare_register(physical[level], 0.1, physical), expected)
 
 
 def test_prepare_cavity_uses_impurity_table():

@@ -7,17 +7,20 @@ import sys
 
 import pytest
 
+import demon_ep
+import demon_ep.channels as channels
+import demon_ep.entropy as entropy
+import demon_ep.protocol as protocol
 from demon_ep import (
     ErrorModel,
     GibbsSpec,
-    backward_table,
-    branch_probability,
     cli,
     conditional_from_table,
-    forward_table,
     kelvin_to_beta_omega,
+    point_tables,
     write_table,
 )
+from demon_ep.protocol import simulated_kernel
 
 HEADER = "dbeta_tilde,sigma1,sigma2,sigma3,sigma4,sigma5,sigma6,heat_C,mean_info,flags"
 
@@ -37,9 +40,7 @@ def table_files(tmp_path_factory):
     """Conditional tables from a physical-mode run, in the exchange format."""
     tmp = tmp_path_factory.mktemp("tables")
     gibbs = GibbsSpec.from_dbeta(kelvin_to_beta_omega(2.8, 51.0), 0.0)
-    model = ErrorModel()
-    fwd = forward_table(gibbs, model, mode="physical")
-    bwd = backward_table(gibbs, model, mode="physical", forward_pk=branch_probability(fwd))
+    fwd, bwd = point_tables(simulated_kernel(ErrorModel(), mode="physical"), gibbs)
     write_table(conditional_from_table(fwd), tmp / "forward.txt")
     write_table(conditional_from_table(bwd), tmp / "backward.txt")
     return tmp / "forward.txt", tmp / "backward.txt"
@@ -177,6 +178,51 @@ def test_validate_passes_on_healthy_install():
     lines = [l for l in proc.stdout.splitlines() if l.strip()]
     assert lines, "expected one line per check"
     assert all(l.startswith("PASS") for l in lines)
+
+
+# ---------------------------------------------------------------------------
+# no command reaches the one-point functions the benchmark pins
+
+#: module -> one-point functions kept only because perfbench/tracing.py names them
+PINNED = {
+    protocol: ("forward_table", "backward_table", "tables_from_conditionals",
+               "forward_conditionals", "backward_conditionals", "oracle_full_state"),
+    entropy: ("sigma1", "sigma2", "sigma3", "sigma4", "sigma5", "sigma6", "support_mismatch"),
+    channels: ("identity_channel", "prepare_atom"),
+}
+
+
+def test_no_command_enters_a_pinned_one_point_function(table_files, capsys):
+    codes = {getattr(module, name).__code__: f"{module.__name__}.{name}"
+             for module, names in PINNED.items() for name in names}
+    assert len(codes) == 15
+    forward, backward = map(str, table_files)
+    commands = [
+        ["sweep"],
+        ["sweep", "--mode", "physical"],
+        ["sweep", "--mode", "physical", "--single-error", "eps_prep"],
+        ["simulate", "--mode", "physical", "--dbeta", "0.75"],
+        ["analyze", forward, backward],
+        ["analyze", forward],
+        ["validate"],
+    ]
+    entered = set()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in codes:
+            entered.add(codes[frame.f_code])
+
+    for argv in commands:
+        sys.setprofile(profile)
+        try:
+            status = cli.main(argv)
+        finally:
+            sys.setprofile(None)
+        capsys.readouterr()
+        assert (argv, status, entered) == (argv, 0, set())
+    # of the pinned names, the package exports only the two the benchmark calls as dep.*
+    exported = [name for names in PINNED.values() for name in names if hasattr(demon_ep, name)]
+    assert exported == ["forward_table", "backward_table"]
 
 
 # ---------------------------------------------------------------------------
@@ -397,6 +443,8 @@ _UNUSABLE_TEMPERATURE_OR_FREQUENCY = [
     # the frequency overflows in Hz: a "mass nan" data error (exit 2) before
     ("frequency_ghz = 1e300", "overflows in Hz"),
     ("temperature_kelvin = 1e-300\nfrequency_ghz = 1e290", "is not finite"),
+    # beta*omega underflows to 0: a run at beta_C = 0 (sigma = ln 2 everywhere) before
+    ("frequency_ghz = 5e-300", "is not positive; raise frequency_ghz"),
 ]
 
 

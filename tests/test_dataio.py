@@ -19,10 +19,7 @@ from demon_ep import (
     ErrorModel,
     GibbsSpec,
     RunConfig,
-    backward_table,
-    branch_probability,
     conditional_from_table,
-    forward_table,
     kelvin_to_beta_omega,
     load_config,
     measured_kernel,
@@ -33,6 +30,7 @@ from demon_ep import (
     write_table,
 )
 from demon_ep.dataio import _KEY_KINDS, BOLTZMANN_CONSTANT, MAX_GRID_POINTS, PLANCK_CONSTANT
+from demon_ep.protocol import simulated_kernel
 from demon_ep.statespace import DEFAULT_DIMS
 
 import pointwise_reference as reference
@@ -64,6 +62,9 @@ def test_beta_omega_rejects_nonpositive_inputs():
     for kelvin, ghz in ((0.0, 51.0), (2.8, -1.0), (1e-310, 51.0), (2.8, 1e300), (1e-300, 1e290)):
         with pytest.raises(ValueError):
             kelvin_to_beta_omega(kelvin, ghz)
+    # h f underflows to 0: a run would go on at beta_C = 0, every estimator ln 2
+    with pytest.raises(ValueError, match=r"= 0\.0 at 2\.8 K and 5e-300 GHz is not positive"):
+        kelvin_to_beta_omega(2.8, 5e-300)
 
 
 def test_beta_omega_keeps_the_division_order():
@@ -251,7 +252,8 @@ def test_parse_table_takes_a_corner_token_that_has_no_value_and_is_no_label(text
 
 
 def test_forward_table_must_list_every_initial_state():
-    fwd = forward_table(GibbsSpec.from_dbeta(BETA_C, 0.0), ErrorModel(), mode="physical")
+    kernel = simulated_kernel(ErrorModel(), mode="physical")
+    fwd, _ = point_tables(kernel, GibbsSpec.from_dbeta(BETA_C, 0.0))
     text = serialize_table(conditional_from_table(fwd))
     lines = [line for line in text.splitlines(True) if not line.startswith(("(1,3) ", "(0,0) "))]
     table = parse_table(io.StringIO("".join(lines)), "forward-rows-initial")
@@ -398,9 +400,7 @@ def test_serialize_survives_arbitrary_doubles(raw):
 
 def test_simulated_tables_round_trip_through_text(tmp_path):
     gibbs = GibbsSpec.from_dbeta(BETA_C, 1.75)
-    model = ErrorModel()
-    fwd = forward_table(gibbs, model, mode="physical")
-    bwd = backward_table(gibbs, model, mode="physical", forward_pk=branch_probability(fwd))
+    fwd, bwd = point_tables(simulated_kernel(ErrorModel(), mode="physical"), gibbs)
     write_table(conditional_from_table(fwd), tmp_path / "f.txt")
     write_table(conditional_from_table(bwd), tmp_path / "b.txt")
     kernel = measured_kernel(
@@ -413,14 +413,15 @@ def test_simulated_tables_round_trip_through_text(tmp_path):
 
 
 def test_conditional_view_needs_the_tables_conditionals():
-    fwd = forward_table(GibbsSpec.from_dbeta(BETA_C, 0.0), mode="ideal")
+    fwd, _ = point_tables(simulated_kernel(None), GibbsSpec.from_dbeta(BETA_C, 0.0))
     bare = dataclasses.replace(fwd, conditionals=None)
     with pytest.raises(ValueError, match="no conditionals"):
         conditional_from_table(bare)
 
 
 def test_table_grid_round_trip_keeps_labels_and_values():
-    fwd = forward_table(GibbsSpec.from_dbeta(BETA_C, 0.0), ErrorModel(), mode="physical")
+    kernel = simulated_kernel(ErrorModel(), mode="physical")
+    fwd, _ = point_tables(kernel, GibbsSpec.from_dbeta(BETA_C, 0.0))
     table = conditional_from_table(fwd)
     again = ConditionalTable.from_grid(table.to_grid(fwd.dims), table.orientation)
     assert again.row_labels == table.row_labels and again.col_labels == table.col_labels
@@ -432,7 +433,7 @@ def test_table_grid_round_trip_keeps_labels_and_values():
 
 def test_forward_conditional_table_columns_are_evolution_outcomes():
     gibbs = GibbsSpec.from_dbeta(BETA_C, 0.0)
-    fwd = forward_table(gibbs, mode="ideal")
+    fwd, _ = point_tables(simulated_kernel(None), gibbs)
     cond = conditional_from_table(fwd)
     assert cond.orientation == "forward-rows-initial"
     # rows: initial (n_Q, n_C); columns: final (m_Q, k, m_C)
@@ -457,7 +458,7 @@ def _fake_result(flags: str = "", **overrides):
 
 
 def test_sweep_csv_header_and_layout():
-    text = sweep_csv_text([_fake_result()])
+    text = sweep_csv_text(reference.columns([_fake_result()]))
     lines = text.splitlines()
     assert lines[0] == HEADER
     assert lines[1].startswith("-6,0.1")
@@ -465,7 +466,7 @@ def test_sweep_csv_header_and_layout():
 
 
 def test_sweep_csv_forward_only_drops_backward_columns():
-    text = sweep_csv_text([_fake_result()], forward_only=True)
+    text = sweep_csv_text(reference.columns([_fake_result()]), forward_only=True)
     assert text.splitlines()[0] == (
         "dbeta_tilde,sigma1,sigma2,sigma6,heat_C,mean_info,flags"
     )
@@ -476,7 +477,7 @@ def test_sweep_csv_renders_infinities_and_quotes_flags():
     # must not split the CSV field
     flags = "support:1 forward trajectories unmatched:(n_Q=1,k=0);sigma4:infinite"
     result = _fake_result(sigma4=math.inf, flags=flags)
-    line = sweep_csv_text([result]).splitlines()[1]
+    line = sweep_csv_text(reference.columns([result])).splitlines()[1]
     assert ",inf," in line
     assert f'"{flags}"' in line
     parsed = next(iter(csv.reader(io.StringIO(line))))
@@ -511,21 +512,21 @@ def test_sweep_csv_bytes_equal_the_csv_writers():
         _fake_result(flags="a\rb\nc"),
         _fake_result(heat_C=-1e300, mean_info=1, flags=" lead;trail "),
     ]
-    assert sweep_csv_text(results) == _csv_writer_text(results)
+    assert sweep_csv_text(reference.columns(results)) == _csv_writer_text(results)
 
 
 def test_sweep_csv_refuses_nan():
     # a NaN written as "nan" with no flag would read as a number
     bad = _fake_result(dbeta_tilde=0.5, sigma3=math.nan)
     with pytest.raises(ValueError, match=r"sigma3 is NaN at dbeta_tilde 0\.5.*forward_only=True"):
-        sweep_csv_text([_fake_result(), bad])
+        sweep_csv_text(reference.columns([_fake_result(), bad]))
     # the forward-only layout does not write sigma3
-    assert "nan" not in sweep_csv_text([bad], forward_only=True)
+    assert "nan" not in sweep_csv_text(reference.columns([bad]), forward_only=True)
 
 
 def test_sweep_csv_numbers_survive_round_trip():
     value = 0.1234567890123456789
-    line = sweep_csv_text([_fake_result(sigma1=value)]).splitlines()[1]
+    line = sweep_csv_text(reference.columns([_fake_result(sigma1=value)])).splitlines()[1]
     assert float(line.split(",")[1]) == value
 
 

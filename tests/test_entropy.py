@@ -22,31 +22,23 @@ from demon_ep import (
     GibbsSpec,
     RunConfig,
     SystemDims,
-    backward_table,
     branch_probability,
     cli,
     entropy,
     evaluate,
     feedback_balance_residual,
-    forward_table,
     gibbs_distribution,
     high_bias_asymptote,
     jarzynski_average,
-    oracle_full_state,
+    point_tables,
     shannon_entropy,
-    sigma1,
-    sigma2,
-    sigma3,
-    sigma4,
-    sigma5,
-    sigma6,
     sigma_histogram,
     simulate_report,
-    support_mismatch,
     sweep_csv_text,
 )
-from demon_ep.protocol import ProtocolKernel, weigh_rows
+from demon_ep.protocol import ProtocolKernel, oracle_states, simulated_kernel, weigh_rows
 
+import pointwise_reference as reference
 from conftest import BETA_C
 
 
@@ -55,10 +47,13 @@ def _gibbs(dbt: float) -> GibbsSpec:
 
 
 def _tables(dbt: float, model=None, mode="ideal"):
-    gibbs = _gibbs(dbt)
-    fwd = forward_table(gibbs, model, mode=mode)
-    bwd = backward_table(gibbs, model, mode=mode, forward_pk=branch_probability(fwd))
-    return fwd, bwd
+    return point_tables(simulated_kernel(model, mode=mode), _gibbs(dbt))
+
+
+def _oracle(gibbs: GibbsSpec, model=None, mode="ideal"):
+    """The joint states just before and just after the feedback gate."""
+    chain = simulated_kernel(model, mode=mode).chain
+    return oracle_states(chain, gibbs, ("pre_feedback", "post_feedback"))
 
 
 # ---------------------------------------------------------------------------
@@ -109,8 +104,9 @@ def test_sigma1_closed_form():
     fwd, _ = _tables(6.0)
     zeta = gibbs_distribution(gibbs.beta_qubit, levels=2)
     closed = gibbs.delta_beta * zeta[1] + shannon_entropy(zeta)
-    assert sigma1(fwd) == pytest.approx(closed, abs=1e-12)
-    assert sigma1(fwd) == pytest.approx(5.2465368007810982, abs=1e-12)
+    s1 = evaluate(fwd, None).sigma1
+    assert s1 == pytest.approx(closed, abs=1e-12)
+    assert s1 == pytest.approx(5.2465368007810982, abs=1e-12)
 
 
 def test_feedback_signature_closed_form():
@@ -121,7 +117,7 @@ def test_feedback_signature_closed_form():
     fwd, _ = _tables(6.0, model, mode="physical")
     zeta = gibbs_distribution(gibbs.beta_qubit, levels=2)
     closed = gibbs.delta_beta * zeta[1] * (1 - model.eps_feed) + shannon_entropy(zeta)
-    assert sigma1(fwd) == pytest.approx(closed, rel=1e-12)
+    assert evaluate(fwd, None).sigma1 == pytest.approx(closed, rel=1e-12)
 
 
 def test_readout_error_branch_distribution():
@@ -142,15 +138,8 @@ def test_readout_error_branch_distribution():
 @pytest.mark.parametrize("dbt", [-6.0, -1.25, 0.0, 2.5, 6.0])
 def test_all_estimators_coincide_in_ideal_mode(dbt):
     fwd, bwd = _tables(dbt)
-    hist = sigma_histogram(fwd, bwd)
-    values = [
-        sigma1(fwd),
-        sigma2(fwd),
-        sigma3(fwd, bwd),
-        sigma4(fwd, bwd),
-        sigma5(hist),
-        sigma6(fwd),
-    ]
+    result = evaluate(fwd, bwd, sigma_histogram(fwd, bwd))
+    values = [getattr(result, name) for name in ESTIMATORS]
     assert max(values) - min(values) <= 1e-9
     assert min(values) >= -1e-12
 
@@ -160,15 +149,16 @@ def test_sigma2_equals_sigma6_under_errors():
     # two bookkeepings of the same divergence; they agree for any dynamics
     for model in (ErrorModel(), ErrorModel.single("eps_meas")):
         fwd, _ = _tables(1.5, model, mode="physical")
-        assert sigma2(fwd) == pytest.approx(sigma6(fwd), abs=1e-12)
+        result = evaluate(fwd, None)
+        assert result.sigma2 == pytest.approx(result.sigma6, abs=1e-12)
 
 
 def test_coarse_graining_orders_divergences():
     # initial-state marginal and sigma binning are both coarse-grainings of
     # the full trajectory divergence
     fwd, bwd = _tables(3.0, ErrorModel.single("eps_feed"), mode="physical")
-    hist = sigma_histogram(fwd, bwd)
-    s3, s4, s5 = sigma3(fwd, bwd), sigma4(fwd, bwd), sigma5(hist)
+    result = evaluate(fwd, bwd, sigma_histogram(fwd, bwd))
+    s3, s4, s5 = result.sigma3, result.sigma4, result.sigma5
     assert s3 <= s4 + 1e-12
     assert s5 <= s4 + 1e-12
 
@@ -179,58 +169,64 @@ def test_coarse_graining_orders_divergences():
 
 def test_preparation_error_breaks_backward_support():
     fwd, bwd = _tables(1.0, ErrorModel.single("eps_prep"), mode="physical")
-    missing = support_mismatch(fwd, bwd)
+    missing = reference.support_mismatch(fwd, bwd)
     assert missing  # forward runs whose reversal cannot occur
     assert all(n_q == 1 and k == 0 for n_q, k, *_ in missing)
-    assert sigma4(fwd, bwd) == math.inf
-    assert sigma3(fwd, bwd) == math.inf
+    result = evaluate(fwd, bwd)
+    assert result.flags[0].startswith(f"support:{len(missing)} ")
+    assert result.sigma4 == math.inf
+    assert result.sigma3 == math.inf
 
 
 def test_floor_regularizes_infinite_divergence():
     fwd, bwd = _tables(1.0, ErrorModel.single("eps_prep"), mode="physical")
-    regularized = sigma4(fwd, bwd, floor=1e-12)
+    hist = sigma_histogram(fwd, bwd)
+    regularized = evaluate(fwd, bwd, hist, floor=1e-12).sigma4
     assert math.isfinite(regularized)
     assert regularized > 0
     # a larger floor means a less surprising reverse: the bound tightens
-    assert sigma4(fwd, bwd, floor=1e-6) < regularized
+    assert evaluate(fwd, bwd, hist, floor=1e-6).sigma4 < regularized
 
 
 def test_ideal_mode_has_full_support():
     fwd, bwd = _tables(2.0)
-    assert support_mismatch(fwd, bwd) == ()
+    assert reference.support_mismatch(fwd, bwd) == ()
+    assert evaluate(fwd, bwd).flags == ()
 
 
-#: the public entries that take a forward/backward table pair
+#: the public entries that take a forward/backward table pair, and the
+#: estimators and support flags read through them
 PAIR_ENTRIES = {
     "evaluate": evaluate,
     "sigma_histogram": sigma_histogram,
-    "sigma3": sigma3,
-    "sigma4": sigma4,
-    "support_mismatch": support_mismatch,
+    "sigma3": lambda fwd, bwd: evaluate(fwd, bwd).sigma3,
+    "sigma4": lambda fwd, bwd: evaluate(fwd, bwd).sigma4,
+    "support_mismatch": lambda fwd, bwd: evaluate(fwd, bwd).flags,
 }
 
 
 @pytest.mark.parametrize("entry", sorted(PAIR_ENTRIES))
 def test_a_pair_of_tables_of_two_bias_points_is_rejected(entry):
     run = PAIR_ENTRIES[entry]
-    f0, b0 = _tables(0.0, ErrorModel(), mode="physical")
-    f6, b6 = _tables(6.0, ErrorModel(), mode="physical")
+    kernel = simulated_kernel(ErrorModel(), mode="physical")
+    f0, b0 = point_tables(kernel, _gibbs(0.0))
+    f6, b6 = point_tables(kernel, _gibbs(6.0))
     with pytest.raises(ValueError, match=r"forward dbeta_tilde 0\.0, backward dbeta_tilde 6\.0$"):
         run(f0, b6)
     with pytest.raises(ValueError, match="^need one forward and one backward table$"):
         run(b0, f0)
-    small = forward_table(_gibbs(0.0), None, SystemDims(3, 4))
+    small, _ = point_tables(simulated_kernel(None, SystemDims(3, 4)), _gibbs(0.0))
     with pytest.raises(ValueError, match="^tables built over different spaces$"):
         run(small, _tables(0.0)[1])
     run(f0, b0)  # a matching pair passes
 
 
-#: the public entries that take one forward table
+#: the public entry that takes one forward table, and the estimators read through it
 SINGLE_ENTRIES = {
     "evaluate": lambda table: evaluate(table, None),
-    "sigma1": sigma1,
-    "sigma2": sigma2,
-    "sigma6": sigma6,
+    "sigma1": lambda table: evaluate(table, None).sigma1,
+    "sigma2": lambda table: evaluate(table, None).sigma2,
+    "sigma6": lambda table: evaluate(table, None).sigma6,
 }
 
 
@@ -278,8 +274,7 @@ def test_asymptote_tracks_bias():
 
 def test_feedback_balance_holds_for_ideal_readout():
     gibbs = _gibbs(1.0)
-    pre = oracle_full_state(gibbs, mode="ideal", stage="pre_feedback")
-    post = oracle_full_state(gibbs, mode="ideal", stage="post_feedback")
+    pre, post = _oracle(gibbs)
     assert feedback_balance_residual(pre, post, gibbs) == pytest.approx(
         0.0, abs=1e-12
     )
@@ -289,9 +284,7 @@ def test_feedback_balance_survives_readout_errors():
     # a failed pi-pulse corrupts the memory record but touches neither the
     # qubit nor the cavity, so the balance for the exchange step still closes
     gibbs = _gibbs(1.0)
-    model = ErrorModel.single("eps_read")
-    pre = oracle_full_state(gibbs, model, mode="physical", stage="pre_feedback")
-    post = oracle_full_state(gibbs, model, mode="physical", stage="post_feedback")
+    pre, post = _oracle(gibbs, ErrorModel.single("eps_read"), "physical")
     assert feedback_balance_residual(pre, post, gibbs) == pytest.approx(
         0.0, abs=1e-12
     )
@@ -302,9 +295,7 @@ def test_feedback_balance_breaks_off_the_permutation_case(name):
     # the identity needs an exchange that permutes states of a thermal input;
     # a failing exchange or a non-thermal preparation each spoil it
     gibbs = _gibbs(1.0)
-    model = ErrorModel.single(name)
-    pre = oracle_full_state(gibbs, model, mode="physical", stage="pre_feedback")
-    post = oracle_full_state(gibbs, model, mode="physical", stage="post_feedback")
+    pre, post = _oracle(gibbs, ErrorModel.single(name), "physical")
     assert abs(feedback_balance_residual(pre, post, gibbs)) > 1e-3
 
 
@@ -365,7 +356,7 @@ def test_a_block_builds_one_thermal_reference(monkeypatch):
     original = entropy._thermal_reference
     monkeypatch.setattr(entropy, "_thermal_reference",
                         lambda *args: calls.append(1) or original(*args))
-    cond = forward_table(_gibbs(0.0)).conditionals
+    cond = simulated_kernel(None).forward_cond
     kernel = ProtocolKernel(DEFAULT_DIMS, cond, None)
     rows = weigh_rows(kernel, BETA_C, np.linspace(-6.0, 6.0, 64))
     results = entropy.evaluate_rows(rows)
@@ -392,7 +383,7 @@ def test_columns_read_as_results():
         EpResult(float(i), *(0.5 * i,) * 6, -1.0, 2.0, flags=("sigma4:infinite",) * (i % 2))
         for i in range(5)
     ]
-    columns = EpColumns.stack(results)
+    columns = reference.columns(results)
     assert columns.numbers.shape == (9, 5) and len(columns) == 5
     assert list(columns) == results and [columns[i] for i in range(-5, 5)] == results * 2
     assert isinstance(columns[1:4], EpColumns) and list(columns[1:4]) == results[1:4]
@@ -416,7 +407,7 @@ def _table_names(forward_only: bool) -> list[str]:
 
 # each list that derives from the table, read back from what the package prints
 def _csv_header(forward_only: bool, capsys) -> list[str]:
-    return sweep_csv_text([], forward_only=forward_only).rstrip("\n").split(",")
+    return sweep_csv_text(reference.columns([]), forward_only=forward_only).rstrip("\n").split(",")
 
 
 def _simulate_lines(forward_only: bool, capsys) -> list[str]:

@@ -13,7 +13,6 @@ import pytest
 import demon_ep.runner as runner
 import pointwise_reference as reference
 from demon_ep import (
-    EpColumns,
     GibbsSpec,
     RunConfig,
     conditional_from_table,
@@ -23,15 +22,8 @@ from demon_ep import (
     run_analysis,
     run_sweep,
     serialize_table,
-    sigma1,
-    sigma2,
-    sigma3,
-    sigma4,
-    sigma5,
-    sigma6,
     sigma_grid,
     sigma_histogram,
-    support_mismatch,
     sweep_csv_text,
 )
 from demon_ep.entropy import evaluate_rows
@@ -48,7 +40,8 @@ from demon_ep.statespace import DEFAULT_DIMS, extended_gibbs
 
 def _reference_csv(config: RunConfig, kernel=None, forward_only: bool = False) -> str:
     kernel = runner.build_kernel(config) if kernel is None else kernel
-    return sweep_csv_text(reference.run(kernel, config), forward_only=forward_only)
+    results = reference.columns(reference.run(kernel, config))
+    return sweep_csv_text(results, forward_only=forward_only)
 
 
 def _random_physical(seed: int, **extra) -> RunConfig:
@@ -210,14 +203,6 @@ def test_forward_only_analysis_rows_are_the_single_point_results(case):
         sweep_csv_text(results)
 
 
-def test_csv_of_single_results_equals_the_csv_of_their_columns():
-    # support and flags change inside a block on this grid
-    config = CASES["underflow_physical"]
-    singles = _single_points(runner.build_kernel(config), config)
-    text = sweep_csv_text(singles)
-    assert text == sweep_csv_text(EpColumns.stack(singles)) == sweep_csv_text(run_sweep(config))
-
-
 def _assert_histograms_match(kernel, config: RunConfig) -> None:
     grid = config.grid()
     rows = weigh_rows(kernel, config.beta_cavity, grid)
@@ -292,24 +277,27 @@ def test_single_point_functions_match_the_reference(case):
         ref_hist = reference.sigma_histogram(fwd, bwd, tol=config.sigma_tol)
         for name in ("sigma", "p_forward", "p_backward"):
             np.testing.assert_array_equal(getattr(hist, name), getattr(ref_hist, name))
+        result, forward = evaluate(fwd, bwd, hist), evaluate(fwd, None)
+        photon_side = evaluate(fwd, None, heat_from_atom=False)
         pairs = [
-            (sigma1(fwd), reference.sigma1(fwd)),
-            (sigma1(fwd, from_atom=False), reference.sigma1(fwd, from_atom=False)),
-            (sigma2(fwd, 1e-12), reference.sigma2(fwd, 1e-12)),
-            (sigma3(fwd, bwd), reference.sigma3(fwd, bwd)),
-            (sigma4(fwd, bwd), reference.sigma4(fwd, bwd)),
-            (sigma5(hist), reference.sigma5(hist)),
-            (sigma6(fwd), reference.sigma6(fwd)),
-            (evaluate(fwd, None, heat_from_atom=False).heat_cavity, reference.cavity_heat(fwd)),
-            (evaluate(fwd, None).mean_info, reference.mean_information(fwd)),
+            (forward.sigma1, reference.sigma1(fwd)),
+            (photon_side.sigma1, reference.sigma1(fwd, from_atom=False)),
+            (evaluate(fwd, None, floor=1e-12).sigma2, reference.sigma2(fwd, 1e-12)),
+            (result.sigma3, reference.sigma3(fwd, bwd)),
+            (result.sigma4, reference.sigma4(fwd, bwd)),
+            (result.sigma5, reference.sigma5(hist)),
+            (forward.sigma6, reference.sigma6(fwd)),
+            (photon_side.heat_cavity, reference.cavity_heat(fwd)),
+            (forward.mean_info, reference.mean_information(fwd)),
         ]
         for new, old in pairs:
             assert new == old or (np.isnan(new) and np.isnan(old))
-        assert support_mismatch(fwd, bwd) == reference.support_mismatch(fwd, bwd)
-        assert sweep_csv_text([evaluate(fwd, bwd, hist)]) == sweep_csv_text(
-            [reference.evaluate(fwd, bwd, hist)]
+        expected = reference.evaluate(fwd, bwd, hist)
+        assert result.flags == expected.flags
+        assert sweep_csv_text(reference.columns([result])) == sweep_csv_text(
+            reference.columns([expected])
         )
-        assert _bits(evaluate(fwd, None)) == _bits(reference.evaluate(fwd, None))
+        assert _bits(forward) == _bits(reference.evaluate(fwd, None))
 
 
 # ---------------------------------------------------------------------------
@@ -346,8 +334,8 @@ def test_rows_with_their_own_kernel_and_cavity_temperature_match_each_circuit(he
         references.append(reference.evaluate(ref_fwd, None, heat_from_atom=heat_from_atom))
     # sigma1, sigma2, sigma6, heat_C and mean_info, each at %.17g
     block = sweep_csv_text(evaluate_rows(rows, heat_from_atom=heat_from_atom), forward_only=True)
-    assert block == sweep_csv_text(singles, forward_only=True)
-    assert block == sweep_csv_text(references, forward_only=True)
+    assert block == sweep_csv_text(reference.columns(singles), forward_only=True)
+    assert block == sweep_csv_text(reference.columns(references), forward_only=True)
 
 
 def test_extended_gibbs_on_a_column_matches_each_row():

@@ -12,34 +12,30 @@ from hypothesis import strategies as st
 
 from demon_ep import (
     DEFAULT_DIMS,
+    ENCODINGS,
+    AtomLevel,
     ErrorModel,
     GibbsSpec,
     RunConfig,
     SigmaHistogram,
-    backward_table,
+    apply,
     branch_probability,
     conditional_from_table,
+    evaluate,
     final_state_marginal,
-    forward_table,
     gibbs_distribution,
     marginalize,
     measured_kernel,
-    oracle_full_state,
     point_tables,
+    prepare_register,
     sigma_grid,
     sigma_histogram,
 )
+import demon_ep.channels as channels
+import demon_ep.entropy as entropy
 import demon_ep.protocol as protocol
 import demon_ep.runner as runner
-from demon_ep.protocol import (
-    TableRows,
-    _point_rows,
-    backward_conditionals,
-    forward_conditionals,
-    oracle_states,
-    simulated_kernel,
-    tables_from_conditionals,
-)
+from demon_ep.protocol import TableRows, _point_rows, oracle_states, simulated_kernel
 from demon_ep.statespace import extended_gibbs
 
 from conftest import BETA_C
@@ -54,6 +50,11 @@ def _gibbs(dbt: float) -> GibbsSpec:
 
 def _qubit_thermal(gibbs: GibbsSpec) -> np.ndarray:
     return gibbs_distribution(gibbs.beta_qubit, levels=2)
+
+
+def _tables(gibbs: GibbsSpec, model=None, mode="ideal"):
+    """The forward and backward tables at ``gibbs`` of the model's kernel."""
+    return point_tables(simulated_kernel(model, mode=mode), gibbs)
 
 
 # ---------------------------------------------------------------------------
@@ -84,7 +85,7 @@ def test_sigma_infinite_on_unused_branch():
 
 def test_ideal_forward_support_and_weights():
     gibbs = _gibbs(1.5)
-    fwd = forward_table(gibbs, mode="ideal")
+    fwd, _ = _tables(gibbs)
     zeta = _qubit_thermal(gibbs)
     w = gibbs_distribution(gibbs.beta_cavity, levels=INIT)
     expected = np.zeros((2, 2, INIT, 2, FULL))
@@ -99,7 +100,7 @@ def test_ideal_forward_support_and_weights():
 
 def test_ideal_branch_probability_equals_qubit_population():
     gibbs = _gibbs(-3.0)
-    fwd = forward_table(gibbs, mode="ideal")
+    fwd, _ = _tables(gibbs)
     np.testing.assert_allclose(
         branch_probability(fwd), _qubit_thermal(gibbs), rtol=1e-14
     )
@@ -107,14 +108,14 @@ def test_ideal_branch_probability_equals_qubit_population():
 
 def test_error_free_physical_forward_matches_ideal():
     gibbs = _gibbs(2.5)
-    ideal = forward_table(gibbs, mode="ideal")
-    physical = forward_table(gibbs, ErrorModel.ideal(), mode="physical")
+    ideal, _ = _tables(gibbs)
+    physical, _ = _tables(gibbs, ErrorModel.ideal(), "physical")
     np.testing.assert_allclose(physical.probs, ideal.probs, rtol=0, atol=1e-14)
 
 
 def test_physical_forward_never_detects_excited_with_memory_clear():
     gibbs = _gibbs(1.0)
-    fwd = forward_table(gibbs, ErrorModel(), mode="physical")
+    fwd, _ = _tables(gibbs, ErrorModel(), "physical")
     # the detected atom level fixes (m_Q, k); no level encodes (1, 0)
     assert fwd.probs[:, 0, :, 1, :].sum() == 0.0
     # but preparation/readout errors do populate initial-excited, read-0 labels
@@ -128,8 +129,7 @@ def test_physical_forward_never_detects_excited_with_memory_clear():
 
 def test_ideal_backward_matches_reversal_closed_form():
     gibbs = _gibbs(1.0)
-    fwd = forward_table(gibbs, mode="ideal")
-    bwd = backward_table(gibbs, mode="ideal", forward_pk=branch_probability(fwd))
+    fwd, bwd = _tables(gibbs)
     zeta = _qubit_thermal(gibbs)
     pk = branch_probability(fwd)
     w_ext = extended_gibbs(gibbs.beta_cavity, INIT, FULL)
@@ -151,7 +151,7 @@ def test_backward_conservation_extended_prior():
     expected_mass = (1 - x**FULL) / (1 - x**INIT)
     for mode, model in (("ideal", None), ("physical", ErrorModel())):
         gibbs = _gibbs(0.5)
-        bwd = backward_table(gibbs, model, mode=mode)
+        _, bwd = _tables(gibbs, model, mode)
         assert bwd.prior_mass == pytest.approx(expected_mass, rel=1e-13)
         assert bwd.probs.sum() + bwd.unlabeled_mass == pytest.approx(
             bwd.prior_mass, rel=1e-12
@@ -160,7 +160,7 @@ def test_backward_conservation_extended_prior():
 
 def test_physical_backward_reassigns_unencodable_branch():
     gibbs = _gibbs(1.0)
-    bwd = backward_table(gibbs, ErrorModel(), mode="physical")
+    _, bwd = _tables(gibbs, ErrorModel(), "physical")
     # nothing can start from (m_Q=1, k=0): that weight moved to m_Q=0
     assert bwd.probs[:, 0, :, 1, :].sum() == 0.0
     assert bwd.demon_reset_prob is not None
@@ -171,22 +171,22 @@ def test_ideal_run_config_model_builds_ideal_tables():
     # ideal mode's configured model is the error-free one the builders accept
     model = RunConfig().build_error_model()
     assert model.is_ideal
-    fwd = forward_table(_gibbs(1.0), model, mode="ideal")
-    assert np.array_equal(fwd.probs, forward_table(_gibbs(1.0), mode="ideal").probs)
+    fwd, _ = _tables(_gibbs(1.0), model)
+    assert np.array_equal(fwd.probs, _tables(_gibbs(1.0))[0].probs)
 
 
 def test_ideal_backward_keeps_abstract_unencodable_branch():
     gibbs = _gibbs(1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no warning of any kind expected
-        bwd = backward_table(gibbs, mode="ideal")
+        _, bwd = _tables(gibbs)
     # the ideal register has a level X for (m_Q=1, k=0), so that branch runs
     assert bwd.probs[:, 0, :, 1, :].sum() > 0.0
 
 
 def test_backward_overflow_is_tracked_not_dropped():
     gibbs = _gibbs(0.0)
-    bwd = backward_table(gibbs, mode="ideal")
+    _, bwd = _tables(gibbs)
     # reversed feedback can push the cavity past the initial truncation;
     # those runs end unlabeled but their mass stays on the books
     assert bwd.unlabeled_mass > 0.0
@@ -198,25 +198,23 @@ def test_backward_overflow_is_tracked_not_dropped():
 
 def test_forward_conditionals_are_stochastic():
     for mode, model in (("ideal", None), ("physical", ErrorModel())):
-        cond = forward_conditionals(model, DEFAULT_DIMS, mode)
+        cond = simulated_kernel(model, DEFAULT_DIMS, mode).forward_cond
         assert cond.shape == (2, 2, FULL, 2, INIT)
         sums = cond.sum(axis=(0, 1, 2))
         np.testing.assert_allclose(sums, 1.0, atol=1e-12)
 
 
 def test_backward_conditionals_skip_unencodable_columns():
-    bcond, reset = backward_conditionals(ErrorModel(), DEFAULT_DIMS, "physical")
+    bcond = simulated_kernel(ErrorModel(), DEFAULT_DIMS, "physical").backward_cond
     assert bcond.shape == (2, FULL, 2, 2, FULL)
     assert bcond[:, :, 1, 0, :].sum() == 0.0  # no (m_Q=1, k=0) start
-    ideal_bcond, _ = backward_conditionals(None, DEFAULT_DIMS, "ideal")
+    ideal_bcond = simulated_kernel(None, DEFAULT_DIMS, "ideal").backward_cond
     assert ideal_bcond[:, :, 1, 0, :].sum() > 0.0
 
 
 def test_tables_from_conditionals_reproduces_direct_run_exactly():
     gibbs = _gibbs(3.0)
-    model = ErrorModel()
-    fwd = forward_table(gibbs, model, mode="physical")
-    bwd = backward_table(gibbs, model, mode="physical", forward_pk=branch_probability(fwd))
+    fwd, bwd = _tables(gibbs, ErrorModel(), "physical")
     kernel = measured_kernel(conditional_from_table(fwd), conditional_from_table(bwd))
     fwd2, bwd2 = point_tables(kernel, gibbs)
     assert np.array_equal(fwd.probs, fwd2.probs)
@@ -226,13 +224,10 @@ def test_tables_from_conditionals_reproduces_direct_run_exactly():
 
 def test_per_point_tables_from_conditionals_match_the_measured_kernel():
     gibbs = _gibbs(-2.0)
-    fwd = forward_table(gibbs, ErrorModel(), mode="physical")
-    bwd = backward_table(
-        gibbs, ErrorModel(), mode="physical", forward_pk=branch_probability(fwd)
-    )
+    fwd, bwd = _tables(gibbs, ErrorModel(), "physical")
     tables = (conditional_from_table(fwd), conditional_from_table(bwd))
-    fwd2, bwd2 = tables_from_conditionals(*tables, gibbs)
-    fwd3, none = tables_from_conditionals(tables[0], None, gibbs)
+    fwd2, bwd2 = point_tables(measured_kernel(*tables), gibbs)
+    fwd3, none = point_tables(measured_kernel(tables[0], None), gibbs)
     assert np.array_equal(fwd2.probs, fwd.probs) and np.array_equal(fwd3.probs, fwd.probs)
     assert np.array_equal(bwd2.probs, bwd.probs)
     assert none is None
@@ -248,8 +243,9 @@ def test_per_point_tables_from_conditionals_match_the_measured_kernel():
 )
 def test_final_marginal_agrees_with_full_state_evolution(mode, model):
     gibbs = _gibbs(-2.0)
-    fwd = forward_table(gibbs, model, mode=mode)
-    oracle = oracle_full_state(gibbs, model, mode=mode, stage="final")
+    kernel = simulated_kernel(model, mode=mode)
+    fwd, _ = point_tables(kernel, gibbs)
+    (oracle,) = oracle_states(kernel.chain, gibbs, ("final",))
     np.testing.assert_allclose(
         final_state_marginal(fwd), oracle.probs, rtol=0, atol=1e-13
     )
@@ -258,7 +254,7 @@ def test_final_marginal_agrees_with_full_state_evolution(mode, model):
 def test_oracle_initial_stage_physical():
     gibbs = _gibbs(1.0)
     model = ErrorModel()
-    oracle = oracle_full_state(gibbs, model, mode="physical", stage="initial")
+    (oracle,) = oracle_states(simulated_kernel(model, mode="physical").chain, gibbs, ("initial",))
     # the memory qubit always starts set (every initial atom level carries k=1)
     np.testing.assert_allclose(marginalize(oracle, keep=("demon",)), [0.0, 1.0])
     zeta = _qubit_thermal(gibbs)
@@ -269,7 +265,7 @@ def test_oracle_initial_stage_physical():
 
 def test_oracle_rejects_unknown_stage():
     with pytest.raises(ValueError):
-        oracle_full_state(_gibbs(0.0), stage="halfway")
+        oracle_states(simulated_kernel(None).chain, _gibbs(0.0), ("halfway",))
 
 
 def test_oracle_of_no_stages_is_empty():
@@ -278,6 +274,11 @@ def test_oracle_of_no_stages_is_empty():
 
 # ---------------------------------------------------------------------------
 # the one-point wrappers are the kernel path
+#
+# The benchmark's tracer (perfbench/tracing.py) names fifteen one-point
+# functions that no command calls (test_cli checks that).  This test is the
+# only one that calls them: each must give, bit for bit, what the kernel path
+# gives.
 
 
 def _same_table(a, b) -> bool:
@@ -290,34 +291,74 @@ def _same_table(a, b) -> bool:
     )
 
 
+def _bits(value: float) -> bytes:
+    return np.float64(value).tobytes()
+
+
 @pytest.mark.parametrize("mode,model", [("ideal", None), ("physical", ErrorModel())])
 def test_the_one_point_wrappers_are_the_kernel_path(mode, model):
     gibbs = _gibbs(0.75)
     kernel = simulated_kernel(model, DEFAULT_DIMS, mode)
     fwd, bwd = point_tables(kernel, gibbs)
-    cond = forward_conditionals(model, DEFAULT_DIMS, mode)
+    cond = protocol.forward_conditionals(model, DEFAULT_DIMS, mode)
     assert cond.tobytes() == kernel.forward_cond.tobytes()
-    bcond, reset = backward_conditionals(model, DEFAULT_DIMS, mode)
+    bcond, reset = protocol.backward_conditionals(model, DEFAULT_DIMS, mode)
     assert bcond.tobytes() == kernel.backward_cond.tobytes()
     assert reset.tobytes() == kernel.backward_reset.tobytes()
-    assert _same_table(forward_table(gibbs, model, DEFAULT_DIMS, mode), fwd)
-    assert _same_table(backward_table(gibbs, model, DEFAULT_DIMS, mode), bwd)
+    assert _same_table(protocol.forward_table(gibbs, model, DEFAULT_DIMS, mode), fwd)
+    assert _same_table(protocol.backward_table(gibbs, model, DEFAULT_DIMS, mode), bwd)
     # a given p(k) weights the branches: the forward table's own gives the same table
-    own = backward_table(gibbs, model, DEFAULT_DIMS, mode, forward_pk=branch_probability(fwd))
+    pk = branch_probability(fwd)
+    own = protocol.backward_table(gibbs, model, DEFAULT_DIMS, mode, forward_pk=pk)
     assert _same_table(own, bwd)
     pk = np.array([0.25, 0.75])
-    other = backward_table(gibbs, model, DEFAULT_DIMS, mode, forward_pk=pk)
+    other = protocol.backward_table(gibbs, model, DEFAULT_DIMS, mode, forward_pk=pk)
     assert _same_table(other, _point_rows(kernel, gibbs, pk).tables(0)[1])
     assert other.prior_mass != bwd.prior_mass
     tables = (conditional_from_table(fwd), conditional_from_table(bwd))
     expected = point_tables(measured_kernel(*tables), gibbs)
-    for new, old in zip(tables_from_conditionals(*tables, gibbs), expected):
+    for new, old in zip(protocol.tables_from_conditionals(*tables, gibbs), expected):
         assert new.probs.tobytes() == old.probs.tobytes()
         assert (new.prior_mass, new.unlabeled_mass) == (old.prior_mass, old.unlabeled_mass)
     for stage in ("initial", "pre_feedback", "post_feedback", "final"):
         (state,) = oracle_states(kernel.chain, gibbs, (stage,))
-        new = oracle_full_state(gibbs, model, DEFAULT_DIMS, mode, stage)
+        new = protocol.oracle_full_state(gibbs, model, DEFAULT_DIMS, mode, stage)
         assert new.probs.tobytes() == state.probs.tobytes()
+
+    # each estimator is its field of evaluate, with and without a floor
+    hist = sigma_histogram(fwd, bwd)
+    for floor in (None, 1e-12):
+        result = evaluate(fwd, bwd, hist, floor)
+        forward = evaluate(fwd, None, floor=floor)
+        pairs = [
+            (entropy.sigma2(fwd, floor), forward.sigma2),
+            (entropy.sigma3(fwd, bwd, floor), result.sigma3),
+            (entropy.sigma4(fwd, bwd, floor), result.sigma4),
+            (entropy.sigma5(hist, floor), result.sigma5),
+            (entropy.sigma6(fwd, floor), forward.sigma6),
+        ]
+        assert [_bits(new) for new, _ in pairs] == [_bits(old) for _, old in pairs]
+    assert _bits(entropy.sigma1(fwd)) == _bits(evaluate(fwd, None).sigma1)
+    photon_side = evaluate(fwd, None, heat_from_atom=False).sigma1
+    assert _bits(entropy.sigma1(fwd, from_atom=False)) == _bits(photon_side)
+    # sigma5 reads the histogram it is given, not one of its own
+    wide = sigma_histogram(fwd, bwd, tol=100.0)
+    assert wide.sigma.size == 1
+    assert _bits(entropy.sigma5(wide)) == _bits(evaluate(fwd, bwd, wide).sigma5)
+    unmatched = np.argwhere((fwd.probs > 0) & (bwd.probs <= 0)).tolist()
+    assert entropy.support_mismatch(fwd, bwd) == tuple(map(tuple, unmatched))
+    assert bool(unmatched) == (mode == "physical")
+
+    ident = channels.identity_channel(("a", "b", "c"))
+    assert ident.labels == ("a", "b", "c") and ident.matrix.tobytes() == np.eye(3).tobytes()
+    assert apply(ident, [0.2, 0.3, 0.5]).tobytes() == np.array([0.2, 0.3, 0.5]).tobytes()
+    physical = ENCODINGS["physical"]
+    for level in AtomLevel:
+        for eps in (0.0, 0.1):
+            expected = prepare_register(physical[level], eps, physical)
+            assert channels.prepare_atom(level, eps).tobytes() == expected.tobytes()
+        default = channels.prepare_atom(level)
+        assert default.tobytes() == prepare_register(physical[level], 0.0, physical).tobytes()
 
 
 def test_rows_made_from_tables_have_no_kernel_to_rebuild_them():
@@ -334,8 +375,7 @@ def test_rows_made_from_tables_have_no_kernel_to_rebuild_them():
 
 def test_histogram_ideal_mode_obeys_detailed_fluctuation_relation():
     gibbs = _gibbs(2.0)
-    fwd = forward_table(gibbs, mode="ideal")
-    bwd = backward_table(gibbs, mode="ideal", forward_pk=branch_probability(fwd))
+    fwd, bwd = _tables(gibbs)
     hist = sigma_histogram(fwd, bwd)
     assert hist.sigma.size == 2  # one value per readout branch
     assert hist.p_forward.sum() == pytest.approx(1.0, abs=1e-14)
@@ -345,18 +385,15 @@ def test_histogram_ideal_mode_obeys_detailed_fluctuation_relation():
 
 def test_histogram_mean_equals_two_point_average(gibbs_at):
     gibbs = gibbs_at(4.0)
-    fwd = forward_table(gibbs, mode="ideal")
-    bwd = backward_table(gibbs, mode="ideal", forward_pk=branch_probability(fwd))
+    fwd, bwd = _tables(gibbs)
     hist = sigma_histogram(fwd, bwd)
-    from demon_ep import sigma1
-
-    assert np.dot(hist.sigma, hist.p_forward) == pytest.approx(sigma1(fwd), rel=1e-12)
+    sigma1 = evaluate(fwd, None).sigma1
+    assert np.dot(hist.sigma, hist.p_forward) == pytest.approx(sigma1, rel=1e-12)
 
 
 def test_histogram_wide_tolerance_merges_bins():
     gibbs = _gibbs(2.0)
-    fwd = forward_table(gibbs, mode="ideal")
-    bwd = backward_table(gibbs, mode="ideal", forward_pk=branch_probability(fwd))
+    fwd, bwd = _tables(gibbs)
     hist = sigma_histogram(fwd, bwd, tol=100.0)
     assert hist.sigma.size == 1
     assert hist.p_forward[0] == pytest.approx(1.0, abs=1e-14)
@@ -375,11 +412,9 @@ def test_histogram_validation():
             p_forward=np.array([0.5, 0.4]),  # mass missing
             p_backward=np.array([0.1, 0.1]),
         )
+    fwd, _ = _tables(_gibbs(0.0))
     with pytest.raises(ValueError):
-        sigma_histogram(
-            forward_table(_gibbs(0.0), mode="ideal"),
-            forward_table(_gibbs(0.0), mode="ideal"),
-        )
+        sigma_histogram(fwd, fwd)
 
 
 #: (config, rows whose bins sort labels, not classes, of all rows)
@@ -434,8 +469,7 @@ def test_every_label_of_a_class_has_the_same_sigma():
 def test_random_error_models_conserve_probability(dbt, eps):
     gibbs = _gibbs(dbt)
     model = ErrorModel(eps_prep=eps[0], eps_read=eps[1], eps_feed=eps[2])
-    fwd = forward_table(gibbs, model, mode="physical")
-    bwd = backward_table(gibbs, model, mode="physical", forward_pk=branch_probability(fwd))
+    fwd, bwd = _tables(gibbs, model, "physical")
     assert fwd.probs.sum() == pytest.approx(1.0, abs=1e-12)
     assert bwd.probs.sum() + bwd.unlabeled_mass == pytest.approx(
         bwd.prior_mass, abs=1e-12

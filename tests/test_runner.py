@@ -23,13 +23,11 @@ from demon_ep import (
     GibbsSpec,
     RunConfig,
     SystemDims,
-    backward_table,
-    branch_probability,
     cli,
     conditional_from_table,
     entropy,
-    forward_table,
     parse_table,
+    point_tables,
     protocol,
     run_analysis,
     run_sweep,
@@ -122,9 +120,8 @@ def test_simulate_report_bytes_are_frozen(case, dbeta):
 
 def _serialized_tables(config: RunConfig):
     gibbs = GibbsSpec.from_dbeta(config.beta_cavity, 0.0)
-    model = config.build_error_model()
-    fwd = forward_table(gibbs, model, mode=config.mode)
-    bwd = backward_table(gibbs, model, mode=config.mode, forward_pk=branch_probability(fwd))
+    kernel = simulated_kernel(config.build_error_model(), mode=config.mode)
+    fwd, bwd = point_tables(kernel, gibbs)
     return (
         serialize_table(conditional_from_table(fwd)),
         serialize_table(conditional_from_table(bwd)),
@@ -216,7 +213,7 @@ def test_validate_stdout_is_frozen(capsys):
 def test_circuit_check_weighs_checked_blocks_not_single_circuits(monkeypatch):
     calls = collections.Counter()
     for module, name in ((protocol, "check_rows"), (protocol, "point_tables"),
-                         (runner, "point_tables"), (entropy, "sigma2"), (entropy, "sigma6")):
+                         (runner, "point_tables")):
         def counted(*args, _name=f"{module.__name__}.{name}", _f=getattr(module, name),
                     **kwargs):
             calls[_name] += 1
@@ -344,7 +341,7 @@ def test_readme_python_example_runs_the_sweep_kernel_path(capsys):
     namespace: dict = {}
     exec(compile(example, "README.md", "exec"), namespace)
     sweep = run_sweep(RunConfig(mode="physical", dbeta_start=6.0, dbeta_stop=6.0))
-    assert sweep_csv_text([namespace["result"]]) == sweep_csv_text(sweep)
+    assert sweep_csv_text(reference.columns([namespace["result"]])) == sweep_csv_text(sweep)
     assert capsys.readouterr().out.strip()
 
 
