@@ -91,29 +91,27 @@ def _emit(text: str, config: RunConfig) -> None:
         sys.stdout.write(text)
 
 
-def _cmd_sweep(config: RunConfig, args: argparse.Namespace) -> int:
-    _emit(sweep_csv_text(run_sweep(config)), config)
-    return 0
+def _cmd_sweep(config: RunConfig, args: argparse.Namespace) -> tuple[bool, str]:
+    return True, sweep_csv_text(run_sweep(config))
 
 
-def _cmd_analyze(config: RunConfig, args: argparse.Namespace) -> int:
+def _cmd_analyze(config: RunConfig, args: argparse.Namespace) -> tuple[bool, str]:
     results = run_analysis(config, args.forward, args.backward)
-    _emit(sweep_csv_text(results, forward_only=args.backward is None), config)
-    return 0
+    return True, sweep_csv_text(results, forward_only=args.backward is None)
 
 
-def _cmd_simulate(config: RunConfig, args: argparse.Namespace) -> int:
-    _emit(simulate_report(config, args.dbeta), config)
-    return 0
+def _cmd_simulate(config: RunConfig, args: argparse.Namespace) -> tuple[bool, str]:
+    return True, simulate_report(config, args.dbeta)
 
 
-def _cmd_validate(config: RunConfig, args: argparse.Namespace) -> int:
-    return 0 if validate_mod.run_all() else 2
+def _cmd_validate(config: RunConfig, args: argparse.Namespace) -> tuple[bool, str]:
+    return validate_mod.run_all()
 
 
 #: the flags of the commands that simulate the protocol
 _SIMULATED = ("--config", "--mode", "--single-error", "--floor", "--out")
-#: command -> (help, arguments, handler)
+#: command -> (help, arguments, handler); a handler returns (ok, text), and
+#: :func:`main` writes the text through :func:`_emit` and exits 2 if not ok
 _COMMANDS = {
     "sweep": ("estimators across the bias grid (CSV)", _SIMULATED, _cmd_sweep),
     "analyze": ("estimators from measured conditional tables (CSV)",
@@ -138,30 +136,23 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _biases(config: RunConfig, args: argparse.Namespace) -> dict[str, float]:
-    """The ends of the bias range a command evaluates, by the key or flag setting each."""
-    if args.command == "simulate":
-        return {"--dbeta": args.dbeta}
-    if args.command in ("sweep", "analyze"):
-        return {"dbeta_start": config.dbeta_start, "dbeta_stop": config.dbeta_stop}
-    return {}
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         config = load_config(args.config, **_overrides(args))
-        for key, dbeta in _biases(config, args).items():
-            config.check_bias(dbeta, key)
+        if args.command == "simulate":  # the one bias that is not a config key
+            config.check_bias(args.dbeta, "--dbeta")
     except (ValueError, OSError) as exc:
         print(f"demon-ep: configuration error: {exc}", file=sys.stderr)
         return 1
     try:
-        return args.handler(config, args)
+        ok, text = args.handler(config, args)
+        _emit(text, config)
     except (ValueError, OSError) as exc:
         print(f"demon-ep: {exc}", file=sys.stderr)
         return 2
+    return 0 if ok else 2
 
 
 if __name__ == "__main__":

@@ -438,9 +438,9 @@ class RunConfig:
         beta = kelvin_to_beta_omega(self.temperature_kelvin, self.frequency_ghz)
         object.__setattr__(self, "_beta_cavity", beta)
         object.__setattr__(self, "_error_model", self._make_error_model())
+        for key in ("dbeta_start", "dbeta_stop"):  # the grid's ends decide for every point
+            self.check_bias(getattr(self, key), key)
         if round(span) + 1 > MAX_GRID_POINTS:
-            for key in ("dbeta_start", "dbeta_stop"):  # an end that overflows is named first
-                self.check_bias(getattr(self, key), key)
             raise ValueError(
                 f"dbeta_start = {self.dbeta_start!r}, dbeta_stop = {self.dbeta_stop!r} and "
                 f"dbeta_step = {self.dbeta_step!r} give {round(span) + 1:.4g} grid points, "

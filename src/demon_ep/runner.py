@@ -128,7 +128,7 @@ def simulate_report(
     # the oracle runs the kernel's own forward chain, one pass for both states
     pre, post = oracle_states(kernel.chain, gibbs, ("pre_feedback", "post_feedback"))
     residual = feedback_balance_residual(pre, post, gibbs)
-    model = config.build_error_model()
+    model = kernel.chain.model  # the configured model, as the mode runs it
     two_atom = two_atom_probability(model.nbar_atoms, model.detect_eff)
 
     def fmt(x: float) -> str:

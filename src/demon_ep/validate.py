@@ -1,6 +1,7 @@
 """Self-contained invariant suite behind ``demon-ep validate``.
 
-Each check returns (ok, detail); the CLI prints one PASS/FAIL line per check.
+Each check returns (ok, detail); :func:`run_all` gives one PASS/FAIL line per
+check, which the CLI writes to ``out`` or stdout.
 The suite re-derives every structural guarantee the package relies on —
 normalization, conservation, channel stochasticity, the oracle cross-check,
 estimator equivalence, fluctuation identities, serialization round-trips —
@@ -17,15 +18,16 @@ row's pair (:func:`_points`).
 One :func:`run_all` builds each configuration's kernel once (ideal, physical
 and the seven single errors: nine), and with it the gate chain that the
 oracle checks evolve; every check of the run shares them, and they are
-dropped when the run ends.  A check called on its own builds what it needs.
+dropped when the run ends.  A check called on its own keeps the kernels it
+builds until the next run.
 The sigma2 = sigma6 check draws each block of random circuits in one call.
 """
 
 from __future__ import annotations
 
+import functools
 import io
 import math
-import sys
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -41,18 +43,11 @@ SINGLE_ERRORS = tuple(channels.ERROR_CHANNELS)
 CIRCUITS = 1000  # random circuits of the sigma2 = sigma6 check
 CIRCUIT_SEED = 20240817
 
-#: the kernels built so far in the current :func:`run_all`, by configuration;
-#: None outside a run, so nothing built outlives it
-_kernels: dict[dataio.RunConfig, protocol.ProtocolKernel] | None = None
 
-
+@functools.cache
 def _kernel(config: dataio.RunConfig) -> protocol.ProtocolKernel:
-    """The kernel of ``config``, built once per :func:`run_all` (anew for a check run alone)."""
-    if _kernels is None:
-        return runner.build_kernel(config)
-    if config not in _kernels:
-        _kernels[config] = runner.build_kernel(config)
-    return _kernels[config]
+    """The kernel of ``config``, built once per :func:`run_all` (cleared as it starts and ends)."""
+    return runner.build_kernel(config)
 
 
 def _points(kernel: protocol.ProtocolKernel, grid=GRID_COARSE):
@@ -429,15 +424,14 @@ CHECKS = (
 )
 
 
-def run_all() -> bool:
-    """Run every check, print one PASS/FAIL line each, return overall result.
+def run_all() -> tuple[bool, str]:
+    """Run every check; return whether all passed and one PASS/FAIL line each.
 
     The checks share the kernels (and gate chains) of this run: each
     configuration's is built once, and all are dropped when the run ends.
     """
-    global _kernels
-    _kernels = {}
-    all_ok = True
+    _kernel.cache_clear()
+    all_ok, lines = True, []
     try:
         for name, fn in CHECKS:
             try:
@@ -445,7 +439,7 @@ def run_all() -> bool:
             except Exception as exc:  # a crashed check is a failed check
                 ok, detail = False, f"raised {type(exc).__name__}: {exc}"
             all_ok &= ok
-            sys.stdout.write(f"{'PASS' if ok else 'FAIL'}  {name}: {detail}\n")
+            lines.append(f"{'PASS' if ok else 'FAIL'}  {name}: {detail}\n")
     finally:
-        _kernels = None
-    return all_ok
+        _kernel.cache_clear()
+    return all_ok, "".join(lines)

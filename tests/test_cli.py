@@ -327,6 +327,9 @@ _EXTREME_BIAS = [
     (("sweep",), "dbeta_stop = 1000", "dbeta_stop = 1000.0"),
     (("simulate", "--dbeta", "1000"), "", "--dbeta = 1000.0"),
     (("sweep",), "frequency_ghz = 1e298", "dbeta_stop = 6.0"),
+    # a config whose ends overflow is invalid for every command, also where its grid is not run
+    (("simulate", "--dbeta", "0"), "dbeta_stop = 1000", "dbeta_stop = 1000.0"),
+    (("validate",), "dbeta_stop = 1000", "dbeta_stop = 1000.0"),
     # beta_Q itself overflows to inf
     (("sweep",), "frequency_ghz = 1e10\ndbeta_start = -1e301", "dbeta_start = -1e+301"),
 ]

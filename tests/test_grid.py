@@ -370,9 +370,13 @@ def _outcome(run):
     [(0.0, 1000.0, 1000.0), (0.0, 1000.0, 10.0)],
     ids=["second-point", "second-block"],
 )
-def test_the_first_failing_point_raises_the_loops_message(grid):
+def test_the_first_failing_point_raises_the_loops_message(monkeypatch, grid):
+    # a config with these ends is rejected when built, so the overflowing
+    # points reach both evaluators through the grid of a valid config
     start, stop, step = grid
-    config = RunConfig(dbeta_start=start, dbeta_stop=stop, dbeta_step=step)
+    points = start + step * np.arange(round((stop - start) / step) + 1)
+    monkeypatch.setattr(RunConfig, "grid", lambda self: points)
+    config = RunConfig()
     failing = int(np.argmax(config.grid() > 813))  # exp(-beta_Q) overflows past here
     assert failing // runner.BLOCK_POINTS == (0 if step == 1000.0 else 1)
     error, _ = _outcome(lambda: run_sweep(config))

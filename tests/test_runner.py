@@ -6,7 +6,6 @@ import collections
 import hashlib
 import io
 import math
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -170,13 +169,11 @@ def test_analysis_builds_its_kernel_once(monkeypatch):
     assert len(calls) == 1
 
 
-def test_extreme_bias_fails_at_the_forward_table():
-    # exp(-beta_Q n) overflows at dbeta_tilde = 1000; the NaN table must not
-    # pass the mass check and surface later as a "mass 0.0" histogram error
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        with pytest.raises(ValueError, match="forward table: mass nan is not finite"):
-            run_sweep(RunConfig(dbeta_start=1000, dbeta_stop=1000))
+def test_extreme_bias_fails_when_the_config_is_built():
+    # exp(-beta_Q n) overflows at dbeta_tilde = 1000: the config names its
+    # key, before a run can weigh a NaN table ("mass nan is not finite")
+    with pytest.raises(ValueError, match="dbeta_start = 1000 gives non-finite Gibbs weights"):
+        RunConfig(dbeta_start=1000, dbeta_stop=1000)
 
 
 def test_physical_mode_rejects_dims_smaller_than_the_preparation_table():
@@ -208,6 +205,14 @@ def test_validate_stdout_is_frozen(capsys):
     out = capsys.readouterr().out
     assert len(out.splitlines()) == len(validate.CHECKS) == 16
     assert _digest(out) == VALIDATE_DIGEST
+
+
+def test_validate_writes_to_the_configured_out(tmp_path, capsys):
+    conf, out = tmp_path / "run.conf", tmp_path / "validate.txt"
+    conf.write_text(f"out = {out}\n")
+    assert cli.main(["validate", "--config", str(conf)]) == 0
+    assert capsys.readouterr() == ("", "")
+    assert _digest(out.read_text()) == VALIDATE_DIGEST
 
 
 def test_circuit_check_weighs_checked_blocks_not_single_circuits(monkeypatch):
@@ -264,21 +269,22 @@ def _counting(monkeypatch, module, name) -> list:
     return calls
 
 
-def test_validate_builds_each_kernel_once_per_run(monkeypatch, capsys):
+def test_validate_builds_each_kernel_once_per_run(monkeypatch):
     # ideal, physical and the seven single errors; a second run builds them
     # all again, so nothing built outlives a run
     calls = _counting(monkeypatch, runner, "build_kernel")
     for _ in range(2):
         calls.clear()
-        assert validate.run_all()
+        ok, _ = validate.run_all()
+        assert ok
         assert len(calls) == 2 + len(validate.SINGLE_ERRORS) == 9
-        assert validate._kernels is None
-    capsys.readouterr()
+        assert validate._kernel.cache_info().currsize == 0
 
 
-def test_each_check_alone_prints_what_the_run_prints(capsys):
-    assert validate.run_all()
-    lines = capsys.readouterr().out.splitlines()
+def test_each_check_alone_prints_what_the_run_prints():
+    ok, text = validate.run_all()
+    assert ok
+    lines = text.splitlines()
     for (name, check), line in zip(validate.CHECKS, lines, strict=True):
         ok, detail = check()
         assert f"{'PASS' if ok else 'FAIL'}  {name}: {detail}" == line
@@ -310,8 +316,9 @@ def test_validate_reports_failed_and_crashed_checks(monkeypatch, capsys):
     monkeypatch.setattr(
         validate, "CHECKS", (("failing check", failing), ("crashing check", crashing))
     )
-    assert validate.run_all() is False
-    assert capsys.readouterr().out.splitlines() == [
+    ok, text = validate.run_all()
+    assert ok is False
+    assert text.splitlines() == [
         "FAIL  failing check: worst deviation 1.00e+00",
         "FAIL  crashing check: raised RuntimeError: boom",
     ]
