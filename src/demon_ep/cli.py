@@ -96,8 +96,7 @@ def _cmd_sweep(config: RunConfig, args: argparse.Namespace) -> tuple[bool, str]:
 
 
 def _cmd_analyze(config: RunConfig, args: argparse.Namespace) -> tuple[bool, str]:
-    results = run_analysis(config, args.forward, args.backward)
-    return True, sweep_csv_text(results, forward_only=args.backward is None)
+    return True, sweep_csv_text(run_analysis(config, args.forward, args.backward))
 
 
 def _cmd_simulate(config: RunConfig, args: argparse.Namespace) -> tuple[bool, str]:

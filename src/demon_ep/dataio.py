@@ -301,24 +301,22 @@ def _csv_field(flags: tuple[str, ...]) -> str:
     return buffer.getvalue()[:-1] if text else ""  # csv writes a lone empty field as ""
 
 
-def sweep_csv_text(results: EpColumns, forward_only: bool = False) -> str:
+def sweep_csv_text(results: EpColumns) -> str:
     """Estimator rows as CSV text with deterministic full-precision numbers.
 
     ``results`` holds one column per bias point, as ``run_sweep`` and
-    ``run_analysis`` return them, written in their order.  ``forward_only``
-    keeps only the columns computable without the backward protocol.  Numbers
-    are written with ``%.17g`` (``inf`` and ``-inf`` spelled out); a NaN in a
-    written column raises ``ValueError``.
+    ``run_analysis`` return them, written in their order.  Results marked
+    forward-only (computed without backward tables) keep only the columns
+    computable without the backward protocol.  Numbers are written with
+    ``%.17g`` (``inf`` and ``-inf`` spelled out); a NaN in a written column
+    raises ``ValueError``.
     A flags field csv might quote goes through the csv writer.
     """
-    columns = FORWARD_COLUMNS if forward_only else COLUMNS
+    columns = FORWARD_COLUMNS if results.forward_only else COLUMNS
     numbers = results.numbers[[COLUMNS.index(name) for name in columns[:-1]]]
     nan = np.argwhere(np.isnan(numbers).T)  # (row, column) pairs in row order
     if len(nan):
-        raise ValueError(
-            f"{columns[nan[0, 1]]} is NaN at dbeta_tilde {numbers[0, nan[0, 0]]:.17g}; without"
-            " backward tables write the forward-only layout (forward_only=True)"
-        )
+        raise ValueError(f"{columns[nan[0, 1]]} is NaN at dbeta_tilde {numbers[0, nan[0, 0]]:.17g}")
     fields = {flags: _csv_field(flags) for flags in set(results.flags)}
     line = ",".join(["%.17g"] * len(numbers)) + ",%s\n"
     return ",".join(columns) + "\n" + "".join([

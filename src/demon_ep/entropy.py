@@ -291,11 +291,14 @@ EpResult = make_dataclass(
 class EpColumns:
     """Results at many bias points as columns: ``numbers`` has one row per number
     column of :data:`COLUMNS` and one column per point, ``flags`` one tuple per
-    point.  Indexing and iteration give :class:`EpResult` views, ``len`` the
-    number of points; a slice gives columns."""
+    point.  ``forward_only`` marks results computed without backward tables,
+    whose backward estimators are NaN; the CSV writer picks its layout from it.
+    Indexing and iteration give :class:`EpResult` views, ``len`` the number of
+    points; a slice gives columns."""
 
     numbers: np.ndarray
     flags: list[tuple[str, ...]]
+    forward_only: bool = False
 
     @property
     def estimators(self) -> np.ndarray:
@@ -307,7 +310,7 @@ class EpColumns:
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return EpColumns(self.numbers[:, index], self.flags[index])
+            return EpColumns(self.numbers[:, index], self.flags[index], self.forward_only)
         return EpResult(*self.numbers[:, index].tolist(), self.flags[index])
 
     def __iter__(self):
@@ -372,7 +375,7 @@ def evaluate_rows(
         )
         for i in sel.tolist():
             flags[i] = shared
-    return EpColumns(np.vstack([rows.dbeta, values, data.heat, data.info]), flags)
+    return EpColumns(np.vstack([rows.dbeta, values, data.heat, data.info]), flags, not backward)
 
 
 # ---------------------------------------------------------------------------

@@ -69,7 +69,8 @@ def _run(kernel: ProtocolKernel, config: RunConfig) -> EpColumns:
     blocks = [_run_block(kernel, config, grid[start:start + BLOCK_POINTS])
               for start in range(0, grid.size, BLOCK_POINTS)]
     return EpColumns(np.concatenate([block.numbers for block in blocks], axis=1),
-                     [flags for block in blocks for flags in block.flags])
+                     [flags for block in blocks for flags in block.flags],
+                     blocks[0].forward_only)
 
 
 def checked_rows(
@@ -103,8 +104,8 @@ def run_analysis(
     """Estimators over the bias grid from measured conditional tables, as columns.
 
     Accepts parsed tables or paths.  Without a backward table only the
-    forward-protocol estimators are meaningful; the remaining fields are NaN
-    (and the CSV writer's forward-only layout omits them).
+    forward-protocol estimators are meaningful: the remaining fields are NaN,
+    and the results are marked forward-only, so the CSV writer omits them.
     """
     if not isinstance(forward, ConditionalTable):
         forward = parse_table(forward, "forward-rows-initial")

@@ -15,11 +15,12 @@ circuits runs on the stacked rows (checked by
 :func:`~demon_ep.protocol.check_rows`), and one that reads tables takes each
 row's pair (:func:`_points`).
 
-One :func:`run_all` builds each configuration's kernel once (ideal, physical
-and the seven single errors: nine), and with it the gate chain that the
-oracle checks evolve; every check of the run shares them, and they are
-dropped when the run ends.  A check called on its own keeps the kernels it
-builds until the next run.
+The certified configurations are module constants, built once on import:
+:data:`IDEAL`, and :data:`PHYSICALS`, the full physical model followed by
+each single error alone.  One :func:`run_all` builds each one's kernel once
+(nine), and with it the gate chain that the oracle checks evolve; every
+check of the run shares them, and they are dropped when the run ends.  A
+check called on its own keeps the kernels it builds until the next run.
 The sigma2 = sigma6 check draws each block of random circuits in one call.
 """
 
@@ -38,8 +39,12 @@ from . import channels, dataio, entropy, protocol, runner, statespace
 
 IDEAL = dataio.RunConfig()
 PHYSICAL = dataio.RunConfig(mode="physical")
-GRID_COARSE = (-6.0, -3.0, -1.0, 0.0, 1.0, 3.0, 6.0)
 SINGLE_ERRORS = tuple(channels.ERROR_CHANNELS)
+#: the full physical model, then each single error alone in SINGLE_ERRORS order
+PHYSICALS = (PHYSICAL, *(replace(PHYSICAL, single_error=name) for name in SINGLE_ERRORS))
+#: the physical grid at step 0.5; the single error of a run lives in its kernel
+HALF_STEP = replace(PHYSICAL, dbeta_step=0.5)
+GRID_COARSE = (-6.0, -3.0, -1.0, 0.0, 1.0, 3.0, 6.0)
 CIRCUITS = 1000  # random circuits of the sigma2 = sigma6 check
 CIRCUIT_SEED = 20240817
 
@@ -206,9 +211,7 @@ def check_backward_conservation() -> tuple[bool, str]:
 
 def check_oracle_consistency() -> tuple[bool, str]:
     worst = 0.0
-    configs = [IDEAL, PHYSICAL]
-    configs += [replace(PHYSICAL, single_error=name) for name in SINGLE_ERRORS]
-    for config in configs:
+    for config in (IDEAL, *PHYSICALS):
         kernel = _kernel(config)
         for gibbs, fwd, _ in _points(kernel):
             (oracle,) = protocol.oracle_states(kernel.chain, gibbs, ("final",))
@@ -293,9 +296,8 @@ def check_sigma2_sigma6_identity() -> tuple[bool, str]:
 
 def check_second_law() -> tuple[bool, str]:
     lowest = math.inf
-    for single in (None, *SINGLE_ERRORS):
-        config = replace(PHYSICAL, single_error=single)
-        values = runner._run(_kernel(config), replace(config, dbeta_step=0.5)).estimators
+    for config in PHYSICALS:
+        values = runner._run(_kernel(config), HALF_STEP).estimators
         lowest = min(lowest, float(np.min(values, where=np.isfinite(values), initial=math.inf)))
     ok = lowest >= -1e-9
     return ok, f"lowest finite estimator {lowest:.3e}"

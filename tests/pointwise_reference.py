@@ -401,11 +401,13 @@ def run(kernel, config) -> list[EpResult]:
     return results
 
 
-def columns(results) -> EpColumns:
-    """Single results, such as :func:`evaluate` gives, as columns."""
+def columns(results, forward_only: bool = False) -> EpColumns:
+    """Single results, such as :func:`evaluate` gives, as columns; ``forward_only``
+    marks them as computed without backward tables."""
     results = list(results)
     numbers = np.array([dataclasses.astuple(result)[:-1] for result in results], dtype=float)
-    return EpColumns(numbers.reshape(-1, len(COLUMNS) - 1).T, [result.flags for result in results])
+    return EpColumns(numbers.reshape(-1, len(COLUMNS) - 1).T, [result.flags for result in results],
+                     forward_only)
 
 
 # ---------------------------------------------------------------------------

@@ -141,6 +141,21 @@ def test_analyze_forward_table_missing_an_initial_state_is_a_data_error(tmp_path
     assert "forward table has no row for initial state (1, 3)" in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [("# only a comment\n", "table needs a header line and at least one data row"),
+     ("state\n(0,0)\n", "header needs at least one column label")],
+    ids=["comment-only", "header-without-columns"],
+)
+def test_analyze_table_without_a_grid_is_a_data_error(tmp_path, capsys, text, message):
+    table = tmp_path / "table.txt"
+    table.write_text(text)
+    assert cli.main(["analyze", str(table)]) == 2
+    out, err = capsys.readouterr()
+    assert err == f"demon-ep: {message}\n"
+    assert out == ""
+
+
 def test_analyze_missing_file_is_a_data_error(tmp_path):
     proc = run_cli("analyze", str(tmp_path / "nowhere.txt"))
     assert proc.returncode == 2
@@ -310,6 +325,15 @@ def test_grid_without_a_finite_point_count_exits_1(tmp_path, capsys, text):
     assert "give a grid whose point count is not finite" in err
 
 
+def test_decreasing_bias_range_exits_1(tmp_path, capsys):
+    conf = tmp_path / "run.conf"
+    conf.write_text("dbeta_start = 2\ndbeta_stop = 1\n")
+    assert cli.main(["sweep", "--config", str(conf)]) == 1
+    out, err = capsys.readouterr()
+    assert err == "demon-ep: configuration error: dbeta_stop must be >= dbeta_start\n"
+    assert out == ""
+
+
 def test_grid_above_the_point_ceiling_exits_1(tmp_path, capsys):
     # about 4e301 points with finite Gibbs weights: numpy's bare "Maximum
     # allowed size exceeded" (exit 2, no key named) before the ceiling
@@ -413,6 +437,7 @@ def test_malformed_config_line_names_its_line_and_key(tmp_path, capsys, line, me
 
 _ERROR_MODEL_RANGES = [
     ("cavity_prep_1 = 0:0.5 0:0.5 1:0.5", "cavity_prep_1 lists level 0 twice"),
+    ("cavity_prep_1 = 0:0.5 7:0.5", "cavity_prep_1 level 7 out of range"),
     ("eta_e_g = -0.5", "eta_e_g must lie in [0, 1], got -0.5"),
     ("cavity_prep_1 = 0:-0.5 1:1.5", "cavity_prep_1 must lie in [0, 1], got -0.5"),
     ("eta_e_g = 0.9\neta_f_g = 0.2", "eta_e_g + eta_f_g must lie in [0, 1], got 1.1"),

@@ -407,7 +407,7 @@ def _table_names(forward_only: bool) -> list[str]:
 
 # each list that derives from the table, read back from what the package prints
 def _csv_header(forward_only: bool, capsys) -> list[str]:
-    return sweep_csv_text(reference.columns([]), forward_only=forward_only).rstrip("\n").split(",")
+    return sweep_csv_text(reference.columns([], forward_only)).rstrip("\n").split(",")
 
 
 def _simulate_lines(forward_only: bool, capsys) -> list[str]:

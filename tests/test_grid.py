@@ -26,7 +26,7 @@ from demon_ep import (
     sigma_histogram,
     sweep_csv_text,
 )
-from demon_ep.entropy import evaluate_rows
+from demon_ep.entropy import FORWARD_COLUMNS, evaluate_rows
 from demon_ep.protocol import (
     ProtocolKernel,
     branch_probability,
@@ -38,10 +38,10 @@ from demon_ep.protocol import (
 from demon_ep.statespace import DEFAULT_DIMS, extended_gibbs
 
 
-def _reference_csv(config: RunConfig, kernel=None, forward_only: bool = False) -> str:
+def _reference_csv(config: RunConfig, kernel=None) -> str:
     kernel = runner.build_kernel(config) if kernel is None else kernel
-    results = reference.columns(reference.run(kernel, config))
-    return sweep_csv_text(results, forward_only=forward_only)
+    results = reference.columns(reference.run(kernel, config), kernel.backward_cond is None)
+    return sweep_csv_text(results)
 
 
 def _random_physical(seed: int, **extra) -> RunConfig:
@@ -157,9 +157,8 @@ def test_analysis_matches_the_reference(case):
     forward, backward = _tables(config)
     both = sweep_csv_text(run_analysis(config, forward, backward))
     assert both == _reference_csv(config, runner.measured_kernel(forward, backward))
-    alone = sweep_csv_text(run_analysis(config, forward), forward_only=True)
-    expected = _reference_csv(config, runner.measured_kernel(forward, None), forward_only=True)
-    assert alone == expected
+    alone = sweep_csv_text(run_analysis(config, forward))
+    assert alone == _reference_csv(config, runner.measured_kernel(forward, None))
 
 
 def _single_points(kernel, config: RunConfig) -> list:
@@ -198,9 +197,21 @@ def test_forward_only_analysis_rows_are_the_single_point_results(case):
     results = run_analysis(config, forward)
     singles = _single_points(runner.measured_kernel(forward, None), config)
     assert [_bits(result) for result in results] == [_bits(single) for single in singles]
-    # sigma3-sigma5 are NaN without a backward table: only the forward-only layout holds them
-    with pytest.raises(ValueError, match="sigma3 is NaN at dbeta_tilde -6;.*forward_only=True"):
-        sweep_csv_text(results)
+    # sigma3-sigma5 are NaN without a backward table: the results carry the forward-only layout
+    assert results.forward_only
+    header = sweep_csv_text(results).split("\n", 1)[0]
+    assert header == ",".join(FORWARD_COLUMNS)
+
+
+def test_forward_only_marks_every_block_and_slice():
+    config = RunConfig(mode="physical", dbeta_step=0.1)  # 121 points: two blocks
+    forward, _ = _tables(config)
+    results = run_analysis(config, forward)
+    assert len(results) > runner.BLOCK_POINTS
+    assert results.forward_only and results[60:70].forward_only
+    assert sweep_csv_text(results[60:70]).split("\n", 1)[0] == ",".join(FORWARD_COLUMNS)
+    swept = run_sweep(config)
+    assert not swept.forward_only and not swept[60:70].forward_only
 
 
 def _assert_histograms_match(kernel, config: RunConfig) -> None:
@@ -333,9 +344,9 @@ def test_rows_with_their_own_kernel_and_cavity_temperature_match_each_circuit(he
         ref_fwd, _ = reference.point_tables(kernel, gibbs)
         references.append(reference.evaluate(ref_fwd, None, heat_from_atom=heat_from_atom))
     # sigma1, sigma2, sigma6, heat_C and mean_info, each at %.17g
-    block = sweep_csv_text(evaluate_rows(rows, heat_from_atom=heat_from_atom), forward_only=True)
-    assert block == sweep_csv_text(reference.columns(singles), forward_only=True)
-    assert block == sweep_csv_text(reference.columns(references), forward_only=True)
+    block = sweep_csv_text(evaluate_rows(rows, heat_from_atom=heat_from_atom))
+    assert block == sweep_csv_text(reference.columns(singles, forward_only=True))
+    assert block == sweep_csv_text(reference.columns(references, forward_only=True))
 
 
 def test_extended_gibbs_on_a_column_matches_each_row():

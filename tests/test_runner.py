@@ -139,7 +139,7 @@ def test_analysis_csv_bytes_are_frozen():
     assert _digest(sweep_csv_text(both)) == ANALYZE_DIGESTS["backward"]
     # analyzing serialized tables reproduces the direct sweep
     assert ANALYZE_DIGESTS["backward"] == SWEEP_DIGESTS["eps_prep"]
-    forward_only = sweep_csv_text(run_analysis(config, forward()), forward_only=True)
+    forward_only = sweep_csv_text(run_analysis(config, forward()))
     assert _digest(forward_only) == ANALYZE_DIGESTS["forward_only"]
 
 
@@ -279,6 +279,17 @@ def test_validate_builds_each_kernel_once_per_run(monkeypatch):
         assert ok
         assert len(calls) == 2 + len(validate.SINGLE_ERRORS) == 9
         assert validate._kernel.cache_info().currsize == 0
+
+
+def test_validate_builds_its_configurations_once(monkeypatch):
+    # the nine certified configurations are module constants; a run builds
+    # only the two configs the config-io check parses
+    calls = _counting(monkeypatch, RunConfig, "__post_init__")
+    ok, _ = validate.run_all()
+    assert ok
+    assert len(calls) == 2
+    assert validate.PHYSICALS == (validate.PHYSICAL, *(
+        RunConfig(mode="physical", single_error=name) for name in validate.SINGLE_ERRORS))
 
 
 def test_each_check_alone_prints_what_the_run_prints():

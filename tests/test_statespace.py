@@ -216,6 +216,13 @@ def test_gibbs_spec_from_dbeta_roundtrip(beta_c):
         assert spec.beta_qubit == pytest.approx(beta_c - dbt * beta_c, rel=1e-12)
 
 
+def test_gibbs_spec_derives_the_bias_from_both_temperatures():
+    spec = GibbsSpec(0.5, 2.0)  # no dbeta_tilde: 1 - beta_Q / beta_C
+    assert spec.dbeta_tilde == 0.75
+    assert spec == GibbsSpec.from_dbeta(2.0, 0.75)
+    assert GibbsSpec(-1.0, 0.5).dbeta_tilde == 3.0  # population inversion
+
+
 def test_gibbs_spec_rejects_nonpositive_cavity_temperature():
     with pytest.raises(ValueError):
         GibbsSpec.from_dbeta(0.0, 1.0)
