@@ -427,6 +427,8 @@ class RunConfig:
             )
         if self.floor is not None and not 0 < self.floor < 1:
             raise ValueError("floor must lie in (0, 1)")
+        if self.out == "":  # none, not an empty path, means stdout
+            raise ValueError("out must name a file or be none, got ''")
         # a rounding tolerance for equal sigma values, not a bin width
         if not 0.0 <= self.sigma_tol <= _CLAMP_TOL:
             raise ValueError(
@@ -472,7 +474,8 @@ class RunConfig:
     def grid(self) -> np.ndarray:
         count = int(round((self.dbeta_stop - self.dbeta_start) / self.dbeta_step)) + 1
         values = self.dbeta_start + self.dbeta_step * np.arange(count)
-        return values[values <= self.dbeta_stop + 1e-9]
+        # relative at large |dbeta_stop|, where rounding would drop the end point
+        return values[values <= self.dbeta_stop + max(1e-9, 4 * np.spacing(abs(self.dbeta_stop)))]
 
     def build_error_model(self) -> ErrorModel:
         """The model the mode runs, error-free in ideal mode (shared; do not mutate)."""

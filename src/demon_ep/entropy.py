@@ -219,10 +219,18 @@ def jarzynski_average(hist: SigmaHistogram, direction: str = "reversed") -> floa
     forward-reachable trajectories — and is strictly below one even ideally.
     """
     if direction == "reversed":
-        return float(np.dot(hist.p_backward, np.exp(hist.sigma)))
-    if direction == "forward":
-        return float(np.dot(hist.p_forward, np.exp(-hist.sigma)))
-    raise ValueError(f"direction must be 'reversed' or 'forward', got {direction!r}")
+        p, exponent = hist.p_backward, hist.sigma
+    elif direction == "forward":
+        p, exponent = hist.p_forward, -hist.sigma
+    else:
+        raise ValueError(f"direction must be 'reversed' or 'forward', got {direction!r}")
+    with np.errstate(all="ignore"):
+        average = np.dot(p, np.exp(exponent))
+        if not math.isfinite(average):
+            # e^sigma overflowed where p is tiny: take e^(sigma + ln p) over p > 0
+            live = p > 0.0
+            average = np.exp(exponent[live] + np.log(p[live])).sum()
+    return float(average)
 
 
 def feedback_balance_residual(

@@ -144,6 +144,29 @@ def _table_faults(
     return faults
 
 
+def _histogram_faults(
+    sigma: np.ndarray, p_forward: np.ndarray, p_backward: np.ndarray, size: np.ndarray,
+    tolerance: float,
+) -> dict[int, Exception]:
+    """:class:`SigmaHistogram`'s checks of stacked rows, row ``r`` in its first
+    ``size[r]`` bins."""
+    total = p_forward.sum(axis=1)
+    for n in set(size.tolist()) - {p_forward.shape[1]}:  # a row's own bins, summed as one vector
+        rows = size == n
+        total[rows] = p_forward[rows, :n].sum(axis=1)
+    faults = _mass_faults(total, 1.0, "sigma histogram forward weight")
+    negative = (p_forward < 0) | (p_backward < 0)
+    if negative.any():
+        for r in np.flatnonzero(negative.any(axis=1)).tolist():
+            faults[r] = ValueError("negative histogram weight")
+    unsorted = np.diff(sigma, axis=1) <= tolerance
+    if unsorted.any():
+        unsorted &= np.arange(1, sigma.shape[1]) < size[:, None]  # padding aside
+        for r in np.flatnonzero(unsorted.any(axis=1)).tolist():
+            faults[r] = ValueError("sigma bins must be strictly increasing beyond tolerance")
+    return faults
+
+
 def _report(fault: Exception | None, stacklevel: int) -> None:
     """Raise an error, or warn as ``warnings.warn(fault, stacklevel)`` in the caller would."""
     if isinstance(fault, Warning):
@@ -723,7 +746,8 @@ class SigmaHistogram:
             object.__setattr__(self, name, arr)
         if not (s.shape == pf.shape == pb.shape) or s.ndim != 1:
             raise ValueError("sigma, p_forward, p_backward must be equal-length vectors")
-        _report(HistogramRows.of(self).faults().get(0), stacklevel=2)
+        faults = _histogram_faults(s[None], pf[None], pb[None], np.array([s.size]), self.tolerance)
+        _report(faults.get(0), stacklevel=2)
 
 
 def sigma_histogram(
@@ -747,8 +771,8 @@ class HistogramRows:
     """Sigma histograms of stacked rows, each left-aligned and zero-padded.
 
     Row ``r`` has ``size[r]`` bins; :meth:`row` gives it as a
-    :class:`SigmaHistogram`, whose checks then run.  :meth:`faults` runs the
-    same checks on every row.
+    :class:`SigmaHistogram`, whose checks then run.  :func:`check_rows` runs
+    the same checks on every row.
     """
 
     sigma: np.ndarray
@@ -773,25 +797,6 @@ class HistogramRows:
             self.sigma[r, :n], self.p_forward[r, :n], self.p_backward[r, :n], self.tolerance
         )
 
-    def faults(self) -> dict[int, Exception]:
-        """:class:`SigmaHistogram`'s checks of every row."""
-        sizes = set(self.size.tolist())
-        total = self.p_forward.sum(axis=1)
-        for n in sizes - {self.p_forward.shape[1]}:  # a row's own bins, summed as one vector
-            rows = self.size == n
-            total[rows] = self.p_forward[rows, :n].sum(axis=1)
-        faults = _mass_faults(total, 1.0, "sigma histogram forward weight")
-        negative = (self.p_forward < 0) | (self.p_backward < 0)
-        if negative.any():
-            for r in np.flatnonzero(negative.any(axis=1)).tolist():
-                faults[r] = ValueError("negative histogram weight")
-        unsorted = np.diff(self.sigma, axis=1) <= self.tolerance
-        if unsorted.any():
-            unsorted &= np.arange(1, self.sigma.shape[1]) < self.size[:, None]  # padding aside
-            for r in np.flatnonzero(unsorted.any(axis=1)).tolist():
-                faults[r] = ValueError("sigma bins must be strictly increasing beyond tolerance")
-        return faults
-
 
 def check_rows(rows: TableRows, hist: HistogramRows | None = None) -> None:
     """Run the checks of each row's tables and histogram, as building them would.
@@ -804,7 +809,8 @@ def check_rows(rows: TableRows, hist: HistogramRows | None = None) -> None:
     if rows.backward is not None:
         prior_mass = rows.weights.sum(axis=(1, 2, 3))
         checks.append(_table_faults(rows.backward, "backward", prior_mass, rows.unlabeled))
-        checks.append(hist.faults())
+        checks.append(_histogram_faults(
+            hist.sigma, hist.p_forward, hist.p_backward, hist.size, hist.tolerance))
     for r in sorted(set().union(*checks)):
         for faults in checks:
             _report(faults.get(r), stacklevel=2)

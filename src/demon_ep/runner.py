@@ -18,7 +18,6 @@ from .dataio import ConditionalTable, RunConfig, parse_table
 from .entropy import (
     ESTIMATORS,
     EpColumns,
-    evaluate,
     evaluate_rows,
     feedback_balance_residual,
     high_bias_asymptote,
@@ -28,18 +27,17 @@ from .protocol import (
     HistogramRows,
     ProtocolKernel,
     TableRows,
-    branch_probability,
     check_rows,
     histogram_rows,
     measured_kernel,
     oracle_states,
-    point_tables,
     sigma_grid,
-    sigma_histogram,
     simulated_kernel,
     weigh_rows,
 )
-from .statespace import DEFAULT_DIMS, GibbsSpec, SystemDims
+# not called here: the benchmark (perfbench/tracing.py) traces both names on runner
+from .protocol import point_tables, sigma_histogram  # noqa: F401
+from .statespace import DEFAULT_DIMS, SystemDims
 
 __all__ = [
     "build_kernel",
@@ -66,28 +64,24 @@ BLOCK_POINTS = 64
 def _run(kernel: ProtocolKernel, config: RunConfig) -> EpColumns:
     """Estimators of a kernel at every point of the configured bias grid."""
     grid = config.grid()
-    blocks = [_run_block(kernel, config, grid[start:start + BLOCK_POINTS])
+    blocks = [_run_block(kernel, config, grid[start:start + BLOCK_POINTS])[2]
               for start in range(0, grid.size, BLOCK_POINTS)]
     return EpColumns(np.concatenate([block.numbers for block in blocks], axis=1),
                      [flags for block in blocks for flags in block.flags],
                      blocks[0].forward_only)
 
 
-def checked_rows(
+def _run_block(
     kernel: ProtocolKernel, config: RunConfig, dbeta: np.ndarray
-) -> tuple[TableRows, HistogramRows | None]:
-    """Tables and sigma histograms of a kernel at the points ``dbeta``, checked
-    row after row as :func:`point_tables` and :func:`sigma_histogram` would."""
+) -> tuple[TableRows, HistogramRows | None, EpColumns]:
+    """Tables, sigma histograms and estimators of a kernel at the points ``dbeta``,
+    each row checked as :func:`point_tables` and :func:`sigma_histogram` would."""
     with np.errstate(all="ignore"):  # a point this spoils fails its checks
         rows = weigh_rows(kernel, config.beta_cavity, dbeta)
         hist = None if rows.backward is None else histogram_rows(rows, config.sigma_tol)
     check_rows(rows, hist)
-    return rows, hist
-
-
-def _run_block(kernel: ProtocolKernel, config: RunConfig, dbeta: np.ndarray) -> EpColumns:
-    rows, hist = checked_rows(kernel, config, dbeta)
-    return evaluate_rows(rows, hist, floor=config.floor, heat_from_atom=config.heat_from_atom)
+    return rows, hist, evaluate_rows(rows, hist, floor=config.floor,
+                                     heat_from_atom=config.heat_from_atom)
 
 
 def run_sweep(config: RunConfig, dims: SystemDims = DEFAULT_DIMS) -> EpColumns:
@@ -117,15 +111,13 @@ def run_analysis(
 def simulate_report(
     config: RunConfig, dbeta: float, dims: SystemDims = DEFAULT_DIMS
 ) -> str:
-    """Full diagnostic text for a single bias point."""
+    """Full diagnostic text for a single bias point: row 0 of a one-point block."""
+    config.check_bias(dbeta, "dbeta")
     kernel = build_kernel(config, dims)
-    gibbs = GibbsSpec.from_dbeta(config.beta_cavity, dbeta)
-    fwd, bwd = point_tables(kernel, gibbs)
-    pk = branch_probability(fwd)
+    rows, hists, results = _run_block(kernel, config, np.array([dbeta], dtype=float))
+    (fwd, bwd), hist, result, pk = rows.tables(0), hists.row(0), results[0], rows.pk[0]
+    gibbs = fwd.gibbs
     sig = sigma_grid(gibbs, pk, dims)
-    hist = sigma_histogram(fwd, bwd, tol=config.sigma_tol)
-    result = evaluate(fwd, bwd, hist, floor=config.floor,
-                      heat_from_atom=config.heat_from_atom)
     # the oracle runs the kernel's own forward chain, one pass for both states
     pre, post = oracle_states(kernel.chain, gibbs, ("pre_feedback", "post_feedback"))
     residual = feedback_balance_residual(pre, post, gibbs)

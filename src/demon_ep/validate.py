@@ -10,10 +10,9 @@ so a single command can certify an installation end to end.
 :data:`CHECKS` is the one place each invariant is derived: the acceptance
 tests look checks up there by label instead of restating them.  Checks that
 need trajectory tables weight a kernel on the sweep's one weighting path
-(:func:`~demon_ep.protocol.weigh_rows`): a check of many points or many
-circuits runs on the stacked rows (checked by
-:func:`~demon_ep.protocol.check_rows`), and one that reads tables takes each
-row's pair (:func:`_points`).
+(:func:`~demon_ep.protocol.weigh_rows`): a check of estimators or
+histograms reads a block of ``runner._run_block``, the commands' own
+evaluator, and one that reads tables takes each row's pair (:func:`_points`).
 
 The certified configurations are module constants, built once on import:
 :data:`IDEAL`, and :data:`PHYSICALS`, the full physical model followed by
@@ -225,7 +224,7 @@ def check_fluctuation_relation() -> tuple[bool, str]:
     worst_bin = 0.0
     worst_avg = 0.0
     grid = IDEAL.grid()  # 49 points: one block
-    _, hists = runner.checked_rows(_kernel(IDEAL), IDEAL, grid)
+    _, hists, _ = runner._run_block(_kernel(IDEAL), IDEAL, grid)
     for r, dbeta in enumerate(grid.tolist()):
         hist = hists.row(r)
         if np.any(hist.p_backward <= 0.0):
@@ -381,15 +380,14 @@ def check_closed_form_anchors() -> tuple[bool, str]:
     beta = dataio.kelvin_to_beta_omega(2.8, 51.0)
     if abs(beta - 0.874148) > 1e-5:
         return False, f"beta*omega = {beta}"
-    (gibbs6, fwd6, _), (_, fwd_neg, bwd_neg) = _points(_kernel(IDEAL), (6.0, -6.0))
+    # sigma1(+6) has a closed form; at -6 the qubit is hot and every estimator is negligible
+    _, _, (pos, neg) = runner._run_block(_kernel(IDEAL), IDEAL, np.array([6.0, -6.0]))
+    gibbs6 = statespace.GibbsSpec.from_dbeta(IDEAL.beta_cavity, 6.0)
     p_excited = 1.0 / (1.0 + math.exp(gibbs6.beta_qubit))
     closed = gibbs6.delta_beta * p_excited + statespace.shannon_entropy(
         np.array([1.0 - p_excited, p_excited])
     )
-    s1_pos = entropy.evaluate(fwd6, None).sigma1
-    asym = entropy.high_bias_asymptote(gibbs6)
-    # at -6 the qubit is hot and every estimator is negligible
-    neg = entropy.evaluate(fwd_neg, bwd_neg)
+    s1_pos, asym = pos.sigma1, entropy.high_bias_asymptote(gibbs6)
     two_atom = channels.two_atom_probability(0.22, 0.5)
     checks = [
         abs(s1_pos - closed) < 1e-9,

@@ -75,6 +75,13 @@ def test_sweep_out_flag_writes_file(tmp_path, coarse_config):
     assert len(content) == 1 + 5
 
 
+def test_sweep_empty_out_exits_1(capsys):
+    # none, not an empty path, is stdout: an empty value is an error, as in a config file
+    assert cli.main(["sweep", "--out", ""]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "configuration error: out must name a file or be none" in err
+
+
 def test_sweep_physical_single_error(coarse_config):
     proc = run_cli(
         "sweep", "--config", str(coarse_config),
@@ -207,10 +214,19 @@ PINNED = {
 }
 
 
+#: the one-point views of a block, which no command takes its numbers from either
+ONE_ROW = {
+    protocol: ("point_tables", "branch_probability", "sigma_histogram"),
+    entropy: ("evaluate",),
+    protocol.TableRows: ("of",),
+    protocol.HistogramRows: ("of",),
+}
+
+
 def test_no_command_enters_a_pinned_one_point_function(table_files, capsys):
-    codes = {getattr(module, name).__code__: f"{module.__name__}.{name}"
-             for module, names in PINNED.items() for name in names}
-    assert len(codes) == 15
+    codes = {getattr(owner, name).__code__: f"{owner.__name__}.{name}"
+             for owner, names in (*PINNED.items(), *ONE_ROW.items()) for name in names}
+    assert len(codes) == 15 + 6
     forward, backward = map(str, table_files)
     commands = [
         ["sweep"],

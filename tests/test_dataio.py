@@ -545,6 +545,11 @@ def test_default_config_grid():
 def test_config_grid_endpoint_not_overshot():
     grid = RunConfig(dbeta_start=0.0, dbeta_stop=1.0, dbeta_step=0.4).grid()
     np.testing.assert_allclose(grid, [0.0, 0.4, 0.8])
+    # nor dropped at large |dbeta|, where an absolute end tolerance of 1e-9 gave 6 points
+    config = RunConfig(frequency_ghz=1e-5, dbeta_start=27179190.6, dbeta_stop=27179191.2,
+                       dbeta_step=0.1)
+    grid = config.grid()
+    assert grid.size == 7 and grid[-1] == pytest.approx(config.dbeta_stop, rel=1e-15)
 
 
 def test_config_validation():
@@ -556,6 +561,9 @@ def test_config_validation():
         RunConfig(dbeta_step=0.0)
     with pytest.raises(ValueError):
         RunConfig(floor=2.0)
+    # none means stdout; an empty path is an error, as the empty value `out =` is
+    with pytest.raises(ValueError, match=r"\Aout must name a file or be none, got ''\Z"):
+        RunConfig(out="")
 
 
 def test_grid_point_ceiling():

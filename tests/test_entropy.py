@@ -267,6 +267,27 @@ def test_forward_ensemble_average_equals_reversal_efficacy():
     assert efficacy < 1.0
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("mode", ["ideal", "physical"])
+def test_fluctuation_averages_are_finite_at_the_ends_of_the_bias_range(mode):
+    # e^sigma overflows at |dbeta| >= 810 where p is tiny: a plain dot product
+    # reads inf or nan there, at biases every command accepts
+    config = RunConfig(mode=mode)
+    grid = np.array([-812.0, -805.0, 805.0, 812.0])
+    _, hists, _ = runner._run_block(runner.build_kernel(config), config, grid)
+    (neg, neg_in), (pos, pos_in) = ((hists.row(r), hists.row(r + 1)) for r in (0, 2))
+    values = {(h, d): jarzynski_average(h, d) for h in (neg, neg_in, pos, pos_in)
+              for d in ("reversed", "forward")}
+    assert all(math.isfinite(value) for value in values.values())
+    if mode == "ideal":  # the detailed fluctuation relation holds at every bias
+        assert values[neg, "reversed"] == pytest.approx(1.0, abs=1e-12)
+        assert values[pos, "reversed"] == pytest.approx(1.0, abs=1e-12)
+    else:  # saturated: the value at -805, and the forward one at +805
+        for far, near, d in ((neg, neg_in, "reversed"), (neg, neg_in, "forward"),
+                             (pos, pos_in, "forward")):
+            assert values[far, d] == pytest.approx(values[near, d], rel=1e-13)
+
+
 def test_asymptote_tracks_bias():
     assert high_bias_asymptote(_gibbs(6.0)) == pytest.approx(6 * BETA_C, rel=1e-14)
     assert high_bias_asymptote(_gibbs(-6.0)) == 0.0
@@ -371,8 +392,7 @@ def test_a_block_builds_its_flag_text_once(monkeypatch):
     monkeypatch.setattr(entropy, "_support_flag", lambda bad: calls.append(1) or original(bad))
     config = RunConfig(mode="physical")
     grid = np.linspace(-6.0, 6.0, 64)
-    rows, hist = runner.checked_rows(runner.build_kernel(config), config, grid)
-    results = entropy.evaluate_rows(rows, hist)
+    _, _, results = runner._run_block(runner.build_kernel(config), config, grid)
     assert len(results) == 64 and len(calls) == 1
     assert results.flags[0][0].startswith("support:")
     assert all(flags is results.flags[0] for flags in results.flags)

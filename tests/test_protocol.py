@@ -439,7 +439,7 @@ def test_only_rows_with_a_bin_of_several_classes_sort_their_labels(monkeypatch, 
     kernel = runner.build_kernel(config)
     grid = config.grid()
     for start in range(0, grid.size, runner.BLOCK_POINTS):
-        runner.checked_rows(kernel, config, grid[start:start + runner.BLOCK_POINTS])
+        runner._run_block(kernel, config, grid[start:start + runner.BLOCK_POINTS])
     assert (sum(label_rows), grid.size) == (expected, points)
 
 

@@ -317,6 +317,17 @@ def test_simulate_builds_one_chain_per_direction_model(monkeypatch, idealized_ba
     assert len(calls) == chains
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("dbeta, message", [
+    (1000.0, "dbeta = 1000.0 gives non-finite Gibbs weights"),
+    (math.nan, "dbeta must be finite, got nan"),
+])
+def test_simulate_report_checks_its_bias(dbeta, message):
+    # it once weighed the point anyway: RuntimeWarnings, then a forward mass of nan
+    with pytest.raises(ValueError, match=r"\A" + message):
+        runner.simulate_report(RunConfig(), dbeta)
+
+
 def test_validate_reports_failed_and_crashed_checks(monkeypatch, capsys):
     def failing():
         return False, "worst deviation 1.00e+00"
