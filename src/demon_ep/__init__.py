@@ -42,14 +42,13 @@ from .entropy import (
     evaluate,
     feedback_balance_residual,
     high_bias_asymptote,
-    jarzynski_average,
+    jarzynski_rows,
 )
 from .protocol import (
     SigmaHistogram,
     TrajectoryTable,
     backward_table,
     branch_probability,
-    final_state_marginal,
     forward_table,
     measured_kernel,
     point_tables,

@@ -145,6 +145,10 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"demon-ep: configuration error: {exc}", file=sys.stderr)
         return 1
+    name = config.single_error
+    if args.command in ("sweep", "simulate") and name and config.build_error_model().is_ideal:
+        print(f"demon-ep: note: single_error = {name} runs no error, since {ERROR_CHANNELS[name]}"
+              " is error-free: the output is the error-free physical model's", file=sys.stderr)
     try:
         ok, text = args.handler(config, args)
         _emit(text, config)

@@ -57,7 +57,7 @@ __all__ = [
     "evaluate_rows",
     "feedback_balance_residual",
     "high_bias_asymptote",
-    "jarzynski_average",
+    "jarzynski_rows",
 ]
 
 
@@ -209,28 +209,33 @@ def _mismatch_rows(rows: TableRows) -> np.ndarray:
     return (rows.forward > 0.0) & (rows.backward <= 0.0)
 
 
-def jarzynski_average(hist: SigmaHistogram, direction: str = "reversed") -> float:
-    """Exponential fluctuation average over the sigma histogram.
+def jarzynski_rows(hists: HistogramRows, direction: str = "reversed") -> np.ndarray:
+    """Exponential fluctuation average over each row's sigma histogram.
 
     ``reversed`` (default) evaluates sum_sigma p_b(sigma) e^{+sigma}, which
     equals one whenever the detailed fluctuation relation holds bin by bin.
     ``forward`` evaluates sum_sigma p(sigma) e^{-sigma}; for a feedback
     protocol this is the reversal efficacy — the total backward weight of
     forward-reachable trajectories — and is strictly below one even ideally.
+    Row ``r`` sums its first ``size[r]`` bins.
     """
     if direction == "reversed":
-        p, exponent = hist.p_backward, hist.sigma
+        p, exponent = hists.p_backward, hists.sigma
     elif direction == "forward":
-        p, exponent = hist.p_forward, -hist.sigma
+        p, exponent = hists.p_forward, -hists.sigma
     else:
         raise ValueError(f"direction must be 'reversed' or 'forward', got {direction!r}")
+    averages = []
     with np.errstate(all="ignore"):
-        average = np.dot(p, np.exp(exponent))
-        if not math.isfinite(average):
-            # e^sigma overflowed where p is tiny: take e^(sigma + ln p) over p > 0
-            live = p > 0.0
-            average = np.exp(exponent[live] + np.log(p[live])).sum()
-    return float(average)
+        for p_r, exponent_r, n in zip(p, exponent, hists.size.tolist()):
+            p_r, exponent_r = p_r[:n], exponent_r[:n]
+            average = np.dot(p_r, np.exp(exponent_r))
+            if not math.isfinite(average):
+                # e^sigma overflowed where p is tiny: take e^(sigma + ln p) over p > 0
+                live = p_r > 0.0
+                average = np.exp(exponent_r[live] + np.log(p_r[live])).sum()
+            averages.append(average)
+    return np.array(averages, dtype=float)
 
 
 def feedback_balance_residual(

@@ -80,7 +80,6 @@ __all__ = [
     "backward_table",
     "branch_probability",
     "check_rows",
-    "final_state_marginal",
     "forward_table",
     "histogram_rows",
     "measured_kernel",
@@ -459,11 +458,12 @@ class TableRows:
     Row ``r`` holds the ``probs`` of the tables at inverse temperatures
     ``beta_qubit[r]`` and ``beta_cavity``, a float shared by every row or an
     array with one value per row.  :func:`weigh_rows` builds a block of them
-    from a kernel, and :meth:`tables` gives one row's table pair; :meth:`of`
-    wraps one table pair, which is how the single-point functions run the
-    same row-wise code.  ``unlabeled`` (the backward mass without a label),
-    ``weights`` (the backward priors ``[r, m_Q, k, m_C]``) and ``kernel`` are
-    kept by :func:`weigh_rows` only.
+    from a kernel, and :meth:`tables` gives one row's table pair, checked
+    again; :meth:`of` wraps one table pair, which is how the single-point
+    functions run the same row-wise code.  ``unlabeled`` (the backward mass
+    without a label), ``weights`` (the backward priors ``[r, m_Q, k, m_C]``),
+    ``kernel`` and the row numbers defined on them here are kept by
+    :func:`weigh_rows` only.
     """
 
     dims: SystemDims
@@ -506,32 +506,45 @@ class TableRows:
             None if bwd is None else bwd.probs[None],
         )
 
+    def gibbs(self, r: int) -> GibbsSpec:
+        """The bias point of row ``r``."""
+        beta_cavity = np.broadcast_to(self.beta_cavity, self.dbeta.shape)[r]
+        return GibbsSpec(float(self.beta_qubit[r]), float(beta_cavity), float(self.dbeta[r]))
+
+    @functools.cached_property
+    def prior_mass(self) -> np.ndarray:
+        """The backward prior mass of each row: the total weight its backward run is fed."""
+        return self.weights.sum(axis=(1, 2, 3))
+
+    @functools.cached_property
+    def reset_prob(self) -> np.ndarray | None:
+        """Each row's probability that the backward run returns the memory to 1,
+        or None for a kernel without a reset array (read from measured tables)."""
+        if (reset := self.kernel.backward_reset) is None:
+            return None
+        with np.errstate(all="ignore"):  # 0 / 0 where a row has no prior mass
+            return (reset * self.weights).sum(axis=(1, 2, 3)) / self.prior_mass
+
     def tables(self, r: int) -> tuple[TrajectoryTable, TrajectoryTable | None]:
         """Row ``r`` as a :class:`TrajectoryTable` pair, whose checks then run.
 
-        For rows :func:`weigh_rows` built from a kernel of shared conditionals;
-        the memory-reset probability is computed here, not for a whole block.
+        For rows :func:`weigh_rows` built from a kernel of shared conditionals.
         Rows made by :meth:`of` hold no kernel and raise ``ValueError``.
         """
         kernel = self.kernel
         if kernel is None:
             raise ValueError("rows made by TableRows.of carry no kernel to rebuild tables from")
-        beta_cavity = np.broadcast_to(self.beta_cavity, self.dbeta.shape)[r]
-        gibbs = GibbsSpec(float(self.beta_qubit[r]), float(beta_cavity), float(self.dbeta[r]))
+        gibbs = self.gibbs(r)
         fwd = TrajectoryTable(
             self.forward[r], "forward", gibbs, self.dims, conditionals=kernel.forward_cond
         )
         if self.backward is None:
             return fwd, None
-        weights = self.weights[r]
-        prior_mass = float(weights.sum())
-        reset_prob = None
-        if kernel.backward_reset is not None and prior_mass > 0:
-            reset_prob = float((kernel.backward_reset * weights).sum() / prior_mass)
+        prior_mass, reset = float(self.prior_mass[r]), self.reset_prob
         return fwd, TrajectoryTable(
             self.backward[r], "backward", gibbs, self.dims, prior_mass=prior_mass,
-            unlabeled_mass=float(self.unlabeled[r]), demon_reset_prob=reset_prob,
-            conditionals=kernel.backward_cond,
+            unlabeled_mass=float(self.unlabeled[r]), conditionals=kernel.backward_cond,
+            demon_reset_prob=None if reset is None or not prior_mass > 0 else float(reset[r]),
         )
 
 
@@ -703,19 +716,12 @@ def oracle_states(
     return tuple(taps)
 
 
-def final_state_marginal(table: TrajectoryTable) -> np.ndarray:
-    """Final joint state implied by a forward table, as (m_Q, k, m_C) array.
+def final_state_rows(forward: np.ndarray) -> np.ndarray:
+    """Final joint state implied by each of stacked forward tables, as [r, m_Q, k, m_C].
 
     The memory axis carries the readout outcome, matching the layout of
     :func:`oracle_states` at stage "final".
     """
-    if table.direction != "forward":
-        raise ValueError("final-state marginal is defined for forward tables")
-    return final_state_rows(table.probs[None])[0]
-
-
-def final_state_rows(forward: np.ndarray) -> np.ndarray:
-    """:func:`final_state_marginal` of stacked forward tables, as [r, m_Q, k, m_C]."""
     return np.transpose(forward.sum(axis=(1, 3)), (0, 2, 1, 3))
 
 
@@ -802,13 +808,13 @@ def check_rows(rows: TableRows, hist: HistogramRows | None = None) -> None:
     """Run the checks of each row's tables and histogram, as building them would.
 
     Row after row, the forward table, the backward table and then the sigma
-    histogram (required with backward tables) are checked: each warning is
-    given in that order, and the first failure raises.
+    histogram, if given, are checked: each warning is given in that order,
+    and the first failure raises.
     """
     checks = [_table_faults(rows.forward, "forward")]
     if rows.backward is not None:
-        prior_mass = rows.weights.sum(axis=(1, 2, 3))
-        checks.append(_table_faults(rows.backward, "backward", prior_mass, rows.unlabeled))
+        checks.append(_table_faults(rows.backward, "backward", rows.prior_mass, rows.unlabeled))
+    if hist is not None:
         checks.append(_histogram_faults(
             hist.sigma, hist.p_forward, hist.p_backward, hist.size, hist.tolerance))
     for r in sorted(set().union(*checks)):

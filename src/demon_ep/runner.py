@@ -21,7 +21,7 @@ from .entropy import (
     evaluate_rows,
     feedback_balance_residual,
     high_bias_asymptote,
-    jarzynski_average,
+    jarzynski_rows,
 )
 from .protocol import (
     HistogramRows,
@@ -75,7 +75,8 @@ def _run_block(
     kernel: ProtocolKernel, config: RunConfig, dbeta: np.ndarray
 ) -> tuple[TableRows, HistogramRows | None, EpColumns]:
     """Tables, sigma histograms and estimators of a kernel at the points ``dbeta``,
-    each row checked as :func:`point_tables` and :func:`sigma_histogram` would."""
+    each row checked once, as :func:`point_tables` and :func:`sigma_histogram`
+    would: a caller reads the returned arrays and builds no table of its own."""
     with np.errstate(all="ignore"):  # a point this spoils fails its checks
         rows = weigh_rows(kernel, config.beta_cavity, dbeta)
         hist = None if rows.backward is None else histogram_rows(rows, config.sigma_tol)
@@ -115,8 +116,8 @@ def simulate_report(
     config.check_bias(dbeta, "dbeta")
     kernel = build_kernel(config, dims)
     rows, hists, results = _run_block(kernel, config, np.array([dbeta], dtype=float))
-    (fwd, bwd), hist, result, pk = rows.tables(0), hists.row(0), results[0], rows.pk[0]
-    gibbs = fwd.gibbs
+    gibbs, result, pk = rows.gibbs(0), results[0], rows.pk[0]
+    fwd, bwd, bins = rows.forward[0], rows.backward[0], hists.size[0]
     sig = sigma_grid(gibbs, pk, dims)
     # the oracle runs the kernel's own forward chain, one pass for both states
     pre, post = oracle_states(kernel.chain, gibbs, ("pre_feedback", "post_feedback"))
@@ -134,30 +135,23 @@ def simulate_report(
         "",
         "forward trajectories (n_Q,k,n_C,m_Q,m_C): probability, sigma",
     ]
-    possible = fwd.probs > 0.0
+    possible = fwd > 0.0
     for (n_q, k, n_c, m_q, m_c), p, s in zip(
-        np.argwhere(possible).tolist(), fwd.probs[possible].tolist(), sig[possible].tolist()
+        np.argwhere(possible).tolist(), fwd[possible].tolist(), sig[possible].tolist()
     ):
         lines.append(f"  ({n_q},{k},{n_c},{m_q},{m_c})  p={fmt(p)}  sigma={fmt(s)}")
-    lines += [
-        "",
-        "backward trajectories (same labels): weight",
-    ]
-    reached = bwd.probs > 0.0
-    for (n_q, k, n_c, m_q, m_c), p in zip(
-        np.argwhere(reached).tolist(), bwd.probs[reached].tolist()
-    ):
+    lines += ["", "backward trajectories (same labels): weight"]
+    reached = bwd > 0.0
+    for (n_q, k, n_c, m_q, m_c), p in zip(np.argwhere(reached).tolist(), bwd[reached].tolist()):
         lines.append(f"  ({n_q},{k},{n_c},{m_q},{m_c})  p~={fmt(p)}")
     lines += [
-        f"backward prior mass {fmt(bwd.prior_mass)}   unlabeled {fmt(bwd.unlabeled_mass)}",
-    ]
-    if bwd.demon_reset_prob is not None:
-        lines.append(f"memory reset probability {fmt(bwd.demon_reset_prob)}")
-    lines += [
+        f"backward prior mass {fmt(rows.prior_mass[0])}   unlabeled {fmt(rows.unlabeled[0])}",
+        f"memory reset probability {fmt(rows.reset_prob[0])}",
         "",
         "sigma histogram: sigma, p_fwd, p_bwd",
     ]
-    for s, p_f, p_b in zip(*(a.tolist() for a in (hist.sigma, hist.p_forward, hist.p_backward))):
+    histogram = (hists.sigma[0, :bins], hists.p_forward[0, :bins], hists.p_backward[0, :bins])
+    for s, p_f, p_b in zip(*(a.tolist() for a in histogram)):
         lines.append(f"  {fmt(s)}  {fmt(p_f)}  {fmt(p_b)}")
     lines += [
         "",
@@ -165,8 +159,8 @@ def simulate_report(
         f"cavity heat {fmt(result.heat_cavity)} (units of omega)",
         f"high-bias asymptote {fmt(high_bias_asymptote(gibbs))}",
         f"feedback balance residual {fmt(residual)}",
-        f"fluctuation average (reversed ensemble) {fmt(jarzynski_average(hist, 'reversed'))}",
-        f"fluctuation average (forward ensemble)  {fmt(jarzynski_average(hist, 'forward'))}",
+        f"fluctuation average (reversed ensemble) {fmt(jarzynski_rows(hists, 'reversed')[0])}",
+        f"fluctuation average (forward ensemble)  {fmt(jarzynski_rows(hists, 'forward')[0])}",
         f"two-atom event probability {fmt(two_atom)} (diagnostic)",
     ]
     if result.flags:

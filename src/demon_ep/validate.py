@@ -10,9 +10,11 @@ so a single command can certify an installation end to end.
 :data:`CHECKS` is the one place each invariant is derived: the acceptance
 tests look checks up there by label instead of restating them.  Checks that
 need trajectory tables weight a kernel on the sweep's one weighting path
-(:func:`~demon_ep.protocol.weigh_rows`): a check of estimators or
-histograms reads a block of ``runner._run_block``, the commands' own
-evaluator, and one that reads tables takes each row's pair (:func:`_points`).
+(:func:`~demon_ep.protocol.weigh_rows`) and read the arrays of a block
+checked once: a check of estimators or histograms reads a block of
+``runner._run_block``, the commands' own evaluator, and one of tables a
+coarse grid (:func:`_coarse_rows`, binning no histogram).  Only the
+serialization check takes a row as a table pair, the one it serializes.
 
 The certified configurations are module constants, built once on import:
 :data:`IDEAL`, and :data:`PHYSICALS`, the full physical model followed by
@@ -54,13 +56,11 @@ def _kernel(config: dataio.RunConfig) -> protocol.ProtocolKernel:
     return runner.build_kernel(config)
 
 
-def _points(kernel: protocol.ProtocolKernel, grid=GRID_COARSE):
-    """(gibbs, forward, backward) at each bias point, ``grid`` weighted from
-    ``kernel`` as one block."""
+def _coarse_rows(kernel: protocol.ProtocolKernel, grid=GRID_COARSE) -> protocol.TableRows:
+    """``grid`` weighted from ``kernel`` as one block, its tables checked once."""
     rows = protocol.weigh_rows(kernel, IDEAL.beta_cavity, np.array(grid, dtype=float))
-    for r in range(len(grid)):
-        fwd, bwd = rows.tables(r)
-        yield fwd.gibbs, fwd, bwd
+    protocol.check_rows(rows)
+    return rows
 
 
 def check_thermal_distributions() -> tuple[bool, str]:
@@ -180,20 +180,17 @@ def check_error_model() -> tuple[bool, str]:
 
 
 def check_forward_tables() -> tuple[bool, str]:
-    worst = 0.0
-    for gibbs, ideal, _ in _points(_kernel(IDEAL)):
-        # readout is deterministic: joint (n_Q, k) weight only on k = n_Q
-        joint_nk = ideal.probs.sum(axis=(2, 3, 4))
-        worst = max(worst, joint_nk[0, 1], joint_nk[1, 0])
-        support = {tuple(idx) for idx in np.argwhere(ideal.probs > 0)}
-        expected = {(0, 0, n, 0, n) for n in range(4)} | {
-            (1, 1, n, 0, n + 1) for n in range(4)
-        }
-        if support != expected:
-            return False, f"ideal support unexpected at dbeta={gibbs.dbeta_tilde:g}"
-    for _, phys, _ in _points(_kernel(PHYSICAL)):
-        worst = max(worst, abs(float(phys.probs.sum()) - 1.0))
-        worst = max(worst, float(phys.probs[:, 0, :, 1, :].sum()))  # (m_Q,k)=(1,0)
+    ideal = _coarse_rows(_kernel(IDEAL)).forward
+    # readout is deterministic: no joint (n_Q, k) weight off k = n_Q
+    worst = float(ideal[:, [0, 1], [1, 0]].sum(axis=(2, 3, 4)).max())
+    expected = np.zeros(ideal.shape[1:], dtype=bool)  # n_C -> n_C, or n_C + 1 after a click
+    expected[0, 0, :, 0, :4] = expected[1, 1, :, 0, 1:] = np.eye(4, dtype=bool)
+    wrong = ((ideal > 0) != expected).any(axis=protocol._TABLE_AXES)
+    if wrong.any():
+        return False, f"ideal support unexpected at dbeta={GRID_COARSE[np.argmax(wrong)]:g}"
+    phys = _coarse_rows(_kernel(PHYSICAL)).forward
+    worst = max(worst, float(np.abs(phys.sum(axis=protocol._TABLE_AXES) - 1.0).max()),
+                float(phys[:, :, 0, :, 1].sum(axis=(1, 2, 3)).max()))  # (m_Q,k)=(1,0)
     ok = worst < 1e-12
     return ok, f"worst deviation {worst:.2e}"
 
@@ -201,9 +198,9 @@ def check_forward_tables() -> tuple[bool, str]:
 def check_backward_conservation() -> tuple[bool, str]:
     worst = 0.0
     for config in (IDEAL, PHYSICAL):
-        for _, _, bwd in _points(_kernel(config)):
-            err = abs(float(bwd.probs.sum()) + bwd.unlabeled_mass - bwd.prior_mass)
-            worst = max(worst, err)
+        rows = _coarse_rows(_kernel(config))
+        labeled = rows.backward.sum(axis=protocol._TABLE_AXES)
+        worst = max(worst, float(np.abs(labeled + rows.unlabeled - rows.prior_mass).max()))
     ok = worst < 1e-12
     return ok, f"worst conservation error {worst:.2e}"
 
@@ -212,30 +209,25 @@ def check_oracle_consistency() -> tuple[bool, str]:
     worst = 0.0
     for config in (IDEAL, *PHYSICALS):
         kernel = _kernel(config)
-        for gibbs, fwd, _ in _points(kernel):
-            (oracle,) = protocol.oracle_states(kernel.chain, gibbs, ("final",))
-            diff = protocol.final_state_marginal(fwd) - oracle.probs
-            worst = max(worst, float(np.abs(diff).max()))
+        rows = _coarse_rows(kernel)
+        for r, marginal in enumerate(protocol.final_state_rows(rows.forward)):
+            (oracle,) = protocol.oracle_states(kernel.chain, rows.gibbs(r), ("final",))
+            worst = max(worst, float(np.abs(marginal - oracle.probs).max()))
     ok = worst < 1e-12
     return ok, f"worst marginal mismatch {worst:.2e}"
 
 
 def check_fluctuation_relation() -> tuple[bool, str]:
-    worst_bin = 0.0
-    worst_avg = 0.0
     grid = IDEAL.grid()  # 49 points: one block
     _, hists, _ = runner._run_block(_kernel(IDEAL), IDEAL, grid)
-    for r, dbeta in enumerate(grid.tolist()):
-        hist = hists.row(r)
-        if np.any(hist.p_backward <= 0.0):
-            return False, f"empty backward bin at dbeta={dbeta:g}"
-        worst_bin = max(
-            worst_bin,
-            float(np.abs(np.log(hist.p_forward / hist.p_backward) - hist.sigma).max()),
-        )
-        worst_avg = max(
-            worst_avg, abs(entropy.jarzynski_average(hist, "reversed") - 1.0)
-        )
+    bins = np.arange(hists.sigma.shape[1]) < hists.size[:, None]  # each row's own bins
+    empty = bins & (hists.p_backward <= 0.0)
+    if empty.any():
+        return False, f"empty backward bin at dbeta={grid[empty.any(axis=1)][0]:g}"
+    with np.errstate(all="ignore"):  # the padding bins are 0 / 0
+        residual = np.abs(np.log(hists.p_forward / hists.p_backward) - hists.sigma)
+    worst_bin = float(residual[bins].max())
+    worst_avg = float(np.abs(entropy.jarzynski_rows(hists, "reversed") - 1.0).max())
     ok = worst_bin < 1e-9 and worst_avg < 1e-9
     return ok, f"worst bin residual {worst_bin:.2e}, worst average residual {worst_avg:.2e}"
 
@@ -314,12 +306,11 @@ def check_feedback_balance() -> tuple[bool, str]:
 
 
 def check_serialization_roundtrip() -> tuple[bool, str]:
-    ((_, fwd, bwd),) = _points(_kernel(PHYSICAL), (0.75,))
+    rows = protocol.weigh_rows(_kernel(PHYSICAL), IDEAL.beta_cavity, np.array([0.75]))
+    # the one row taken as a table pair: it is checked as it is built
+    conds = [dataio.conditional_from_table(table) for table in rows.tables(0)]
     worst = 0.0
-    conds = []
-    for table, orientation in ((fwd, "forward-rows-initial"), (bwd, "backward-rows-final")):
-        cond = dataio.conditional_from_table(table)
-        conds.append(cond)
+    for cond, orientation in zip(conds, ("forward-rows-initial", "backward-rows-final")):
         text = dataio.serialize_table(cond)
         reparsed = dataio.parse_table(io.StringIO(text), orientation)
         if reparsed.row_labels != cond.row_labels or reparsed.col_labels != cond.col_labels:
@@ -327,10 +318,9 @@ def check_serialization_roundtrip() -> tuple[bool, str]:
         worst = max(worst, float(np.abs(reparsed.values - cond.values).max()))
         if dataio.serialize_table(reparsed) != text:
             return False, "serialization not idempotent"
-    ((_, fwd2, bwd2),) = _points(runner.measured_kernel(*conds), (0.75,))
-    worst = max(worst, float(np.abs(fwd2.probs - fwd.probs).max()))
-    worst = max(worst, float(np.abs(bwd2.probs - bwd.probs).max()))
-    worst = max(worst, abs(bwd2.unlabeled_mass - bwd.unlabeled_mass))
+    again = _coarse_rows(runner.measured_kernel(*conds), (0.75,))
+    for name in ("forward", "backward", "unlabeled"):
+        worst = max(worst, float(np.abs(getattr(again, name) - getattr(rows, name)).max()))
     ok = worst == 0.0
     return ok, f"worst round-trip error {worst:.2e} (exact required)"
 

@@ -14,10 +14,14 @@ import demon_ep.protocol as protocol
 from demon_ep import (
     ErrorModel,
     GibbsSpec,
+    RunConfig,
     cli,
     conditional_from_table,
     kelvin_to_beta_omega,
     point_tables,
+    run_sweep,
+    simulate_report,
+    sweep_csv_text,
     write_table,
 )
 from demon_ep.protocol import simulated_kernel
@@ -89,6 +93,26 @@ def test_sweep_physical_single_error(coarse_config):
     )
     assert proc.returncode == 0
     assert len(proc.stdout.splitlines()) == 6
+
+
+@pytest.mark.parametrize("command", ["sweep", "simulate"])
+@pytest.mark.parametrize("channel, field", [
+    ("relax_atom", "relax_atom_prob"), ("relax_cavity", "relax_cavity_prob"), ("eps_read", None),
+])
+def test_a_single_error_that_runs_no_error_says_so(capsys, command, channel, field):
+    # relaxation defaults to 0, so its single error is the error-free physical
+    # model, byte for byte: the output stays, and stderr says so in one line
+    assert cli.main([command, "--mode", "physical", "--single-error", channel]) == 0
+    out, err = capsys.readouterr()
+    if field is None:  # a channel with a magnitude runs its error
+        assert err == ""
+        return
+    assert err == (f"demon-ep: note: single_error = {channel} runs no error, since {field} is "
+                   f"error-free: the output is the error-free physical model's\n")
+    error_free = RunConfig(mode="physical", single_error="eps_prep", eps_prep=0.0)
+    assert error_free.build_error_model().is_ideal
+    assert out == (sweep_csv_text(run_sweep(error_free)) if command == "sweep"
+                   else simulate_report(error_free, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -219,14 +243,14 @@ ONE_ROW = {
     protocol: ("point_tables", "branch_probability", "sigma_histogram"),
     entropy: ("evaluate",),
     protocol.TableRows: ("of",),
-    protocol.HistogramRows: ("of",),
+    protocol.HistogramRows: ("of", "row"),
 }
 
 
 def test_no_command_enters_a_pinned_one_point_function(table_files, capsys):
     codes = {getattr(owner, name).__code__: f"{owner.__name__}.{name}"
              for owner, names in (*PINNED.items(), *ONE_ROW.items()) for name in names}
-    assert len(codes) == 15 + 6
+    assert len(codes) == 15 + 7
     forward, backward = map(str, table_files)
     commands = [
         ["sweep"],
@@ -238,10 +262,15 @@ def test_no_command_enters_a_pinned_one_point_function(table_files, capsys):
         ["validate"],
     ]
     entered = set()
+    # a command reads a block's arrays: only validate's serialization check
+    # takes a row as a table pair, the one conditional_from_table serializes
+    pairs = []
 
     def profile(frame, event, arg):
         if event == "call" and frame.f_code in codes:
             entered.add(codes[frame.f_code])
+        if event == "call" and frame.f_code is protocol.TableRows.tables.__code__:
+            pairs.append(frame.f_back.f_code.co_name)
 
     for argv in commands:
         sys.setprofile(profile)
@@ -251,6 +280,7 @@ def test_no_command_enters_a_pinned_one_point_function(table_files, capsys):
             sys.setprofile(None)
         capsys.readouterr()
         assert (argv, status, entered) == (argv, 0, set())
+    assert pairs == ["check_serialization_roundtrip"]
     # of the pinned names, the package exports only the two the benchmark calls as dep.*
     exported = [name for names in PINNED.values() for name in names if hasattr(demon_ep, name)]
     assert exported == ["forward_table", "backward_table"]

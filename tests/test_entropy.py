@@ -29,14 +29,21 @@ from demon_ep import (
     feedback_balance_residual,
     gibbs_distribution,
     high_bias_asymptote,
-    jarzynski_average,
+    jarzynski_rows,
     point_tables,
     shannon_entropy,
     sigma_histogram,
     simulate_report,
     sweep_csv_text,
 )
-from demon_ep.protocol import ProtocolKernel, oracle_states, simulated_kernel, weigh_rows
+from demon_ep.protocol import (
+    HistogramRows,
+    ProtocolKernel,
+    histogram_rows,
+    oracle_states,
+    simulated_kernel,
+    weigh_rows,
+)
 
 import pointwise_reference as reference
 from conftest import BETA_C
@@ -243,28 +250,41 @@ def test_a_backward_table_is_rejected_as_the_forward_one(entry):
 # fluctuation identities
 
 
+def _block(dbeta, model=None, mode="ideal"):
+    """Tables and histograms of an ideal (or given) kernel at the points ``dbeta``."""
+    rows = weigh_rows(simulated_kernel(model, mode=mode), BETA_C, np.asarray(dbeta, dtype=float))
+    return rows, histogram_rows(rows)
+
+
 @pytest.mark.parametrize("dbt", [-6.0, 0.0, 1.0, 6.0])
 def test_reversed_ensemble_average_is_unity(dbt):
-    fwd, bwd = _tables(dbt)
-    hist = sigma_histogram(fwd, bwd)
-    assert jarzynski_average(hist, direction="reversed") == pytest.approx(
-        1.0, abs=1e-12
-    )
+    _, hists = _block([dbt])
+    assert jarzynski_rows(hists, direction="reversed")[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_forward_ensemble_average_equals_reversal_efficacy():
     # the forward exponential average reproduces exactly the backward weight
     # that lands on forward-possible trajectories
-    gibbs = _gibbs(0.0)
-    fwd, bwd = _tables(0.0)
-    hist = sigma_histogram(fwd, bwd)
-    pk = branch_probability(fwd)
-    x = math.exp(-gibbs.beta_cavity)
+    rows, hists = _block([0.0])
+    pk = rows.pk[0]
+    x = math.exp(-BETA_C)
     efficacy = pk[0] * (pk[0] + pk[1] * x)
-    assert jarzynski_average(hist, direction="forward") == pytest.approx(
-        efficacy, rel=1e-12
-    )
+    assert jarzynski_rows(hists, direction="forward")[0] == pytest.approx(efficacy, rel=1e-12)
     assert efficacy < 1.0
+
+
+def test_fluctuation_average_of_a_row_reads_only_its_own_bins():
+    # rows of a block have different bin counts; each row's average is the one
+    # of its histogram alone, bit for bit, whatever padding the block adds
+    _, hists = _block(RunConfig().grid(), ErrorModel(), "physical")
+    assert len(set(hists.size.tolist())) > 1
+    for direction in ("reversed", "forward"):
+        block = jarzynski_rows(hists, direction)
+        alone = [jarzynski_rows(HistogramRows.of(hists.row(r)), direction)[0]
+                 for r in range(len(block))]
+        assert block.tobytes() == np.array(alone).tobytes()
+    with pytest.raises(ValueError, match="direction must be 'reversed' or 'forward'"):
+        jarzynski_rows(hists, "sideways")
 
 
 @pytest.mark.filterwarnings("error")
@@ -275,9 +295,9 @@ def test_fluctuation_averages_are_finite_at_the_ends_of_the_bias_range(mode):
     config = RunConfig(mode=mode)
     grid = np.array([-812.0, -805.0, 805.0, 812.0])
     _, hists, _ = runner._run_block(runner.build_kernel(config), config, grid)
-    (neg, neg_in), (pos, pos_in) = ((hists.row(r), hists.row(r + 1)) for r in (0, 2))
-    values = {(h, d): jarzynski_average(h, d) for h in (neg, neg_in, pos, pos_in)
-              for d in ("reversed", "forward")}
+    neg, neg_in, pos_in, pos = range(4)  # the rows of the grid
+    values = {(r, d): value for d in ("reversed", "forward")
+              for r, value in enumerate(jarzynski_rows(hists, d).tolist())}
     assert all(math.isfinite(value) for value in values.values())
     if mode == "ideal":  # the detailed fluctuation relation holds at every bias
         assert values[neg, "reversed"] == pytest.approx(1.0, abs=1e-12)

@@ -31,7 +31,7 @@ from demon_ep.protocol import (
     ProtocolKernel,
     branch_probability,
     check_rows,
-    final_state_marginal,
+    final_state_rows,
     histogram_rows,
     weigh_rows,
 )
@@ -282,7 +282,8 @@ def test_single_point_functions_match_the_reference(case):
             sigma_grid(gibbs, pk, kernel.dims), reference.sigma_grid(gibbs, pk, kernel.dims)
         )
         np.testing.assert_array_equal(
-            final_state_marginal(fwd), np.transpose(fwd.probs.sum(axis=(0, 2)), (1, 0, 2))
+            final_state_rows(fwd.probs[None])[0],
+            np.transpose(fwd.probs.sum(axis=(0, 2)), (1, 0, 2)),
         )
         hist = sigma_histogram(fwd, bwd, tol=config.sigma_tol)
         ref_hist = reference.sigma_histogram(fwd, bwd, tol=config.sigma_tol)

@@ -22,7 +22,6 @@ from demon_ep import (
     branch_probability,
     conditional_from_table,
     evaluate,
-    final_state_marginal,
     gibbs_distribution,
     marginalize,
     measured_kernel,
@@ -35,7 +34,13 @@ import demon_ep.channels as channels
 import demon_ep.entropy as entropy
 import demon_ep.protocol as protocol
 import demon_ep.runner as runner
-from demon_ep.protocol import TableRows, _point_rows, oracle_states, simulated_kernel
+from demon_ep.protocol import (
+    TableRows,
+    _point_rows,
+    final_state_rows,
+    oracle_states,
+    simulated_kernel,
+)
 from demon_ep.statespace import extended_gibbs
 
 from conftest import BETA_C
@@ -247,7 +252,7 @@ def test_final_marginal_agrees_with_full_state_evolution(mode, model):
     fwd, _ = point_tables(kernel, gibbs)
     (oracle,) = oracle_states(kernel.chain, gibbs, ("final",))
     np.testing.assert_allclose(
-        final_state_marginal(fwd), oracle.probs, rtol=0, atol=1e-13
+        final_state_rows(fwd.probs[None])[0], oracle.probs, rtol=0, atol=1e-13
     )
 
 

@@ -35,7 +35,14 @@ from demon_ep import (
     two_atom_probability,
     validate,
 )
-from demon_ep.protocol import ProtocolKernel, histogram_rows, simulated_kernel, weigh_rows
+from demon_ep.protocol import (
+    ProtocolKernel,
+    final_state_rows,
+    histogram_rows,
+    oracle_states,
+    simulated_kernel,
+    weigh_rows,
+)
 
 # SHA-256 of sweep_csv_text on the default 49-point grid.  Recorded from the
 # separate ideal/physical implementation that the shared kernel path
@@ -308,6 +315,20 @@ def test_oracle_check_builds_one_chain_per_configuration(monkeypatch):
     assert len(calls) <= 2 + len(validate.SINGLE_ERRORS)
 
 
+def test_each_row_is_checked_once(monkeypatch):
+    # simulate and validate read the checked block's arrays; rebuilding a row as
+    # a TrajectoryTable pair or a SigmaHistogram ran every check again
+    tables = _counting(monkeypatch, protocol, "_table_faults")
+    histograms = _counting(monkeypatch, protocol, "_histogram_faults")
+    runner.simulate_report(RunConfig(mode="physical"), 0.75)
+    assert (len(tables), len(histograms)) == (2, 1)  # forward, backward, histogram
+    tables.clear()
+    histograms.clear()
+    ok, _ = validate.run_all()
+    assert ok
+    assert len(tables) <= 72 and len(histograms) <= 11
+
+
 @pytest.mark.parametrize("idealized_backward, chains", [(False, 1), (True, 2)])
 def test_simulate_builds_one_chain_per_direction_model(monkeypatch, idealized_backward, chains):
     # the oracle runs the kernel's forward chain
@@ -428,10 +449,14 @@ def test_invariants_hold_for_any_physical_model_and_bias(
     # the class path and the label path both give the loop's histogram, bit for bit
     rows = weigh_rows(kernel, config.beta_cavity, config.grid())
     hist = histogram_rows(rows, config.sigma_tol)
+    marginals = final_state_rows(rows.forward)
     for r in range(len(rows.dbeta)):
         expected = reference.sigma_histogram(*rows.tables(r), tol=config.sigma_tol)
         for name in ("sigma", "p_forward", "p_backward"):
             assert getattr(hist.row(r), name).tobytes() == getattr(expected, name).tobytes()
+        # the tables' final state is the one the whole-state oracle evolves
+        (oracle,) = oracle_states(kernel.chain, rows.gibbs(r), ("final",))
+        np.testing.assert_allclose(marginals[r], oracle.probs, rtol=0, atol=1e-12)
     for result in results:
         sigmas = [result.sigma1, result.sigma2, result.sigma3,
                   result.sigma4, result.sigma5, result.sigma6]
