@@ -99,9 +99,8 @@ _NEGATIVE_TOL = 1e-15
 _TABLE_AXES = (1, 2, 3, 4, 5)
 
 
-# The checks of tables and histograms run on stacked rows, and report each
-# failing row as {row: ValueError or UserWarning}; a single table or
-# histogram is checked as one row.
+# The checks of tables run on stacked rows, and report each failing row as
+# {row: ValueError or UserWarning}; a single table is checked as one row.
 
 
 def _mass_faults(total: np.ndarray, expected, what: str) -> dict[int, Exception]:
@@ -140,29 +139,6 @@ def _table_faults(
     if negative.any():
         for r in np.flatnonzero(negative.any(axis=_TABLE_AXES)).tolist():
             faults[r] = ValueError("negative trajectory probability")
-    return faults
-
-
-def _histogram_faults(
-    sigma: np.ndarray, p_forward: np.ndarray, p_backward: np.ndarray, size: np.ndarray,
-    tolerance: float,
-) -> dict[int, Exception]:
-    """:class:`SigmaHistogram`'s checks of stacked rows, row ``r`` in its first
-    ``size[r]`` bins."""
-    total = p_forward.sum(axis=1)
-    for n in set(size.tolist()) - {p_forward.shape[1]}:  # a row's own bins, summed as one vector
-        rows = size == n
-        total[rows] = p_forward[rows, :n].sum(axis=1)
-    faults = _mass_faults(total, 1.0, "sigma histogram forward weight")
-    negative = (p_forward < 0) | (p_backward < 0)
-    if negative.any():
-        for r in np.flatnonzero(negative.any(axis=1)).tolist():
-            faults[r] = ValueError("negative histogram weight")
-    unsorted = np.diff(sigma, axis=1) <= tolerance
-    if unsorted.any():
-        unsorted &= np.arange(1, sigma.shape[1]) < size[:, None]  # padding aside
-        for r in np.flatnonzero(unsorted.any(axis=1)).tolist():
-            faults[r] = ValueError("sigma bins must be strictly increasing beyond tolerance")
     return faults
 
 
@@ -752,8 +728,13 @@ class SigmaHistogram:
             object.__setattr__(self, name, arr)
         if not (s.shape == pf.shape == pb.shape) or s.ndim != 1:
             raise ValueError("sigma, p_forward, p_backward must be equal-length vectors")
-        faults = _histogram_faults(s[None], pf[None], pb[None], np.array([s.size]), self.tolerance)
-        _report(faults.get(0), stacklevel=2)
+        # where several checks fail, the last one reports
+        fault = _mass_faults(pf.sum(keepdims=True), 1.0, "sigma histogram forward weight").get(0)
+        if (pf < 0).any() or (pb < 0).any():
+            fault = ValueError("negative histogram weight")
+        if (np.diff(s) <= self.tolerance).any():
+            fault = ValueError("sigma bins must be strictly increasing beyond tolerance")
+        _report(fault, stacklevel=2)
 
 
 def sigma_histogram(
@@ -777,8 +758,9 @@ class HistogramRows:
     """Sigma histograms of stacked rows, each left-aligned and zero-padded.
 
     Row ``r`` has ``size[r]`` bins; :meth:`row` gives it as a
-    :class:`SigmaHistogram`, whose checks then run.  :func:`check_rows` runs
-    the same checks on every row.
+    :class:`SigmaHistogram`, whose checks then run.  The rows themselves are
+    not checked: :func:`histogram_rows` opens a bin only beyond its tolerance,
+    and sums the entries of tables :func:`check_rows` has passed.
     """
 
     sigma: np.ndarray
@@ -804,19 +786,17 @@ class HistogramRows:
         )
 
 
-def check_rows(rows: TableRows, hist: HistogramRows | None = None) -> None:
-    """Run the checks of each row's tables and histogram, as building them would.
+def check_rows(rows: TableRows) -> None:
+    """Run the checks of each row's tables, as building them would.
 
-    Row after row, the forward table, the backward table and then the sigma
-    histogram, if given, are checked: each warning is given in that order,
-    and the first failure raises.
+    Row after row, the forward table and then the backward table are
+    checked: each warning is given in that order, and the first failure
+    raises.  These are a block's only checks: its sigma histograms, binned
+    from checked rows (:func:`histogram_rows`), are not checked again.
     """
     checks = [_table_faults(rows.forward, "forward")]
     if rows.backward is not None:
         checks.append(_table_faults(rows.backward, "backward", rows.prior_mass, rows.unlabeled))
-    if hist is not None:
-        checks.append(_histogram_faults(
-            hist.sigma, hist.p_forward, hist.p_backward, hist.size, hist.tolerance))
     for r in sorted(set().union(*checks)):
         for faults in checks:
             _report(faults.get(r), stacklevel=2)

@@ -74,13 +74,14 @@ def _run(kernel: ProtocolKernel, config: RunConfig) -> EpColumns:
 def _run_block(
     kernel: ProtocolKernel, config: RunConfig, dbeta: np.ndarray
 ) -> tuple[TableRows, HistogramRows | None, EpColumns]:
-    """Tables, sigma histograms and estimators of a kernel at the points ``dbeta``,
-    each row checked once, as :func:`point_tables` and :func:`sigma_histogram`
-    would: a caller reads the returned arrays and builds no table of its own."""
+    """Tables, sigma histograms and estimators of a kernel at the points ``dbeta``:
+    the tables are weighed and checked once, as :func:`point_tables` would, and
+    then binned, as :func:`sigma_histogram` would.  A caller reads the returned
+    arrays and builds no table of its own."""
     with np.errstate(all="ignore"):  # a point this spoils fails its checks
         rows = weigh_rows(kernel, config.beta_cavity, dbeta)
-        hist = None if rows.backward is None else histogram_rows(rows, config.sigma_tol)
-    check_rows(rows, hist)
+    check_rows(rows)
+    hist = None if rows.backward is None else histogram_rows(rows, config.sigma_tol)
     return rows, hist, evaluate_rows(rows, hist, floor=config.floor,
                                      heat_from_atom=config.heat_from_atom)
 

@@ -11,9 +11,11 @@ so a single command can certify an installation end to end.
 tests look checks up there by label instead of restating them.  Checks that
 need trajectory tables weight a kernel on the sweep's one weighting path
 (:func:`~demon_ep.protocol.weigh_rows`) and read the arrays of a block
-checked once: a check of estimators or histograms reads a block of
-``runner._run_block``, the commands' own evaluator, and one of tables a
-coarse grid (:func:`_coarse_rows`, binning no histogram).  Only the
+whose tables are checked once (:func:`~demon_ep.protocol.check_rows`): a
+check of estimators or histograms reads a block of ``runner._run_block``,
+the commands' own evaluator, and one of tables a coarse grid
+(:func:`_coarse_rows`, binning no histogram).  A block's histograms are
+binned from its checked tables and not checked again.  Only the
 serialization check takes a row as a table pair, the one it serializes.
 
 The certified configurations are module constants, built once on import:
@@ -155,20 +157,9 @@ def check_error_model() -> tuple[bool, str]:
         return False, "ideal() not recognized as ideal"
     for name in SINGLE_ERRORS:
         single = channels.ErrorModel.single(name, base=base)
-        active = sum(
-            [
-                single.eps_prep != 0.0,
-                single.eps_read != 0.0,
-                single.eps_feed != 0.0,
-                not np.array_equal(single.confusion, np.eye(3)),
-                not np.array_equal(
-                    single.cavity_prep,
-                    np.eye(base.cavity_prep.shape[0], base.cavity_prep.shape[1]),
-                ),
-                single.relax_atom_prob != 0.0,
-                single.relax_cavity_prob != 0.0,
-            ]
-        )
+        # the error-free value of each channel is the one ErrorModel.is_ideal asks for
+        values = [getattr(single, field) for field in channels.ERROR_CHANNELS.values()]
+        active = sum(not np.array_equal(v, channels._error_free(v)) for v in values)
         if active > 1:
             return False, f"single({name!r}) left {active} channels active"
     conf = base.confusion

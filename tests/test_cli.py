@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -18,6 +20,7 @@ from demon_ep import (
     cli,
     conditional_from_table,
     kelvin_to_beta_omega,
+    parse_table,
     point_tables,
     run_sweep,
     simulate_report,
@@ -190,6 +193,34 @@ def test_analyze_table_without_a_grid_is_a_data_error(tmp_path, capsys, text, me
 def test_analyze_missing_file_is_a_data_error(tmp_path):
     proc = run_cli("analyze", str(tmp_path / "nowhere.txt"))
     assert proc.returncode == 2
+
+
+#: sha256 of the analyze CSV of the physical tables, forward row (0,0) scaled by 1 + 4e-4
+SCALED_ANALYZE_DIGEST = "45e763dfe87d21b96b5e1841b16d771482caaaf23fab50fecbcd9c369233796c"
+
+
+def test_a_forward_table_fault_warns_once_per_point(tmp_path, table_files, capsys):
+    # the block's sigma histograms re-sum the forward weights its table check
+    # summed; checking them again warned of the same fault twice at every point
+    fwd_path, bwd_path = table_files
+    table = parse_table(fwd_path, "forward-rows-initial")
+    values = table.values.copy()
+    values[table.row_labels.index((0, 0))] *= 1.0 + 4e-4
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # the scaled table's own warning
+        scaled = type(table)(table.row_labels, table.col_labels, values, table.orientation)
+    write_table(scaled, tmp_path / "scaled.txt")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(["analyze", str(tmp_path / "scaled.txt"), str(bwd_path)]) == 0
+    messages = [str(w.message) for w in caught if w.category is UserWarning]
+    assert len(messages) == len(caught) == 1 + len(RunConfig().grid())
+    assert messages[0].startswith("forward-rows-initial table sums off by 4.00e-04")
+    assert all(m.startswith("forward table: mass off by ") for m in messages[1:])
+    # the default filter, as the command line runs, shows each distinct message once
+    assert len(set(messages)) == 44
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == SCALED_ANALYZE_DIGEST
 
 
 # ---------------------------------------------------------------------------

@@ -405,18 +405,37 @@ def test_histogram_wide_tolerance_merges_bins():
 
 
 def test_histogram_validation():
-    with pytest.raises(ValueError):
+    # the constructor is the only check of a histogram: a block's histograms
+    # are binned from checked tables and not checked again
+    with pytest.raises(ValueError, match="strictly increasing"):
         SigmaHistogram(
             sigma=np.array([1.0, 1.0]),  # not separated
             p_forward=np.array([0.5, 0.5]),
             p_backward=np.array([0.1, 0.1]),
         )
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="differs from 1.0"):
         SigmaHistogram(
             sigma=np.array([1.0, 2.0]),
             p_forward=np.array([0.5, 0.4]),  # mass missing
             p_backward=np.array([0.1, 0.1]),
         )
+    with pytest.raises(ValueError, match="negative histogram weight"):
+        SigmaHistogram(
+            sigma=np.array([1.0, 2.0]),
+            p_forward=np.array([0.5, 0.5]),
+            p_backward=np.array([0.1, -1e-16]),  # below zero, however little
+        )
+    with pytest.warns(UserWarning, match="sigma histogram forward weight: mass off by 2.00e-07"):
+        SigmaHistogram(
+            sigma=np.array([1.0, 2.0]),
+            p_forward=np.array([0.5, 0.5 - 2e-7]),  # soft: measured input
+            p_backward=np.array([0.1, 0.1]),
+        )
+    # where several checks fail, the last one reports: order, then sign, then mass
+    with pytest.raises(ValueError, match="strictly increasing"):
+        SigmaHistogram(np.array([1.0, 1.0]), np.array([0.5, 0.4]), np.array([-0.1, 0.1]))
+    with pytest.raises(ValueError, match="negative histogram weight"):
+        SigmaHistogram(np.array([1.0, 2.0]), np.array([0.5, 0.4]), np.array([-0.1, 0.1]))
     fwd, _ = _tables(_gibbs(0.0))
     with pytest.raises(ValueError):
         sigma_histogram(fwd, fwd)

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -317,16 +317,18 @@ def test_oracle_check_builds_one_chain_per_configuration(monkeypatch):
 
 def test_each_row_is_checked_once(monkeypatch):
     # simulate and validate read the checked block's arrays; rebuilding a row as
-    # a TrajectoryTable pair or a SigmaHistogram ran every check again
+    # a TrajectoryTable pair or a SigmaHistogram ran every check again, and so
+    # did checking a block's histograms, binned from tables already checked
     tables = _counting(monkeypatch, protocol, "_table_faults")
-    histograms = _counting(monkeypatch, protocol, "_histogram_faults")
+    masses = _counting(monkeypatch, protocol, "_mass_faults")
+    histograms = _counting(monkeypatch, protocol.SigmaHistogram, "__post_init__")
     runner.simulate_report(RunConfig(mode="physical"), 0.75)
-    assert (len(tables), len(histograms)) == (2, 1)  # forward, backward, histogram
+    assert (len(tables), len(masses), len(histograms)) == (2, 2, 0)  # forward, backward
     tables.clear()
-    histograms.clear()
+    masses.clear()
     ok, _ = validate.run_all()
     assert ok
-    assert len(tables) <= 72 and len(histograms) <= 11
+    assert len(tables) == len(masses) <= 68 and not histograms
 
 
 @pytest.mark.parametrize("idealized_backward, chains", [(False, 1), (True, 2)])
@@ -424,6 +426,11 @@ _ERROR_MODELS = st.builds(
     relax_cavity_prob=_PROBABILITY,
 )
 
+#: the initial truncation, and an evolved space one or two levels larger
+_DIMS = st.integers(2, 8).flatmap(
+    lambda init: st.builds(SystemDims, st.just(init), st.integers(init + 1, init + 2))
+)
+
 
 @settings(max_examples=100, deadline=None)
 @given(
@@ -432,17 +439,20 @@ _ERROR_MODELS = st.builds(
     idealized_backward=st.booleans(),
     ends=st.lists(st.floats(-50.0, 50.0), min_size=2, max_size=2).map(sorted),
     count=st.integers(1, 41),
+    dims=_DIMS,
 )
 def test_invariants_hold_for_any_physical_model_and_bias(
-    model, mode, idealized_backward, ends, count
+    model, mode, idealized_backward, ends, count, dims
 ):
     # ideal mode runs error-free dynamics whatever model is drawn;
     # idealized_backward runs the backward protocol on a chain of its own
+    # physical mode needs dims that hold the drawn cavity_prep's levels 0..4
+    assume(mode == "ideal" or dims.dim_cavity_full >= model.cavity_prep.shape[1])
     lo, hi = ends
     config = RunConfig(mode=mode, dbeta_start=lo, dbeta_stop=hi,
                        dbeta_step=max((hi - lo) / max(count - 1, 1), 1e-3))
     kernel = simulated_kernel(
-        model if mode == "physical" else None, DEFAULT_DIMS, mode,
+        model if mode == "physical" else None, dims, mode,
         ErrorModel.ideal() if idealized_backward else None,
     )
     results = runner._run(kernel, config)  # raises if a table check fails
