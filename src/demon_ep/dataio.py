@@ -319,9 +319,10 @@ def sweep_csv_text(results: EpColumns) -> str:
         raise ValueError(f"{columns[nan[0, 1]]} is NaN at dbeta_tilde {numbers[0, nan[0, 0]]:.17g}")
     fields = {flags: _csv_field(flags) for flags in set(results.flags)}
     line = ",".join(["%.17g"] * len(numbers)) + ",%s\n"
-    return ",".join(columns) + "\n" + "".join([
-        line % (*row, fields[flags]) for row, flags in zip(numbers.T.tolist(), results.flags)
-    ])
+    cells = np.empty((len(results), len(numbers) + 1), dtype=object)
+    cells[:, :-1] = numbers.T
+    cells[:, -1] = [fields[flags] for flags in results.flags]
+    return ",".join(columns) + "\n" + (line * len(cells)) % tuple(cells.ravel().tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -61,17 +61,9 @@ __all__ = [
 ]
 
 
-def _thermal_reference(
-    beta_qubit: np.ndarray, beta_cavity: float | np.ndarray, dims
-) -> np.ndarray:
-    """Reference measure zeta_Q (x) w_C over the final (m_Q, m_C) grid, per row.
-
-    ``beta_cavity`` is shared by every row or given per row.
-    """
-    zeta_q = gibbs_distribution(beta_qubit[:, None], 2)
-    w_cav = extended_gibbs(
-        np.asarray(beta_cavity)[..., None], dims.dim_cavity_init, dims.dim_cavity_full
-    )
+def _thermal_reference(zeta_q: np.ndarray, w_cav: np.ndarray) -> np.ndarray:
+    """Reference measure zeta_Q (x) w_C over the final (m_Q, m_C) grid, per row, from
+    the Gibbs weights of :attr:`TableRows.zeta_q` and :attr:`TableRows.w_cav`."""
     return zeta_q[:, :, None] * w_cav[..., None, :]
 
 
@@ -79,7 +71,7 @@ def _thermal_reference(
 class EstimatorInputs:
     """What the row functions of :data:`ESTIMATORS` read: stacked table rows, their
     sigma histograms (with backward tables) and the options.  The thermal
-    reference, heat and information are computed once, on first use."""
+    reference, final states, heat and information are computed once, on first use."""
 
     rows: TableRows | None
     hist: HistogramRows | None = None
@@ -88,12 +80,16 @@ class EstimatorInputs:
 
     @functools.cached_property
     def thermal(self) -> np.ndarray:
-        return _thermal_reference(self.rows.beta_qubit, self.rows.beta_cavity, self.rows.dims)
+        return _thermal_reference(self.rows.zeta_q, self.rows.w_cav)
+
+    @functools.cached_property
+    def final_state(self) -> np.ndarray:  # [r, m_Q, k, m_C], read by sigma2 and sigma6
+        return final_state_rows(self.rows.forward)
 
     @functools.cached_property
     def heat(self) -> np.ndarray:
         """Average heat into the cavity in units of omega, from the atom or the photon side."""
-        qubit, cavity = quanta_change(self.rows.dims)
+        qubit, cavity = quanta_change(self.rows.dims, float)
         if self.heat_from_atom:  # the cavity gains what the atom loses
             return -(self.rows.forward * qubit).sum(axis=(1, 2, 3, 4, 5))
         return (self.rows.forward * cavity).sum(axis=(1, 2, 3, 4, 5))
@@ -116,16 +112,16 @@ def _sigma1_rows(data: EstimatorInputs) -> np.ndarray:
     return (data.rows.beta_cavity - data.rows.beta_qubit) * data.heat + data.info
 
 
-def _branch_divergence(data: EstimatorInputs, axes: tuple[int, int], reference) -> np.ndarray:
+def _branch_divergence(data: EstimatorInputs, weight, reference) -> np.ndarray:
     """sum_k p(k) D(state_k || reference(k, p(k))) over the branches with p(k) > 0,
-    in branch order; state_k is branch k's forward weight summed over ``axes``
-    (the initial or the final levels) and divided by p(k)."""
+    in branch order; state_k is ``weight(k)``, branch k's forward weight on the
+    final or the initial levels [r, n_Q or m_Q, n_C or m_C], divided by p(k)."""
     rows = data.rows
     pk = rows.pk[:, :, None, None]
     total = 0.0
     with np.errstate(divide="ignore", invalid="ignore"):  # p(k) = 0 rows are dropped
         for k in range(2):
-            state = rows.forward[:, :, k].sum(axis=axes) / pk[:, k]
+            state = weight(k) / pk[:, k]
             term = rows.pk[:, k] * _divergence_rows(state, reference(k, pk[:, k]), data.floor)
             if not (rows.pk[:, k] > 0.0).all():
                 term = np.where(rows.pk[:, k] > 0.0, term, 0.0)
@@ -134,7 +130,7 @@ def _branch_divergence(data: EstimatorInputs, axes: tuple[int, int], reference) 
 
 
 def _sigma2_rows(data: EstimatorInputs) -> np.ndarray:
-    return _branch_divergence(data, (1, 2), lambda k, pk: data.thermal)
+    return _branch_divergence(data, lambda k: data.final_state[:, :, k], lambda k, pk: data.thermal)
 
 
 def _sigma3_rows(data: EstimatorInputs) -> np.ndarray:
@@ -142,13 +138,14 @@ def _sigma3_rows(data: EstimatorInputs) -> np.ndarray:
     measure for the branch, kept at its thermal weight (not renormalized):
     forward and backward weights then share one free energy per subsystem, and
     the estimator reduces to the others in the ideal protocol."""
-    backward = data.rows.backward
-    return _branch_divergence(data, (3, 4), lambda k, pk: backward[:, :, k].sum(axis=(3, 4)) / pk)
+    forward, backward = data.rows.forward, data.rows.backward
+    return _branch_divergence(data, lambda k: forward[:, :, k].sum(axis=(3, 4)),
+                              lambda k, pk: backward[:, :, k].sum(axis=(3, 4)) / pk)
 
 
 def _sigma4_rows(data: EstimatorInputs) -> np.ndarray:
     """sum over trajectories of p(gamma) ln p(gamma) / p(gamma-tilde)."""
-    return _divergence_rows(data.rows.forward, data.rows.backward, data.floor)
+    return _divergence_rows(data.rows.forward_labels, data.rows.backward_labels, data.floor)
 
 
 def _sigma5_rows(data: EstimatorInputs) -> np.ndarray:
@@ -160,7 +157,7 @@ def _sigma5_rows(data: EstimatorInputs) -> np.ndarray:
 
 def _sigma6_rows(data: EstimatorInputs) -> np.ndarray:
     """Average-state divergence plus the residual system-memory correlations."""
-    joint = final_state_rows(data.rows.forward)  # [r, m_Q, k, m_C]
+    joint = data.final_state
     rho_qc = joint.sum(axis=2)
     info = (
         shannon_entropy_rows(rho_qc)
@@ -206,7 +203,7 @@ def _one_row(fwd, bwd=None, hist=None, floor=None, heat_from_atom=True) -> Estim
 
 
 def _mismatch_rows(rows: TableRows) -> np.ndarray:
-    return (rows.forward > 0.0) & (rows.backward <= 0.0)
+    return ((rows.forward_labels > 0.0) & (rows.backward_labels <= 0.0)).reshape(rows.forward.shape)
 
 
 def jarzynski_rows(hists: HistogramRows, direction: str = "reversed") -> np.ndarray:
@@ -262,7 +259,9 @@ def feedback_balance_residual(
         pre_fb, ("qubit", "cavity")
     )
     rho_qc = marginalize(post_fb, ("qubit", "cavity"))
-    ref = _thermal_reference(np.array([gibbs.beta_qubit]), gibbs.beta_cavity, dims)[0]
+    zeta_q = gibbs_distribution(np.array([[gibbs.beta_qubit]]), 2)
+    w_cav = extended_gibbs(gibbs.beta_cavity, dims.dim_cavity_init, dims.dim_cavity_full)
+    ref = _thermal_reference(zeta_q, w_cav)[0]
     return heat - info_change - relative_entropy(rho_qc, ref)
 
 

@@ -125,19 +125,20 @@ def _mass_faults(total: np.ndarray, expected, what: str) -> dict[int, Exception]
 
 def _table_faults(
     probs: np.ndarray,
+    labels: np.ndarray,
     direction: str,
     prior_mass: np.ndarray | float = 1.0,
     unlabeled: np.ndarray | float = 0.0,
 ) -> dict[int, Exception]:
-    """:class:`TrajectoryTable`'s checks of stacked ``probs`` rows."""
+    """:class:`TrajectoryTable`'s checks of stacked ``probs`` rows, also given as ``labels``."""
     total = probs.sum(axis=_TABLE_AXES)
     if direction == "forward":
         faults = _mass_faults(total, 1.0, "forward table")
     else:
         faults = _mass_faults(total + unlabeled, prior_mass, "backward table conservation")
-    negative = probs < -_NEGATIVE_TOL
+    negative = labels < -_NEGATIVE_TOL
     if negative.any():
-        for r in np.flatnonzero(negative.any(axis=_TABLE_AXES)).tolist():
+        for r in np.flatnonzero(negative.any(axis=1)).tolist():
             faults[r] = ValueError("negative trajectory probability")
     return faults
 
@@ -181,7 +182,9 @@ class TrajectoryTable:
             raise ValueError(f"probs shape {p.shape}, expected {expected}")
         if self.direction not in ("forward", "backward"):
             raise ValueError(f"direction must be forward/backward, got {self.direction!r}")
-        faults = _table_faults(p[None], self.direction, self.prior_mass, self.unlabeled_mass)
+        faults = _table_faults(
+            p[None], p.reshape(1, -1), self.direction, self.prior_mass, self.unlabeled_mass
+        )
         _report(faults.get(0), stacklevel=2)
 
 
@@ -228,14 +231,15 @@ def _label_shape(dims: SystemDims) -> tuple[int, ...]:
 
 
 @functools.lru_cache(maxsize=16)
-def quanta_change(dims: SystemDims) -> tuple[np.ndarray, np.ndarray]:
+def quanta_change(dims: SystemDims, dtype=int) -> tuple[np.ndarray, np.ndarray]:
     """Per-label quanta gained by the qubit (m_Q - n_Q) and the cavity (m_C - n_C).
 
-    Read-only integer arrays broadcasting against ``TrajectoryTable.probs``.
+    Read-only arrays of ``dtype`` broadcasting against ``TrajectoryTable.probs``;
+    float ones multiply float tables without a cast per element.
     """
-    n_q = np.arange(2)
-    n_c = np.arange(dims.dim_cavity_init)
-    m_c = np.arange(dims.dim_cavity_full)
+    n_q = np.arange(2, dtype=dtype)
+    n_c = np.arange(dims.dim_cavity_init, dtype=dtype)
+    m_c = np.arange(dims.dim_cavity_full, dtype=dtype)
     changes = (
         n_q[None, None, None, :, None] - n_q[:, None, None, None, None],
         m_c[None, None, None, None, :] - n_c[None, None, :, None, None],
@@ -449,6 +453,10 @@ class TableRows:
     forward: np.ndarray
     #: readout distribution p(k) of each row
     pk: np.ndarray
+    #: each row's qubit Gibbs weights [r, n_Q] and cavity weights extended to the
+    #: evolved space ([r, m_C], or [m_C] shared): priors and thermal reference
+    zeta_q: np.ndarray
+    w_cav: np.ndarray
     backward: np.ndarray | None = None
     unlabeled: np.ndarray | None = None
     weights: np.ndarray | None = None
@@ -471,14 +479,16 @@ class TableRows:
                     f"tables weighted at different bias points: forward dbeta_tilde "
                     f"{gibbs.dbeta_tilde!r}, backward dbeta_tilde {bwd.gibbs.dbeta_tilde!r}"
                 )
-        forward = fwd.probs[None]
+        forward, dims = fwd.probs[None], fwd.dims
         return cls(
-            fwd.dims,
+            dims,
             gibbs.beta_cavity,
             np.array([gibbs.beta_qubit]),
             np.array([gibbs.dbeta_tilde]),
             forward,
             _branch_rows(forward),
+            gibbs_distribution(np.array([[gibbs.beta_qubit]]), 2),
+            extended_gibbs(gibbs.beta_cavity, dims.dim_cavity_init, dims.dim_cavity_full),
             None if bwd is None else bwd.probs[None],
         )
 
@@ -486,6 +496,18 @@ class TableRows:
         """The bias point of row ``r``."""
         beta_cavity = np.broadcast_to(self.beta_cavity, self.dbeta.shape)[r]
         return GibbsSpec(float(self.beta_qubit[r]), float(beta_cavity), float(self.dbeta[r]))
+
+    @functools.cached_property
+    def forward_labels(self) -> np.ndarray:
+        """``forward`` as one C-contiguous [row, label] array.  The weighting keeps
+        the kernel's memory order, so each reshape of ``forward`` is a copy: the
+        checks, the histogram, sigma4 and the support flags read this one."""
+        return self.forward.reshape(len(self.forward), -1)
+
+    @functools.cached_property
+    def backward_labels(self) -> np.ndarray:
+        """``backward`` as :attr:`forward_labels` holds ``forward``."""
+        return self.backward.reshape(len(self.backward), -1)
 
     @functools.cached_property
     def prior_mass(self) -> np.ndarray:
@@ -550,20 +572,19 @@ def _weigh_rows(
     given.  ``backward_pk[r]``, if given, weights the backward branches in place
     of the forward tables' p(k)."""
     dims = kernel.dims
-    p_qubit = gibbs_distribution(beta_qubit[:, None], 2)
+    zeta_q = gibbs_distribution(beta_qubit[:, None], 2)
     beta_column = np.asarray(beta_cavity)[..., None]  # (1,) when shared, else (R, 1)
     p_cavity = gibbs_distribution(beta_column, dims.dim_cavity_init)
-    forward = _forward_rows(kernel.forward_cond, p_qubit, p_cavity)
-    pk = _branch_rows(forward)
-    if kernel.backward_cond is None:
-        return TableRows(dims, beta_cavity, beta_qubit, dbeta, forward, pk, kernel=kernel)
     w_cav = extended_gibbs(beta_column, dims.dim_cavity_init, dims.dim_cavity_full)
+    forward = _forward_rows(kernel.forward_cond, zeta_q, p_cavity)
+    pk = _branch_rows(forward)
+    weighed = (dims, beta_cavity, beta_qubit, dbeta, forward, pk, zeta_q, w_cav)
+    if kernel.backward_cond is None:
+        return TableRows(*weighed, kernel=kernel)
     labeled, unlabeled, weights = _backward_rows(
-        kernel.backward_cond, p_qubit, w_cav, pk if backward_pk is None else backward_pk, dims
+        kernel.backward_cond, zeta_q, w_cav, pk if backward_pk is None else backward_pk, dims
     )
-    return TableRows(
-        dims, beta_cavity, beta_qubit, dbeta, forward, pk, labeled, unlabeled, weights, kernel
-    )
+    return TableRows(*weighed, labeled, unlabeled, weights, kernel)
 
 
 # ---------------------------------------------------------------------------
@@ -794,9 +815,10 @@ def check_rows(rows: TableRows) -> None:
     raises.  These are a block's only checks: its sigma histograms, binned
     from checked rows (:func:`histogram_rows`), are not checked again.
     """
-    checks = [_table_faults(rows.forward, "forward")]
+    checks = [_table_faults(rows.forward, rows.forward_labels, "forward")]
     if rows.backward is not None:
-        checks.append(_table_faults(rows.backward, "backward", rows.prior_mass, rows.unlabeled))
+        checks.append(_table_faults(rows.backward, rows.backward_labels, "backward",
+                                    rows.prior_mass, rows.unlabeled))
     for r in sorted(set().union(*checks)):
         for faults in checks:
             _report(faults.get(r), stacklevel=2)
@@ -819,8 +841,7 @@ def histogram_rows(rows: TableRows, tol: float = SIGMA_TOL) -> HistogramRows:
     (:func:`_label_bins`).
     """
     count = len(rows.dbeta)
-    fwd = rows.forward.reshape(count, -1)
-    bwd = rows.backward.reshape(count, -1)
+    fwd, bwd = rows.forward_labels, rows.backward_labels
     class_sigma = _class_sigma_rows(rows.beta_qubit, rows.beta_cavity, rows.pk, rows.dims)
     class_of = label_classes(rows.dims)[0]
     parts = []

@@ -237,7 +237,9 @@ def relative_entropy_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
         pm, qm = p[rows].take(columns, axis=1), q[rows].take(columns, axis=1)
         # rows whose reference vanishes on p's support stay +inf without a logarithm
         live = ~(qm <= 0.0).any(axis=1)
-        pm, qm = pm[live], qm[live]
+        every = live.all()
+        if not every:
+            pm, qm = pm[live], qm[live]
         logs = np.log(pm / qm)
         sums = _dot_rows(pm, logs)
         if not np.isfinite(sums).all():
@@ -247,6 +249,8 @@ def relative_entropy_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
             gone = np.isinf(logs)
             logs[gone] = np.log(pm[lost][gone]) - np.log(qm[lost][gone])
             sums[lost] = _dot_rows(pm[lost], logs)
+        if every:
+            return sums
         total = np.full(len(live), math.inf)
         total[live] = sums
         return total

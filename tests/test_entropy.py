@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import demon_ep.protocol as protocol
 import demon_ep.runner as runner
+import demon_ep.statespace as statespace
+import demon_ep.validate as validate
 from demon_ep import (
     DEFAULT_DIMS,
     ESTIMATORS,
@@ -402,6 +406,65 @@ def test_a_block_builds_one_thermal_reference(monkeypatch):
     rows = weigh_rows(kernel, BETA_C, np.linspace(-6.0, 6.0, 64))
     results = entropy.evaluate_rows(rows)
     assert len(results) == 64 and len(calls) == 1
+
+
+def test_a_block_builds_each_shared_quantity_once(monkeypatch):
+    # one block weighs its Gibbs weights, sums its final states and copies each
+    # table to label order once; every stage then reads those same arrays
+    config = RunConfig(mode="physical")
+    kernel = runner.build_kernel(config)
+    grid = np.linspace(-6.0, 6.0, 64)
+    gibbs_calls, final_calls, readers = [], [], {}
+    original_gibbs = statespace.extended_gibbs
+    for module in (statespace, protocol, entropy):
+        monkeypatch.setattr(module, "extended_gibbs",
+                            lambda *args: gibbs_calls.append(1) or original_gibbs(*args))
+    original_final = entropy.final_state_rows
+    monkeypatch.setattr(entropy, "final_state_rows",
+                        lambda forward: final_calls.append(1) or original_final(forward))
+    for name in ("forward_labels", "backward_labels"):
+        cached = getattr(protocol.TableRows, name)
+
+        def read(rows, name=name, cached=cached):
+            labels, caller = cached.__get__(rows), sys._getframe(1).f_code.co_name
+            readers.setdefault(name, {}).setdefault(caller, set()).add(id(labels))
+            return labels
+
+        monkeypatch.setattr(protocol.TableRows, name, property(read))
+    weigh_rows(kernel, config.beta_cavity, grid)
+    weighing = len(gibbs_calls)
+    readers.clear()
+    rows, _, results = runner._run_block(kernel, config, grid)
+    assert len(results) == 64 and len(final_calls) == 1
+    assert len(gibbs_calls) == 2 * weighing  # the weighing above, then the block's own
+    for name in ("forward_labels", "backward_labels"):
+        assert {"check_rows", "histogram_rows", "_sigma4_rows", "_mismatch_rows"} <= set(
+            readers[name]
+        )
+        assert set.union(*readers[name].values()) == {id(getattr(rows, name))}
+
+
+@pytest.mark.parametrize("config", [validate.IDEAL, *validate.PHYSICALS],
+                         ids=["ideal", "physical", *validate.SINGLE_ERRORS])
+def test_sigma2_reads_each_branch_state_off_the_final_states(config):
+    # sigma2 and sigma6 share one final-state sum; its branch slices are the
+    # branch sums over the initial levels, bit for bit
+    rows, _, _ = runner._run_block(runner.build_kernel(config), config, config.grid())
+    _assert_branch_states_are_final_state_slices(rows)
+
+
+def test_sigma2_reads_each_branch_state_off_the_final_states_of_random_circuits():
+    cond, beta_cavity, dbeta = next(validate._circuit_blocks())
+    rows = weigh_rows(ProtocolKernel(DEFAULT_DIMS, cond, None), beta_cavity, dbeta)
+    assert len(rows.dbeta) == runner.BLOCK_POINTS
+    _assert_branch_states_are_final_state_slices(rows)
+
+
+def _assert_branch_states_are_final_state_slices(rows):
+    final_state = entropy.EstimatorInputs(rows).final_state
+    for k in range(2):
+        branch = rows.forward[:, :, k].sum(axis=(1, 2))
+        assert final_state[:, :, k].tobytes() == branch.tobytes()
 
 
 def test_a_block_builds_its_flag_text_once(monkeypatch):
