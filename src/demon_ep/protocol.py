@@ -23,7 +23,8 @@ mode picks the register (:data:`~demon_ep.channels.ENCODINGS`); the weighting
 reads it back off the conditionals.  A model's chain (:class:`GateChain`:
 readout, feedback, relaxation and detection on the register) is built once
 per kernel; both directions of the kernel and every oracle pass over it take
-their channels from that one chain.
+their channels from that one chain, and each applies a channel to all its
+starts or bias points in one stacked product.
 
 One thermal weighting serves every bias point: :func:`weigh_rows` weighs a
 block of them as stacked rows, and the tables of a single point
@@ -44,7 +45,6 @@ from .channels import (
     ENCODINGS,
     ErrorModel,
     StochasticChannel,
-    apply,
     compose,
     detection_channel,
     feedback_channel,
@@ -83,6 +83,7 @@ __all__ = [
     "forward_table",
     "histogram_rows",
     "measured_kernel",
+    "oracle_rows",
     "oracle_states",
     "point_tables",
     "sigma_grid",
@@ -297,8 +298,9 @@ class GateChain:
     """A model's gates on the register of one mode, in forward order.
 
     ``gates`` holds the readout, feedback, relaxation and detection channels,
-    each lifted to the register of ``encoding``; ``model`` is the error model
-    as the mode runs it.  :func:`_gate_chain` builds it once, and every
+    each lifted to the register of ``encoding``; ``tail`` is detection after
+    relaxation, the steps that close both directions; ``model`` is the error
+    model as the mode runs it.  :func:`_gate_chain` builds it once, and every
     conditional run and oracle pass of the model takes its channels from it.
     """
 
@@ -306,42 +308,48 @@ class GateChain:
     dims: SystemDims
     encoding: tuple
     gates: tuple[StochasticChannel, ...]
+    tail: StochasticChannel
 
 
 def _gate_chain(model: ErrorModel | None, dims: SystemDims, mode: str) -> GateChain:
     model = _resolve_model(model, mode, dims)
     encoding = ENCODINGS[mode]
-    gates = (
-        readout_channel(model.eps_read, dims),
-        feedback_channel(model.eps_feed, dims),
-        relaxation_channel(model, dims),
-        detection_channel(model.confusion, dims),
+    gates = tuple(
+        register_channel(gate, encoding)
+        for gate in (
+            readout_channel(model.eps_read, dims),
+            feedback_channel(model.eps_feed, dims),
+            relaxation_channel(model, dims),
+            detection_channel(model.confusion, dims),
+        )
     )
-    return GateChain(model, dims, encoding, tuple(register_channel(g, encoding) for g in gates))
+    return GateChain(model, dims, encoding, gates, compose(gates[3], gates[2]))
 
 
 def _evolve(chain: GateChain, backward: bool):
-    """Run the gate chain from every prepared start.
+    """Run the gate chain from every prepared start, all starts in one product.
 
     Forward runs start from the pairs (n_Q, n_D=1) with the cavity in each
     Fock state of the initial truncation; backward runs start from every
-    register level with the cavity anywhere in the evolved space.  Returns
-    the starting pairs, ``final[i, n, m_Q, m_D, m_C]`` (each final register
-    level placed at the pair it encodes) and ``reset[i, n]``, the final
-    weight with m_D = 1.
+    register level with the cavity anywhere in the evolved space.  The
+    prepared states are stacked as ``(starts, n_C, levels, 1)`` and one
+    ``np.matmul`` with the composed chain does a matrix-vector product per
+    start: the arithmetic of applying the chain to each start alone, so the
+    bits are the same.  Returns the starting pairs,
+    ``final[i, n, m_Q, m_D, m_C]`` (each final register level placed at the
+    pair it encodes) and ``reset[i, n]``, the final weight with m_D = 1.
     """
     model, dims, encoding = chain.model, chain.dims, chain.encoding
     full = dims.dim_cavity_full
     starts, n_cavity = (encoding, full) if backward else (((0, 1), (1, 1)), dims.dim_cavity_init)
-    pulse, swap, relax, detect = chain.gates
+    pulse, swap = chain.gates[:2]
     core = compose(pulse, swap) if backward else compose(swap, pulse)
-    run = compose(compose(detect, relax), core)
-    cavities = [prepare_cavity(n, model, dims) for n in range(n_cavity)]
-    levels = np.zeros((len(starts), n_cavity, len(encoding) * full))
-    for i, pair in enumerate(starts):
-        register = prepare_register(pair, model.eps_prep, encoding)
-        for n, cavity in enumerate(cavities):
-            levels[i, n] = apply(run, np.outer(register, cavity))
+    run = compose(chain.tail, core)
+    registers = np.array([prepare_register(pair, model.eps_prep, encoding) for pair in starts])
+    cavities = np.array([prepare_cavity(n, model, dims) for n in range(n_cavity)])
+    # each start's np.outer(register, cavity), as a column
+    states = registers[:, None, :, None] * cavities[None, :, None, :]
+    levels = np.matmul(run.matrix, states.reshape(len(starts), n_cavity, -1, 1))
     levels = levels.reshape(len(starts), n_cavity, len(encoding), full)
     final = np.zeros((len(starts), n_cavity, 2, 2, full))
     reset = np.zeros((len(starts), n_cavity))
@@ -669,19 +677,22 @@ def point_tables(
 # Full-state oracle
 
 
-def oracle_states(
-    chain: GateChain, gibbs: GibbsSpec, stages: tuple[str, ...]
-) -> tuple[JointDistribution, ...]:
+def oracle_rows(
+    chain: GateChain, beta_qubit: np.ndarray, beta_cavity: float, stages: tuple[str, ...]
+) -> tuple[np.ndarray, ...]:
     """Average joint (qubit, memory, cavity) state of the forward protocol at
-    each of ``stages``, from one pass over ``chain``.
+    each of ``stages``, for a block of bias points, from one pass over ``chain``.
 
-    Evolves the thermal initial mixture as one distribution instead of
+    Row ``r`` evolves the thermal initial mixture at ``beta_qubit[r]`` and the
+    shared ``beta_cavity`` as one distribution instead of
     trajectory-by-trajectory, from priors of its own; marginals of the
-    trajectory table must agree with it, which cross-checks the bookkeeping.
-    A stage taps the state before the readout ("initial"), between readout
-    and feedback ("pre_feedback"), after feedback ("post_feedback") or after
-    relaxation and detection ("final"; identical to post_feedback in ideal
-    mode).  No stages give no states.
+    trajectory tables must agree with it, which cross-checks the bookkeeping.
+    Each gate takes the whole block in one ``np.matmul``, a matrix-vector
+    product per row, so a row has the bits of a one-point pass.  A stage taps
+    the state before the readout ("initial"), between readout and feedback
+    ("pre_feedback"), after feedback ("post_feedback") or after relaxation and
+    detection ("final"; identical to post_feedback in ideal mode).  Returns
+    one ``[r, n_Q, n_D, n_C]`` array per stage; no stages give none.
     """
     for stage in stages:
         if stage not in STAGES:
@@ -690,34 +701,45 @@ def oracle_states(
         return ()
     model, dims, encoding = chain.model, chain.dims, chain.encoding
     full = dims.dim_cavity_full
-    p_qubit = gibbs_distribution(gibbs.beta_qubit, 2)
-    p_cavity = gibbs_distribution(gibbs.beta_cavity, dims.dim_cavity_init)
+    p_qubit = gibbs_distribution(np.asarray(beta_qubit, dtype=float)[:, None], 2)
+    p_cavity = gibbs_distribution(beta_cavity, dims.dim_cavity_init)
     register = sum(
-        p_qubit[n_q] * prepare_register((n_q, 1), model.eps_prep, encoding)
+        p_qubit[:, n_q, None] * prepare_register((n_q, 1), model.eps_prep, encoding)
         for n_q in range(2)
     )
     cavity = sum(
         p_cavity[n_c] * prepare_cavity(n_c, model, dims)
         for n_c in range(dims.dim_cavity_init)
     )
-    states = [np.outer(register, cavity).ravel()]  # states[g]: after g gates
+    rows = len(register)
+    # states[g]: each row's state after g gates, as a column
+    states = [(register[:, :, None] * cavity).reshape(rows, -1, 1)]
     for gate in chain.gates[:max(STAGES[stage] for stage in stages)]:
-        states.append(apply(gate, states[-1]))
+        states.append(np.matmul(gate.matrix, states[-1]))
     taps = []
     for stage in stages:
-        joint = np.zeros((2, 2, full))
-        levels = states[STAGES[stage]].reshape(len(encoding), full)
-        for level, (n_q, n_d) in zip(levels, encoding):
-            joint[n_q, n_d] += level
-        taps.append(JointDistribution(dims, joint))
+        joint = np.zeros((rows, 2, 2, full))
+        levels = states[STAGES[stage]].reshape(rows, len(encoding), full)
+        for level, (n_q, n_d) in enumerate(encoding):
+            joint[:, n_q, n_d] += levels[:, level]
+        taps.append(joint)
     return tuple(taps)
+
+
+def oracle_states(
+    chain: GateChain, gibbs: GibbsSpec, stages: tuple[str, ...]
+) -> tuple[JointDistribution, ...]:
+    """The joint states of :func:`oracle_rows` at one bias point: its row 0,
+    each checked as a :class:`JointDistribution`."""
+    taps = oracle_rows(chain, np.array([gibbs.beta_qubit]), gibbs.beta_cavity, stages)
+    return tuple(JointDistribution(chain.dims, joint[0]) for joint in taps)
 
 
 def final_state_rows(forward: np.ndarray) -> np.ndarray:
     """Final joint state implied by each of stacked forward tables, as [r, m_Q, k, m_C].
 
     The memory axis carries the readout outcome, matching the layout of
-    :func:`oracle_states` at stage "final".
+    :func:`oracle_rows` at stage "final".
     """
     return np.transpose(forward.sum(axis=(1, 3)), (0, 2, 1, 3))
 

@@ -21,10 +21,12 @@ serialization check takes a row as a table pair, the one it serializes.
 The certified configurations are module constants, built once on import:
 :data:`IDEAL`, and :data:`PHYSICALS`, the full physical model followed by
 each single error alone.  One :func:`run_all` builds each one's kernel once
-(nine), and with it the gate chain that the oracle checks evolve; every
-check of the run shares them, and they are dropped when the run ends.  A
-check called on its own keeps the kernels it builds until the next run.
-The sigma2 = sigma6 check draws each block of random circuits in one call.
+(nine), and with it the gate chain that the oracle checks evolve, a whole
+coarse grid in one stacked pass (:func:`~demon_ep.protocol.oracle_rows`);
+every check of the run shares them, and they are dropped when the run ends.
+A check called on its own keeps the kernels it builds until the next run.
+The sigma2 = sigma6 check draws each block of random circuits in one call,
+into one buffer that lives as long as the check.
 """
 
 from __future__ import annotations
@@ -50,6 +52,8 @@ HALF_STEP = replace(PHYSICAL, dbeta_step=0.5)
 GRID_COARSE = (-6.0, -3.0, -1.0, 0.0, 1.0, 3.0, 6.0)
 CIRCUITS = 1000  # random circuits of the sigma2 = sigma6 check
 CIRCUIT_SEED = 20240817
+#: the register levels of a random circuit's gates: (qubit, memory, photon number)
+_GATE_SIZE = 2 * 2 * statespace.DEFAULT_DIMS.dim_cavity_full
 
 
 @functools.cache
@@ -201,9 +205,10 @@ def check_oracle_consistency() -> tuple[bool, str]:
     for config in (IDEAL, *PHYSICALS):
         kernel = _kernel(config)
         rows = _coarse_rows(kernel)
-        for r, marginal in enumerate(protocol.final_state_rows(rows.forward)):
-            (oracle,) = protocol.oracle_states(kernel.chain, rows.gibbs(r), ("final",))
-            worst = max(worst, float(np.abs(marginal - oracle.probs).max()))
+        marginal = protocol.final_state_rows(rows.forward)
+        (oracle,) = protocol.oracle_rows(kernel.chain, rows.beta_qubit, rows.beta_cavity,
+                                         ("final",))
+        worst = max(worst, float(np.abs(marginal - oracle).max()))
     ok = worst < 1e-12
     return ok, f"worst marginal mismatch {worst:.2e}"
 
@@ -230,23 +235,22 @@ def check_estimator_equivalence() -> tuple[bool, str]:
     return ok, f"worst six-way spread {worst:.2e}"
 
 
-def _random_circuits(
-    rng: np.random.Generator, count: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Forward conditionals, beta_C and dbeta of ``count`` random circuits.
+def _random_circuits(draws: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Forward conditionals, beta_C and dbeta of the random circuits of ``draws``.
 
     A circuit is a random gate chain (readout, feedback and detection
     stand-ins) at a random cavity temperature and bias; its conditionals are
-    the chain's columns from the starts (n_Q, n_D=1, n_C).  One draw holds
-    every circuit's values in the generator order of a circuit-by-circuit
-    loop: its three gate matrices, then ``uniform(0.2, 3.0)`` and
-    ``uniform(-6, 6)``, each ``low + (high - low) * u`` of one double ``u``.
+    the chain's columns from the starts (n_Q, n_D=1, n_C).  Row ``i`` of
+    ``draws`` holds circuit ``i``'s values in the generator order of a
+    circuit-by-circuit loop: its three gate matrices, then
+    ``uniform(0.2, 3.0)`` and ``uniform(-6, 6)``, each ``low + (high - low) * u``
+    of one double ``u``.  The gate values are normalised in place; nothing
+    returned is a view of ``draws``.
     """
+    count = len(draws)
     dims = statespace.DEFAULT_DIMS
     full, init = dims.dim_cavity_full, dims.dim_cavity_init
-    size = 2 * 2 * full
-    draws = rng.random((count, 3 * size * size + 2))
-    gates = draws[:, :-2].reshape(count, 3, size, size)
+    gates = draws[:, :-2].reshape(count, 3, _GATE_SIZE, _GATE_SIZE)
     gates /= gates.sum(axis=2, keepdims=True)
     chain = gates[:, 2] @ gates[:, 1] @ gates[:, 0]
     cond = np.ascontiguousarray(chain.reshape(count, 2, 2, full, 2, 2, full)[..., 1, :init])
@@ -256,10 +260,16 @@ def _random_circuits(
 
 
 def _circuit_blocks():
-    """The random circuits of the sigma2 = sigma6 check, a block at a time."""
+    """The random circuits of the sigma2 = sigma6 check, a block at a time.
+
+    Every block is drawn into one buffer, which lives as long as the check.
+    """
     rng = np.random.default_rng(CIRCUIT_SEED)
+    buffer = np.empty((runner.BLOCK_POINTS, 3 * _GATE_SIZE * _GATE_SIZE + 2))
     for start in range(0, CIRCUITS, runner.BLOCK_POINTS):
-        yield _random_circuits(rng, min(runner.BLOCK_POINTS, CIRCUITS - start))
+        draws = buffer[:min(runner.BLOCK_POINTS, CIRCUITS - start)]
+        rng.random(out=draws)
+        yield _random_circuits(draws)
 
 
 def check_sigma2_sigma6_identity() -> tuple[bool, str]:
@@ -288,10 +298,14 @@ def check_second_law() -> tuple[bool, str]:
 def check_feedback_balance() -> tuple[bool, str]:
     worst = 0.0
     chain = _kernel(IDEAL).chain
-    for dbeta in GRID_COARSE:
-        gibbs = statespace.GibbsSpec.from_dbeta(IDEAL.beta_cavity, dbeta)
-        pre, post = protocol.oracle_states(chain, gibbs, ("pre_feedback", "post_feedback"))
-        worst = max(worst, abs(entropy.feedback_balance_residual(pre, post, gibbs)))
+    points = [statespace.GibbsSpec.from_dbeta(IDEAL.beta_cavity, dbeta) for dbeta in GRID_COARSE]
+    beta_qubit = np.array([gibbs.beta_qubit for gibbs in points])
+    pre, post = protocol.oracle_rows(
+        chain, beta_qubit, IDEAL.beta_cavity, ("pre_feedback", "post_feedback")
+    )
+    for r, gibbs in enumerate(points):
+        states = (statespace.JointDistribution(chain.dims, joint[r]) for joint in (pre, post))
+        worst = max(worst, abs(entropy.feedback_balance_residual(*states, gibbs)))
     ok = worst < 1e-9
     return ok, f"worst ideal-readout residual {worst:.2e}"
 

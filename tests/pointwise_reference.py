@@ -7,8 +7,11 @@ evaluator reproduces them bit for bit.  :func:`run` is the old per-point loop
 of ``runner._run``, :func:`columns` the list-to-columns conversion its
 results went through on their way to ``sweep_csv_text``, and
 :func:`random_circuits` the circuit-by-circuit draw of ``validate``'s
-sigma2 = sigma6 check.  :func:`parse_table` and :func:`to_grid`
-are the value-by-value table reader and grid fill, and
+sigma2 = sigma6 check, and :func:`random_circuit_block` its later draw of
+one fresh array per block.  :func:`evolve` is the start-by-start run of the
+gate chain behind a kernel's conditionals (:func:`conditionals`), and
+:func:`oracle_states` the one-point whole-state oracle.  :func:`parse_table`
+and :func:`to_grid` are the value-by-value table reader and grid fill, and
 :func:`relative_entropy_rows` the row divergence that took logarithms on every
 row.  Nothing in the package imports this module.
 """
@@ -22,10 +25,17 @@ from pathlib import Path
 
 import numpy as np
 
+from demon_ep.channels import apply, compose, prepare_cavity, prepare_register
 from demon_ep.dataio import _CLAMP_TOL, ConditionalTable
 from demon_ep.entropy import COLUMNS, EpColumns, EpResult
-from demon_ep.protocol import SigmaHistogram, TrajectoryTable
-from demon_ep.statespace import DEFAULT_DIMS, GibbsSpec, _dot_rows, _over_supports
+from demon_ep.protocol import STAGES, SigmaHistogram, TrajectoryTable
+from demon_ep.statespace import (
+    DEFAULT_DIMS,
+    GibbsSpec,
+    JointDistribution,
+    _dot_rows,
+    _over_supports,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -433,3 +443,88 @@ def random_circuits(rng: np.random.Generator, count: int):
         beta_cavity[r] = rng.uniform(0.2, 3.0)
         dbeta[r] = rng.uniform(-6.0, 6.0)
     return cond, beta_cavity, dbeta
+
+
+def random_circuit_block(rng: np.random.Generator, count: int):
+    """:func:`random_circuits` as one fresh draw per block, normalised in place."""
+    dims = DEFAULT_DIMS
+    full, init = dims.dim_cavity_full, dims.dim_cavity_init
+    size = 2 * 2 * full
+    draws = rng.random((count, 3 * size * size + 2))
+    gates = draws[:, :-2].reshape(count, 3, size, size)
+    gates /= gates.sum(axis=2, keepdims=True)
+    chain = gates[:, 2] @ gates[:, 1] @ gates[:, 0]
+    cond = np.ascontiguousarray(chain.reshape(count, 2, 2, full, 2, 2, full)[..., 1, :init])
+    beta_cavity = 0.2 + (3.0 - 0.2) * draws[:, -2]
+    dbeta = -6.0 + (6.0 - -6.0) * draws[:, -1]
+    return cond, beta_cavity, dbeta
+
+
+# ---------------------------------------------------------------------------
+# gate chain
+
+
+def evolve(chain, backward: bool):
+    """``protocol._evolve``, one start and one cavity state at a time."""
+    model, dims, encoding = chain.model, chain.dims, chain.encoding
+    full = dims.dim_cavity_full
+    starts, n_cavity = (encoding, full) if backward else (((0, 1), (1, 1)), dims.dim_cavity_init)
+    pulse, swap, relax, detect = chain.gates
+    core = compose(pulse, swap) if backward else compose(swap, pulse)
+    run = compose(compose(detect, relax), core)
+    cavities = [prepare_cavity(n, model, dims) for n in range(n_cavity)]
+    levels = np.zeros((len(starts), n_cavity, len(encoding) * full))
+    for i, pair in enumerate(starts):
+        register = prepare_register(pair, model.eps_prep, encoding)
+        for n, cavity in enumerate(cavities):
+            levels[i, n] = apply(run, np.outer(register, cavity))
+    levels = levels.reshape(len(starts), n_cavity, len(encoding), full)
+    final = np.zeros((len(starts), n_cavity, 2, 2, full))
+    reset = np.zeros((len(starts), n_cavity))
+    for level, (m_q, m_d) in enumerate(encoding):  # one level per pair
+        final[:, :, m_q, m_d] = levels[:, :, level]
+        if m_d == 1:
+            reset += levels[:, :, level].sum(axis=-1)
+    return starts, final, reset
+
+
+def conditionals(chain, back_chain):
+    """A simulated kernel's ``forward_cond``, ``backward_cond`` and ``backward_reset``,
+    run forward over ``chain`` and backward over ``back_chain`` by :func:`evolve`."""
+    _, final, _ = evolve(chain, False)
+    cond = np.ascontiguousarray(np.transpose(final, (2, 3, 4, 0, 1)))
+    full = back_chain.dims.dim_cavity_full
+    starts, final, runs_reset = evolve(back_chain, True)
+    bcond = np.zeros((2, full, 2, 2, full))
+    reset = np.zeros((2, 2, full))
+    for i, (m_q, k) in enumerate(starts):
+        bcond[:, :, m_q, k, :] = np.transpose(final[i].sum(axis=2), (1, 2, 0))
+        reset[m_q, k] = runs_reset[i]
+    return cond, bcond, reset
+
+
+def oracle_states(chain, gibbs: GibbsSpec, stages: tuple[str, ...]):
+    """The whole-state oracle at one bias point, each gate applied to one vector."""
+    model, dims, encoding = chain.model, chain.dims, chain.encoding
+    full = dims.dim_cavity_full
+    p_qubit = gibbs_distribution(gibbs.beta_qubit, 2)
+    p_cavity = gibbs_distribution(gibbs.beta_cavity, dims.dim_cavity_init)
+    register = sum(
+        p_qubit[n_q] * prepare_register((n_q, 1), model.eps_prep, encoding)
+        for n_q in range(2)
+    )
+    cavity = sum(
+        p_cavity[n_c] * prepare_cavity(n_c, model, dims)
+        for n_c in range(dims.dim_cavity_init)
+    )
+    states = [np.outer(register, cavity).ravel()]  # states[g]: after g gates
+    for gate in chain.gates[:max(STAGES[stage] for stage in stages)]:
+        states.append(apply(gate, states[-1]))
+    taps = []
+    for stage in stages:
+        joint = np.zeros((2, 2, full))
+        levels = states[STAGES[stage]].reshape(len(encoding), full)
+        for level, (n_q, n_d) in zip(levels, encoding):
+            joint[n_q, n_d] += level
+        taps.append(JointDistribution(dims, joint))
+    return tuple(taps)

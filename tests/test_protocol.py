@@ -277,6 +277,46 @@ def test_oracle_of_no_stages_is_empty():
     assert oracle_states(simulated_kernel(None).chain, _gibbs(0.0), ()) == ()
 
 
+def test_oracle_rows_reject_an_unknown_stage_by_name():
+    with pytest.raises(ValueError, match="'halfway'"):
+        protocol.oracle_rows(
+            simulated_kernel(None).chain, np.array([1.0, 2.0]), BETA_C, ("final", "halfway")
+        )
+
+
+def test_oracle_rows_of_no_stages_is_empty():
+    assert protocol.oracle_rows(simulated_kernel(None).chain, np.array([1.0]), BETA_C, ()) == ()
+
+
+@pytest.mark.parametrize("mode,model", [("ideal", None), ("physical", ErrorModel())])
+def test_one_oracle_row_is_oracle_states(mode, model):
+    gibbs = _gibbs(0.75)
+    chain = simulated_kernel(model, mode=mode).chain
+    stages = tuple(protocol.STAGES)
+    taps = protocol.oracle_rows(chain, np.array([gibbs.beta_qubit]), gibbs.beta_cavity, stages)
+    assert len(taps) == len(stages)
+    for tap, state in zip(taps, oracle_states(chain, gibbs, stages)):
+        assert tap.shape == (1, 2, 2, FULL)
+        assert tap[0].tobytes() == state.probs.tobytes()
+
+
+def test_a_kernel_composes_the_shared_tail_once(monkeypatch):
+    # detection after relaxation closes both directions: the chain composes it
+    # once, and each direction composes its core and then the run
+    calls = []
+    original = protocol.compose
+
+    def counted(outer, inner):
+        calls.append(1)
+        return original(outer, inner)
+
+    monkeypatch.setattr(protocol, "compose", counted)
+    kernel = simulated_kernel(ErrorModel(), mode="physical")
+    assert len(calls) == 5
+    relax, detect = kernel.chain.gates[2:]
+    assert kernel.chain.tail.matrix.tobytes() == (detect.matrix @ relax.matrix).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # the one-point wrappers are the kernel path
 #

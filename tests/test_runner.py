@@ -264,6 +264,73 @@ def test_circuit_draw_matches_the_per_circuit_loop():
     assert circuits == validate.CIRCUITS == 1000
 
 
+def test_circuit_blocks_are_fresh_draws_of_each_block():
+    # every block is drawn into one buffer; each yields the bytes of a fresh
+    # draw of its own, normalised in place, and keeps them after later blocks
+    blocks = list(validate._circuit_blocks())
+    assert len(blocks) == math.ceil(validate.CIRCUITS / runner.BLOCK_POINTS) == 16
+    rng = np.random.default_rng(validate.CIRCUIT_SEED)
+    for drawn in blocks:
+        expected = reference.random_circuit_block(rng, len(drawn[0]))
+        for new, old in zip(drawn, expected):
+            assert new.shape == old.shape
+            assert new.tobytes() == old.tobytes()
+    assert len(blocks[-1][0]) == validate.CIRCUITS % runner.BLOCK_POINTS == 40
+
+
+def _random_physical() -> RunConfig:
+    """A physical model with every error magnitude drawn from a seeded generator."""
+    rng = np.random.default_rng(2025)
+    return RunConfig(
+        mode="physical",
+        eps_prep=rng.uniform(0.0, 0.3),
+        eps_read=rng.uniform(0.0, 0.3),
+        eps_feed=rng.uniform(0.0, 0.3),
+        relax_atom_prob=rng.uniform(0.0, 0.1),
+        relax_cavity_prob=rng.uniform(0.0, 0.02),
+        eta_e_g=rng.uniform(0.0, 0.1),
+        eta_g_e=rng.uniform(0.0, 0.1),
+        eta_g_f=rng.uniform(0.0, 0.1),
+        eta_f_g=rng.uniform(0.0, 0.1),
+    )
+
+
+#: validate's configurations, the idealized backward run and a random model
+CHAIN_CONFIGS = {
+    "ideal": validate.IDEAL,
+    **{config.single_error or "physical": config for config in validate.PHYSICALS},
+    "idealized_backward": RunConfig(mode="physical", idealized_backward=True),
+    "random": _random_physical(),
+}
+
+
+@pytest.mark.parametrize("case", list(CHAIN_CONFIGS))
+def test_the_stacked_kernel_build_is_the_start_by_start_run(case):
+    config = CHAIN_CONFIGS[case]
+    kernel = runner.build_kernel(config)
+    back = kernel.chain
+    if config.idealized_backward:
+        back = protocol._gate_chain(ErrorModel.ideal(), DEFAULT_DIMS, config.mode)
+    cond, bcond, reset = reference.conditionals(kernel.chain, back)
+    assert kernel.forward_cond.tobytes() == cond.tobytes()
+    assert kernel.backward_cond.tobytes() == bcond.tobytes()
+    assert kernel.backward_reset.tobytes() == reset.tobytes()
+
+
+@pytest.mark.parametrize("case", list(CHAIN_CONFIGS))
+def test_each_oracle_row_is_the_one_point_oracle(case):
+    config = CHAIN_CONFIGS[case]
+    chain = runner.build_kernel(config).chain
+    points = [GibbsSpec.from_dbeta(config.beta_cavity, dbeta) for dbeta in config.grid()]
+    assert len(points) == 49
+    stages = tuple(protocol.STAGES)
+    beta_qubit = np.array([gibbs.beta_qubit for gibbs in points])
+    taps = protocol.oracle_rows(chain, beta_qubit, config.beta_cavity, stages)
+    for r, gibbs in enumerate(points):
+        for tap, state in zip(taps, reference.oracle_states(chain, gibbs, stages), strict=True):
+            assert tap[r].tobytes() == state.probs.tobytes()
+
+
 def _counting(monkeypatch, module, name) -> list:
     calls = []
     original = getattr(module, name)
