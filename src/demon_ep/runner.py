@@ -55,10 +55,12 @@ def build_kernel(config: RunConfig, dims: SystemDims = DEFAULT_DIMS) -> Protocol
 
 
 #: bias points weighted, checked, binned and evaluated together.  A physical
-#: block of 64 takes 1.35 ms (weigh 0.18, check 0.075, histogram 0.21,
-#: estimators 0.59, CSV 0.29; best of 400 in process); a 1,200-point block runs
-#: little faster and raised the peak resident size by 24 MB, blocks of 64 0.8 MB.
-BLOCK_POINTS = 64
+#: block costs about 0.43 ms however few its rows (one row: weigh 0.04, check
+#: 0.02, histogram 0.06, estimators 0.26), so a 1,200-point sweep job takes
+#: 19% less time end to end in 10 blocks of 128 than in 19 of 64.  Blocks of
+#: 192 take 4% less again but raise the job's peak resident size by 1.3 MB;
+#: blocks of 128 keep it level (BENCH_26.json).
+BLOCK_POINTS = 128
 
 
 def _run(kernel: ProtocolKernel, config: RunConfig) -> EpColumns:

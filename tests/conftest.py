@@ -26,6 +26,28 @@ def gibbs_at():
     return _make
 
 
+def pytest_report_header(config):
+    """The platform the frozen bytes met: numpy, its SIMD features and OpenBLAS core."""
+
+    import ctypes
+    from pathlib import Path
+
+    import numpy as np
+
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_features__
+    core = "unknown"  # an OpenBLAS without the symbol, or none in numpy.libs
+    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
+        corename = getattr(ctypes.CDLL(str(path)), "scipy_openblas_get_corename64_", None)
+        if corename is not None:
+            corename.argtypes, corename.restype = [], ctypes.c_char_p
+            core = corename().decode()
+    found = " ".join(name for name, present in __cpu_features__.items() if present)
+    return [f"numpy {np.__version__}, OpenBLAS core {core}", f"numpy SIMD features: {found}"]
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     """Echo the acceptance-criteria verdict lines after the normal summary."""
 

@@ -68,6 +68,8 @@ CASES = {
     "ideal_sigma_tol_1e-6": RunConfig(sigma_tol=1e-6),
     # 161 points: two full blocks and a short one
     "not_a_block_multiple": RunConfig(mode="physical", dbeta_step=0.075),
+    # BLOCK_POINTS + 1 points: one past a block boundary
+    "one_past_a_block": RunConfig(mode="physical", dbeta_step=12 / runner.BLOCK_POINTS),
     # the qubit prior underflows: support and flags change inside one block
     "underflow": RunConfig(dbeta_start=-1000, dbeta_stop=-700, dbeta_step=2.5),
     "underflow_physical": RunConfig(
@@ -89,9 +91,15 @@ CASES = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(CASES))
-def test_sweep_matches_the_point_by_point_reference(case):
+@pytest.mark.parametrize("case, block", [
+    # a case at the configured block size keeps its name, other sizes say theirs
+    pytest.param(case, block, id=case if block == runner.BLOCK_POINTS else f"{case}@{block}")
+    for case in sorted(CASES) for block in sorted({1, 64, runner.BLOCK_POINTS})
+])
+def test_sweep_matches_the_point_by_point_reference(monkeypatch, case, block):
+    # a row runs the same code in a block of any size
     config = CASES[case]
+    monkeypatch.setattr(runner, "BLOCK_POINTS", block)
     assert sweep_csv_text(run_sweep(config)) == _reference_csv(config)
 
 
@@ -204,14 +212,17 @@ def test_forward_only_analysis_rows_are_the_single_point_results(case):
 
 
 def test_forward_only_marks_every_block_and_slice():
-    config = RunConfig(mode="physical", dbeta_step=0.1)  # 121 points: two blocks
+    edge = runner.BLOCK_POINTS
+    # 2 * edge - 7 points: two blocks, and a slice across their edge
+    config = RunConfig(mode="physical", dbeta_step=12 / (2 * edge - 8))
     forward, _ = _tables(config)
     results = run_analysis(config, forward)
     assert len(results) > runner.BLOCK_POINTS
-    assert results.forward_only and results[60:70].forward_only
-    assert sweep_csv_text(results[60:70]).split("\n", 1)[0] == ",".join(FORWARD_COLUMNS)
+    assert results.forward_only and results[edge - 4:edge + 6].forward_only
+    header = sweep_csv_text(results[edge - 4:edge + 6]).split("\n", 1)[0]
+    assert header == ",".join(FORWARD_COLUMNS)
     swept = run_sweep(config)
-    assert not swept.forward_only and not swept[60:70].forward_only
+    assert not swept.forward_only and not swept[edge - 4:edge + 6].forward_only
 
 
 def _assert_histograms_match(kernel, config: RunConfig) -> None:
@@ -379,7 +390,8 @@ def _outcome(run):
 
 @pytest.mark.parametrize(
     "grid",
-    [(0.0, 1000.0, 1000.0), (0.0, 1000.0, 10.0)],
+    # at a step of 640 / BLOCK_POINTS, 813 lies 1.27 blocks in: the second block
+    [(0.0, 1000.0, 1000.0), (0.0, 1000.0, 640.0 / runner.BLOCK_POINTS)],
     ids=["second-point", "second-block"],
 )
 def test_the_first_failing_point_raises_the_loops_message(monkeypatch, grid):

@@ -31,6 +31,7 @@ from demon_ep import (
     run_analysis,
     run_sweep,
     serialize_table,
+    statespace,
     sweep_csv_text,
     two_atom_probability,
     validate,
@@ -234,7 +235,7 @@ def test_circuit_check_weighs_checked_blocks_not_single_circuits(monkeypatch):
         monkeypatch.setattr(module, name, counted)
     ok, _ = dict(validate.CHECKS)["sigma2 = sigma6 identity"]()
     assert ok
-    blocks = math.ceil(validate.CIRCUITS / runner.BLOCK_POINTS)
+    blocks = math.ceil(validate.CIRCUITS / validate.CIRCUIT_BLOCK)
     assert blocks == 16
     assert calls == {"demon_ep.protocol.check_rows": blocks}
 
@@ -268,14 +269,14 @@ def test_circuit_blocks_are_fresh_draws_of_each_block():
     # every block is drawn into one buffer; each yields the bytes of a fresh
     # draw of its own, normalised in place, and keeps them after later blocks
     blocks = list(validate._circuit_blocks())
-    assert len(blocks) == math.ceil(validate.CIRCUITS / runner.BLOCK_POINTS) == 16
+    assert len(blocks) == math.ceil(validate.CIRCUITS / validate.CIRCUIT_BLOCK) == 16
     rng = np.random.default_rng(validate.CIRCUIT_SEED)
     for drawn in blocks:
         expected = reference.random_circuit_block(rng, len(drawn[0]))
         for new, old in zip(drawn, expected):
             assert new.shape == old.shape
             assert new.tobytes() == old.tobytes()
-    assert len(blocks[-1][0]) == validate.CIRCUITS % runner.BLOCK_POINTS == 40
+    assert len(blocks[-1][0]) == validate.CIRCUITS % validate.CIRCUIT_BLOCK == 40
 
 
 def _random_physical() -> RunConfig:
@@ -436,6 +437,75 @@ def test_validate_reports_failed_and_crashed_checks(monkeypatch, capsys):
     ]
     assert cli.main(["validate"]) == 2
     assert capsys.readouterr().out.count("FAIL") == 2
+
+
+def _nan_after_check(monkeypatch, attribute, skipped):
+    """Give every coarse block after the first ``skipped`` a NaN row in
+    ``attribute``, past its table check."""
+    original, blocks = validate._coarse_rows, []
+
+    def poisoned(*args):
+        rows = original(*args)
+        blocks.append(rows)
+        if len(blocks) > skipped:
+            getattr(rows, attribute)[-1] = math.nan
+        return rows
+
+    monkeypatch.setattr(validate, "_coarse_rows", poisoned)
+
+
+def _nan_oracle(monkeypatch):
+    original = protocol.oracle_rows
+    monkeypatch.setattr(protocol, "oracle_rows", lambda *args: tuple(
+        np.full_like(state, math.nan) for state in original(*args)))
+
+
+# each NaN reaches a deviation folded after a finite one, which Python's max kept
+NAN_DEVIATIONS = {
+    "thermal distributions": lambda mp: mp.setattr(
+        statespace, "mean_occupation", lambda p: math.nan),
+    "information measures": lambda mp: mp.setattr(
+        statespace, "mutual_information", lambda *args: math.nan),
+    "forward tables": lambda mp: _nan_after_check(mp, "forward", 1),  # physical, after ideal
+    "backward conservation": lambda mp: _nan_after_check(mp, "unlabeled", 1),
+    "oracle consistency": _nan_oracle,
+    "feedback balance": lambda mp: mp.setattr(
+        entropy, "feedback_balance_residual", lambda *args: math.nan),
+    "serialization round trip": lambda mp: _nan_after_check(mp, "forward", 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NAN_DEVIATIONS))
+def test_a_nan_deviation_fails_its_check(monkeypatch, name):
+    NAN_DEVIATIONS[name](monkeypatch)
+    ok, detail = dict(validate.CHECKS)[name]()
+    assert not ok
+    assert "nan" in detail
+
+
+def _second_law_with(monkeypatch, value):
+    original = runner._run
+
+    def run(*args):
+        results = original(*args)
+        results.estimators[0, -1] = value
+        return results
+
+    monkeypatch.setattr(runner, "_run", run)
+    return dict(validate.CHECKS)["second law"]()
+
+
+@pytest.mark.parametrize("value", [math.nan, -math.inf])
+def test_second_law_fails_on_a_nan_or_minus_infinity(monkeypatch, value):
+    ok, detail = _second_law_with(monkeypatch, value)
+    assert not ok
+    assert detail == f"lowest finite estimator {value:.3e}"
+
+
+def test_second_law_excludes_plus_infinity(monkeypatch):
+    # a support mismatch makes an estimator +inf; the point is flagged, not a violation
+    ok, _ = _second_law_with(monkeypatch, math.inf)
+    assert ok
 
 
 @pytest.mark.parametrize(
