@@ -1,11 +1,13 @@
 """Self-contained invariant suite behind ``demon-ep validate``.
 
-Each check returns (ok, detail); :func:`run_all` gives one PASS/FAIL line per
-check, which the CLI writes to ``out`` or stdout.
 The suite re-derives every structural guarantee the package relies on —
 normalization, conservation, channel stochasticity, the oracle cross-check,
 estimator equivalence, fluctuation identities, serialization round-trips —
-so a single command can certify an installation end to end.
+so a single command can certify an installation end to end.  Each check
+returns (ok, detail), and :func:`run_all` gives one PASS/FAIL line per check,
+which the CLI writes to ``out`` or stdout.  A numeric check declares its
+deviations, bound and detail, and one rule (:func:`_bounded`) decides: a NaN
+fails, as does -inf for a lowest value.  A check that raises fails.
 
 :data:`CHECKS` is the one place each invariant is derived: the acceptance
 tests look checks up there by label instead of restating them.  Checks that
@@ -56,8 +58,6 @@ CIRCUIT_SEED = 20240817
 #: row holds its 1,202 draws and its own kernel, about 8x a sweep row, and
 #: blocks of 128 raised the check's peak resident size by 1.75 MB.
 CIRCUIT_BLOCK = 64
-#: the register levels of a random circuit's gates: (qubit, memory, photon number)
-_GATE_SIZE = 2 * 2 * statespace.DEFAULT_DIMS.dim_cavity_full
 
 
 @functools.cache
@@ -66,10 +66,23 @@ def _kernel(config: dataio.RunConfig) -> protocol.ProtocolKernel:
     return runner.build_kernel(config)
 
 
-def _worst(*deviations: float) -> float:
-    """The largest of ``deviations``, NaN if any is NaN: Python's ``max`` keeps
-    its first argument against a NaN, so a NaN deviation would pass a check."""
-    return math.nan if any(map(math.isnan, deviations)) else max(deviations)
+def _bounded(bound: float, detail: str, lowest: bool = False):
+    """The check of a generator whose every yield is a deviation (number or
+    array), or a tuple of them, one per field of ``detail``.  Each field's worst,
+    the largest (the lowest if ``lowest``) with a NaN propagating, must be below
+    ``bound`` (at or above it if ``lowest``); ``detail`` formats the worsts."""
+    reduce, start = (np.min, math.inf) if lowest else (np.max, -math.inf)
+
+    def declare(deviations):
+        @functools.wraps(deviations)
+        def check() -> tuple[bool, str]:
+            fields = zip(*(v if isinstance(v, tuple) else (v,) for v in deviations()))
+            worst = np.array([reduce(np.concatenate([np.ravel(v) for v in field]), initial=start)
+                              for field in fields])
+            ok = np.all(worst >= bound if lowest else worst < bound)
+            return bool(ok), detail.format(*map(float, worst))
+        return check
+    return declare
 
 
 def _coarse_rows(kernel: protocol.ProtocolKernel, grid=GRID_COARSE) -> protocol.TableRows:
@@ -79,27 +92,23 @@ def _coarse_rows(kernel: protocol.ProtocolKernel, grid=GRID_COARSE) -> protocol.
     return rows
 
 
-def check_thermal_distributions() -> tuple[bool, str]:
-    worst = 0.0
+@_bounded(1e-9, "worst deviation {:.2e}")
+def check_thermal_distributions():
     for beta in (0.1, 0.5, 0.874146, 2.0, 5.0):
         for levels in (2, 4, 5, 8):
             p = statespace.gibbs_distribution(beta, levels)
             z = np.exp(-beta * np.arange(levels)).sum()
             mean_e = float(np.dot(np.arange(levels), p))
-            identity = statespace.shannon_entropy(p) - (beta * mean_e + math.log(z))
-            worst = _worst(worst, abs(identity), abs(p.sum() - 1.0))
-    cold = statespace.gibbs_distribution(60.0, 4)
-    hot = statespace.gibbs_distribution(1e-12, 4)
-    worst = _worst(worst, abs(cold[0] - 1.0), float(np.abs(hot - 0.25).max()))
+            yield abs(statespace.shannon_entropy(p) - (beta * mean_e + math.log(z)))
+            yield abs(p.sum() - 1.0)
+    yield abs(statespace.gibbs_distribution(60.0, 4)[0] - 1.0)
+    yield np.abs(statespace.gibbs_distribution(1e-12, 4) - 0.25)
     bose = statespace.gibbs_distribution(0.9, 400)
-    worst = _worst(
-        worst, abs(statespace.mean_occupation(bose) - 1.0 / (math.exp(0.9) - 1.0))
-    )
-    ok = worst < 1e-9
-    return ok, f"worst deviation {worst:.2e}"
+    yield abs(statespace.mean_occupation(bose) - 1.0 / (math.exp(0.9) - 1.0))
 
 
-def check_information_measures() -> tuple[bool, str]:
+@_bounded(1e-12, "worst deviation {:.2e}")
+def check_information_measures():
     rng = np.random.default_rng(7)
     pairs = rng.random((200, 2, 6))  # p, then q, of each pair
     pairs /= pairs.sum(axis=2, keepdims=True)
@@ -107,30 +116,27 @@ def check_information_measures() -> tuple[bool, str]:
     kl = statespace.relative_entropy_rows(p, q)
     negative = np.flatnonzero(kl < -1e-12)
     if negative.size:
-        return False, f"negative divergence {float(kl[negative[0]])}"
-    worst = float(np.abs(statespace.relative_entropy_rows(p, p)).max())
+        raise ValueError(f"negative divergence {float(kl[negative[0]])}")
+    yield np.abs(statespace.relative_entropy_rows(p, p))
     gap = rng.random(6)
     gap /= gap.sum()
     masked = gap.copy()
     masked[0] = 0.0
     masked /= masked.sum()
     if not math.isinf(statespace.relative_entropy(gap, masked)):
-        return False, "support mismatch did not diverge"
+        raise ValueError("support mismatch did not diverge")
     for _ in range(50):
         joint = rng.random((2, 2, 5))
         joint /= joint.sum()
         jd = statespace.JointDistribution(statespace.DEFAULT_DIMS, joint)
         info_a = statespace.mutual_information(jd, ("qubit", "cavity"))
         info_b = statespace.mutual_information(jd, "demon")
-        worst = _worst(worst, abs(info_a - info_b))
+        yield abs(info_a - info_b)
         if info_a < -1e-12:
-            return False, "negative mutual information"
+            raise ValueError("negative mutual information")
         for k in range(2):
             cond_dist, prob = statespace.condition(jd, {"demon": k})
-            rebuilt = cond_dist * prob
-            worst = _worst(worst, float(np.abs(rebuilt - joint[:, k, :]).max()))
-    ok = worst < 1e-12
-    return ok, f"worst deviation {worst:.2e}"
+            yield np.abs(cond_dist * prob - joint[:, k, :])
 
 
 def check_channel_stochasticity() -> tuple[bool, str]:
@@ -184,83 +190,82 @@ def check_error_model() -> tuple[bool, str]:
     return True, "defaults and single-error isolation verified"
 
 
-def check_forward_tables() -> tuple[bool, str]:
+def _ideal_support(dims: statespace.SystemDims) -> np.ndarray:
+    """An ideal forward row's support: k = n_Q, m_Q = 0, n_C -> n_C + n_Q."""
+    init, full = dims.dim_cavity_init, dims.dim_cavity_full
+    support = np.zeros((2, 2, init, 2, full), dtype=bool)
+    support[0, 0, :, 0] = np.eye(init, full, dtype=bool)
+    support[1, 1, :, 0] = np.eye(init, full, k=1, dtype=bool)
+    return support
+
+
+@_bounded(1e-12, "worst deviation {:.2e}")
+def check_forward_tables():
     ideal = _coarse_rows(_kernel(IDEAL)).forward
     # readout is deterministic: no joint (n_Q, k) weight off k = n_Q
-    worst = float(ideal[:, [0, 1], [1, 0]].sum(axis=(2, 3, 4)).max())
-    expected = np.zeros(ideal.shape[1:], dtype=bool)  # n_C -> n_C, or n_C + 1 after a click
-    expected[0, 0, :, 0, :4] = expected[1, 1, :, 0, 1:] = np.eye(4, dtype=bool)
-    wrong = ((ideal > 0) != expected).any(axis=protocol._TABLE_AXES)
+    yield ideal[:, [0, 1], [1, 0]].sum(axis=(2, 3, 4))
+    wrong = ((ideal > 0) != _ideal_support(_kernel(IDEAL).dims)).any(axis=protocol._TABLE_AXES)
     if wrong.any():
-        return False, f"ideal support unexpected at dbeta={GRID_COARSE[np.argmax(wrong)]:g}"
+        raise ValueError(f"ideal support unexpected at dbeta={GRID_COARSE[np.argmax(wrong)]:g}")
     phys = _coarse_rows(_kernel(PHYSICAL)).forward
-    worst = _worst(worst, float(np.abs(phys.sum(axis=protocol._TABLE_AXES) - 1.0).max()),
-                   float(phys[:, :, 0, :, 1].sum(axis=(1, 2, 3)).max()))  # (m_Q,k)=(1,0)
-    ok = worst < 1e-12
-    return ok, f"worst deviation {worst:.2e}"
+    yield np.abs(phys.sum(axis=protocol._TABLE_AXES) - 1.0)
+    yield phys[:, :, 0, :, 1].sum(axis=(1, 2, 3))  # (m_Q, k) = (1, 0)
 
 
-def check_backward_conservation() -> tuple[bool, str]:
-    worst = 0.0
+@_bounded(1e-12, "worst conservation error {:.2e}")
+def check_backward_conservation():
     for config in (IDEAL, PHYSICAL):
         rows = _coarse_rows(_kernel(config))
         labeled = rows.backward.sum(axis=protocol._TABLE_AXES)
-        worst = _worst(worst, float(np.abs(labeled + rows.unlabeled - rows.prior_mass).max()))
-    ok = worst < 1e-12
-    return ok, f"worst conservation error {worst:.2e}"
+        yield np.abs(labeled + rows.unlabeled - rows.prior_mass)
 
 
-def check_oracle_consistency() -> tuple[bool, str]:
-    worst = 0.0
+@_bounded(1e-12, "worst marginal mismatch {:.2e}")
+def check_oracle_consistency():
     for config in (IDEAL, *PHYSICALS):
         kernel = _kernel(config)
         rows = _coarse_rows(kernel)
         marginal = protocol.final_state_rows(rows.forward)
         (oracle,) = protocol.oracle_rows(kernel.chain, rows.beta_qubit, rows.beta_cavity,
                                          ("final",))
-        worst = _worst(worst, float(np.abs(marginal - oracle).max()))
-    ok = worst < 1e-12
-    return ok, f"worst marginal mismatch {worst:.2e}"
+        yield np.abs(marginal - oracle)
 
 
-def check_fluctuation_relation() -> tuple[bool, str]:
+@_bounded(1e-9, "worst bin residual {:.2e}, worst average residual {:.2e}")
+def check_fluctuation_relation():
     grid = IDEAL.grid()  # 49 points: one block
     _, hists, _ = runner._run_block(_kernel(IDEAL), IDEAL, grid)
     bins = np.arange(hists.sigma.shape[1]) < hists.size[:, None]  # each row's own bins
     empty = bins & (hists.p_backward <= 0.0)
     if empty.any():
-        return False, f"empty backward bin at dbeta={grid[empty.any(axis=1)][0]:g}"
+        raise ValueError(f"empty backward bin at dbeta={grid[empty.any(axis=1)][0]:g}")
     with np.errstate(all="ignore"):  # the padding bins are 0 / 0
         residual = np.abs(np.log(hists.p_forward / hists.p_backward) - hists.sigma)
-    worst_bin = float(residual[bins].max())
-    worst_avg = float(np.abs(entropy.jarzynski_rows(hists, "reversed") - 1.0).max())
-    ok = worst_bin < 1e-9 and worst_avg < 1e-9
-    return ok, f"worst bin residual {worst_bin:.2e}, worst average residual {worst_avg:.2e}"
+    yield residual[bins], np.abs(entropy.jarzynski_rows(hists, "reversed") - 1.0)
 
 
-def check_estimator_equivalence() -> tuple[bool, str]:
+@_bounded(1e-9, "worst six-way spread {:.2e}")
+def check_estimator_equivalence():
     values = runner._run(_kernel(IDEAL), IDEAL).estimators
-    worst = float((values.max(axis=0) - values.min(axis=0)).max())
-    ok = worst < 1e-9
-    return ok, f"worst six-way spread {worst:.2e}"
+    yield values.max(axis=0) - values.min(axis=0)
 
 
-def _random_circuits(draws: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _random_circuits(dims: statespace.SystemDims, draws: np.ndarray) -> tuple[np.ndarray, ...]:
     """Forward conditionals, beta_C and dbeta of the random circuits of ``draws``.
 
     A circuit is a random gate chain (readout, feedback and detection
-    stand-ins) at a random cavity temperature and bias; its conditionals are
-    the chain's columns from the starts (n_Q, n_D=1, n_C).  Row ``i`` of
-    ``draws`` holds circuit ``i``'s values in the generator order of a
-    circuit-by-circuit loop: its three gate matrices, then
-    ``uniform(0.2, 3.0)`` and ``uniform(-6, 6)``, each ``low + (high - low) * u``
-    of one double ``u``.  The gate values are normalised in place; nothing
-    returned is a view of ``draws``.
+    stand-ins) on the (qubit, memory, photon number) register of ``dims``, at
+    a random cavity temperature and bias; its conditionals are the chain's
+    columns from the starts (n_Q, n_D=1, n_C).  Row ``i`` of ``draws`` holds
+    circuit ``i``'s values in the generator order of a circuit-by-circuit
+    loop: its three gate matrices, then ``uniform(0.2, 3.0)`` and
+    ``uniform(-6, 6)``, each ``low + (high - low) * u`` of one double ``u``.
+    The gate values are normalised in place; nothing returned is a view of
+    ``draws``.
     """
     count = len(draws)
-    dims = statespace.DEFAULT_DIMS
     full, init = dims.dim_cavity_full, dims.dim_cavity_init
-    gates = draws[:, :-2].reshape(count, 3, _GATE_SIZE, _GATE_SIZE)
+    gates = draws[:, :-2].reshape(count, 3, 2 * 2 * full, 2 * 2 * full)
     gates /= gates.sum(axis=2, keepdims=True)
     chain = gates[:, 2] @ gates[:, 1] @ gates[:, 0]
     cond = np.ascontiguousarray(chain.reshape(count, 2, 2, full, 2, 2, full)[..., 1, :init])
@@ -269,45 +274,41 @@ def _random_circuits(draws: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
     return cond, beta_cavity, dbeta
 
 
-def _circuit_blocks():
-    """The random circuits of the sigma2 = sigma6 check, a block at a time.
+def _circuit_blocks(dims: statespace.SystemDims):
+    """The random circuits of the sigma2 = sigma6 check on ``dims``, a block at a time.
 
     Every block is drawn into one buffer, which lives as long as the check.
     """
     rng = np.random.default_rng(CIRCUIT_SEED)
-    buffer = np.empty((CIRCUIT_BLOCK, 3 * _GATE_SIZE * _GATE_SIZE + 2))
+    levels = 2 * 2 * dims.dim_cavity_full
+    buffer = np.empty((CIRCUIT_BLOCK, 3 * levels * levels + 2))
     for start in range(0, CIRCUITS, CIRCUIT_BLOCK):
         draws = buffer[:min(CIRCUIT_BLOCK, CIRCUITS - start)]
         rng.random(out=draws)
-        yield _random_circuits(draws)
+        yield _random_circuits(dims, draws)
 
 
-def check_sigma2_sigma6_identity() -> tuple[bool, str]:
-    gaps = []
-    estimators = entropy.ESTIMATORS
-    for cond, beta_cavity, dbeta in _circuit_blocks():
-        kernel = protocol.ProtocolKernel(statespace.DEFAULT_DIMS, cond, None)
-        rows = protocol.weigh_rows(kernel, beta_cavity, dbeta)
+@_bounded(1e-12, f"worst |sigma2 - sigma6| {{:.2e}} over {CIRCUITS} random circuits")
+def check_sigma2_sigma6_identity():
+    dims = statespace.DEFAULT_DIMS
+    sigma2, sigma6 = entropy.ESTIMATORS["sigma2"].rows, entropy.ESTIMATORS["sigma6"].rows
+    for cond, beta_cavity, dbeta in _circuit_blocks(dims):
+        rows = protocol.weigh_rows(protocol.ProtocolKernel(dims, cond, None), beta_cavity, dbeta)
         protocol.check_rows(rows)
         data = entropy.EstimatorInputs(rows)
-        gaps.append(estimators["sigma2"].rows(data) - estimators["sigma6"].rows(data))
-    worst = float(np.abs(np.concatenate(gaps)).max())  # a NaN gap fails the check
-    ok = worst < 1e-12
-    return ok, f"worst |sigma2 - sigma6| {worst:.2e} over {CIRCUITS} random circuits"
+        yield np.abs(sigma2(data) - sigma6(data))
 
 
-def check_second_law() -> tuple[bool, str]:
+@_bounded(-1e-9, "lowest finite estimator {:.3e}", lowest=True)
+def check_second_law():
     # +inf is a support mismatch, flagged and excluded; a NaN or -inf fails the check
-    lowest = math.inf
     for config in PHYSICALS:
         values = runner._run(_kernel(config), HALF_STEP).estimators
-        lowest = float(np.min(values, where=values != math.inf, initial=lowest))
-    ok = lowest >= -1e-9
-    return ok, f"lowest finite estimator {lowest:.3e}"
+        yield values[values != math.inf]
 
 
-def check_feedback_balance() -> tuple[bool, str]:
-    worst = 0.0
+@_bounded(1e-9, "worst ideal-readout residual {:.2e}")
+def check_feedback_balance():
     chain = _kernel(IDEAL).chain
     points = [statespace.GibbsSpec.from_dbeta(IDEAL.beta_cavity, dbeta) for dbeta in GRID_COARSE]
     beta_qubit = np.array([gibbs.beta_qubit for gibbs in points])
@@ -316,29 +317,26 @@ def check_feedback_balance() -> tuple[bool, str]:
     )
     for r, gibbs in enumerate(points):
         states = (statespace.JointDistribution(chain.dims, joint[r]) for joint in (pre, post))
-        worst = _worst(worst, abs(entropy.feedback_balance_residual(*states, gibbs)))
-    ok = worst < 1e-9
-    return ok, f"worst ideal-readout residual {worst:.2e}"
+        yield abs(entropy.feedback_balance_residual(*states, gibbs))
 
 
-def check_serialization_roundtrip() -> tuple[bool, str]:
+# only 0 is below the least positive double: the round trip must be exact
+@_bounded(math.ulp(0.0), "worst round-trip error {:.2e} (exact required)")
+def check_serialization_roundtrip():
     rows = protocol.weigh_rows(_kernel(PHYSICAL), IDEAL.beta_cavity, np.array([0.75]))
     # the one row taken as a table pair: it is checked as it is built
     conds = [dataio.conditional_from_table(table) for table in rows.tables(0)]
-    worst = 0.0
     for cond, orientation in zip(conds, ("forward-rows-initial", "backward-rows-final")):
         text = dataio.serialize_table(cond)
         reparsed = dataio.parse_table(io.StringIO(text), orientation)
         if reparsed.row_labels != cond.row_labels or reparsed.col_labels != cond.col_labels:
-            return False, "labels changed in round trip"
-        worst = _worst(worst, float(np.abs(reparsed.values - cond.values).max()))
+            raise ValueError("labels changed in round trip")
+        yield np.abs(reparsed.values - cond.values)
         if dataio.serialize_table(reparsed) != text:
-            return False, "serialization not idempotent"
+            raise ValueError("serialization not idempotent")
     again = _coarse_rows(runner.measured_kernel(*conds), (0.75,))
     for name in ("forward", "backward", "unlabeled"):
-        worst = _worst(worst, float(np.abs(getattr(again, name) - getattr(rows, name)).max()))
-    ok = worst == 0.0
-    return ok, f"worst round-trip error {worst:.2e} (exact required)"
+        yield np.abs(getattr(again, name) - getattr(rows, name))
 
 
 def check_config_io() -> tuple[bool, str]:

@@ -454,7 +454,7 @@ def test_sigma2_reads_each_branch_state_off_the_final_states(config):
 
 
 def test_sigma2_reads_each_branch_state_off_the_final_states_of_random_circuits():
-    cond, beta_cavity, dbeta = next(validate._circuit_blocks())
+    cond, beta_cavity, dbeta = next(validate._circuit_blocks(DEFAULT_DIMS))
     rows = weigh_rows(ProtocolKernel(DEFAULT_DIMS, cond, None), beta_cavity, dbeta)
     assert len(rows.dbeta) == validate.CIRCUIT_BLOCK
     _assert_branch_states_are_final_state_slices(rows)

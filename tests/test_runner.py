@@ -5,7 +5,9 @@ from __future__ import annotations
 import collections
 import hashlib
 import io
+import itertools
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -18,12 +20,14 @@ import demon_ep.runner as runner
 import pointwise_reference as reference
 from demon_ep import (
     DEFAULT_DIMS,
+    ConditionalTable,
     ErrorModel,
     GibbsSpec,
     RunConfig,
     SystemDims,
     cli,
     conditional_from_table,
+    dataio,
     entropy,
     parse_table,
     point_tables,
@@ -246,7 +250,7 @@ def test_circuit_draw_matches_the_per_circuit_loop():
     # pair of the old per-point path, bit for bit
     rng = np.random.default_rng(validate.CIRCUIT_SEED)
     circuits = 0
-    for drawn in validate._circuit_blocks():
+    for drawn in validate._circuit_blocks(DEFAULT_DIMS):
         count = len(drawn[0])
         expected = reference.random_circuits(rng, count)
         for new, old in zip(drawn, expected):
@@ -268,7 +272,7 @@ def test_circuit_draw_matches_the_per_circuit_loop():
 def test_circuit_blocks_are_fresh_draws_of_each_block():
     # every block is drawn into one buffer; each yields the bytes of a fresh
     # draw of its own, normalised in place, and keeps them after later blocks
-    blocks = list(validate._circuit_blocks())
+    blocks = list(validate._circuit_blocks(DEFAULT_DIMS))
     assert len(blocks) == math.ceil(validate.CIRCUITS / validate.CIRCUIT_BLOCK) == 16
     rng = np.random.default_rng(validate.CIRCUIT_SEED)
     for drawn in blocks:
@@ -460,7 +464,42 @@ def _nan_oracle(monkeypatch):
         np.full_like(state, math.nan) for state in original(*args)))
 
 
-# each NaN reaches a deviation folded after a finite one, which Python's max kept
+def _estimator_set(monkeypatch, value):
+    """Give the last point of every ``runner._run`` a first estimator of ``value``."""
+    original = runner._run
+
+    def run(*args):
+        results = original(*args)
+        results.estimators[0, -1] = value
+        return results
+
+    monkeypatch.setattr(runner, "_run", run)
+
+
+def _nan_histogram(monkeypatch):
+    original = runner._run_block
+
+    def run_block(*args):
+        tables, hists, results = original(*args)
+        hists.sigma[-1, 0] = math.nan
+        return tables, hists, results
+
+    monkeypatch.setattr(runner, "_run_block", run_block)
+
+
+def _nan_gap(monkeypatch):
+    sigma6 = entropy.ESTIMATORS["sigma6"]
+
+    def rows(data):
+        values = sigma6.rows(data)
+        values[-1] = math.nan
+        return values
+
+    monkeypatch.setitem(entropy.ESTIMATORS, "sigma6", replace(sigma6, rows=rows))
+
+
+# every numeric check fails on a NaN deviation; for the seven of them that once
+# folded with Python's max, the NaN follows a finite deviation, which max kept
 NAN_DEVIATIONS = {
     "thermal distributions": lambda mp: mp.setattr(
         statespace, "mean_occupation", lambda p: math.nan),
@@ -469,6 +508,9 @@ NAN_DEVIATIONS = {
     "forward tables": lambda mp: _nan_after_check(mp, "forward", 1),  # physical, after ideal
     "backward conservation": lambda mp: _nan_after_check(mp, "unlabeled", 1),
     "oracle consistency": _nan_oracle,
+    "fluctuation relation": _nan_histogram,
+    "estimator equivalence": lambda mp: _estimator_set(mp, math.nan),
+    "sigma2 = sigma6 identity": _nan_gap,
     "feedback balance": lambda mp: mp.setattr(
         entropy, "feedback_balance_residual", lambda *args: math.nan),
     "serialization round trip": lambda mp: _nan_after_check(mp, "forward", 0),
@@ -483,15 +525,101 @@ def test_a_nan_deviation_fails_its_check(monkeypatch, name):
     assert "nan" in detail
 
 
+def _off_support_after_check(monkeypatch):
+    """Give the ideal block's dbeta = -1 row a weight off the ideal support."""
+    original = validate._coarse_rows
+
+    def poisoned(kernel, *args):
+        rows = original(kernel, *args)
+        if kernel is validate._kernel(validate.IDEAL):
+            rows.forward[2, 0, 0, 0, 0, 1] = 0.5
+        return rows
+
+    monkeypatch.setattr(validate, "_coarse_rows", poisoned)
+
+
+def _labels_reversed(monkeypatch):
+    original = dataio.parse_table
+
+    def parse(*args):
+        table = original(*args)
+        return ConditionalTable(table.row_labels[::-1], table.col_labels, table.values[::-1],
+                                table.orientation)
+
+    monkeypatch.setattr(dataio, "parse_table", parse)
+
+
+def _comment_per_call(monkeypatch):
+    original, calls = dataio.serialize_table, itertools.count()
+    monkeypatch.setattr(dataio, "serialize_table",
+                        lambda table: original(table, comment=f"call {next(calls)}"))
+
+
+def _empty_backward_bin(monkeypatch):
+    original = runner._run_block
+
+    def run_block(kernel, config, grid):
+        tables, hists, results = original(kernel, config, grid)
+        if len(grid) == len(validate.IDEAL.grid()):  # the fluctuation relation's block
+            hists.p_backward[3, 0] = 0.0
+        return tables, hists, results
+
+    monkeypatch.setattr(runner, "_run_block", run_block)
+
+
+#: a structural fault raises in its check; the run prints its message on a FAIL line
+STRUCTURAL_FAULTS = {
+    "forward support": (_off_support_after_check,
+                        "FAIL  forward tables: raised ValueError: ideal support unexpected "
+                        "at dbeta=-1"),
+    "serialized labels": (_labels_reversed, "FAIL  serialization round trip: raised "
+                          "ValueError: labels changed in round trip"),
+    "idempotence": (_comment_per_call, "FAIL  serialization round trip: raised "
+                    "ValueError: serialization not idempotent"),
+    "negative divergence": (
+        lambda mp: mp.setattr(statespace, "relative_entropy_rows", lambda p, q: -np.ones(len(p))),
+        "FAIL  information measures: raised ValueError: negative divergence -1.0"),
+    "empty backward bin": (_empty_backward_bin, "FAIL  fluctuation relation: raised "
+                           "ValueError: empty backward bin at dbeta=-5.25"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(STRUCTURAL_FAULTS))
+def test_a_structural_fault_fails_its_check_with_its_message(monkeypatch, fault):
+    patch, line = STRUCTURAL_FAULTS[fault]
+    patch(monkeypatch)
+    ok, text = validate.run_all()
+    assert not ok
+    assert line in text.splitlines()
+
+
+def test_check_functions_keep_their_names():
+    # the benchmark's tracer names each check's span from its function
+    assert [fn.__name__ for _, fn in validate.CHECKS] == [
+        "check_thermal_distributions", "check_information_measures",
+        "check_channel_stochasticity", "check_channel_reversal", "check_error_model",
+        "check_forward_tables", "check_backward_conservation", "check_oracle_consistency",
+        "check_fluctuation_relation", "check_estimator_equivalence",
+        "check_sigma2_sigma6_identity", "check_second_law", "check_feedback_balance",
+        "check_serialization_roundtrip", "check_config_io", "check_closed_form_anchors",
+    ]
+
+
+@pytest.mark.parametrize("dims", [DEFAULT_DIMS, SystemDims(3, 4), SystemDims(6, 8)],
+                         ids=["default", "3-4", "6-8"])
+def test_the_ideal_support_rule_holds_at_any_dims(dims):
+    rows = validate._coarse_rows(runner.build_kernel(RunConfig(), dims))
+    support = validate._ideal_support(dims)
+    assert support.shape == rows.forward.shape[1:]
+    assert ((rows.forward > 0) == support).all()
+    if dims == DEFAULT_DIMS:  # the mask the check once wrote out for these dims
+        expected = np.zeros(support.shape, dtype=bool)
+        expected[0, 0, :, 0, :4] = expected[1, 1, :, 0, 1:] = np.eye(4, dtype=bool)
+        assert (support == expected).all()
+
+
 def _second_law_with(monkeypatch, value):
-    original = runner._run
-
-    def run(*args):
-        results = original(*args)
-        results.estimators[0, -1] = value
-        return results
-
-    monkeypatch.setattr(runner, "_run", run)
+    _estimator_set(monkeypatch, value)
     return dict(validate.CHECKS)["second law"]()
 
 
