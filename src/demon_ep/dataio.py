@@ -34,7 +34,6 @@ from .statespace import (
     MASS_HARD_TOL,
     MASS_SOFT_TOL,
     SIGMA_TOL,
-    GibbsSpec,
     SystemDims,
     gibbs_distribution,
 )
@@ -462,13 +461,13 @@ class RunConfig:
         """
         if not math.isfinite(dbeta):
             raise ValueError(f"{key} must be finite, got {dbeta!r}")
-        gibbs = GibbsSpec.from_dbeta(self.beta_cavity, dbeta)
+        beta_qubit = self.beta_cavity * (1.0 - dbeta)  # GibbsSpec.from_dbeta's, maybe infinite
         with np.errstate(all="ignore"):
-            weights = gibbs_distribution(gibbs.beta_qubit, 2)
+            weights = gibbs_distribution(beta_qubit, 2)
         if not np.isfinite(weights).all():
             raise ValueError(
                 f"{key} = {dbeta!r} gives non-finite Gibbs weights: beta_qubit*omega is "
-                f"{gibbs.beta_qubit:.6g} at beta_cavity*omega {gibbs.beta_cavity:.6g} "
+                f"{beta_qubit:.6g} at beta_cavity*omega {self.beta_cavity:.6g} "
                 f"(from temperature_kelvin and frequency_ghz)"
             )
 

@@ -28,18 +28,16 @@ from .protocol import (
     TableRows,
     TrajectoryTable,
     final_state_rows,
+    gibbs_weights,
+    histogram_rows,
     quanta_change,
-    sigma_histogram,
+    sigma_histogram,  # noqa: F401  (perfbench reads it off this module)
 )
 from .statespace import (
     GibbsSpec,
     JointDistribution,
-    extended_gibbs,
-    gibbs_distribution,
     marginalize,
     mean_occupation,
-    mutual_information,
-    relative_entropy,
     relative_entropy_rows,
     row_groups,
     shannon_entropy_rows,
@@ -155,16 +153,17 @@ def _sigma5_rows(data: EstimatorInputs) -> np.ndarray:
     return _divergence_rows(data.hist.p_forward, data.hist.p_backward, data.floor)
 
 
+def _correlation_rows(joint: np.ndarray, rho_qc: np.ndarray) -> np.ndarray:
+    """I(QC:D) of each joint state [r, m_Q, k, m_C] with (qubit, cavity) marginals ``rho_qc``."""
+    return (shannon_entropy_rows(rho_qc) + shannon_entropy_rows(joint.sum(axis=(1, 3)))
+            - shannon_entropy_rows(joint))
+
+
 def _sigma6_rows(data: EstimatorInputs) -> np.ndarray:
     """Average-state divergence plus the residual system-memory correlations."""
-    joint = data.final_state
-    rho_qc = joint.sum(axis=2)
-    info = (
-        shannon_entropy_rows(rho_qc)
-        + shannon_entropy_rows(joint.sum(axis=(1, 3)))
-        - shannon_entropy_rows(joint)
-    )
-    return _divergence_rows(rho_qc, data.thermal, data.floor) + info
+    rho_qc = data.final_state.sum(axis=2)
+    return (_divergence_rows(rho_qc, data.thermal, data.floor)
+            + _correlation_rows(data.final_state, rho_qc))
 
 
 @dataclass(frozen=True)
@@ -244,25 +243,22 @@ def feedback_balance_residual(
 
     Evaluates delta-beta * Q_C - [I_post - I_pre] - D(rho_post_QC || reference)
     from the joint states immediately before and after the feedback gate: the
-    heat moved by the gate must be paid by consumed correlations plus the
-    divergence from equilibrium it leaves behind.  Imperfect readout breaks
-    the balance, and the residual measures by how much.
+    heat moved by the gate must be paid by consumed correlations I(QC:D) plus
+    the divergence from equilibrium it leaves behind, both sigma6's row terms.
+    Imperfect readout breaks the balance, and the residual measures by how much.
     """
     if pre_fb.dims != post_fb.dims:
         raise ValueError("states live on different spaces")
-    dims = pre_fb.dims
     heat = gibbs.delta_beta * (
         mean_occupation(marginalize(post_fb, "cavity"))
         - mean_occupation(marginalize(pre_fb, "cavity"))
     )
-    info_change = mutual_information(post_fb, ("qubit", "cavity")) - mutual_information(
-        pre_fb, ("qubit", "cavity")
-    )
-    rho_qc = marginalize(post_fb, ("qubit", "cavity"))
-    zeta_q = gibbs_distribution(np.array([[gibbs.beta_qubit]]), 2)
-    w_cav = extended_gibbs(gibbs.beta_cavity, dims.dim_cavity_init, dims.dim_cavity_full)
-    ref = _thermal_reference(zeta_q, w_cav)[0]
-    return heat - info_change - relative_entropy(rho_qc, ref)
+    joint = np.stack([post_fb.probs, pre_fb.probs])
+    rho_qc = joint.sum(axis=2)
+    info_post, info_pre = _correlation_rows(joint, rho_qc)
+    zeta_q, w_cav = gibbs_weights(np.array([gibbs.beta_qubit]), gibbs.beta_cavity, pre_fb.dims)
+    divergence = relative_entropy_rows(rho_qc[:1], _thermal_reference(zeta_q, w_cav))[0]
+    return float(heat - (info_post - info_pre) - divergence)
 
 
 def high_bias_asymptote(gibbs: GibbsSpec) -> float:
@@ -351,10 +347,9 @@ def evaluate(
     Without a backward table only the estimators that need no backward
     protocol exist; the others are NaN.
     """
-    if bwd is not None and hist is None:
-        hist = sigma_histogram(fwd, bwd)
-    data = _one_row(fwd, bwd, hist, floor, heat_from_atom)
-    return evaluate_rows(data.rows, data.hist, floor, heat_from_atom)[0]
+    data = _one_row(fwd, bwd, hist)  # without a histogram, bin the row as a block does
+    binned = data.hist if hist is not None or bwd is None else histogram_rows(data.rows)
+    return evaluate_rows(data.rows, binned, floor, heat_from_atom)[0]
 
 
 def evaluate_rows(

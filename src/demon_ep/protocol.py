@@ -115,9 +115,9 @@ def _mass_faults(total: np.ndarray, expected, what: str) -> dict[int, Exception]
         t, e = float(total[r]), float(err[r])
         if not math.isfinite(t):
             faults[r] = ValueError(f"{what}: mass {t!r} is not finite")
-        elif e > MASS_HARD_TOL:
+        elif not e <= MASS_HARD_TOL:  # a NaN expected mass makes a NaN error
             faults[r] = ValueError(f"{what}: mass {t!r} differs from {float(expected[r])!r}")
-        elif e > MASS_SOFT_TOL:  # a nan expected mass makes a nan err, which passes
+        else:
             faults[r] = UserWarning(
                 f"{what}: mass off by {e:.2e} (tolerated, likely measured input)"
             )
@@ -413,6 +413,17 @@ def _forward_rows(cond: np.ndarray, p_qubit: np.ndarray, p_cavity: np.ndarray) -
     return np.einsum(f"{cond_row}mkfnc,bn,{cavity_row}c->bnkcmf", cond, p_qubit, p_cavity)
 
 
+def gibbs_weights(beta_qubit: np.ndarray, beta_cavity: float | np.ndarray,
+                  dims: SystemDims) -> tuple[np.ndarray, np.ndarray]:
+    """Qubit Gibbs weights ``zeta_q[r, n_Q]`` at each ``beta_qubit[r]`` and the
+    :func:`extended_gibbs` cavity weights ``w_cav`` ([m_C] shared, or [r, m_C]):
+    a block's priors, the first ``dim_cavity_init`` cavity weights the forward one
+    (normalized on those levels), and the factors of the thermal reference."""
+    zeta_q = gibbs_distribution(beta_qubit[:, None], 2)
+    beta_column = np.asarray(beta_cavity)[..., None]  # (1,) when shared, else (R, 1)
+    return zeta_q, extended_gibbs(beta_column, dims.dim_cavity_init, dims.dim_cavity_full)
+
+
 def _backward_rows(
     bcond: np.ndarray,
     zeta_q: np.ndarray,
@@ -461,8 +472,7 @@ class TableRows:
     forward: np.ndarray
     #: readout distribution p(k) of each row
     pk: np.ndarray
-    #: each row's qubit Gibbs weights [r, n_Q] and cavity weights extended to the
-    #: evolved space ([r, m_C], or [m_C] shared): priors and thermal reference
+    #: each row's :func:`gibbs_weights`: priors and thermal reference
     zeta_q: np.ndarray
     w_cav: np.ndarray
     backward: np.ndarray | None = None
@@ -487,16 +497,10 @@ class TableRows:
                     f"tables weighted at different bias points: forward dbeta_tilde "
                     f"{gibbs.dbeta_tilde!r}, backward dbeta_tilde {bwd.gibbs.dbeta_tilde!r}"
                 )
-        forward, dims = fwd.probs[None], fwd.dims
+        forward, beta_qubit = fwd.probs[None], np.array([gibbs.beta_qubit])
         return cls(
-            dims,
-            gibbs.beta_cavity,
-            np.array([gibbs.beta_qubit]),
-            np.array([gibbs.dbeta_tilde]),
-            forward,
-            _branch_rows(forward),
-            gibbs_distribution(np.array([[gibbs.beta_qubit]]), 2),
-            extended_gibbs(gibbs.beta_cavity, dims.dim_cavity_init, dims.dim_cavity_full),
+            fwd.dims, gibbs.beta_cavity, beta_qubit, np.array([gibbs.dbeta_tilde]), forward,
+            _branch_rows(forward), *gibbs_weights(beta_qubit, gibbs.beta_cavity, fwd.dims),
             None if bwd is None else bwd.probs[None],
         )
 
@@ -577,14 +581,12 @@ def _weigh_rows(
     backward_pk: np.ndarray | None = None,
 ) -> TableRows:
     """The thermal weighting: :func:`weigh_rows` at each row's ``beta_qubit`` as
-    given.  ``backward_pk[r]``, if given, weights the backward branches in place
-    of the forward tables' p(k)."""
+    given, its forward cavity prior the first ``dim_cavity_init`` cavity weights of
+    :func:`gibbs_weights`.  ``backward_pk[r]``, if given, weights the backward
+    branches in place of the forward tables' p(k)."""
     dims = kernel.dims
-    zeta_q = gibbs_distribution(beta_qubit[:, None], 2)
-    beta_column = np.asarray(beta_cavity)[..., None]  # (1,) when shared, else (R, 1)
-    p_cavity = gibbs_distribution(beta_column, dims.dim_cavity_init)
-    w_cav = extended_gibbs(beta_column, dims.dim_cavity_init, dims.dim_cavity_full)
-    forward = _forward_rows(kernel.forward_cond, zeta_q, p_cavity)
+    zeta_q, w_cav = gibbs_weights(beta_qubit, beta_cavity, dims)
+    forward = _forward_rows(kernel.forward_cond, zeta_q, w_cav[..., :dims.dim_cavity_init])
     pk = _branch_rows(forward)
     weighed = (dims, beta_cavity, beta_qubit, dbeta, forward, pk, zeta_q, w_cav)
     if kernel.backward_cond is None:

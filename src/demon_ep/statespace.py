@@ -90,18 +90,21 @@ class GibbsSpec:
     dbeta_tilde: float = field(default=float("nan"))
 
     def __post_init__(self) -> None:
-        if not self.beta_cavity > 0:
-            raise ValueError("cavity inverse temperature must be positive")
+        if not 0 < self.beta_cavity < math.inf:
+            raise ValueError("cavity inverse temperature must be positive and finite")
+        if math.isinf(self.dbeta_tilde):  # a NaN one is derived from the temperatures
+            raise ValueError(f"dbeta_tilde must be finite, got {self.dbeta_tilde!r}")
+        if not math.isfinite(self.beta_qubit):
+            raise ValueError(f"beta_qubit must be finite, got {self.beta_qubit!r}")
         if math.isnan(self.dbeta_tilde):
-            object.__setattr__(
-                self, "dbeta_tilde", 1.0 - self.beta_qubit / self.beta_cavity
-            )
+            dbeta = 1.0 - self.beta_qubit / self.beta_cavity
+            if math.isinf(dbeta):  # the ratio overflows
+                raise ValueError(f"dbeta_tilde must be finite, got {dbeta!r} from the temperatures")
+            object.__setattr__(self, "dbeta_tilde", dbeta)
         else:
             expected = self.beta_cavity * (1.0 - self.dbeta_tilde)
             if abs(expected - self.beta_qubit) > 1e-9 * max(1.0, abs(expected)):
-                raise ValueError(
-                    "inconsistent (beta_qubit, beta_cavity, dbeta_tilde) triple"
-                )
+                raise ValueError("inconsistent (beta_qubit, beta_cavity, dbeta_tilde) triple")
 
     @classmethod
     def from_dbeta(cls, beta_cavity: float, dbeta_tilde: float) -> "GibbsSpec":

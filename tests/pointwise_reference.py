@@ -13,7 +13,9 @@ gate chain behind a kernel's conditionals (:func:`conditionals`), and
 :func:`oracle_states` the one-point whole-state oracle.  :func:`parse_table`
 and :func:`to_grid` are the value-by-value table reader and grid fill, and
 :func:`relative_entropy_rows` the row divergence that took logarithms on every
-row.  Nothing in the package imports this module.
+row.  :func:`feedback_balance_residual` is the feedback-gate balance built
+from the named-axis information measures and Gibbs weights of its own.
+Nothing in the package imports this module.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import numpy as np
 
 from demon_ep.channels import apply, compose, prepare_cavity, prepare_register
 from demon_ep.dataio import _CLAMP_TOL, ConditionalTable
-from demon_ep.entropy import COLUMNS, EpColumns, EpResult
+from demon_ep.entropy import COLUMNS, EpColumns, EpResult, _thermal_reference
 from demon_ep.protocol import STAGES, SigmaHistogram, TrajectoryTable
 from demon_ep.statespace import (
     DEFAULT_DIMS,
@@ -35,6 +37,9 @@ from demon_ep.statespace import (
     JointDistribution,
     _dot_rows,
     _over_supports,
+    marginalize,
+    mean_occupation,
+    mutual_information,
 )
 
 
@@ -392,6 +397,28 @@ def evaluate(fwd, bwd, hist=None, floor=None, heat_from_atom: bool = True) -> Ep
         flags=tuple(flags),
         **values,
     )
+
+
+def feedback_balance_residual(
+    pre_fb: JointDistribution,
+    post_fb: JointDistribution,
+    gibbs: GibbsSpec,
+) -> float:
+    if pre_fb.dims != post_fb.dims:
+        raise ValueError("states live on different spaces")
+    dims = pre_fb.dims
+    heat = gibbs.delta_beta * (
+        mean_occupation(marginalize(post_fb, "cavity"))
+        - mean_occupation(marginalize(pre_fb, "cavity"))
+    )
+    info_change = mutual_information(post_fb, ("qubit", "cavity")) - mutual_information(
+        pre_fb, ("qubit", "cavity")
+    )
+    rho_qc = marginalize(post_fb, ("qubit", "cavity"))
+    zeta_q = gibbs_distribution(np.array([[gibbs.beta_qubit]]), 2)
+    w_cav = extended_gibbs(gibbs.beta_cavity, dims.dim_cavity_init, dims.dim_cavity_full)
+    ref = _thermal_reference(zeta_q, w_cav)[0]
+    return heat - info_change - relative_entropy(rho_qc, ref)
 
 
 # ---------------------------------------------------------------------------

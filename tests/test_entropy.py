@@ -344,6 +344,28 @@ def test_feedback_balance_breaks_off_the_permutation_case(name):
     assert abs(feedback_balance_residual(pre, post, gibbs)) > 1e-3
 
 
+RELAXING = (
+    RunConfig(mode="physical", single_error="relax_atom", relax_atom_prob=0.05),
+    RunConfig(mode="physical", single_error="relax_cavity", relax_cavity_prob=0.01),
+)
+
+
+@pytest.mark.parametrize(
+    "config", [validate.IDEAL, *validate.PHYSICALS, *RELAXING],
+    ids=["ideal", "physical", *validate.SINGLE_ERRORS, "relax_atom@0.05", "relax_cavity@0.01"],
+)
+def test_feedback_balance_matches_the_named_axis_balance(config):
+    # the balance built from sigma6's row terms gives the bits of the one built
+    # from named-axis mutual informations and Gibbs weights of its own
+    chain = runner.build_kernel(config).chain
+    for dbeta in validate.GRID_COARSE:
+        gibbs = GibbsSpec.from_dbeta(config.beta_cavity, dbeta)
+        pre, post = oracle_states(chain, gibbs, ("pre_feedback", "post_feedback"))
+        residual = feedback_balance_residual(pre, post, gibbs)
+        expected = reference.feedback_balance_residual(pre, post, gibbs)
+        assert np.float64(residual).tobytes() == np.float64(expected).tobytes(), dbeta
+
+
 # ---------------------------------------------------------------------------
 # result assembly
 
@@ -416,7 +438,7 @@ def test_a_block_builds_each_shared_quantity_once(monkeypatch):
     grid = np.linspace(-6.0, 6.0, 64)
     gibbs_calls, final_calls, readers = [], [], {}
     original_gibbs = statespace.extended_gibbs
-    for module in (statespace, protocol, entropy):
+    for module in (statespace, protocol):
         monkeypatch.setattr(module, "extended_gibbs",
                             lambda *args: gibbs_calls.append(1) or original_gibbs(*args))
     original_final = entropy.final_state_rows
@@ -433,6 +455,7 @@ def test_a_block_builds_each_shared_quantity_once(monkeypatch):
         monkeypatch.setattr(protocol.TableRows, name, property(read))
     weigh_rows(kernel, config.beta_cavity, grid)
     weighing = len(gibbs_calls)
+    assert weighing == 2  # the qubit weights and the extended cavity weights
     readers.clear()
     rows, _, results = runner._run_block(kernel, config, grid)
     assert len(results) == 64 and len(final_calls) == 1
@@ -442,6 +465,56 @@ def test_a_block_builds_each_shared_quantity_once(monkeypatch):
             readers[name]
         )
         assert set.union(*readers[name].values()) == {id(getattr(rows, name))}
+
+
+def test_every_thermal_weighting_takes_its_weights_from_one_helper(monkeypatch):
+    # a block, a wrapped table pair and the feedback balance each build their
+    # Gibbs weights once, through protocol.gibbs_weights
+    calls = []
+    original = protocol.gibbs_weights
+    for module in (protocol, entropy):
+        monkeypatch.setattr(module, "gibbs_weights",
+                            lambda *args: calls.append(1) or original(*args))
+    kernel = runner.build_kernel(RunConfig(mode="physical"))
+    weigh_rows(kernel, BETA_C, np.linspace(-6.0, 6.0, 8))
+    assert len(calls) == 1
+    fwd, bwd = point_tables(kernel, _gibbs(0.75))
+    calls.clear()
+    protocol.TableRows.of(fwd, bwd)
+    assert len(calls) == 1
+    pre, post = oracle_states(kernel.chain, _gibbs(0.75), ("pre_feedback", "post_feedback"))
+    calls.clear()
+    feedback_balance_residual(pre, post, _gibbs(0.75))
+    assert len(calls) == 1
+    # the named-axis measures and Gibbs weights of statespace are no longer entropy's
+    assert not {"mutual_information", "relative_entropy", "gibbs_distribution",
+                "extended_gibbs"} & set(vars(entropy))
+
+
+def test_a_one_point_evaluate_wraps_its_pair_once(monkeypatch):
+    # it bins the one row it wraps, as a block does, and builds no SigmaHistogram
+    fwd, bwd = _tables(0.75, ErrorModel(), "physical")
+    expected = evaluate(fwd, bwd)
+    wraps, histograms = [], []
+    original = protocol.TableRows.of.__func__
+    monkeypatch.setattr(protocol.TableRows, "of", classmethod(
+        lambda cls, *args: wraps.append(1) or original(cls, *args)))
+    post_init = protocol.SigmaHistogram.__post_init__
+    monkeypatch.setattr(protocol.SigmaHistogram, "__post_init__",
+                        lambda self: histograms.append(1) or post_init(self))
+    result = evaluate(fwd, bwd)
+    assert (len(wraps), len(histograms)) == (1, 0)
+    assert result.as_row() == expected.as_row() == reference.evaluate(fwd, bwd).as_row()
+
+
+def test_a_soft_mass_fault_of_one_point_warns_once():
+    # the table's own check warns; its histogram, binned off the checked row,
+    # once warned a second time
+    fwd, bwd = _tables(0.75, ErrorModel(), "physical")
+    with pytest.warns(UserWarning) as record:
+        fwd = protocol.TrajectoryTable(fwd.probs * (1 + 2e-7), "forward", fwd.gibbs, fwd.dims)
+        evaluate(fwd, bwd)
+    assert [str(w.message)[:31] for w in record] == ["forward table: mass off by 2.00"]
 
 
 @pytest.mark.parametrize("config", [validate.IDEAL, *validate.PHYSICALS],

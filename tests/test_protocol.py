@@ -481,6 +481,16 @@ def test_histogram_validation():
         sigma_histogram(fwd, fwd)
 
 
+@pytest.mark.filterwarnings("error")
+def test_a_nan_expected_mass_fails_the_mass_check():
+    # a NaN deviation once passed both tolerances: the table built without a word
+    gibbs = _gibbs(0.75)
+    _, bwd = _tables(gibbs, ErrorModel(), "physical")
+    with pytest.raises(ValueError, match=r"backward table conservation: mass .* differs from nan"):
+        protocol.TrajectoryTable(bwd.probs, "backward", gibbs, bwd.dims, prior_mass=math.nan,
+                                 unlabeled_mass=bwd.unlabeled_mass)
+
+
 #: (config, rows whose bins sort labels, not classes, of all rows)
 LABEL_PATH_ROWS = {
     "physical": (RunConfig(mode="physical"), 13, 49),

@@ -7,6 +7,7 @@ import hashlib
 import io
 import itertools
 import math
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -95,6 +96,11 @@ SIMULATE_DIGESTS = {
     # relaxation defaults to zero, so these two equal the error-free physical run
     ("relax_atom", 0.0): "d3c4e66a60ce84b4999bce9a56a47b38598d7b2e47b36554c366371cca11055b",
     ("relax_cavity", 0.0): "d3c4e66a60ce84b4999bce9a56a47b38598d7b2e47b36554c366371cca11055b",
+    # the only reports with relaxation switched on, and the idealized backward
+    # protocol; recorded before the feedback balance shared sigma6's row terms
+    ("idealized_backward", 0.0): "f212ba8a9aa48241ad045d2ede50b7e17a13da7d5537df7de2da5dec553e2598",
+    ("relax_atom@0.05", 0.0): "04f86184519a1bf2fcf1c03c1031d1c3f75c2bfac8ff7af4a400a8bd63b2676b",
+    ("relax_cavity@0.01", 0.0): "b86d1635141153c5a51bd16d7d8955f0fa91b6e15bb02574cd0f6e2e6b4a2f6b",
 }
 
 
@@ -186,6 +192,16 @@ def test_extreme_bias_fails_when_the_config_is_built():
     # key, before a run can weigh a NaN table ("mass nan is not finite")
     with pytest.raises(ValueError, match="dbeta_start = 1000 gives non-finite Gibbs weights"):
         RunConfig(dbeta_start=1000, dbeta_stop=1000)
+
+
+@pytest.mark.parametrize("dbeta, beta_qubit", [(-1e301, "inf"), (1e301, "-inf")])
+def test_a_bias_whose_qubit_temperature_overflows_is_named_by_its_key(dbeta, beta_qubit):
+    # beta_Q = beta_C (1 - dbeta) is infinite here, which GibbsSpec rejects on its
+    # own; the config still names the key that set the bias
+    config = RunConfig(frequency_ghz=1e10, dbeta_start=0.0, dbeta_stop=0.0)
+    message = f"dbeta_stop = {dbeta!r} gives non-finite Gibbs weights: beta_qubit*omega is "
+    with pytest.raises(ValueError, match="^" + re.escape(message + beta_qubit + " ")):
+        config.check_bias(dbeta, "dbeta_stop")
 
 
 def test_physical_mode_rejects_dims_smaller_than_the_preparation_table():

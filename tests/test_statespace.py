@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import re
 import warnings
 
 import numpy as np
@@ -233,6 +234,24 @@ def test_gibbs_spec_rejects_nonpositive_cavity_temperature():
 def test_gibbs_spec_rejects_inconsistent_bias():
     with pytest.raises(ValueError):
         GibbsSpec(beta_qubit=1.0, beta_cavity=1.0, dbeta_tilde=3.0)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: GibbsSpec(math.nan, 1.0, 0.0), "beta_qubit must be finite, got nan"),
+    (lambda: GibbsSpec(math.nan, 1.0), "beta_qubit must be finite, got nan"),
+    (lambda: GibbsSpec(-math.inf, 1.0), "beta_qubit must be finite, got -inf"),
+    # inf > inf is false: the consistency test let these through
+    (lambda: GibbsSpec(1.0, 1.0, dbeta_tilde=math.inf), "dbeta_tilde must be finite, got inf"),
+    (lambda: GibbsSpec.from_dbeta(1.0, math.inf), "dbeta_tilde must be finite, got inf"),
+    (lambda: GibbsSpec.from_dbeta(1.0, -math.inf), "dbeta_tilde must be finite, got -inf"),
+    # 1 - beta_qubit / beta_cavity overflows
+    (lambda: GibbsSpec(1e300, 1e-10), "dbeta_tilde must be finite, got -inf"),
+    (lambda: GibbsSpec(1.0, math.inf), "cavity inverse temperature must be positive and finite"),
+], ids=["nan_qubit", "nan_qubit_derived", "inf_qubit", "inf_dbeta", "from_inf_dbeta",
+        "from_minus_inf_dbeta", "overflowing_dbeta", "inf_cavity"])
+def test_gibbs_spec_rejects_non_finite_temperatures_by_name(make, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        make()
 
 
 # ---------------------------------------------------------------------------
