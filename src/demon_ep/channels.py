@@ -397,17 +397,16 @@ def two_atom_probability(nbar: float = 0.22, eff: float = 0.5) -> float:
 
     Samples carry a Poisson(``nbar``) atom number and each atom is detected
     independently with efficiency ``eff``; three-atom samples are neglected.
+    The Poisson weights cancel in the ratio of two-atom to all single
+    detections, which is (1 - eff) nbar / (1 + (1 - eff) nbar).
     Diagnostic only — two-atom events are not part of the simulated dynamics.
     """
-    if nbar < 0 or not 0.0 <= eff <= 1.0:
-        raise ValueError("need nbar >= 0 and eff in [0, 1]")
-    p1 = math.exp(-nbar) * nbar
-    p2 = math.exp(-nbar) * nbar**2 / 2.0
-    single = eff * p1
-    pair = 2.0 * eff * (1.0 - eff) * p2
-    if single + pair == 0.0:
+    if not (math.isfinite(nbar) and nbar >= 0) or not 0.0 <= eff <= 1.0:
+        raise ValueError("need a finite nbar >= 0 and eff in [0, 1]")
+    if eff == 0.0 or nbar == 0.0:  # no single detection
         return 0.0
-    return pair / (single + pair)
+    odds = (1.0 - eff) * nbar
+    return odds / (1.0 + odds)
 
 
 # ---------------------------------------------------------------------------

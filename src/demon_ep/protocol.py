@@ -18,8 +18,10 @@ no trajectory label and are accumulated in ``unlabeled_mass``; the sum of
 labeled and unlabeled mass always equals the prior mass put in.
 
 Both modes run one path: prepare a register level and a Fock state, apply the
-gate chain, and add each final level onto the logical pair it encodes.  The
-mode picks the register (:data:`~demon_ep.channels.ENCODINGS`); the weighting
+gate chain, and place each final level at the logical pair it encodes.  The
+kernel's runs and the oracle's taps share that one placement, and the kernel's
+two conditional arrays are cut from the stacked final states.  The mode picks
+the register (:data:`~demon_ep.channels.ENCODINGS`); the weighting
 reads it back off the conditionals.  A model's chain (:class:`GateChain`:
 readout, feedback, relaxation and detection on the register) is built once
 per kernel; both directions of the kernel and every oracle pass over it take
@@ -326,18 +328,27 @@ def _gate_chain(model: ErrorModel | None, dims: SystemDims, mode: str) -> GateCh
     return GateChain(model, dims, encoding, gates, compose(gates[3], gates[2]))
 
 
-def _evolve(chain: GateChain, backward: bool):
+def _place(levels: np.ndarray, encoding: tuple) -> np.ndarray:
+    """``levels[..., level, m_C]`` placed as ``[..., n_Q, n_D, m_C]``: each level at
+    the pair ``encoding`` gives it; a pair no level holds reads zero."""
+    placed = np.zeros((*levels.shape[:-2], 2, 2, levels.shape[-1]))
+    for level, (n_q, n_d) in enumerate(encoding):  # one level per pair
+        placed[..., n_q, n_d, :] = levels[..., level, :]
+    return placed
+
+
+def _evolve(chain: GateChain, backward: bool) -> np.ndarray:
     """Run the gate chain from every prepared start, all starts in one product.
 
     Forward runs start from the pairs (n_Q, n_D=1) with the cavity in each
     Fock state of the initial truncation; backward runs start from every
-    register level with the cavity anywhere in the evolved space.  The
-    prepared states are stacked as ``(starts, n_C, levels, 1)`` and one
-    ``np.matmul`` with the composed chain does a matrix-vector product per
-    start: the arithmetic of applying the chain to each start alone, so the
-    bits are the same.  Returns the starting pairs,
-    ``final[i, n, m_Q, m_D, m_C]`` (each final register level placed at the
-    pair it encodes) and ``reset[i, n]``, the final weight with m_D = 1.
+    register level, in ``chain.encoding``'s order, with the cavity anywhere in
+    the evolved space.  The prepared states are stacked as
+    ``(starts, n_C, levels, 1)`` and one ``np.matmul`` with the composed chain
+    does a matrix-vector product per start: the arithmetic of applying the
+    chain to each start alone, so the bits are the same.  Returns the final
+    states ``final[i, n, m_Q, m_D, m_C]``, each final register level placed at
+    the pair it encodes (:func:`_place`).
     """
     model, dims, encoding = chain.model, chain.dims, chain.encoding
     full = dims.dim_cavity_full
@@ -350,47 +361,7 @@ def _evolve(chain: GateChain, backward: bool):
     # each start's np.outer(register, cavity), as a column
     states = registers[:, None, :, None] * cavities[None, :, None, :]
     levels = np.matmul(run.matrix, states.reshape(len(starts), n_cavity, -1, 1))
-    levels = levels.reshape(len(starts), n_cavity, len(encoding), full)
-    final = np.zeros((len(starts), n_cavity, 2, 2, full))
-    reset = np.zeros((len(starts), n_cavity))
-    for level, (m_q, m_d) in enumerate(encoding):  # one level per pair
-        final[:, :, m_q, m_d] = levels[:, :, level]
-        if m_d == 1:
-            reset += levels[:, :, level].sum(axis=-1)
-    return starts, final, reset
-
-
-def _forward_conditionals(chain: GateChain) -> np.ndarray:
-    """p(m_Q, k, m_C | n_Q, n_C): outcome statistics per initial label.
-
-    Shape (2, 2, dim_cavity_full, 2, dim_cavity_init); summing the first
-    three axes gives one for every initial label.  The memory starts at 1.
-    """
-    _, final, _ = _evolve(chain, False)
-    return np.ascontiguousarray(np.transpose(final, (2, 3, 4, 0, 1)))
-
-
-def _backward_conditionals(chain: GateChain) -> tuple[np.ndarray, np.ndarray]:
-    """Backward-run statistics p(n_Q, n_C | m_Q, k, m_C) plus reset diagnostic.
-
-    Returns ``(bcond, reset)``.  ``bcond`` has shape
-    (2, dim_cavity_full, 2, 2, dim_cavity_full): final label (n_Q, n_C) —
-    with n_C on the *evolved* space, since the reversed run can overflow the
-    initial truncation — given the prepared branch configuration
-    (m_Q, k, m_C).  The final memory register is traced out of ``bcond``;
-    ``reset[m_Q, k, m_C]`` is the probability that it returned to its
-    reference value 1 (a reversal-quality diagnostic, never a filter).
-    Columns of a pair (m_Q, k) the register cannot hold — (1, 0) in physical
-    mode — are identically zero.
-    """
-    full = chain.dims.dim_cavity_full
-    starts, final, runs_reset = _evolve(chain, True)
-    bcond = np.zeros((2, full, 2, 2, full))
-    reset = np.zeros((2, 2, full))
-    for i, (m_q, k) in enumerate(starts):
-        bcond[:, :, m_q, k, :] = np.transpose(final[i].sum(axis=2), (1, 2, 0))
-        reset[m_q, k] = runs_reset[i]
-    return bcond, reset
+    return _place(levels.reshape(len(starts), n_cavity, len(encoding), full), encoding)
 
 
 # ---------------------------------------------------------------------------
@@ -605,6 +576,18 @@ def _weigh_rows(
 class ProtocolKernel:
     """Bias-independent dynamics of one run: both conditional arrays.
 
+    ``forward_cond[m_Q, k, m_C, n_Q, n_C]`` is p(m_Q, k, m_C | n_Q, n_C), shape
+    (2, 2, dim_cavity_full, 2, dim_cavity_init): summing its first three axes
+    gives one for every initial label, and the memory starts at 1.
+    ``backward_cond[n_Q, n_C, m_Q, k, m_C]`` is p(n_Q, n_C | m_Q, k, m_C) of the
+    reversed run from the branch configuration (m_Q, k, m_C), shape
+    (2, dim_cavity_full, 2, 2, dim_cavity_full): n_C is on the evolved space,
+    since the reversed run can overflow the initial truncation, and the final
+    memory is traced out.  ``backward_reset[m_Q, k, m_C]`` is the probability
+    that the memory returned to 1, a reversal-quality diagnostic, never a
+    filter.  The columns of a pair (m_Q, k) the register cannot hold — (1, 0)
+    in physical mode — are zero.
+
     ``backward_cond`` is None for a forward-only analysis, and
     ``backward_reset`` and ``chain`` (the forward gate chain) are None when
     the kernel was read from measured tables.  Without backward conditionals,
@@ -630,9 +613,15 @@ def simulated_kernel(
     """
     chain = _gate_chain(model, dims, mode)
     back = chain if back_model is None else _gate_chain(back_model, dims, mode)
-    return ProtocolKernel(
-        dims, _forward_conditionals(chain), *_backward_conditionals(back), chain=chain
-    )
+    cond = np.ascontiguousarray(np.transpose(_evolve(chain, False), (2, 3, 4, 0, 1)))
+    final = _evolve(back, True)  # [start (m_Q, k), m_C, n_Q, n_D, n_C]
+    full = dims.dim_cavity_full
+    bcond, reset = np.zeros((2, full, 2, 2, full)), np.zeros((2, 2, full))
+    m_q, k = np.array(back.encoding).T
+    # the memory summed out, and the weight with the memory back at m_D = 1
+    bcond[:, :, m_q, k] = np.transpose(final.sum(axis=3), (2, 3, 0, 1))
+    reset[m_q, k] = final[:, :, :, 1].sum(axis=-1).sum(axis=-1)
+    return ProtocolKernel(dims, cond, bcond, reset, chain)
 
 
 def measured_kernel(
@@ -718,14 +707,10 @@ def oracle_rows(
     states = [(register[:, :, None] * cavity).reshape(rows, -1, 1)]
     for gate in chain.gates[:max(STAGES[stage] for stage in stages)]:
         states.append(np.matmul(gate.matrix, states[-1]))
-    taps = []
-    for stage in stages:
-        joint = np.zeros((rows, 2, 2, full))
-        levels = states[STAGES[stage]].reshape(rows, len(encoding), full)
-        for level, (n_q, n_d) in enumerate(encoding):
-            joint[:, n_q, n_d] += levels[:, level]
-        taps.append(joint)
-    return tuple(taps)
+    return tuple(
+        _place(states[STAGES[stage]].reshape(rows, len(encoding), full), encoding)
+        for stage in stages
+    )
 
 
 def oracle_states(

@@ -26,8 +26,16 @@ def gibbs_at():
     return _make
 
 
+#: The platform on which every byte pin (the sha256 digests, the golden files and
+#: the reference pins) is known to hold: the numpy version, the OpenBLAS core its
+#: wheel picks, and one numpy SIMD feature that must be present.  The float bits
+#: of BLAS sums and of ``np.log`` and ``np.exp`` depend on the last two.
+PLATFORM_OF_RECORD = {"numpy": "2.4.6", "OpenBLAS core": "SkylakeX", "numpy SIMD": "X86_V4"}
+
+
 def pytest_report_header(config):
-    """The platform the frozen bytes met: numpy, its SIMD features and OpenBLAS core."""
+    """The platform the frozen bytes met: numpy, its SIMD features and OpenBLAS core,
+    and whether this host is the platform of record."""
 
     import ctypes
     from pathlib import Path
@@ -45,7 +53,23 @@ def pytest_report_header(config):
             corename.argtypes, corename.restype = [], ctypes.c_char_p
             core = corename().decode()
     found = " ".join(name for name, present in __cpu_features__.items() if present)
-    return [f"numpy {np.__version__}, OpenBLAS core {core}", f"numpy SIMD features: {found}"]
+    simd = PLATFORM_OF_RECORD["numpy SIMD"]
+    host = {
+        "numpy": np.__version__,
+        "OpenBLAS core": core,
+        "numpy SIMD": simd if __cpu_features__.get(simd) else f"{simd} absent",
+    }
+    record = ", ".join(f"{name} {value}" for name, value in PLATFORM_OF_RECORD.items())
+    differ = [f"{name} {host[name]}" for name, value in PLATFORM_OF_RECORD.items()
+              if host[name] != value]
+    verdict = "this host matches it"
+    if differ:
+        verdict = f"this host differs ({', '.join(differ)}): the byte pins may fail here"
+    return [
+        f"numpy {np.__version__}, OpenBLAS core {core}",
+        f"numpy SIMD features: {found}",
+        f"platform of record ({record}): {verdict}",
+    ]
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

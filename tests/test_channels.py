@@ -374,3 +374,36 @@ def test_two_atom_probability_closed_form():
 def test_two_atom_probability_vanishes_at_unit_efficiency():
     assert two_atom_probability(0.22, 1.0) == 0.0
     assert two_atom_probability(0.0, 0.5) == 0.0
+
+
+@pytest.mark.parametrize(
+    "nbar, eff, expected",
+    [
+        (800.0, 0.5, 0.997506234413965),  # e^-nbar underflowed, and the ratio read 0
+        (1e200, 0.5, None),  # nbar**2 overflowed
+        (1e200, 0.0, 0.0),  # no detection
+        (0.0, 0.5, 0.0),  # no atom
+    ],
+)
+def test_two_atom_probability_at_large_and_vanishing_atom_numbers(nbar, eff, expected):
+    p = two_atom_probability(nbar, eff)
+    if expected is None:
+        assert math.isfinite(p) and 0.0 <= p <= 1.0
+    else:
+        assert p == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("nbar", [math.inf, math.nan])
+def test_two_atom_probability_rejects_a_non_finite_atom_number(nbar):
+    with pytest.raises(ValueError, match="finite nbar"):
+        two_atom_probability(nbar, 0.5)
+
+
+def test_simulate_reports_a_finite_two_atom_probability_at_a_huge_atom_number(tmp_path, capsys):
+    from demon_ep import cli
+
+    config = tmp_path / "atoms.conf"
+    config.write_text("mode = physical\nnbar_atoms = 1e200\n")
+    assert cli.main(["simulate", "--config", str(config), "--dbeta", "0"]) == 0
+    (line,) = [line for line in capsys.readouterr().out.splitlines() if "two-atom" in line]
+    assert math.isfinite(float(line.split()[3]))
