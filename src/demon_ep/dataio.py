@@ -30,13 +30,7 @@ import numpy as np
 
 from .channels import ENCODINGS, ERROR_CHANNELS, AtomLevel, ErrorModel
 from .entropy import COLUMNS, FORWARD_COLUMNS, EpColumns
-from .statespace import (
-    MASS_HARD_TOL,
-    MASS_SOFT_TOL,
-    SIGMA_TOL,
-    SystemDims,
-    gibbs_distribution,
-)
+from .statespace import SIGMA_TOL, SystemDims, _mass_faults, _report, gibbs_distribution
 
 __all__ = [
     "ConditionalTable",
@@ -90,9 +84,10 @@ def kelvin_to_beta_omega(temperature_k: float, frequency_ghz: float) -> float:
 class ConditionalTable:
     """Labelled conditional-probability matrix in one of the two orientations.
 
-    Stochasticity is checked along the orientation's normalized direction:
-    deviations up to 1e-9 pass silently, up to 1e-3 warn (measured tables
-    carry finite statistics), and anything larger is rejected.
+    Stochasticity is checked along the orientation's normalized direction by
+    the mass rule of trajectory tables: deviations up to 1e-9 pass, up to 1e-3
+    warn (measured tables carry finite statistics), larger ones are rejected.
+    The worst row (forward) or column (backward) reports, named by its label.
     """
 
     row_labels: tuple
@@ -121,19 +116,13 @@ class ConditionalTable:
                 raise ValueError(f"column label {lab} must have 3 entries")
         if not np.all((vals >= 0) & (vals <= 1)):
             raise ValueError("conditional probabilities must be finite and lie in [0, 1]")
-        axis = 1 if self.orientation == "forward-rows-initial" else 0
-        sums = vals.sum(axis=axis)
-        worst = float(np.abs(sums - 1.0).max()) if sums.size else 0.0
-        if worst > MASS_HARD_TOL:
-            raise ValueError(
-                f"{self.orientation} table not stochastic (worst sum error {worst:.3e})"
-            )
-        if worst > MASS_SOFT_TOL:
-            warnings.warn(
-                f"{self.orientation} table sums off by {worst:.2e} "
-                "(tolerated, likely measured input)",
-                stacklevel=2,
-            )
+        forward = self.orientation == "forward-rows-initial"
+        kind, labels = ("row", self.row_labels) if forward else ("column", self.col_labels)
+        sums = vals.sum(axis=1 if forward else 0)
+        if sums.size:
+            worst = int(np.abs(sums - 1.0).argmax())
+            what = f"{self.orientation} table {kind} {_label_str(labels[worst])}"
+            _report(_mass_faults(sums[worst:worst + 1], 1.0, what).get(0), stacklevel=2)
 
     @classmethod
     def from_grid(cls, grid: np.ndarray, orientation: str) -> "ConditionalTable":

@@ -36,8 +36,6 @@ block of them as stacked rows, and the tables of a single point
 from __future__ import annotations
 
 import functools
-import math
-import warnings
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
@@ -58,12 +56,12 @@ from .channels import (
 )
 from .statespace import (
     DEFAULT_DIMS,
-    MASS_HARD_TOL,
-    MASS_SOFT_TOL,
     SIGMA_TOL,
     GibbsSpec,
     JointDistribution,
     SystemDims,
+    _mass_faults,
+    _report,
     extended_gibbs,
     gibbs_distribution,
     row_groups,
@@ -106,26 +104,6 @@ _TABLE_AXES = (1, 2, 3, 4, 5)
 # {row: ValueError or UserWarning}; a single table is checked as one row.
 
 
-def _mass_faults(total: np.ndarray, expected, what: str) -> dict[int, Exception]:
-    """A mass beyond the hard tolerance (or not finite) fails; beyond the soft one warns."""
-    err = np.abs(total - expected)
-    faults: dict[int, Exception] = {}
-    if (err <= MASS_SOFT_TOL).all():
-        return faults
-    expected = np.broadcast_to(expected, total.shape)
-    for r in np.flatnonzero(~(err <= MASS_SOFT_TOL)).tolist():
-        t, e = float(total[r]), float(err[r])
-        if not math.isfinite(t):
-            faults[r] = ValueError(f"{what}: mass {t!r} is not finite")
-        elif not e <= MASS_HARD_TOL:  # a NaN expected mass makes a NaN error
-            faults[r] = ValueError(f"{what}: mass {t!r} differs from {float(expected[r])!r}")
-        else:
-            faults[r] = UserWarning(
-                f"{what}: mass off by {e:.2e} (tolerated, likely measured input)"
-            )
-    return faults
-
-
 def _table_faults(
     probs: np.ndarray,
     labels: np.ndarray,
@@ -144,14 +122,6 @@ def _table_faults(
         for r in np.flatnonzero(negative.any(axis=1)).tolist():
             faults[r] = ValueError("negative trajectory probability")
     return faults
-
-
-def _report(fault: Exception | None, stacklevel: int) -> None:
-    """Raise an error, or warn as ``warnings.warn(fault, stacklevel)`` in the caller would."""
-    if isinstance(fault, Warning):
-        warnings.warn(fault, stacklevel=stacklevel + 1)
-    elif fault is not None:
-        raise fault
 
 
 @dataclass(frozen=True, eq=False)
@@ -758,6 +728,7 @@ class SigmaHistogram:
             object.__setattr__(self, name, arr)
         if not (s.shape == pf.shape == pb.shape) or s.ndim != 1:
             raise ValueError("sigma, p_forward, p_backward must be equal-length vectors")
+        _check_tolerance(self.tolerance)
         # where several checks fail, the last one reports
         fault = _mass_faults(pf.sum(keepdims=True), 1.0, "sigma histogram forward weight").get(0)
         if (pf < 0).any() or (pb < 0).any():
@@ -765,6 +736,11 @@ class SigmaHistogram:
         if (np.diff(s) <= self.tolerance).any():
             fault = ValueError("sigma bins must be strictly increasing beyond tolerance")
         _report(fault, stacklevel=2)
+
+
+def _check_tolerance(tol: float) -> None:
+    if not tol >= 0.0:  # NaN too: it opens a bin at every gap and passes the order check
+        raise ValueError(f"sigma tolerance must be a non-negative number, got {tol!r}")
 
 
 def sigma_histogram(
@@ -849,6 +825,7 @@ def histogram_rows(rows: TableRows, tol: float = SIGMA_TOL) -> HistogramRows:
     (:func:`_class_bins`).  The other rows sort their labels
     (:func:`_label_bins`).
     """
+    _check_tolerance(tol)
     count = len(rows.dbeta)
     fwd, bwd = rows.forward_labels, rows.backward_labels
     class_sigma = _class_sigma_rows(rows.beta_qubit, rows.beta_cavity, rows.pk, rows.dims)
@@ -862,10 +839,8 @@ def histogram_rows(rows: TableRows, tol: float = SIGMA_TOL) -> HistogramRows:
         sigma = class_sigma[sel][:, present]
         order = np.argsort(sigma, axis=1, kind="stable")
         sigma = sigma[np.arange(len(sigma))[:, None], order]
-        # a tie, a near-tie or a non-finite value puts several classes in one bin,
-        # and a negative tolerance gives every label a bin of its own
+        # a tie, a near-tie or a non-finite value puts several classes in one bin
         apart = np.isfinite(sigma).all(axis=1) & (np.diff(sigma, axis=1) > tol).all(axis=1)
-        apart &= tol >= 0.0
         if apart.all():  # the common case, without copying the rows
             parts.append((sel, _class_bins(sigma, order, fwd[sel], bwd[sel], members),
                           len(present)))

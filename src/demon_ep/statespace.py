@@ -13,6 +13,7 @@ only through the dimensionless combination ``beta * omega``.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,6 +47,35 @@ MASS_HARD_TOL = 1e-3
 SIGMA_TOL = 1e-9
 
 
+def _mass_faults(total: np.ndarray, expected, what: str) -> dict[int, Exception]:
+    """The mass rule of every table and histogram check, as {row: ValueError or UserWarning}:
+    a mass beyond the hard tolerance (or not finite) fails; beyond the soft one warns."""
+    err = np.abs(total - expected)
+    faults: dict[int, Exception] = {}
+    if (err <= MASS_SOFT_TOL).all():
+        return faults
+    expected = np.broadcast_to(expected, total.shape)
+    for r in np.flatnonzero(~(err <= MASS_SOFT_TOL)).tolist():
+        t, e = float(total[r]), float(err[r])
+        if not math.isfinite(t):
+            faults[r] = ValueError(f"{what}: mass {t!r} is not finite")
+        elif not e <= MASS_HARD_TOL:  # a NaN expected mass makes a NaN error
+            faults[r] = ValueError(f"{what}: mass {t!r} differs from {float(expected[r])!r}")
+        else:
+            faults[r] = UserWarning(
+                f"{what}: mass off by {e:.2e} (tolerated, likely measured input)"
+            )
+    return faults
+
+
+def _report(fault: Exception | None, stacklevel: int) -> None:
+    """Raise an error, or warn as ``warnings.warn(fault, stacklevel)`` in the caller would."""
+    if isinstance(fault, Warning):
+        warnings.warn(fault, stacklevel=stacklevel + 1)
+    elif fault is not None:
+        raise fault
+
+
 @dataclass(frozen=True)
 class SystemDims:
     """Cavity level counts; the qubit and the memory are two-level systems.
@@ -59,6 +89,10 @@ class SystemDims:
     dim_cavity_full: int = 5
 
     def __post_init__(self) -> None:
+        for name in ("dim_cavity_init", "dim_cavity_full"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.dim_cavity_init < 2:
             raise ValueError("cavity needs at least two levels")
         if self.dim_cavity_full < self.dim_cavity_init + 1:

@@ -157,7 +157,9 @@ def test_analyze_corrupt_table_is_a_data_error(tmp_path):
     bad.write_text("state (0,0,0)\n(0,0) 0.4\n(0,1) 0.9\n")
     proc = run_cli("analyze", str(bad))
     assert proc.returncode == 2
-    assert "not stochastic" in proc.stderr
+    # the worst row names its label as the file writes it
+    message = "forward-rows-initial table row (0,0): mass 0.4 differs from 1.0"
+    assert proc.stderr == f"demon-ep: {message}\n"
 
 
 def test_analyze_forward_table_missing_an_initial_state_is_a_data_error(tmp_path, table_files):
@@ -215,7 +217,8 @@ def test_a_forward_table_fault_warns_once_per_point(tmp_path, table_files, capsy
         assert cli.main(["analyze", str(tmp_path / "scaled.txt"), str(bwd_path)]) == 0
     messages = [str(w.message) for w in caught if w.category is UserWarning]
     assert len(messages) == len(caught) == 1 + len(RunConfig().grid())
-    assert messages[0].startswith("forward-rows-initial table sums off by 4.00e-04")
+    assert messages[0] == ("forward-rows-initial table row (0,0): mass off by 4.00e-04 "
+                           "(tolerated, likely measured input)")
     assert all(m.startswith("forward table: mass off by ") for m in messages[1:])
     # the default filter, as the command line runs, shows each distinct message once
     assert len(set(messages)) == 44

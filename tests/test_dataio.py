@@ -93,12 +93,19 @@ def test_table_accepts_exact_rows():
 
 
 def test_table_warns_on_small_deficit():
-    with pytest.warns(UserWarning, match="sums off by"):
+    # the worst row names its label as the file writes it
+    message = r"\Aforward-rows-initial table row \(0,0\): mass off by 5\.00e-05 \(tolerated"
+    with pytest.warns(UserWarning, match=message):
         _small_table([[0.2, 0.3, 0.5 - 5e-5], [1.0, 0.0, 0.0]])
+    # of several rows off, the worst one reports
+    message = r"\Aforward-rows-initial table row \(0,1\): mass off by 2\.00e-04 \(tolerated"
+    with pytest.warns(UserWarning, match=message):
+        _small_table([[0.2, 0.3, 0.5 - 5e-5], [1.0 - 2e-4, 0.0, 0.0]])
 
 
 def test_table_rejects_large_deficit():
-    with pytest.raises(ValueError, match="not stochastic"):
+    message = r"\Aforward-rows-initial table row \(0,0\): mass 0\.6 differs from 1\.0\Z"
+    with pytest.raises(ValueError, match=message):
         _small_table([[0.2, 0.3, 0.1], [1.0, 0.0, 0.0]])
 
 
@@ -139,7 +146,9 @@ def test_backward_orientation_normalizes_columns():
         values=np.array([[0.4, 1.0], [0.6, 0.0]]),
         orientation="backward-rows-final",
     )
-    with pytest.raises(ValueError):
+    # a fault names the worst column
+    message = r"\Abackward-rows-final table column \(0,0,0\): mass 0\.8 differs from 1\.0\Z"
+    with pytest.raises(ValueError, match=message):
         ConditionalTable(
             row_labels=((0, 0), (1, 0)),
             col_labels=((0, 0, 0), (0, 1, 0)),

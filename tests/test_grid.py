@@ -29,6 +29,8 @@ from demon_ep import (
 from demon_ep.entropy import FORWARD_COLUMNS, evaluate_rows
 from demon_ep.protocol import (
     ProtocolKernel,
+    SigmaHistogram,
+    TableRows,
     branch_probability,
     check_rows,
     final_state_rows,
@@ -259,17 +261,22 @@ def test_negative_zero_table_entries_keep_their_sign():
 
 
 @pytest.mark.parametrize("tol", [-1.0, np.nan])
-def test_a_tolerance_below_zero_bins_every_label_alone(tol):
-    # every gap fails "<= tol", so the loop opens a bin at every label, and no
-    # row may sum a class in one bin
-    config = CASES["physical"]
-    kernel = runner.build_kernel(config)
-    fwd, bwd = point_tables(kernel, GibbsSpec.from_dbeta(config.beta_cavity, 0.75))
-    hist = sigma_histogram(fwd, bwd, tol=tol)
-    expected = reference.sigma_histogram(fwd, bwd, tol=tol)
-    assert hist.sigma.size == np.count_nonzero(fwd.probs)
-    for name in ("sigma", "p_forward", "p_backward"):
-        assert getattr(hist, name).tobytes() == getattr(expected, name).tobytes()
+def test_a_tolerance_below_zero_or_nan_is_rejected(tol):
+    # a NaN tolerance opened a bin at every label and passed the histogram's
+    # "strictly increasing beyond tolerance" check: the ideal model at dbeta
+    # 0.75 gave 8 bins, each sigma value four times, where the default gives 2
+    config = RunConfig()
+    fwd, bwd = point_tables(runner.build_kernel(config),
+                            GibbsSpec.from_dbeta(config.beta_cavity, 0.75))
+    hist = sigma_histogram(fwd, bwd)
+    assert hist.sigma.size == 2
+    message = r"\Asigma tolerance must be a non-negative number, got "
+    with pytest.raises(ValueError, match=message):
+        sigma_histogram(fwd, bwd, tol=tol)
+    with pytest.raises(ValueError, match=message):
+        histogram_rows(TableRows.of(fwd, bwd), tol)
+    with pytest.raises(ValueError, match=message):
+        SigmaHistogram(hist.sigma, hist.p_forward, hist.p_backward, tol)
 
 
 @pytest.mark.parametrize(

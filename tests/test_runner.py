@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import collections
+import csv
 import hashlib
 import io
 import itertools
@@ -408,6 +409,8 @@ def test_each_row_is_checked_once(monkeypatch):
     # a TrajectoryTable pair or a SigmaHistogram ran every check again, and so
     # did checking a block's histograms, binned from tables already checked
     tables = _counting(monkeypatch, protocol, "_table_faults")
+    # protocol's own binding of the mass rule: the parse-time checks of the
+    # tables validate serializes (dataio's binding) are left out
     masses = _counting(monkeypatch, protocol, "_mass_faults")
     histograms = _counting(monkeypatch, protocol.SigmaHistogram, "__post_init__")
     runner.simulate_report(RunConfig(mode="physical"), 0.75)
@@ -763,3 +766,14 @@ def test_invariants_hold_for_any_physical_model_and_bias(
             assert result.sigma5 <= s4 + slack
         if mode == "ideal":
             assert max(sigmas) - min(sigmas) <= 1e-9
+    # every number cell reads back to the bits it was written from, and every
+    # inf cell carries its estimator's flag
+    header, *lines = csv.reader(io.StringIO(sweep_csv_text(results)))
+    written = np.array([[float(cell) for cell in line[:-1]] for line in lines]).T
+    expected = results.numbers[[entropy.COLUMNS.index(name) for name in header[:-1]]]
+    assert written.tobytes() == expected.tobytes()
+    for line in lines:
+        flags = line[-1].split(";")
+        for name, cell in zip(header, line[:-1]):
+            if "inf" in cell:
+                assert f"{name}:infinite" in flags

@@ -17,6 +17,7 @@ from demon_ep import (
     DEFAULT_DIMS,
     GibbsSpec,
     JointDistribution,
+    RunConfig,
     SystemDims,
     condition,
     extended_gibbs,
@@ -25,8 +26,10 @@ from demon_ep import (
     mean_occupation,
     mutual_information,
     relative_entropy,
+    run_sweep,
     shannon_entropy,
     statespace,
+    sweep_csv_text,
 )
 
 import pointwise_reference as reference
@@ -199,6 +202,23 @@ def test_dims_require_room_for_one_photon():
 def test_dims_reject_an_evolved_space_no_larger_than_the_initial_one(init, full):
     with pytest.raises(ValueError, match="exceed the initial truncation"):
         SystemDims(dim_cavity_init=init, dim_cavity_full=full)
+
+
+@pytest.mark.parametrize("init, full, name", [
+    (4.0, 5.0, "dim_cavity_init"), (4, 5.0, "dim_cavity_full"), (True, 5, "dim_cavity_init"),
+    (4, np.True_, "dim_cavity_full"), ("4", 5, "dim_cavity_init"),
+])
+def test_dims_reject_a_non_integer_level_count(init, full, name):
+    # a float count built, and a sweep over it failed inside numpy with a TypeError
+    with pytest.raises(ValueError, match=rf"\A{name} must be an integer, got "):
+        SystemDims(dim_cavity_init=init, dim_cavity_full=full)
+
+
+def test_dims_accept_numpy_integers():
+    dims = SystemDims(np.int64(4), np.int32(5))
+    assert dims == DEFAULT_DIMS and hash(dims) == hash(DEFAULT_DIMS)
+    config = RunConfig(mode="physical", dbeta_start=-1.0, dbeta_stop=1.0, dbeta_step=0.5)
+    assert sweep_csv_text(run_sweep(config, dims)) == sweep_csv_text(run_sweep(config))
 
 
 def test_dims_hold_only_the_cavity_truncations():
