@@ -22,7 +22,6 @@ import contextlib
 import csv
 import io
 import math
-import warnings
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -30,7 +29,9 @@ import numpy as np
 
 from .channels import ENCODINGS, ERROR_CHANNELS, AtomLevel, ErrorModel
 from .entropy import COLUMNS, FORWARD_COLUMNS, EpColumns
-from .statespace import SIGMA_TOL, SystemDims, _mass_faults, _report, gibbs_distribution
+from .statespace import (
+    SIGMA_TOL, SystemDims, _mass_faults, _report, _warn, gibbs_distribution,
+)
 
 __all__ = [
     "ConditionalTable",
@@ -122,7 +123,7 @@ class ConditionalTable:
         if sums.size:
             worst = int(np.abs(sums - 1.0).argmax())
             what = f"{self.orientation} table {kind} {_label_str(labels[worst])}"
-            _report(_mass_faults(sums[worst:worst + 1], 1.0, what).get(0), stacklevel=2)
+            _report(_mass_faults(sums[worst:worst + 1], 1.0, what).get(0))
 
     @classmethod
     def from_grid(cls, grid: np.ndarray, orientation: str) -> "ConditionalTable":
@@ -225,7 +226,7 @@ def parse_table(source, orientation: str) -> ConditionalTable:
         if max(-value, value - 1.0) > _CLAMP_TOL:
             fault = ValueError(f"probability {value!r} at {where} outside [0, 1]")
             break
-        warnings.warn(f"clamping probability {value!r} at {where}", stacklevel=2)
+        _warn(f"clamping probability {value!r} at {where}")
         values[at] = min(1.0, max(0.0, value))
     if fault is not None:
         raise fault

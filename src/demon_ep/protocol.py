@@ -158,7 +158,7 @@ class TrajectoryTable:
         faults = _table_faults(
             p[None], p.reshape(1, -1), self.direction, self.prior_mass, self.unlabeled_mass
         )
-        _report(faults.get(0), stacklevel=2)
+        _report(faults.get(0))
 
 
 def branch_probability(table: TrajectoryTable) -> np.ndarray:
@@ -384,10 +384,12 @@ def _backward_rows(
         prior_qk[:, 0, 0] += prior_qk[:, 1, 0]
         prior_qk[:, 1, 0] = 0.0
     weights = prior_qk[:, :, :, None] * w_cav[..., None, None, :]  # [r, m_Q, k, m_C]
-    joint = bcond * weights[:, None, None]  # [r, n_Q, n_C, m_Q, k, m_C]
+    # the joint weights [r, n_Q, n_C, m_Q, k, m_C]: the labeled ones go straight
+    # into C-contiguous tables [r, n_Q, k, n_C, m_Q, m_C], the others are summed
     init = dims.dim_cavity_init
-    labeled = np.transpose(joint[:, :, :init], (0, 1, 4, 2, 3, 5))
-    unlabeled = joint[:, :, init:].sum(axis=_TABLE_AXES)
+    labeled = np.empty((len(weights), 2, 2, init, 2, dims.dim_cavity_full))
+    np.multiply(bcond[:, :init], weights[:, None, None], out=labeled.transpose(0, 1, 3, 4, 2, 5))
+    unlabeled = (bcond[:, init:] * weights[:, None, None]).sum(axis=_TABLE_AXES)
     return labeled, unlabeled, weights
 
 
@@ -459,7 +461,8 @@ class TableRows:
 
     @functools.cached_property
     def backward_labels(self) -> np.ndarray:
-        """``backward`` as :attr:`forward_labels` holds ``forward``."""
+        """``backward`` as :attr:`forward_labels` holds ``forward``; the weighting
+        writes C-contiguous backward tables, so this reshape is a view of them."""
         return self.backward.reshape(len(self.backward), -1)
 
     @functools.cached_property
@@ -735,7 +738,7 @@ class SigmaHistogram:
             fault = ValueError("negative histogram weight")
         if (np.diff(s) <= self.tolerance).any():
             fault = ValueError("sigma bins must be strictly increasing beyond tolerance")
-        _report(fault, stacklevel=2)
+        _report(fault)
 
 
 def _check_tolerance(tol: float) -> None:
@@ -806,7 +809,7 @@ def check_rows(rows: TableRows) -> None:
                                     rows.prior_mass, rows.unlabeled))
     for r in sorted(set().union(*checks)):
         for faults in checks:
-            _report(faults.get(r), stacklevel=2)
+            _report(faults.get(r))
 
 
 def histogram_rows(rows: TableRows, tol: float = SIGMA_TOL) -> HistogramRows:
@@ -822,8 +825,9 @@ def histogram_rows(rows: TableRows, tol: float = SIGMA_TOL) -> HistogramRows:
     ``tol`` apart has one bin per class, holding the class's labels in index
     order as the stable sort leaves them: such a row sorts its classes, not
     its labels, and sums each class's labels in the same order
-    (:func:`_class_bins`).  The other rows sort their labels
-    (:func:`_label_bins`).
+    (:func:`_class_bins`).  The class bins are made for every row of a
+    support, reading the block in place; the other rows then sort their
+    labels (:func:`_label_bins`), and their bins replace the class bins.
     """
     _check_tolerance(tol)
     count = len(rows.dbeta)
@@ -835,24 +839,20 @@ def histogram_rows(rows: TableRows, tol: float = SIGMA_TOL) -> HistogramRows:
         if not cols.size:  # nothing is forward-possible: a table check fails these rows
             parts.append((sel, np.zeros((3, len(fwd[sel]), 0)), 0))
             continue
-        present, members = _support_members(rows.dims, cols.tobytes())
+        present, members, depths = _support_members(rows.dims, cols.tobytes())
         sigma = class_sigma[sel][:, present]
         order = np.argsort(sigma, axis=1, kind="stable")
         sigma = sigma[np.arange(len(sigma))[:, None], order]
+        bins = _class_bins(sigma, order, fwd, bwd, sel, members, depths)
+        parts.append((sel, bins, len(present)))
         # a tie, a near-tie or a non-finite value puts several classes in one bin
         apart = np.isfinite(sigma).all(axis=1) & (np.diff(sigma, axis=1) > tol).all(axis=1)
-        if apart.all():  # the common case, without copying the rows
-            parts.append((sel, _class_bins(sigma, order, fwd[sel], bwd[sel], members),
-                          len(present)))
-            continue
-        sel = np.arange(count)[sel]
-        by_class, by_label = sel[apart], sel[~apart]
-        if by_class.size:
-            bins = _class_bins(sigma[apart], order[apart], fwd[by_class], bwd[by_class], members)
-            parts.append((by_class, bins, len(present)))
-        labels = np.stack((class_sigma[by_label][:, class_of[cols]],
-                           fwd[by_label][:, cols], bwd[by_label][:, cols]), axis=-1)
-        parts.append((by_label, *_label_bins(labels, tol)))
+        if not apart.all():
+            bins[:, ~apart] = 0.0  # the padding of the label bins that replace them
+            by_label = np.arange(count)[sel][~apart]
+            labels = np.stack((class_sigma[by_label][:, class_of[cols]],
+                               fwd[by_label][:, cols], bwd[by_label][:, cols]), axis=-1)
+            parts.append((by_label, *_label_bins(labels, tol)))
     width = max(bins.shape[2] for _, bins, _ in parts)
     sigma, p_f, p_b = out = np.zeros((3, count, width))
     size = np.empty(count, dtype=int)
@@ -863,45 +863,60 @@ def histogram_rows(rows: TableRows, tol: float = SIGMA_TOL) -> HistogramRows:
 
 
 @functools.lru_cache(maxsize=64)
-def _support_members(dims: SystemDims, support: bytes) -> tuple[np.ndarray, np.ndarray]:
-    """The classes of the labels of a support, and each class's labels in index order.
+def _support_members(
+    dims: SystemDims, support: bytes
+) -> tuple[np.ndarray, np.ndarray, tuple[tuple[slice, slice], ...]]:
+    """The classes of the labels of a support, and their labels depth by depth.
 
-    ``support`` holds the label indices as ``np.intp`` bytes.  ``members[d, c]``
-    is the ``d``-th label of class ``present[c]``; a class with fewer labels is
-    padded with the index one past the last label.  Read-only arrays.
+    ``support`` holds the label indices as ``np.intp`` bytes.  ``present``
+    lists the classes, those with more labels first (ties in class order).
+    ``members`` lists the labels depth-major: depth 0 holds the first label of
+    every class, in the order of ``present``, and depth ``d`` the ``d``-th
+    label of each class that has one, which are the first ``w`` classes.  Each
+    ``(head, tail)`` of ``depths``, one per depth past 0, slices those ``w``
+    classes and their ``d``-th labels out of ``members``.  Read-only arrays.
     """
     class_of = label_classes(dims)[0]
     cols = np.frombuffer(support, dtype=np.intp)  # ascending: index order
-    present, class_index = np.unique(class_of[cols], return_inverse=True)
-    earlier = np.cumsum(class_index[:, None] == np.arange(len(present)), axis=0)
-    depth = earlier[np.arange(len(cols)), class_index] - 1
-    members = np.full((int(depth.max()) + 1, len(present)), len(class_of))
-    members[depth, class_index] = cols
+    classes, class_index, counts = np.unique(
+        class_of[cols], return_inverse=True, return_counts=True
+    )
+    rank = np.argsort(-counts, kind="stable")
+    place = np.argsort(rank)[class_index]  # each label's class, as a place in present
+    earlier = np.cumsum(place[:, None] == np.arange(len(classes)), axis=0)
+    depth = earlier[np.arange(len(cols)), place] - 1
+    members = cols[np.lexsort((place, depth))]
+    ends = np.cumsum(np.bincount(depth)).tolist()
+    depths = tuple((slice(0, end - start), slice(start, end))
+                   for start, end in zip(ends, ends[1:]))
+    present = classes[rank]
     for array in (present, members):
         array.setflags(write=False)
-    return present, members
+    return present, members, depths
 
 
-def _class_bins(sigma, order, fwd, bwd, members) -> np.ndarray:
-    """Bins of rows with one class per bin.
+def _class_bins(sigma, order, fwd, bwd, sel, members, depths) -> np.ndarray:
+    """Bins of the rows ``sel`` of ``fwd`` and ``bwd``, one class per bin.
 
     ``sigma[r]`` holds the row's sorted class values and ``order[r]`` their
-    classes.  Each class sums its labels in index order, the running sum the
-    label sort would make; the padding label weighs -0.0, and x + -0.0 is x.
+    places in ``present`` (:func:`_support_members`).  Each class sums its
+    labels in index order, the running sum the label sort would make: one
+    gather per side takes every member, and each depth adds its members to
+    the class totals of both sides in place, in one contiguous run.
     """
-    weights = np.empty((fwd.shape[1] + 1, 2, len(fwd)))  # [label, (forward, backward), r]
-    weights[:-1, 0] = fwd.T
-    weights[:-1, 1] = bwd.T
-    weights[-1] = -0.0
-    members = weights[members]  # [depth, class, (forward, backward), r]
-    total = members[0]
-    for depth in range(1, len(members)):
-        total = total + members[depth]
-    lines = np.arange(len(sigma))[:, None]
+    total = np.empty((len(members), 2, len(sigma)))  # [member, side, r]
+    total[:, 0] = fwd.T[members][:, sel]
+    total[:, 1] = bwd.T[members][:, sel]
+    for head, tail in depths:  # the first members become the class totals
+        total[head] += total[tail]
+    count = len(sigma)
+    at = order * (2 * count)
+    at += np.arange(count)[:, None]  # each bin's forward total, in total.ravel()
     bins = np.empty((3, *sigma.shape))
     bins[0] = sigma
-    bins[1] = total[order, 0, lines]
-    bins[2] = total[order, 1, lines]
+    total.take(at, out=bins[1], mode="clip")  # "clip": "raise" would buffer out
+    at += count
+    total.take(at, out=bins[2], mode="clip")
     return bins
 
 

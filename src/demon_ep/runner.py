@@ -55,12 +55,15 @@ def build_kernel(config: RunConfig, dims: SystemDims = DEFAULT_DIMS) -> Protocol
 
 
 #: bias points weighted, checked, binned and evaluated together.  A physical
-#: block costs about 0.43 ms however few its rows (one row: weigh 0.04, check
-#: 0.02, histogram 0.06, estimators 0.26), so a 1,200-point sweep job takes
-#: 19% less time end to end in 10 blocks of 128 than in 19 of 64.  Blocks of
-#: 192 take 4% less again but raise the job's peak resident size by 1.3 MB;
-#: blocks of 128 keep it level (BENCH_26.json).
-BLOCK_POINTS = 128
+#: block costs about 0.35 ms however few its rows (one row: weigh 0.05, check
+#: 0.02, histogram 0.06, estimators 0.22), 128 rows about 1.5 ms and 256 rows
+#: about 2.8 ms (weigh 0.6, check 0.14, histogram 0.5, estimators 1.4), so a
+#: 1,200-point sweep job pays that fixed cost 5 times, not 10.  Blocks of 256
+#: fit in the memory blocks of 128 took: the histogram reads the block's label
+#: arrays in place and the weighting writes the backward ones once, so a job's
+#: traced peak stays near 1.7 MB and dense-sweep runs in 0.85 of the time
+#: (BENCH_31.json).
+BLOCK_POINTS = 256
 
 
 def _run(kernel: ProtocolKernel, config: RunConfig) -> EpColumns:

@@ -13,6 +13,7 @@ only through the dimensionless combination ``beta * omega``.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field
 
@@ -68,12 +69,26 @@ def _mass_faults(total: np.ndarray, expected, what: str) -> dict[int, Exception]
     return faults
 
 
-def _report(fault: Exception | None, stacklevel: int) -> None:
-    """Raise an error, or warn as ``warnings.warn(fault, stacklevel)`` in the caller would."""
+def _report(fault: Exception | None) -> None:
+    """Raise an error, or warn at the caller outside the package (:func:`_warn`)."""
     if isinstance(fault, Warning):
-        warnings.warn(fault, stacklevel=stacklevel + 1)
+        _warn(fault)
     elif fault is not None:
         raise fault
+
+
+def _warn(message: str | Warning) -> None:
+    """``warnings.warn(message)``, its file and line those of the first frame
+    outside this package: the caller's line, not a check's, a parser's or the
+    ``__init__`` a dataclass generates.  Python 3.12's ``skip_file_prefixes``
+    would do this; 3.10 and 3.11 need the walk."""
+    frame, level = sys._getframe(1), 2
+    # by module, not by file: a dataclass's generated __init__ runs in its
+    # class's module, under the file name "<string>"
+    while (frame.f_back is not None
+           and frame.f_globals.get("__name__", "").partition(".")[0] == __package__):
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, stacklevel=level)
 
 
 @dataclass(frozen=True)

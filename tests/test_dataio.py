@@ -25,6 +25,7 @@ from demon_ep import (
     measured_kernel,
     parse_table,
     point_tables,
+    run_analysis,
     serialize_table,
     sweep_csv_text,
     write_table,
@@ -101,6 +102,37 @@ def test_table_warns_on_small_deficit():
     message = r"\Aforward-rows-initial table row \(0,1\): mass off by 2\.00e-04 \(tolerated"
     with pytest.warns(UserWarning, match=message):
         _small_table([[0.2, 0.3, 0.5 - 5e-5], [1.0 - 2e-4, 0.0, 0.0]])
+
+
+def _warnings_of(make) -> tuple:
+    """``make()``, and the (message, file) of every warning it issues."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = make()
+    return result, [(str(w.message), w.filename) for w in caught]
+
+
+def test_a_tolerated_fault_warns_at_the_line_that_asked_for_it():
+    # not at "<string>:7", the __init__ a dataclass generates, nor at a line
+    # of the package: the first frame outside it names the caller
+    config = RunConfig(mode="physical", dbeta_step=1.0)
+    kernel = simulated_kernel(config.build_error_model(), mode=config.mode)
+    tables = point_tables(kernel, GibbsSpec.from_dbeta(BETA_C, 0.0))
+    fwd, bwd = map(conditional_from_table, tables)
+    values = fwd.values.copy()
+    values[fwd.row_labels.index((0, 0))] *= 1.0 - 5e-5
+    deficit = "forward-rows-initial table row (0,0): mass off by 5.00e-05"
+    scaled, built = _warnings_of(
+        lambda: ConditionalTable(fwd.row_labels, fwd.col_labels, values, fwd.orientation)
+    )
+    assert [message.startswith(deficit) for message, _ in built] == [True]
+    text = serialize_table(scaled)
+    parsed, read = _warnings_of(lambda: parse_table(io.StringIO(text), fwd.orientation))
+    assert [message.startswith(deficit) for message, _ in read] == [True]
+    results, analyzed = _warnings_of(lambda: run_analysis(config, parsed, bwd))
+    assert len(analyzed) == len(results) == 13
+    assert all(message.startswith("forward table: mass off by") for message, _ in analyzed)
+    assert {file for _, file in built + read + analyzed} == {__file__}
 
 
 def test_table_rejects_large_deficit():
@@ -194,8 +226,9 @@ def test_parse_table_without_corner_token():
 
 def test_parse_table_clamps_tiny_excursions():
     text = "state (0,0,0) (0,1,0)\n(0,0) 1.0000000001 -1e-10\n"
-    with pytest.warns(UserWarning, match="clamping"):
+    with pytest.warns(UserWarning, match="clamping") as record:
         table = parse_table(io.StringIO(text), "forward-rows-initial")
+    assert {w.filename for w in record} == {__file__}
     assert table.values[0, 0] == 1.0
     assert table.values[0, 1] == 0.0
 

@@ -96,7 +96,7 @@ CASES = {
 @pytest.mark.parametrize("case, block", [
     # a case at the configured block size keeps its name, other sizes say theirs
     pytest.param(case, block, id=case if block == runner.BLOCK_POINTS else f"{case}@{block}")
-    for case in sorted(CASES) for block in sorted({1, 64, runner.BLOCK_POINTS})
+    for case in sorted(CASES) for block in sorted({1, 64, 128, runner.BLOCK_POINTS})
 ])
 def test_sweep_matches_the_point_by_point_reference(monkeypatch, case, block):
     # a row runs the same code in a block of any size

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -37,9 +38,12 @@ import demon_ep.runner as runner
 from demon_ep.protocol import (
     TableRows,
     _point_rows,
+    check_rows,
     final_state_rows,
+    histogram_rows,
     oracle_states,
     simulated_kernel,
+    weigh_rows,
 )
 from demon_ep.statespace import extended_gibbs
 
@@ -515,6 +519,30 @@ def test_only_rows_with_a_bin_of_several_classes_sort_their_labels(monkeypatch, 
     for start in range(0, grid.size, runner.BLOCK_POINTS):
         runner._run_block(kernel, config, grid[start:start + runner.BLOCK_POINTS])
     assert (sum(label_rows), grid.size) == (expected, points)
+
+
+def test_a_block_bins_its_classes_without_block_sized_temporaries(monkeypatch):
+    # 256 dense rows from -3.44, one of which sorts its labels: the class
+    # totals gather the support's labels only; a padded or transposed copy of
+    # the block, or row copies for the label path, peak near 8 times the
+    # forward labels
+    config = RunConfig(mode="physical", dbeta_step=0.0025)
+    rows = weigh_rows(runner.build_kernel(config), config.beta_cavity, config.grid()[1024:1280])
+    check_rows(rows)  # the runner's order: the label arrays exist before binning
+    label_rows = []
+    label_bins = protocol._label_bins
+    monkeypatch.setattr(
+        protocol, "_label_bins", lambda labels, tol: label_rows.append(len(labels))
+        or label_bins(labels, tol)
+    )
+    tracemalloc.start()
+    try:
+        histogram_rows(rows, config.sigma_tol)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (len(rows.dbeta), label_rows) == (256, [1])
+    assert peak < 3 * rows.forward_labels.nbytes
 
 
 def test_every_label_of_a_class_has_the_same_sigma():
