@@ -30,7 +30,6 @@ from .protocol import (
     final_state_rows,
     gibbs_weights,
     histogram_rows,
-    quanta_change,
     sigma_histogram,  # noqa: F401  (perfbench reads it off this module)
 )
 from .statespace import (
@@ -86,11 +85,17 @@ class EstimatorInputs:
 
     @functools.cached_property
     def heat(self) -> np.ndarray:
-        """Average heat into the cavity in units of omega, from the atom or the photon side."""
-        qubit, cavity = quanta_change(self.rows.dims, float)
+        """Average heat into the cavity in units of omega, from the atom or the photon side:
+        each row's weights times the quanta gained, summed pairwise in the layout numpy gave
+        that product of the [r, n_Q, k, n_C, m_Q, m_C] view (``_Layout.atom_heat``)."""
+        layout = self.rows.layout
+        places, quanta = layout.atom_heat if self.heat_from_atom else layout.cavity_heat
+        terms = self.rows.forward_flat.take(places, axis=1)
+        terms *= quanta
+        heat = terms.sum(axis=1)
         if self.heat_from_atom:  # the cavity gains what the atom loses
-            return -(self.rows.forward * qubit).sum(axis=(1, 2, 3, 4, 5))
-        return (self.rows.forward * cavity).sum(axis=(1, 2, 3, 4, 5))
+            return np.negative(heat, out=heat)
+        return heat
 
     @functools.cached_property
     def info(self) -> np.ndarray:  # average information gained by the memory, H[p(k)]
@@ -136,9 +141,29 @@ def _sigma3_rows(data: EstimatorInputs) -> np.ndarray:
     measure for the branch, kept at its thermal weight (not renormalized):
     forward and backward weights then share one free energy per subsystem, and
     the estimator reduces to the others in the ideal protocol."""
-    forward, backward = data.rows.forward, data.rows.backward
-    return _branch_divergence(data, lambda k: forward[:, :, k].sum(axis=(3, 4)),
-                              lambda k, pk: backward[:, :, k].sum(axis=(3, 4)) / pk)
+    forward, backward = _initial_branch_rows(data.rows)
+    return _branch_divergence(data, lambda k: forward[:, k],
+                              lambda k, pk: backward[:, :, k] / pk)
+
+
+def _initial_branch_rows(rows: TableRows) -> tuple[np.ndarray, np.ndarray]:
+    """Each branch's forward weight [r, k, n_Q, n_C] and backward weight [r, n_Q, k, n_C]
+    on the initial levels: the (m_Q, m_C) sums of both tables, both branches at once.
+
+    A forward row holds the (n_Q, n_C) run of each (m_Q, k, m_C), and numpy adds
+    those runs left to right over (m_Q, m_C) onto a zero start.  The sum is laid
+    out [k, (n_Q, n_C), r], rows last, so numpy's inner loops run over the rows,
+    not over runs of 2 * dim_cavity_init values, while each entry still adds its
+    terms in that order (``test_flat_block_reductions_match_the_strided_ones``
+    pins the bits).  A backward row holds the (m_Q, m_C) run of each label,
+    which numpy sums pairwise.
+    """
+    count, init = len(rows.dbeta), rows.dims.dim_cavity_init
+    runs = rows.forward_flat.reshape(count, 2, 2, rows.dims.dim_cavity_full, 2 * init)
+    forward = np.empty((2, 2 * init, count))
+    np.add.reduce(runs.transpose(1, 3, 2, 4, 0), axis=(0, 1), out=forward)
+    backward = rows.backward_labels.reshape(count, 2, 2, init, -1).sum(axis=-1)
+    return forward.reshape(2, 2, init, count).transpose(3, 0, 1, 2), backward
 
 
 def _sigma4_rows(data: EstimatorInputs) -> np.ndarray:
@@ -159,9 +184,15 @@ def _correlation_rows(joint: np.ndarray, rho_qc: np.ndarray) -> np.ndarray:
             - shannon_entropy_rows(joint))
 
 
+def _qc_marginal(joint: np.ndarray) -> np.ndarray:
+    """``joint.sum(axis=2)`` of C-contiguous joint states [r, m_Q, k, m_C] whose
+    entries are never -0.0 (sums onto a zero start), bit for bit: k = 0 plus k = 1."""
+    return joint[:, :, 0] + joint[:, :, 1]
+
+
 def _sigma6_rows(data: EstimatorInputs) -> np.ndarray:
     """Average-state divergence plus the residual system-memory correlations."""
-    rho_qc = data.final_state.sum(axis=2)
+    rho_qc = _qc_marginal(data.final_state)
     return (_divergence_rows(rho_qc, data.thermal, data.floor)
             + _correlation_rows(data.final_state, rho_qc))
 

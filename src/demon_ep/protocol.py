@@ -36,6 +36,7 @@ block of them as stacked rows, and the tables of a single point
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
@@ -61,6 +62,7 @@ from .statespace import (
     JointDistribution,
     SystemDims,
     _mass_faults,
+    _pairwise_sum,
     _report,
     extended_gibbs,
     gibbs_distribution,
@@ -105,14 +107,14 @@ _TABLE_AXES = (1, 2, 3, 4, 5)
 
 
 def _table_faults(
-    probs: np.ndarray,
+    total: np.ndarray,
     labels: np.ndarray,
     direction: str,
     prior_mass: np.ndarray | float = 1.0,
     unlabeled: np.ndarray | float = 0.0,
 ) -> dict[int, Exception]:
-    """:class:`TrajectoryTable`'s checks of stacked ``probs`` rows, also given as ``labels``."""
-    total = probs.sum(axis=_TABLE_AXES)
+    """:class:`TrajectoryTable`'s checks of stacked rows: each row's mass ``total``
+    and its entries ``labels``."""
     if direction == "forward":
         faults = _mass_faults(total, 1.0, "forward table")
     else:
@@ -155,9 +157,8 @@ class TrajectoryTable:
             raise ValueError(f"probs shape {p.shape}, expected {expected}")
         if self.direction not in ("forward", "backward"):
             raise ValueError(f"direction must be forward/backward, got {self.direction!r}")
-        faults = _table_faults(
-            p[None], p.reshape(1, -1), self.direction, self.prior_mass, self.unlabeled_mass
-        )
+        faults = _table_faults(p[None].sum(axis=_TABLE_AXES), p.reshape(1, -1), self.direction,
+                               self.prior_mass, self.unlabeled_mass)
         _report(faults.get(0))
 
 
@@ -165,11 +166,14 @@ def branch_probability(table: TrajectoryTable) -> np.ndarray:
     """Readout outcome distribution p(k) of a forward table."""
     if table.direction != "forward":
         raise ValueError("branch probabilities are defined by the forward protocol")
-    return _branch_rows(table.probs[None])[0]
+    return _branch_rows(_memory_rows(table.probs[None]))[0]
 
 
-def _branch_rows(forward: np.ndarray) -> np.ndarray:
-    return forward.sum(axis=(1, 3, 4, 5))
+def _branch_rows(flat: np.ndarray) -> np.ndarray:
+    """p(k) of forward rows in the kernel's memory order (:func:`_forward_rows`): each
+    (m_Q, k) run of (m_C, n_Q, n_C) summed pairwise, then m_Q = 0 plus m_Q = 1."""
+    runs = flat.reshape(len(flat), 2, 2, -1).sum(axis=-1)
+    return runs[:, 0] + runs[:, 1]
 
 
 def sigma_grid(gibbs: GibbsSpec, pk: np.ndarray, dims: SystemDims = DEFAULT_DIMS) -> np.ndarray:
@@ -181,22 +185,24 @@ def sigma_grid(gibbs: GibbsSpec, pk: np.ndarray, dims: SystemDims = DEFAULT_DIMS
     energies in units of omega; an outcome with p(k) = 0 gives ``inf``.
     """
     pk = np.asarray(pk, dtype=float)[None]
-    sigma = _class_sigma_rows(np.array([gibbs.beta_qubit]), gibbs.beta_cavity, pk, dims)[0]
-    return sigma[label_classes(dims)[0]].reshape(_label_shape(dims))
+    class_of, *classes = label_classes(dims)
+    sigma = _class_sigma_rows(np.array([gibbs.beta_qubit]), gibbs.beta_cavity, pk, *classes)[0]
+    return sigma[class_of].reshape(_label_shape(dims))
 
 
 def _class_sigma_rows(
-    beta_qubit: np.ndarray, beta_cavity: float | np.ndarray, pk: np.ndarray, dims: SystemDims
+    beta_qubit: np.ndarray,
+    beta_cavity: float | np.ndarray,
+    pk: np.ndarray,
+    qubit: np.ndarray,
+    cavity: np.ndarray,
+    k: np.ndarray,
 ) -> np.ndarray:
-    """sigma of each (Delta q, Delta c, k) class of :func:`label_classes`, per row."""
-    _, qubit, cavity, k = label_classes(dims)
+    """sigma of (Delta q, Delta c, k) classes given by their ``qubit``, ``cavity`` and
+    ``k`` values (:func:`label_classes`), per row."""
     with np.errstate(divide="ignore"):
         log_pk = np.log(pk)
-    return (
-        beta_qubit[:, None] * qubit
-        + np.reshape(beta_cavity, (-1, 1)) * cavity
-        - log_pk[:, k]
-    )
+    return beta_qubit[:, None] * qubit + np.reshape(beta_cavity, (-1, 1)) * cavity - log_pk[:, k]
 
 
 def _label_shape(dims: SystemDims) -> tuple[int, ...]:
@@ -204,15 +210,14 @@ def _label_shape(dims: SystemDims) -> tuple[int, ...]:
 
 
 @functools.lru_cache(maxsize=16)
-def quanta_change(dims: SystemDims, dtype=int) -> tuple[np.ndarray, np.ndarray]:
+def quanta_change(dims: SystemDims) -> tuple[np.ndarray, np.ndarray]:
     """Per-label quanta gained by the qubit (m_Q - n_Q) and the cavity (m_C - n_C).
 
-    Read-only arrays of ``dtype`` broadcasting against ``TrajectoryTable.probs``;
-    float ones multiply float tables without a cast per element.
+    Read-only integer arrays broadcasting against ``TrajectoryTable.probs``.
     """
-    n_q = np.arange(2, dtype=dtype)
-    n_c = np.arange(dims.dim_cavity_init, dtype=dtype)
-    m_c = np.arange(dims.dim_cavity_full, dtype=dtype)
+    n_q = np.arange(2)
+    n_c = np.arange(dims.dim_cavity_init)
+    m_c = np.arange(dims.dim_cavity_full)
     changes = (
         n_q[None, None, None, :, None] - n_q[:, None, None, None, None],
         m_c[None, None, None, None, :] - n_c[None, None, :, None, None],
@@ -239,6 +244,56 @@ def label_classes(dims: SystemDims) -> tuple[np.ndarray, np.ndarray, np.ndarray,
     for array in arrays:
         array.setflags(write=False)
     return arrays
+
+
+@dataclass(frozen=True, eq=False)
+class _Layout:
+    """Index arrays of the tables of one dims as [row, place] rows.
+
+    A forward table's places follow the kernel's memory order ``shape`` =
+    [m_Q, k, m_C, n_Q, n_C] (:func:`_forward_rows`): ``qubit_of`` and
+    ``cavity_of`` give the initial levels at each place and ``labels`` the
+    place of each label, in label order.  ``branch_of`` gives the [m_Q, k, m_C]
+    index of each backward label.  ``atom_heat`` and ``cavity_heat`` are the
+    places in the order numpy lays out ``forward * qubit`` ([n_Q, m_Q, k, m_C,
+    n_C]) and ``forward * cavity`` ([m_Q, k, n_Q, n_C, m_C]) of
+    :func:`quanta_change`, with the quanta gained there.  Read-only arrays.
+    """
+
+    shape: tuple[int, ...]
+    qubit_of: np.ndarray
+    cavity_of: np.ndarray
+    labels: np.ndarray
+    branch_of: np.ndarray
+    atom_heat: tuple[np.ndarray, np.ndarray]
+    cavity_heat: tuple[np.ndarray, np.ndarray]
+
+
+@functools.lru_cache(maxsize=16)
+def _table_layout(dims: SystemDims) -> _Layout:
+    shape = (2, 2, dims.dim_cavity_full, 2, dims.dim_cavity_init)
+    labels = np.arange(math.prod(shape)).reshape(shape).transpose(3, 1, 4, 0, 2)
+    n_q, n_c = np.indices(shape)[3:]
+    _, k, _, m_q, m_c = np.indices(labels.shape)
+
+    def heat(quanta, axes):  # axes: numpy's layout of the product, in label axes
+        return (labels.transpose(axes).ravel(),
+                np.broadcast_to(quanta, labels.shape).transpose(axes).ravel().astype(float))
+
+    qubit, cavity = quanta_change(dims)
+    layout = _Layout(shape, n_q.ravel(), n_c.ravel(), labels.ravel(),
+                     ((2 * m_q + k) * dims.dim_cavity_full + m_c).ravel(),
+                     heat(qubit, (0, 3, 1, 4, 2)), heat(cavity, (3, 1, 0, 2, 4)))
+    for array in (layout.qubit_of, layout.cavity_of, layout.labels, layout.branch_of,
+                  *layout.atom_heat, *layout.cavity_heat):
+        array.setflags(write=False)
+    return layout
+
+
+def _memory_rows(tables: np.ndarray) -> np.ndarray:
+    """Stacked [r, n_Q, k, n_C, m_Q, m_C] tables as [row, place] rows in the kernel's
+    memory order: a view of the rows :func:`weigh_rows` writes, a copy of others."""
+    return tables.transpose(0, 4, 2, 5, 1, 3).reshape(len(tables), -1)
 
 
 # ---------------------------------------------------------------------------
@@ -338,20 +393,33 @@ def _evolve(chain: GateChain, backward: bool) -> np.ndarray:
 # Thermal weighting
 
 
-def _forward_rows(cond: np.ndarray, p_qubit: np.ndarray, p_cavity: np.ndarray) -> np.ndarray:
-    """Forward tables for a stack of qubit priors ``p_qubit[r, n_Q]``.
+def _forward_rows(
+    cond: np.ndarray, zeta_q: np.ndarray, p_cavity: np.ndarray, layout: _Layout
+) -> np.ndarray:
+    """Forward tables for a stack of qubit priors ``zeta_q[r, n_Q]``, as [row, place].
 
     ``cond`` and ``p_cavity`` are shared by every row, or stacked with one
     per row (``cond[r]``, ``p_cavity[r, n_C]``).
+
+    The layout contract.  Row r holds its table in the memory order of the
+    kernel's ``cond``, [m_Q, k, m_C, n_Q, n_C] (``layout.shape``), and
+    ``TableRows.forward`` is the [r, n_Q, k, n_C, m_Q, m_C] view of it.  Each
+    entry is (cond x zeta_Q[n_Q]) x p_C[n_C] added to a zero start, so -0.0
+    reads 0.0.  The frozen digests pin these products and the order of every
+    sum over the rows, so the order is fixed: tables stored in label order move
+    all twelve sweep digests (ROADMAP item 10).  The sums that rely on it:
+    p(k) sums each (m_Q, k) run of (m_C, n_Q, n_C) pairwise and adds the two
+    m_Q (:func:`_branch_rows`); a final state sums the (n_Q, n_C) run of its
+    (m_Q, k, m_C) pairwise (:func:`final_state_rows`); the table check's mass
+    sums each whole row; sigma3 adds the (n_Q, n_C) runs over (m_Q, m_C) left
+    to right; the heat gathers each row into the layout numpy gave its product
+    (``layout.atom_heat``, ``layout.cavity_heat``) and sums that pairwise.
     """
-    cond_row = "b" if cond.ndim == 6 else ""
-    cavity_row = "b" if p_cavity.ndim == 2 else ""
-    # The output keeps the memory order of ``cond``, and that order fixes the
-    # summation order of every later reduction.  With ``cond`` stored in
-    # ConditionalTable's [n_Q, n_C, m_Q, k, m_C] order the values are equal but
-    # the strides are not, p(k) sums in another order, and backward results
-    # move by up to 1.7e-16: every frozen CSV digest breaks.
-    return np.einsum(f"{cond_row}mkfnc,bn,{cavity_row}c->bnkcmf", cond, p_qubit, p_cavity)
+    table = zeta_q.take(layout.qubit_of, axis=1)
+    np.multiply(cond.reshape(len(table), -1) if cond.ndim == 6 else cond.reshape(-1),
+                table, out=table)
+    table *= p_cavity.take(layout.cavity_of, axis=-1)
+    return np.add(table, 0.0, out=table)
 
 
 def gibbs_weights(beta_qubit: np.ndarray, beta_cavity: float | np.ndarray,
@@ -366,30 +434,30 @@ def gibbs_weights(beta_qubit: np.ndarray, beta_cavity: float | np.ndarray,
 
 
 def _backward_rows(
-    bcond: np.ndarray,
+    kernel: ProtocolKernel,
     zeta_q: np.ndarray,
     w_cav: np.ndarray,
     pk: np.ndarray,
-    dims: SystemDims,
+    layout: _Layout,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Labeled backward tables, unlabeled mass and branch priors, per row.
+    """Labeled backward tables as [row, label], unlabeled mass and branch priors, per row.
 
     The priors ``weights[r, m_Q, k, m_C]`` put each row's thermal qubit
     weight ``zeta_q`` on its forward readout distribution ``pk``.
     """
+    labeled_cond, overflow_cond, holds_10 = kernel._backward_parts
     prior_qk = zeta_q[:, :, None] * pk[:, None, :]  # [r, m_Q, k]
     # no (m_Q=1, k=0) start column (the physical atom; ConditionalTable.from_grid
     # omits it too): that branch's thermal weight goes to (0, 0)
-    if not bcond[:, :, 1, 0].any():
+    if not holds_10:
         prior_qk[:, 0, 0] += prior_qk[:, 1, 0]
         prior_qk[:, 1, 0] = 0.0
     weights = prior_qk[:, :, :, None] * w_cav[..., None, None, :]  # [r, m_Q, k, m_C]
-    # the joint weights [r, n_Q, n_C, m_Q, k, m_C]: the labeled ones go straight
-    # into C-contiguous tables [r, n_Q, k, n_C, m_Q, m_C], the others are summed
-    init = dims.dim_cavity_init
-    labeled = np.empty((len(weights), 2, 2, init, 2, dims.dim_cavity_full))
-    np.multiply(bcond[:, :init], weights[:, None, None], out=labeled.transpose(0, 1, 3, 4, 2, 5))
-    unlabeled = (bcond[:, init:] * weights[:, None, None]).sum(axis=_TABLE_AXES)
+    flat = weights.reshape(len(weights), -1)
+    # each label's prior, times its conditional
+    labeled = flat.take(layout.branch_of, axis=1)
+    labeled *= labeled_cond
+    unlabeled = (overflow_cond * flat[:, None]).reshape(len(flat), -1).sum(axis=1)
     return labeled, unlabeled, weights
 
 
@@ -399,10 +467,13 @@ class TableRows:
 
     Row ``r`` holds the ``probs`` of the tables at inverse temperatures
     ``beta_qubit[r]`` and ``beta_cavity``, a float shared by every row or an
-    array with one value per row.  :func:`weigh_rows` builds a block of them
-    from a kernel, and :meth:`tables` gives one row's table pair, checked
-    again; :meth:`of` wraps one table pair, which is how the single-point
-    functions run the same row-wise code.  ``unlabeled`` (the backward mass
+    array with one value per row.  The forward tables are held as
+    ``forward_flat``, [row, place] rows in the kernel's memory order
+    (:func:`_forward_rows`), and ``forward`` is their [r, n_Q, k, n_C, m_Q, m_C]
+    view.  :func:`weigh_rows` builds a block of them from a kernel, and
+    :meth:`tables` gives one row's table pair, checked again; :meth:`of` wraps
+    one table pair, which is how the single-point functions run the same
+    row-wise code.  ``unlabeled`` (the backward mass
     without a label), ``weights`` (the backward priors ``[r, m_Q, k, m_C]``),
     ``kernel`` and the row numbers defined on them here are kept by
     :func:`weigh_rows` only.
@@ -412,7 +483,7 @@ class TableRows:
     beta_cavity: float | np.ndarray
     beta_qubit: np.ndarray
     dbeta: np.ndarray
-    forward: np.ndarray
+    forward_flat: np.ndarray
     #: readout distribution p(k) of each row
     pk: np.ndarray
     #: each row's :func:`gibbs_weights`: priors and thermal reference
@@ -440,10 +511,10 @@ class TableRows:
                     f"tables weighted at different bias points: forward dbeta_tilde "
                     f"{gibbs.dbeta_tilde!r}, backward dbeta_tilde {bwd.gibbs.dbeta_tilde!r}"
                 )
-        forward, beta_qubit = fwd.probs[None], np.array([gibbs.beta_qubit])
+        flat, beta_qubit = _memory_rows(fwd.probs[None]), np.array([gibbs.beta_qubit])
         return cls(
-            fwd.dims, gibbs.beta_cavity, beta_qubit, np.array([gibbs.dbeta_tilde]), forward,
-            _branch_rows(forward), *gibbs_weights(beta_qubit, gibbs.beta_cavity, fwd.dims),
+            fwd.dims, gibbs.beta_cavity, beta_qubit, np.array([gibbs.dbeta_tilde]), flat,
+            _branch_rows(flat), *gibbs_weights(beta_qubit, gibbs.beta_cavity, fwd.dims),
             None if bwd is None else bwd.probs[None],
         )
 
@@ -453,11 +524,22 @@ class TableRows:
         return GibbsSpec(float(self.beta_qubit[r]), float(beta_cavity), float(self.dbeta[r]))
 
     @functools.cached_property
+    def layout(self) -> _Layout:
+        """The index arrays of the rows' dims (:func:`_table_layout`)."""
+        return _table_layout(self.dims)
+
+    @functools.cached_property
+    def forward(self) -> np.ndarray:
+        """The forward tables as [r, n_Q, k, n_C, m_Q, m_C]: a view of ``forward_flat``."""
+        shape = self.layout.shape
+        return self.forward_flat.reshape(len(self.dbeta), *shape).transpose(0, 4, 2, 5, 1, 3)
+
+    @functools.cached_property
     def forward_labels(self) -> np.ndarray:
-        """``forward`` as one C-contiguous [row, label] array.  The weighting keeps
-        the kernel's memory order, so each reshape of ``forward`` is a copy: the
-        checks, the histogram, sigma4 and the support flags read this one."""
-        return self.forward.reshape(len(self.forward), -1)
+        """``forward`` as one C-contiguous [row, label] array, gathered once from
+        ``forward_flat``: the checks, the histogram, sigma4 and the support flags
+        read this one."""
+        return self.forward_flat.take(self.layout.labels, axis=1)
 
     @functools.cached_property
     def backward_labels(self) -> np.ndarray:
@@ -528,17 +610,18 @@ def _weigh_rows(
     given, its forward cavity prior the first ``dim_cavity_init`` cavity weights of
     :func:`gibbs_weights`.  ``backward_pk[r]``, if given, weights the backward
     branches in place of the forward tables' p(k)."""
-    dims = kernel.dims
+    dims, layout = kernel.dims, _table_layout(kernel.dims)
     zeta_q, w_cav = gibbs_weights(beta_qubit, beta_cavity, dims)
-    forward = _forward_rows(kernel.forward_cond, zeta_q, w_cav[..., :dims.dim_cavity_init])
-    pk = _branch_rows(forward)
-    weighed = (dims, beta_cavity, beta_qubit, dbeta, forward, pk, zeta_q, w_cav)
+    flat = _forward_rows(kernel.forward_cond, zeta_q, w_cav[..., :dims.dim_cavity_init], layout)
+    pk = _branch_rows(flat)
+    weighed = (dims, beta_cavity, beta_qubit, dbeta, flat, pk, zeta_q, w_cav)
     if kernel.backward_cond is None:
         return TableRows(*weighed, kernel=kernel)
     labeled, unlabeled, weights = _backward_rows(
-        kernel.backward_cond, zeta_q, w_cav, pk if backward_pk is None else backward_pk, dims
+        kernel, zeta_q, w_cav, pk if backward_pk is None else backward_pk, layout
     )
-    return TableRows(*weighed, labeled, unlabeled, weights, kernel)
+    backward = labeled.reshape(len(labeled), *_label_shape(dims))
+    return TableRows(*weighed, backward, unlabeled, weights, kernel)
 
 
 # ---------------------------------------------------------------------------
@@ -572,6 +655,17 @@ class ProtocolKernel:
     backward_cond: np.ndarray | None
     backward_reset: np.ndarray | None = None
     chain: GateChain | None = None
+
+    @functools.cached_property
+    def _backward_parts(self) -> tuple[np.ndarray, np.ndarray, bool]:
+        """``backward_cond`` as the weighting reads it, made once per kernel: the
+        labeled conditionals in backward label order, those past the initial
+        truncation as [(n_Q, n_C), (m_Q, k, m_C)], and whether the register
+        holds (m_Q, k) = (1, 0)."""
+        bcond, init = self.backward_cond, self.dims.dim_cavity_init
+        labeled = bcond[:, :init].transpose(0, 3, 1, 2, 4).ravel()
+        overflow = bcond[:, init:].reshape(-1, 4 * self.dims.dim_cavity_full)
+        return labeled, overflow, bool(bcond[:, :, 1, 0].any())
 
 
 def simulated_kernel(
@@ -699,9 +793,12 @@ def final_state_rows(forward: np.ndarray) -> np.ndarray:
     """Final joint state implied by each of stacked forward tables, as [r, m_Q, k, m_C].
 
     The memory axis carries the readout outcome, matching the layout of
-    :func:`oracle_rows` at stage "final".
+    :func:`oracle_rows` at stage "final".  Each state sums the (n_Q, n_C) run of
+    its (m_Q, k, m_C) in the kernel's memory order, pairwise (:func:`_forward_rows`).
     """
-    return np.transpose(forward.sum(axis=(1, 3)), (0, 2, 1, 3))
+    rows, (_, _, _, init, _, full) = len(forward), forward.shape
+    lanes = forward.transpose(1, 3, 0, 4, 2, 5).reshape(2 * init, rows, 2, 2, full)
+    return _pairwise_sum(lanes)
 
 
 # ---------------------------------------------------------------------------
@@ -803,9 +900,11 @@ def check_rows(rows: TableRows) -> None:
     raises.  These are a block's only checks: its sigma histograms, binned
     from checked rows (:func:`histogram_rows`), are not checked again.
     """
-    checks = [_table_faults(rows.forward, rows.forward_labels, "forward")]
+    # each mass sums a whole row in memory order, as a table's own check does
+    checks = [_table_faults(rows.forward_flat.sum(axis=1), rows.forward_labels, "forward")]
     if rows.backward is not None:
-        checks.append(_table_faults(rows.backward, rows.backward_labels, "backward",
+        labels = rows.backward_labels
+        checks.append(_table_faults(labels.sum(axis=1), labels, "backward",
                                     rows.prior_mass, rows.unlabeled))
     for r in sorted(set().union(*checks)):
         for faults in checks:
@@ -832,25 +931,29 @@ def histogram_rows(rows: TableRows, tol: float = SIGMA_TOL) -> HistogramRows:
     _check_tolerance(tol)
     count = len(rows.dbeta)
     fwd, bwd = rows.forward_labels, rows.backward_labels
-    class_sigma = _class_sigma_rows(rows.beta_qubit, rows.beta_cavity, rows.pk, rows.dims)
-    class_of = label_classes(rows.dims)[0]
+    beta_cavity = np.reshape(rows.beta_cavity, (-1, 1))  # one row when shared
+
+    def class_sigma(at, classes):  # sigma at rows ``at`` of the classes a support holds
+        cavity = beta_cavity[at] if len(beta_cavity) > 1 else beta_cavity
+        return _class_sigma_rows(rows.beta_qubit[at], cavity, rows.pk[at], *classes)
+
     parts = []
     for sel, cols in row_groups(fwd > 0.0):
         if not cols.size:  # nothing is forward-possible: a table check fails these rows
             parts.append((sel, np.zeros((3, len(fwd[sel]), 0)), 0))
             continue
-        present, members, depths = _support_members(rows.dims, cols.tobytes())
-        sigma = class_sigma[sel][:, present]
+        present, of_labels, members, depths = _support_members(rows.dims, cols.tobytes())
+        sigma = class_sigma(sel, present)
         order = np.argsort(sigma, axis=1, kind="stable")
         sigma = sigma[np.arange(len(sigma))[:, None], order]
         bins = _class_bins(sigma, order, fwd, bwd, sel, members, depths)
-        parts.append((sel, bins, len(present)))
+        parts.append((sel, bins, bins.shape[2]))
         # a tie, a near-tie or a non-finite value puts several classes in one bin
         apart = np.isfinite(sigma).all(axis=1) & (np.diff(sigma, axis=1) > tol).all(axis=1)
         if not apart.all():
             bins[:, ~apart] = 0.0  # the padding of the label bins that replace them
             by_label = np.arange(count)[sel][~apart]
-            labels = np.stack((class_sigma[by_label][:, class_of[cols]],
+            labels = np.stack((class_sigma(by_label, of_labels),
                                fwd[by_label][:, cols], bwd[by_label][:, cols]), axis=-1)
             parts.append((by_label, *_label_bins(labels, tol)))
     width = max(bins.shape[2] for _, bins, _ in parts)
@@ -865,16 +968,18 @@ def histogram_rows(rows: TableRows, tol: float = SIGMA_TOL) -> HistogramRows:
 @functools.lru_cache(maxsize=64)
 def _support_members(
     dims: SystemDims, support: bytes
-) -> tuple[np.ndarray, np.ndarray, tuple[tuple[slice, slice], ...]]:
+) -> tuple[tuple, tuple, np.ndarray, tuple[tuple[slice, slice], ...]]:
     """The classes of the labels of a support, and their labels depth by depth.
 
-    ``support`` holds the label indices as ``np.intp`` bytes.  ``present``
-    lists the classes, those with more labels first (ties in class order).
-    ``members`` lists the labels depth-major: depth 0 holds the first label of
-    every class, in the order of ``present``, and depth ``d`` the ``d``-th
-    label of each class that has one, which are the first ``w`` classes.  Each
-    ``(head, tail)`` of ``depths``, one per depth past 0, slices those ``w``
-    classes and their ``d``-th labels out of ``members``.  Read-only arrays.
+    ``support`` holds the label indices as ``np.intp`` bytes.  ``present`` gives
+    the classes of its labels, those with more labels first (ties in class
+    order), and ``of_labels`` the class of each label, both as
+    ``(qubit, cavity, k)`` values (:func:`label_classes`).  ``members`` lists the labels depth-major:
+    depth 0 holds the first label of every class, in that order, and depth
+    ``d`` the ``d``-th label of each class that has one, which are the first
+    ``w`` classes.  Each ``(head, tail)`` of ``depths``, one per depth past 0,
+    slices those ``w`` classes and their ``d``-th labels out of ``members``.
+    Read-only arrays.
     """
     class_of = label_classes(dims)[0]
     cols = np.frombuffer(support, dtype=np.intp)  # ascending: index order
@@ -889,17 +994,19 @@ def _support_members(
     ends = np.cumsum(np.bincount(depth)).tolist()
     depths = tuple((slice(0, end - start), slice(start, end))
                    for start, end in zip(ends, ends[1:]))
-    present = classes[rank]
-    for array in (present, members):
+    values = label_classes(dims)[1:]
+    present = tuple(value[classes[rank]] for value in values)
+    of_labels = tuple(value[class_of[cols]] for value in values)
+    for array in (*present, *of_labels, members):
         array.setflags(write=False)
-    return present, members, depths
+    return present, of_labels, members, depths
 
 
 def _class_bins(sigma, order, fwd, bwd, sel, members, depths) -> np.ndarray:
     """Bins of the rows ``sel`` of ``fwd`` and ``bwd``, one class per bin.
 
     ``sigma[r]`` holds the row's sorted class values and ``order[r]`` their
-    places in ``present`` (:func:`_support_members`).  Each class sums its
+    places in the support's class order (:func:`_support_members`).  Each class sums its
     labels in index order, the running sum the label sort would make: one
     gather per side takes every member, and each depth adds its members to
     the class totals of both sides in place, in one contiguous run.

@@ -55,14 +55,14 @@ def build_kernel(config: RunConfig, dims: SystemDims = DEFAULT_DIMS) -> Protocol
 
 
 #: bias points weighted, checked, binned and evaluated together.  A physical
-#: block costs about 0.35 ms however few its rows (one row: weigh 0.05, check
-#: 0.02, histogram 0.06, estimators 0.22), 128 rows about 1.5 ms and 256 rows
-#: about 2.8 ms (weigh 0.6, check 0.14, histogram 0.5, estimators 1.4), so a
+#: block costs about 0.33 ms however few its rows (one row: weigh 0.03, check
+#: 0.02, histogram 0.05, estimators 0.21), 49 rows about 0.61 ms (weigh 0.07,
+#: check 0.03, histogram 0.09, estimators 0.38) and 256 rows about 2.3 ms
+#: (weigh 0.39, check 0.10, histogram 0.42, estimators 1.08), so a
 #: 1,200-point sweep job pays that fixed cost 5 times, not 10.  Blocks of 256
-#: fit in the memory blocks of 128 took: the histogram reads the block's label
-#: arrays in place and the weighting writes the backward ones once, so a job's
-#: traced peak stays near 1.7 MB and dense-sweep runs in 0.85 of the time
-#: (BENCH_31.json).
+#: fit in the memory blocks of 128 took: the block is weighed and reduced as
+#: flat rows, the histogram reads the block's label arrays in place and the
+#: weighting writes the backward ones once (BENCH_31.json, BENCH_32.json).
 BLOCK_POINTS = 256
 
 

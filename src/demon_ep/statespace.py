@@ -253,6 +253,42 @@ def row_groups(mask: np.ndarray) -> list[tuple]:
     return [(np.array(rows), mask[rows[0]].nonzero()[0]) for rows in groups.values()]
 
 
+def _pairwise_sum(lanes: np.ndarray) -> np.ndarray:
+    """numpy's ``x.sum(axis=-1)`` of a contiguous last axis, bit for bit, given as
+    ``lanes[j] = x[..., j]``.
+
+    numpy sums a run of n values left to right below 8 values; up to 128 in
+    eight running sums (sum j takes values j, j + 8, ...) added as
+    ((0 + 1) + (2 + 3)) + ((4 + 5) + (6 + 7)) before the rest, left to right;
+    beyond 128 it halves the run at a multiple of 8.  The reduction adds that to
+    a zero start, so -0.0 reads 0.0.  Each step here is one add over every run
+    of the array at once: a short run costs no loop of its own.
+    """
+    total = _pairwise(lanes)
+    return np.add(total, 0.0, out=total)
+
+
+def _pairwise(lanes: np.ndarray) -> np.ndarray:
+    n = len(lanes)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _pairwise(lanes[:half]) + _pairwise(lanes[half:])
+    if n < 8:  # -0.0 + x is x
+        total, end = lanes[0].copy(), 1
+    else:
+        end = n - n % 8
+        sums = lanes[:8] + lanes[8:16] if end > 8 else lanes[:8]
+        for start in range(16, end, 8):
+            sums += lanes[start:start + 8]
+        pairs = sums[0::2] + sums[1::2]
+        quads = pairs[0::2] + pairs[1::2]
+        total = quads[0] + quads[1]
+    if end < n:
+        for lane in lanes[end:]:
+            total += lane
+    return total
+
+
 def _dot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # on C-contiguous rows (what ``take`` returns) every dot product runs the
     # BLAS kernel a 1-D np.dot runs, so blocks and single rows agree bit for bit

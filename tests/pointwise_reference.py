@@ -15,7 +15,10 @@ and :func:`to_grid` are the value-by-value table reader and grid fill, and
 :func:`relative_entropy_rows` the row divergence that took logarithms on every
 row.  :func:`feedback_balance_residual` is the feedback-gate balance built
 from the named-axis information measures and Gibbs weights of its own.
-Nothing in the package imports this module.
+The block functions of the last section (:func:`forward_rows` and the
+reductions after it) are the weighting and sums of a block as numpy ran them
+on the strided [r, n_Q, k, n_C, m_Q, m_C] tables, before the block became flat
+[row, place] arrays.  Nothing in the package imports this module.
 """
 
 from __future__ import annotations
@@ -555,3 +558,58 @@ def oracle_states(chain, gibbs: GibbsSpec, stages: tuple[str, ...]):
             joint[n_q, n_d] += level
         taps.append(JointDistribution(dims, joint))
     return tuple(taps)
+
+
+# ---------------------------------------------------------------------------
+# a block's weighting and sums on the strided tables
+
+
+def forward_rows(cond: np.ndarray, p_qubit: np.ndarray, p_cavity: np.ndarray) -> np.ndarray:
+    """The forward tables of a block, as the einsum wrote them."""
+    cond_row = "b" if cond.ndim == 6 else ""
+    cavity_row = "b" if p_cavity.ndim == 2 else ""
+    return np.einsum(f"{cond_row}mkfnc,bn,{cavity_row}c->bnkcmf", cond, p_qubit, p_cavity)
+
+
+def backward_rows(bcond, zeta_q, w_cav, pk, dims):
+    """Labeled backward tables, unlabeled mass and branch priors of a block."""
+    prior_qk = zeta_q[:, :, None] * pk[:, None, :]  # [r, m_Q, k]
+    if not bcond[:, :, 1, 0].any():
+        prior_qk[:, 0, 0] += prior_qk[:, 1, 0]
+        prior_qk[:, 1, 0] = 0.0
+    weights = prior_qk[:, :, :, None] * w_cav[..., None, None, :]  # [r, m_Q, k, m_C]
+    init = dims.dim_cavity_init
+    labeled = np.empty((len(weights), 2, 2, init, 2, dims.dim_cavity_full))
+    np.multiply(bcond[:, :init], weights[:, None, None], out=labeled.transpose(0, 1, 3, 4, 2, 5))
+    unlabeled = (bcond[:, init:] * weights[:, None, None]).sum(axis=(1, 2, 3, 4, 5))
+    return labeled, unlabeled, weights
+
+
+def branch_rows(forward: np.ndarray) -> np.ndarray:
+    return forward.sum(axis=(1, 3, 4, 5))
+
+
+def heat_rows(forward: np.ndarray, dims, from_atom: bool) -> np.ndarray:
+    n_q = np.arange(2, dtype=float)
+    n_c = np.arange(dims.dim_cavity_init, dtype=float)
+    m_c = np.arange(dims.dim_cavity_full, dtype=float)
+    qubit = n_q[None, None, None, :, None] - n_q[:, None, None, None, None]
+    cavity = m_c[None, None, None, None, :] - n_c[None, None, :, None, None]
+    if from_atom:
+        return -(forward * qubit).sum(axis=(1, 2, 3, 4, 5))
+    return (forward * cavity).sum(axis=(1, 2, 3, 4, 5))
+
+
+def final_state_rows(forward: np.ndarray) -> np.ndarray:
+    return np.transpose(forward.sum(axis=(1, 3)), (0, 2, 1, 3))
+
+
+def initial_branch_rows(forward: np.ndarray, backward: np.ndarray) -> list[tuple]:
+    """sigma3's (forward, backward) branch sums over (m_Q, m_C), one pair per k."""
+    return [(forward[:, :, k].sum(axis=(3, 4)), backward[:, :, k].sum(axis=(3, 4)))
+            for k in range(2)]
+
+
+def qc_marginal(joint: np.ndarray) -> np.ndarray:
+    """sigma6's (qubit, cavity) marginal of the final states."""
+    return joint.sum(axis=2)

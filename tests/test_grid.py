@@ -26,7 +26,9 @@ from demon_ep import (
     sigma_histogram,
     sweep_csv_text,
 )
-from demon_ep.entropy import FORWARD_COLUMNS, evaluate_rows
+from demon_ep import entropy
+from demon_ep.channels import ErrorModel
+from demon_ep.entropy import FORWARD_COLUMNS, EstimatorInputs, evaluate_rows
 from demon_ep.protocol import (
     ProtocolKernel,
     SigmaHistogram,
@@ -34,10 +36,13 @@ from demon_ep.protocol import (
     branch_probability,
     check_rows,
     final_state_rows,
+    gibbs_weights,
     histogram_rows,
+    measured_kernel,
+    simulated_kernel,
     weigh_rows,
 )
-from demon_ep.statespace import DEFAULT_DIMS, extended_gibbs
+from demon_ep.statespace import DEFAULT_DIMS, SystemDims, extended_gibbs
 
 
 def _reference_csv(config: RunConfig, kernel=None) -> str:
@@ -476,3 +481,77 @@ def test_backward_entries_the_table_check_admits_change_no_estimator():
     assert np.isinf(expected.estimators).any()
     np.testing.assert_allclose(results.estimators, expected.estimators, rtol=0, atol=1e-12)
     assert results.flags == expected.flags
+
+
+# ---------------------------------------------------------------------------
+# the flat [row, place] block against the strided tables it replaced
+
+
+def _negative_zeros(array: np.ndarray) -> np.ndarray:
+    return np.where(array == 0.0, -0.0, array)
+
+
+def _layout_kernel(kind: str, dims: SystemDims):
+    """A kernel of ``kind`` over ``dims`` and its cavity temperature: one shared, or
+    one per row of a 256-row block for the forward-only kernel of per-row conditionals."""
+    beta_cavity = RunConfig().beta_cavity
+    if kind == "forward_only":
+        rng = np.random.default_rng(dims.dim_cavity_init)
+        cond = rng.random((256, 2, 2, dims.dim_cavity_full, 2, dims.dim_cavity_init))
+        cond[::4, 1, 0] = -0.0  # the physical register's (m_Q=1, k=0), and a -0.0 entry
+        cond /= cond.sum(axis=(1, 2, 3), keepdims=True)
+        return ProtocolKernel(dims, cond, None), rng.uniform(0.2, 3.0, 256)
+    if kind == "ideal":
+        return simulated_kernel(None, dims, "ideal"), beta_cavity
+    # the default cavity preparation needs five evolved levels: two levels prepare their own
+    prep = np.array([[0.9, 0.1, 0.0], [0.05, 0.9, 0.05]])
+    model = ErrorModel(cavity_prep=prep) if dims.dim_cavity_full < 5 else ErrorModel()
+    kernel = simulated_kernel(model, dims, "physical")
+    if kind == "physical":
+        return kernel, beta_cavity
+    fwd, bwd = point_tables(kernel, GibbsSpec.from_dbeta(beta_cavity, 0.0))
+    measured = measured_kernel(conditional_from_table(fwd), conditional_from_table(bwd), dims)
+    # measured tables may hold -0.0 (a "-0" entry parses to it)
+    return ProtocolKernel(dims, _negative_zeros(measured.forward_cond),
+                          _negative_zeros(measured.backward_cond)), beta_cavity
+
+
+def _bits_and_strides(new: np.ndarray, old: np.ndarray) -> None:
+    assert new.strides == old.strides
+    assert new.tobytes() == old.tobytes()  # every bit, the sign of zero included
+
+
+@pytest.mark.parametrize("kind", ["ideal", "physical", "measured", "forward_only"])
+@pytest.mark.parametrize("dims", [(2, 3), (4, 5), (6, 7), (10, 11)], ids=str)
+def test_flat_block_reductions_match_the_strided_ones(kind, dims):
+    # the weighting and every sum of a block on its flat [row, place] arrays keep
+    # the einsum's products and the order numpy summed the strided tables in
+    dims = SystemDims(*dims)
+    kernel, beta_cavity = _layout_kernel(kind, dims)
+    grid = np.linspace(-6.0, 6.0, 256)
+    grid[3] = -1000.0  # the qubit prior underflows
+    blocks = [grid] if kind == "forward_only" else [grid, grid[3:4], np.array([0.75])]
+    for dbeta in blocks:
+        rows = weigh_rows(kernel, beta_cavity, dbeta)
+        zeta_q, w_cav = gibbs_weights(rows.beta_qubit, beta_cavity, dims)
+        with np.errstate(all="ignore"):
+            forward = reference.forward_rows(kernel.forward_cond, zeta_q,
+                                             w_cav[..., :dims.dim_cavity_init])
+        _bits_and_strides(rows.forward, forward)
+        assert rows.forward_labels.tobytes() == forward.tobytes()
+        _bits_and_strides(rows.pk, reference.branch_rows(forward))
+        for from_atom in (True, False):
+            heat = EstimatorInputs(rows, heat_from_atom=from_atom).heat
+            _bits_and_strides(heat, reference.heat_rows(forward, dims, from_atom))
+        final = final_state_rows(rows.forward)
+        _bits_and_strides(final, reference.final_state_rows(forward))
+        _bits_and_strides(entropy._qc_marginal(final), reference.qc_marginal(final))
+        if kernel.backward_cond is None:
+            continue
+        backward = reference.backward_rows(kernel.backward_cond, zeta_q, w_cav, rows.pk, dims)
+        for new, old in zip((rows.backward, rows.unlabeled, rows.weights), backward):
+            _bits_and_strides(new, old)
+        initial, back = entropy._initial_branch_rows(rows)
+        for k, (initial_k, back_k) in enumerate(reference.initial_branch_rows(forward, backward[0])):
+            assert initial[:, k].tobytes() == initial_k.tobytes()
+            assert back[:, :, k].tobytes() == back_k.tobytes()

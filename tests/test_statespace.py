@@ -361,3 +361,18 @@ def test_mutual_information_nonnegative_and_cut_symmetric(raw):
     assert mutual_information(joint, cut=("demon", "cavity")) == pytest.approx(
         mi, abs=1e-11
     )
+
+
+# ---------------------------------------------------------------------------
+# numpy's pairwise sum, one add per step over every run
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 10, 16, 20, 40, 128, 129, 220, 300])
+def test_pairwise_sum_is_numpys_sum_of_a_contiguous_run(n):
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal((6, n)) * 10.0 ** rng.integers(-12, 12, (6, n))
+    x[rng.random((6, n)) < 0.2] = -0.0
+    x[0] = -0.0  # a run of -0.0 sums to 0.0 from numpy's zero start
+    total = statespace._pairwise_sum(np.moveaxis(x, -1, 0))
+    assert total.tobytes() == x.sum(axis=-1).tobytes()
+    assert not np.signbit(total[0])
