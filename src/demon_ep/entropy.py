@@ -101,11 +101,31 @@ class EstimatorInputs:
     def info(self) -> np.ndarray:  # average information gained by the memory, H[p(k)]
         return shannon_entropy_rows(self.rows.pk)
 
+    @functools.cached_property
+    def mismatch(self) -> np.ndarray:
+        """The forward-possible trajectories of zero backward weight, [r, label] in
+        :attr:`TableRows.forward_labels` order: the support flags and sigma4 read it."""
+        return (self.rows.forward_labels > 0.0) & (self.rows.backward_labels <= 0.0)
 
-def _divergence_rows(p: np.ndarray, q: np.ndarray, floor: float | None) -> np.ndarray:
+
+def _divergence_rows(p: np.ndarray, q: np.ndarray, floor: float | None,
+                     mismatch: np.ndarray | None = None) -> np.ndarray:
+    """Rows of D(p || q), q taken as ``floor`` where p > 0 and q <= 0 when a floor is set.
+    Given that mask [r, entry] (``mismatch``) and no floor, a row it marks is +inf and
+    takes no divergence; ``relative_entropy_rows`` makes it +inf too, bit for bit."""
+    if floor is None and mismatch is None:
+        return relative_entropy_rows(p, q)
+    if mismatch is None:
+        mismatch = (p > 0.0) & (q <= 0.0)
     if floor is not None:
-        q = np.where((p > 0.0) & (q <= 0.0), floor, q)
-    return relative_entropy_rows(p, q)
+        return relative_entropy_rows(p, np.where(mismatch, floor, q))
+    finite = ~mismatch.any(axis=1)
+    if finite.all():
+        return relative_entropy_rows(p, q)
+    total = np.full(len(p), math.inf)
+    if finite.any():
+        total[finite] = relative_entropy_rows(p[finite], q[finite])
+    return total
 
 
 def _sigma1_rows(data: EstimatorInputs) -> np.ndarray:
@@ -168,14 +188,17 @@ def _initial_branch_rows(rows: TableRows) -> tuple[np.ndarray, np.ndarray]:
 
 def _sigma4_rows(data: EstimatorInputs) -> np.ndarray:
     """sum over trajectories of p(gamma) ln p(gamma) / p(gamma-tilde)."""
-    return _divergence_rows(data.rows.forward_labels, data.rows.backward_labels, data.floor)
+    rows = data.rows
+    return _divergence_rows(rows.forward_labels, rows.backward_labels, data.floor, data.mismatch)
 
 
 def _sigma5_rows(data: EstimatorInputs) -> np.ndarray:
     """sigma4 coarse-grained over equal-sigma bins, so it can only be smaller;
     equality holds when sigma separates trajectories with distinct weight
     ratios (as in the ideal protocol)."""
-    return _divergence_rows(data.hist.p_forward, data.hist.p_backward, data.floor)
+    hist = data.hist
+    return _divergence_rows(hist.p_forward, hist.p_backward, data.floor,
+                            (hist.p_forward > 0.0) & (hist.p_backward <= 0.0))
 
 
 def _correlation_rows(joint: np.ndarray, rho_qc: np.ndarray) -> np.ndarray:
@@ -230,10 +253,6 @@ def _one_row(fwd, bwd=None, hist=None, floor=None, heat_from_atom=True) -> Estim
     rows = None if fwd is None else TableRows.of(fwd, bwd)
     hist_rows = None if hist is None else HistogramRows.of(hist)
     return EstimatorInputs(rows, hist_rows, floor, heat_from_atom)
-
-
-def _mismatch_rows(rows: TableRows) -> np.ndarray:
-    return ((rows.forward_labels > 0.0) & (rows.backward_labels <= 0.0)).reshape(rows.forward.shape)
 
 
 def jarzynski_rows(hists: HistogramRows, direction: str = "reversed") -> np.ndarray:
@@ -402,13 +421,14 @@ def evaluate_rows(
     ])
     # rows with the same unmatched support and infinite estimators share one flags tuple
     count = len(rows.dbeta)
-    bad = _mismatch_rows(rows) if backward else np.zeros((count, 0), bool)
+    bad = data.mismatch if backward else np.zeros((count, 0), bool)
     infinite = np.isinf(values).T
     flags = [()] * count
-    for sel, _ in row_groups(np.concatenate([bad.reshape(count, -1), infinite], axis=1)):
+    for sel, _ in row_groups(np.concatenate([bad, infinite], axis=1)):
         sel = np.arange(count)[sel]
         r = sel[0]
-        shared = ((_support_flag(bad[r]),) if bad[r].any() else ()) + tuple(
+        shared = ((_support_flag(bad[r].reshape(rows.forward.shape[1:])),)
+                  if bad[r].any() else ()) + tuple(
             f"{name}:infinite" for name, inf in zip(ESTIMATORS, infinite[r]) if inf
         )
         for i in sel.tolist():
@@ -455,5 +475,5 @@ def support_mismatch(
 ) -> tuple[tuple[int, int, int, int, int], ...]:
     """Forward-possible trajectories with zero backward weight, as
     (n_Q, k, n_C, m_Q, m_C) labels in index order."""
-    bad = _mismatch_rows(TableRows.of(fwd, bwd))[0]
+    bad = _one_row(fwd, bwd).mismatch[0].reshape(fwd.probs.shape)
     return tuple(map(tuple, np.argwhere(bad).tolist()))

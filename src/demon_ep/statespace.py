@@ -309,6 +309,9 @@ def _over_supports(p: np.ndarray, total_of) -> np.ndarray:
 def shannon_entropy_rows(p: np.ndarray) -> np.ndarray:
     """:func:`shannon_entropy` of each entry along the leading axis."""
     p = p.reshape(len(p), -1)
+    if len(p) == 1:  # a 1-D np.dot runs the ddot a row of a block runs (_dot_rows)
+        nz = p[0].take((p[0] > 0.0).nonzero()[0])
+        return np.array([-np.dot(nz, np.log(nz))])
 
     def sum_p_log_p(rows, columns):
         nz = p[rows].take(columns, axis=1)
@@ -318,32 +321,37 @@ def shannon_entropy_rows(p: np.ndarray) -> np.ndarray:
 
 
 def relative_entropy_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """:func:`relative_entropy` of each pair of entries along the leading axis."""
+    """:func:`relative_entropy` of each pair of entries along the leading axis.
+
+    Every row's sum is taken first.  Only a row whose sum is not finite is
+    looked at again: it is +inf if q <= 0 anywhere on p's support (such a q
+    always makes the sum inf or NaN), and otherwise the terms whose ratio
+    overflowed to inf or underflowed to 0 take ln p - ln q and the row is
+    summed again.
+    """
     p, q = p.reshape(len(p), -1), q.reshape(len(q), -1)
 
     def divergence(rows, columns):
         pm, qm = p[rows].take(columns, axis=1), q[rows].take(columns, axis=1)
-        # rows whose reference vanishes on p's support stay +inf without a logarithm
-        live = ~(qm <= 0.0).any(axis=1)
-        every = live.all()
-        if not every:
-            pm, qm = pm[live], qm[live]
         logs = np.log(pm / qm)
         sums = _dot_rows(pm, logs)
         if not np.isfinite(sums).all():
-            # a ratio overflowed to inf or underflowed to 0: take ln p - ln q there
             lost = ~np.isfinite(sums)
-            logs = logs[lost]
+            pm, qm, logs = pm[lost], qm[lost], logs[lost]
             gone = np.isinf(logs)
-            logs[gone] = np.log(pm[lost][gone]) - np.log(qm[lost][gone])
-            sums[lost] = _dot_rows(pm[lost], logs)
-        if every:
-            return sums
-        total = np.full(len(live), math.inf)
-        total[live] = sums
-        return total
+            logs[gone] = np.log(pm[gone]) - np.log(qm[gone])
+            redone = _dot_rows(pm, logs)
+            redone[(qm <= 0.0).any(axis=1)] = math.inf
+            sums[lost] = redone
+        return sums
 
     with np.errstate(all="ignore"):
+        if len(p) == 1:  # a 1-D np.dot runs the ddot a row of a block runs (_dot_rows)
+            columns = (p[0] > 0.0).nonzero()[0]
+            pm = p[0].take(columns)
+            total = np.dot(pm, np.log(pm / q[0].take(columns)))
+            if math.isfinite(total):
+                return np.array([total])
         return _over_supports(p, divergence)
 
 

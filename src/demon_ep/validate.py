@@ -24,9 +24,10 @@ The certified configurations are module constants, built once on import:
 :data:`IDEAL`, and :data:`PHYSICALS`, the full physical model followed by
 each single error alone.  One :func:`run_all` builds each one's kernel once
 (nine), and with it the gate chain that the oracle checks evolve, a whole
-coarse grid in one stacked pass (:func:`~demon_ep.protocol.oracle_rows`);
-every check of the run shares them, and they are dropped when the run ends.
-A check called on its own keeps the kernels it builds until the next run.
+coarse grid in one stacked pass (:func:`~demon_ep.protocol.oracle_rows`),
+and each one's coarse grid once (:func:`_coarse`); every check of the run
+shares them, and they are dropped when the run ends.  A check called on its
+own keeps the kernels and grids it builds until the next run.
 The sigma2 = sigma6 check draws each block of random circuits in one call,
 into one buffer that lives as long as the check.
 """
@@ -90,6 +91,13 @@ def _coarse_rows(kernel: protocol.ProtocolKernel, grid=GRID_COARSE) -> protocol.
     rows = protocol.weigh_rows(kernel, IDEAL.beta_cavity, np.array(grid, dtype=float))
     protocol.check_rows(rows)
     return rows
+
+
+@functools.cache
+def _coarse(config: dataio.RunConfig) -> protocol.TableRows:
+    """The coarse grid of ``config``'s kernel, weighed once per :func:`run_all`, as
+    :func:`_kernel` is built: the checks that read it leave its arrays as they are."""
+    return _coarse_rows(_kernel(config))
 
 
 @_bounded(1e-9, "worst deviation {:.2e}")
@@ -201,13 +209,13 @@ def _ideal_support(dims: statespace.SystemDims) -> np.ndarray:
 
 @_bounded(1e-12, "worst deviation {:.2e}")
 def check_forward_tables():
-    ideal = _coarse_rows(_kernel(IDEAL)).forward
+    ideal = _coarse(IDEAL).forward
     # readout is deterministic: no joint (n_Q, k) weight off k = n_Q
     yield ideal[:, [0, 1], [1, 0]].sum(axis=(2, 3, 4))
     wrong = ((ideal > 0) != _ideal_support(_kernel(IDEAL).dims)).any(axis=protocol._TABLE_AXES)
     if wrong.any():
         raise ValueError(f"ideal support unexpected at dbeta={GRID_COARSE[np.argmax(wrong)]:g}")
-    phys = _coarse_rows(_kernel(PHYSICAL)).forward
+    phys = _coarse(PHYSICAL).forward
     yield np.abs(phys.sum(axis=protocol._TABLE_AXES) - 1.0)
     yield phys[:, :, 0, :, 1].sum(axis=(1, 2, 3))  # (m_Q, k) = (1, 0)
 
@@ -215,7 +223,7 @@ def check_forward_tables():
 @_bounded(1e-12, "worst conservation error {:.2e}")
 def check_backward_conservation():
     for config in (IDEAL, PHYSICAL):
-        rows = _coarse_rows(_kernel(config))
+        rows = _coarse(config)
         labeled = rows.backward.sum(axis=protocol._TABLE_AXES)
         yield np.abs(labeled + rows.unlabeled - rows.prior_mass)
 
@@ -223,10 +231,9 @@ def check_backward_conservation():
 @_bounded(1e-12, "worst marginal mismatch {:.2e}")
 def check_oracle_consistency():
     for config in (IDEAL, *PHYSICALS):
-        kernel = _kernel(config)
-        rows = _coarse_rows(kernel)
+        rows = _coarse(config)
         marginal = protocol.final_state_rows(rows.forward)
-        (oracle,) = protocol.oracle_rows(kernel.chain, rows.beta_qubit, rows.beta_cavity,
+        (oracle,) = protocol.oracle_rows(_kernel(config).chain, rows.beta_qubit, rows.beta_cavity,
                                          ("final",))
         yield np.abs(marginal - oracle)
 
@@ -431,10 +438,11 @@ CHECKS = (
 def run_all() -> tuple[bool, str]:
     """Run every check; return whether all passed and one PASS/FAIL line each.
 
-    The checks share the kernels (and gate chains) of this run: each
-    configuration's is built once, and all are dropped when the run ends.
+    The checks share the kernels (and gate chains) and coarse grids of this
+    run: each configuration's are built once, and all are dropped when the run ends.
     """
     _kernel.cache_clear()
+    _coarse.cache_clear()
     all_ok, lines = True, []
     try:
         for name, fn in CHECKS:
@@ -446,4 +454,5 @@ def run_all() -> tuple[bool, str]:
             lines.append(f"{'PASS' if ok else 'FAIL'}  {name}: {detail}\n")
     finally:
         _kernel.cache_clear()
+        _coarse.cache_clear()
     return all_ok, "".join(lines)

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import math
+
+import numpy as np
 import pytest
 
 from demon_ep import GibbsSpec, kelvin_to_beta_omega
@@ -9,6 +12,40 @@ from demon_ep import GibbsSpec, kelvin_to_beta_omega
 # Inverse cavity temperature (in units of the transition energy) for the
 # reference operating point: 2.8 K bath, 51 GHz transition.
 BETA_C = kelvin_to_beta_omega(2.8, 51.0)
+
+
+#: the entry edits of :func:`divergence_rows`, by kind: (array, value) pairs
+_EDITS = {
+    1: (("q", 0.0),), 2: (("q", -0.0),), 3: (("q", -0.25),),
+    4: (("q", 1e-310),),  # p/q overflows to inf
+    5: (("p", 5e-324), ("q", 10.0)),  # p/q underflows to 0
+    6: (("q", math.nan),), 7: (("p", math.nan),), 8: (("p", -0.0),), 9: (("p", 1e-310),),
+}
+
+
+def divergence_rows(rng: np.random.Generator, count: int, infinite: bool = False,
+                    width: int = 12) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Seeded (p, q, kind) for the row divergences and entropies: ``count`` rows of
+    ``width`` entries, p on mixed supports (some empty), q positive.  Row r takes
+    the edits ``_EDITS[kind[r]]`` at one drawn entry, on p's support in most rows
+    (kind 0 takes none): q = 0, -0.0 or < 0, a denormal q or p, a ratio that
+    underflows, a NaN q or p, p = -0.0.  With ``infinite``, every row's q also
+    vanishes at one entry of p's support, so every divergence is +inf."""
+    p = rng.random((count, width)) * (rng.random((count, width)) < 0.7)
+    q = rng.random((count, width)) + 1e-3
+    kind = rng.integers(0, 10, size=count)
+    column = rng.integers(0, width, size=count)
+    on_support = rng.random(count) < 0.75
+    for r in range(count):
+        if on_support[r]:
+            p[r, column[r]] = 0.25
+        for name, value in _EDITS.get(int(kind[r]), ()):
+            (p if name == "p" else q)[r, column[r]] = value
+    if infinite:
+        other = (column + 1) % width
+        p[np.arange(count), other] = 0.5
+        q[np.arange(count), other] = 0.0
+    return p, q, kind
 
 
 @pytest.fixture(scope="session")

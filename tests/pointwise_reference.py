@@ -13,7 +13,11 @@ gate chain behind a kernel's conditionals (:func:`conditionals`), and
 :func:`oracle_states` the one-point whole-state oracle.  :func:`parse_table`
 and :func:`to_grid` are the value-by-value table reader and grid fill, and
 :func:`relative_entropy_rows` the row divergence that took logarithms on every
-row.  :func:`feedback_balance_residual` is the feedback-gate balance built
+row.  :func:`grouped_relative_entropy_rows` is the row divergence that then
+tested every row's reference before its logarithm, and
+:func:`grouped_shannon_entropy_rows` the row entropy beside it, both taking
+every call, one row or many, through the support groups of ``_over_supports``.
+:func:`feedback_balance_residual` is the feedback-gate balance built
 from the named-axis information measures and Gibbs weights of its own.
 The block functions of the last section (:func:`forward_rows` and the
 reductions after it) are the weighting and sums of a block as numpy ran them
@@ -101,6 +105,45 @@ def relative_entropy_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
             logs[gone] = np.log(pm[lost][gone]) - np.log(qm[lost][gone])
             total[lost] = _dot_rows(pm[lost], logs)
             total[(qm <= 0.0).any(axis=1)] = math.inf
+        return total
+
+    with np.errstate(all="ignore"):
+        return _over_supports(p, divergence)
+
+
+def grouped_shannon_entropy_rows(p: np.ndarray) -> np.ndarray:
+    p = p.reshape(len(p), -1)
+
+    def sum_p_log_p(rows, columns):
+        nz = p[rows].take(columns, axis=1)
+        return _dot_rows(nz, np.log(nz))
+
+    return -_over_supports(p, sum_p_log_p)
+
+
+def grouped_relative_entropy_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    p, q = p.reshape(len(p), -1), q.reshape(len(q), -1)
+
+    def divergence(rows, columns):
+        pm, qm = p[rows].take(columns, axis=1), q[rows].take(columns, axis=1)
+        # rows whose reference vanishes on p's support stay +inf without a logarithm
+        live = ~(qm <= 0.0).any(axis=1)
+        every = live.all()
+        if not every:
+            pm, qm = pm[live], qm[live]
+        logs = np.log(pm / qm)
+        sums = _dot_rows(pm, logs)
+        if not np.isfinite(sums).all():
+            # a ratio overflowed to inf or underflowed to 0: take ln p - ln q there
+            lost = ~np.isfinite(sums)
+            logs = logs[lost]
+            gone = np.isinf(logs)
+            logs[gone] = np.log(pm[lost][gone]) - np.log(qm[lost][gone])
+            sums[lost] = _dot_rows(pm[lost], logs)
+        if every:
+            return sums
+        total = np.full(len(live), math.inf)
+        total[live] = sums
         return total
 
     with np.errstate(all="ignore"):

@@ -50,7 +50,7 @@ from demon_ep.protocol import (
 )
 
 import pointwise_reference as reference
-from conftest import BETA_C
+from conftest import BETA_C, divergence_rows
 
 
 def _gibbs(dbt: float) -> GibbsSpec:
@@ -461,10 +461,45 @@ def test_a_block_builds_each_shared_quantity_once(monkeypatch):
     assert len(results) == 64 and len(final_calls) == 1
     assert len(gibbs_calls) == 2 * weighing  # the weighing above, then the block's own
     for name in ("forward_labels", "backward_labels"):
-        assert {"check_rows", "histogram_rows", "_sigma4_rows", "_mismatch_rows"} <= set(
+        assert {"check_rows", "histogram_rows", "_sigma4_rows", "mismatch"} <= set(
             readers[name]
         )
         assert set.union(*readers[name].values()) == {id(getattr(rows, name))}
+
+
+@pytest.mark.parametrize("floor", [None, 1e-12])
+def test_sigma4_and_sigma5_read_their_infinities_off_the_support_masks(monkeypatch, floor):
+    # without a floor, a row with a forward-possible, backward-impossible
+    # trajectory (sigma4) or bin (sigma5) is +inf and takes no divergence, and a
+    # block of such rows takes none at all; every value is the full evaluation's,
+    # bit for bit, with a floor or without
+    def full(p, q):
+        if floor is not None:
+            q = np.where((p > 0.0) & (q <= 0.0), floor, q)
+        return reference.grouped_relative_entropy_rows(p, q)
+
+    calls = []
+    original = entropy.relative_entropy_rows
+    monkeypatch.setattr(entropy, "relative_entropy_rows",
+                        lambda p, q: calls.append(len(p)) or original(p, q))
+    grid = np.linspace(-6.0, 6.0, 64)
+    # all sigma4 and sigma5 rows +inf; sigma5 +inf at 63 rows of 64; both finite
+    for config in (RunConfig(mode="physical"), RunConfig(mode="physical", single_error="cavity_prep"),
+                   RunConfig(mode="physical", single_error="eps_read"), RunConfig()):
+        rows, hist, _ = runner._run_block(runner.build_kernel(config), config, grid)
+        data = entropy.EstimatorInputs(rows, hist, floor)
+        for name, p, q in (("sigma4", rows.forward_labels, rows.backward_labels),
+                           ("sigma5", hist.p_forward, hist.p_backward)):
+            calls.clear()
+            got = ESTIMATORS[name].rows(data)
+            assert got.tobytes() == full(p, q).tobytes()
+            kept = len(p) if floor is not None else int(np.isfinite(got).sum())
+            assert calls == ([kept] if kept else [])
+    rng = np.random.default_rng(3)
+    for infinite in (False, True):  # some rows +inf, then every row
+        p, q, _ = divergence_rows(rng, 256, infinite)
+        mismatch = (p > 0.0) & (q <= 0.0)
+        assert entropy._divergence_rows(p, q, floor, mismatch).tobytes() == full(p, q).tobytes()
 
 
 def test_every_thermal_weighting_takes_its_weights_from_one_helper(monkeypatch):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import collections
 import csv
+import functools
 import hashlib
 import io
 import itertools
@@ -367,14 +368,20 @@ def _counting(monkeypatch, module, name) -> list:
 
 def test_validate_builds_each_kernel_once_per_run(monkeypatch):
     # ideal, physical and the seven single errors; a second run builds them
-    # all again, so nothing built outlives a run
+    # all again, so nothing built outlives a run.  Each one's coarse grid is
+    # weighed once too, though three checks read the ideal and physical ones;
+    # the serialization check weighs one more grid, of its measured kernel
     calls = _counting(monkeypatch, runner, "build_kernel")
+    grids = _counting(monkeypatch, validate, "_coarse_rows")
     for _ in range(2):
         calls.clear()
+        grids.clear()
         ok, _ = validate.run_all()
         assert ok
         assert len(calls) == 2 + len(validate.SINGLE_ERRORS) == 9
+        assert len(grids) == 9 + 1
         assert validate._kernel.cache_info().currsize == 0
+        assert validate._coarse.cache_info().currsize == 0
 
 
 def test_validate_builds_its_configurations_once(monkeypatch):
@@ -474,7 +481,14 @@ def _nan_after_check(monkeypatch, attribute, skipped):
             getattr(rows, attribute)[-1] = math.nan
         return rows
 
+    _poison_coarse_rows(monkeypatch, poisoned)
+
+
+def _poison_coarse_rows(monkeypatch, poisoned):
+    """Weigh every coarse grid through ``poisoned``, into a cache of the test's own:
+    the checks weigh their grids again, and no later check reads a poisoned one."""
     monkeypatch.setattr(validate, "_coarse_rows", poisoned)
+    monkeypatch.setattr(validate, "_coarse", functools.cache(validate._coarse.__wrapped__))
 
 
 def _nan_oracle(monkeypatch):
@@ -554,7 +568,7 @@ def _off_support_after_check(monkeypatch):
             rows.forward[2, 0, 0, 0, 0, 1] = 0.5
         return rows
 
-    monkeypatch.setattr(validate, "_coarse_rows", poisoned)
+    _poison_coarse_rows(monkeypatch, poisoned)
 
 
 def _labels_reversed(monkeypatch):

@@ -33,6 +33,7 @@ from demon_ep import (
 )
 
 import pointwise_reference as reference
+from conftest import divergence_rows
 
 # ---------------------------------------------------------------------------
 # thermal distributions
@@ -175,6 +176,35 @@ def test_row_divergences_equal_the_logarithm_on_every_row_reference(seed, floor)
     assert np.isnan(got).any() and np.isfinite(got).any()
     one_by_one = [statespace.relative_entropy_rows(p[r : r + 1], q[r : r + 1]) for r in range(97)]
     assert np.concatenate(one_by_one).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("count", [1, 64, 256])
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("infinite", [False, True])
+def test_row_functions_are_the_support_grouped_ones_bit_for_bit(count, seed, infinite):
+    # every row is summed first and only a row whose sum is not finite is looked
+    # at again; a one-row call takes a 1-D np.dot.  Both give the bytes of the
+    # functions that tested every row's reference first, block by block and row
+    # by row, and no RuntimeWarning escapes
+    p, q, kind = divergence_rows(np.random.default_rng(seed), count, infinite)
+    want = reference.grouped_relative_entropy_rows(p, q)
+    want_entropy = reference.grouped_shannon_entropy_rows(p)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = statespace.relative_entropy_rows(p, q)
+        got_entropy = statespace.shannon_entropy_rows(p)
+        for r in range(count):
+            alone = statespace.relative_entropy_rows(p[r:r + 1], q[r:r + 1])
+            assert alone.tobytes() == want[r:r + 1].tobytes()
+            alone = statespace.shannon_entropy_rows(p[r:r + 1])
+            assert alone.tobytes() == want_entropy[r:r + 1].tobytes()
+    assert got.tobytes() == want.tobytes()
+    assert got_entropy.tobytes() == want_entropy.tobytes()
+    if infinite:
+        assert np.isposinf(got).all()
+    elif count > 1:  # the draw reaches each outcome, the redone ratios included
+        assert np.isposinf(got).any() and np.isnan(got).any()
+        assert np.isfinite(got[np.isin(kind, (4, 5))]).any()
 
 
 def test_relative_entropy_accepts_unnormalized_reference():
