@@ -7,9 +7,17 @@ resonant e<->g photon exchange, and every error acts on atomic levels.
 
 :data:`ENCODINGS` maps each protocol mode to its register: the logical pair
 held by each level.  The physical atom has no level for (1, 0).  The ideal
-register appends a fourth level X = (1, 0); :func:`register_channel` and
+register appends a fourth level X = (1, 0); the gate builders and
 :func:`prepare_register` make X a spectator of every gate and error channel,
 so the ideal protocol runs the same chain as the physical one.
+
+Each gate builder makes its atom matrix over (level, n_C) and checks it once,
+as one channel: on the atom's labels, or, given an ``encoding``, on that
+register's labels ((n_Q, n_D), n_C).  The physical register is the atom
+relabelled; the ideal one embeds the atom matrix beside the identity on X.
+:func:`register_channel` lifts a channel already built the same way.  The
+labels, identities and the feedback's exchange of each cavity dimension are
+built on first use and shared, read-only.
 
 Channels are column-stochastic matrices ``m[to, from]`` tagged with their
 basis labels, so composition across mismatched spaces fails loudly.
@@ -17,6 +25,7 @@ basis labels, so composition across mismatched spaces fails loudly.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from enum import IntEnum
@@ -64,10 +73,25 @@ class AtomLevel(IntEnum):
     F = 2
 
 
+_ATOM_LEVELS = tuple(AtomLevel)
+
+
+@functools.lru_cache(maxsize=16)
+def _labels(full: int, levels: tuple) -> tuple:
+    """The basis labels (level, n_C) of ``levels`` and the Fock states below ``full``."""
+    return tuple((level, n) for level in levels for n in range(full))
+
+
 def physical_labels(dims: SystemDims = DEFAULT_DIMS) -> tuple:
-    return tuple(
-        (level, n) for level in AtomLevel for n in range(dims.dim_cavity_full)
-    )
+    return _labels(dims.dim_cavity_full, _ATOM_LEVELS)
+
+
+@functools.lru_cache(maxsize=16)
+def _identity(size: int) -> np.ndarray:
+    """``np.eye(size)``, read-only."""
+    eye = np.eye(size)
+    eye.setflags(write=False)
+    return eye
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,9 +108,12 @@ class StochasticChannel:
             raise ValueError("channel matrix must be square")
         if len(self.labels) != m.shape[0]:
             raise ValueError("label count does not match matrix dimension")
-        if not ((m >= -1e-15) & (m <= 1.0 + 1e-12)).all():
+        # written so that a NaN entry fails: min and max propagate it, and every
+        # comparison with NaN is false
+        if not (m.min() >= -1e-15 and m.max() <= 1.0 + 1e-12):
             raise ValueError("channel entries must be finite and lie in [0, 1]")
-        worst = float(np.abs(m.sum(axis=0) - 1.0).max())
+        sums = m.sum(axis=0)
+        worst = float(max(sums.max() - 1.0, 1.0 - sums.min()))  # the largest |sum - 1|
         if worst > _COL_TOL:
             raise ValueError(f"columns must sum to 1 (worst deviation {worst:.3e})")
 
@@ -175,6 +202,25 @@ def _error_free(value):
     return np.eye(*np.shape(value)) if np.ndim(value) else 0.0
 
 
+def _is_error_free(value) -> bool:
+    """Whether ``value`` equals :func:`_error_free` of it, without building an identity."""
+    if not np.ndim(value):
+        return value == 0.0
+    diagonal = value.diagonal()
+    return bool((diagonal == 1.0).all()) and np.count_nonzero(value) == diagonal.size
+
+
+def _distributions(m: np.ndarray, axis: int) -> bool:
+    """Whether the slices of ``m`` along ``axis`` are distributions: every entry at
+    least 0 and every sum within the column tolerance of 1.  Written so that a NaN
+    or infinite entry fails: min and max propagate NaN, and every comparison with
+    NaN is false."""
+    if not m.size:
+        return True
+    sums = m.sum(axis=axis)
+    return bool(m.min() >= 0 and sums.max() - 1.0 <= _COL_TOL and 1.0 - sums.min() <= _COL_TOL)
+
+
 @dataclass(frozen=True, eq=False)
 class ErrorModel:
     """Imperfection parameters of the physical protocol.
@@ -208,14 +254,13 @@ class ErrorModel:
         object.__setattr__(self, "confusion", conf)
         if conf.shape != (3, 3):
             raise ValueError("confusion matrix must be 3x3 over (e, g, f)")
-        # written so that a NaN entry fails: every comparison with NaN is false
-        if not (np.all(conf >= 0) and np.all(np.abs(conf.sum(axis=0) - 1.0) <= _COL_TOL)):
+        if not _distributions(conf, axis=0):
             raise ValueError("confusion columns must be distributions")
         prep = np.asarray(self.cavity_prep, dtype=float)
         object.__setattr__(self, "cavity_prep", prep)
         if prep.ndim != 2 or prep.shape[1] < prep.shape[0]:
             raise ValueError("cavity_prep must map targets into a larger Fock space")
-        if not (np.all(prep >= 0) and np.all(np.abs(prep.sum(axis=1) - 1.0) <= _COL_TOL)):
+        if not _distributions(prep, axis=1):
             raise ValueError("cavity_prep rows must be distributions")
 
     def _idealized(self, keep: str | None = None) -> "ErrorModel":
@@ -242,10 +287,7 @@ class ErrorModel:
 
     @property
     def is_ideal(self) -> bool:
-        return all(
-            np.array_equal(value, _error_free(value))
-            for value in (getattr(self, name) for name in ERROR_CHANNELS.values())
-        )
+        return all(_is_error_free(getattr(self, name)) for name in ERROR_CHANNELS.values())
 
 
 # ---------------------------------------------------------------------------
@@ -294,19 +336,35 @@ def prepare_cavity(
 # Protocol-step channels
 
 
+def _on_register(mat: np.ndarray, full: int, encoding: tuple | None) -> StochasticChannel:
+    """An atom matrix over (level, n_C) as one channel: on the atom's labels, or on the
+    register of ``encoding``, whose levels beyond the atom's three are spectators."""
+    if encoding is None:
+        return StochasticChannel(mat, _labels(full, _ATOM_LEVELS))
+    if len(encoding) > len(AtomLevel):
+        lifted = np.eye(full * len(encoding))
+        lifted[: len(mat), : len(mat)] = mat
+        mat = lifted
+    return StochasticChannel(mat, _labels(full, encoding))
+
+
 def _lift_atom(
-    mat3: np.ndarray, dims: SystemDims, cav: np.ndarray | None = None
+    mat3: np.ndarray,
+    dims: SystemDims,
+    cav: np.ndarray | None = None,
+    encoding: tuple | None = None,
 ) -> StochasticChannel:
     """``np.kron(mat3, cav)`` over (level, n_C), by broadcasting; ``cav`` defaults to 1."""
     full = dims.dim_cavity_full
-    cav = np.eye(full) if cav is None else cav
+    cav = _identity(full) if cav is None else cav
     mat = (mat3[:, None, :, None] * cav[None, :, None, :]).reshape(3 * full, 3 * full)
-    return StochasticChannel(mat, physical_labels(dims))
+    return _on_register(mat, full, encoding)
 
 
 def readout_channel(
     eps_read: float = 0.0,
     dims: SystemDims = DEFAULT_DIMS,
+    encoding: tuple | None = None,
 ) -> StochasticChannel:
     """Memory-write step: the g<->f pi-pulse on the atom.
 
@@ -316,12 +374,26 @@ def readout_channel(
     k = n_Q.
     """
     swap_gf = np.eye(3)[:, [0, 2, 1]]
-    return _lift_atom((1.0 - eps_read) * swap_gf + eps_read * np.eye(3), dims)
+    return _lift_atom((1.0 - eps_read) * swap_gf + eps_read * np.eye(3), dims, encoding=encoding)
+
+
+@functools.lru_cache(maxsize=16)
+def _exchange(full: int) -> np.ndarray:
+    """The error-free feedback over (level, n_C) of ``full`` Fock states, read-only."""
+    perm = np.eye(3 * full)
+    for n in range(full - 1):
+        a = AtomLevel.E * full + n  # index of label (e, n)
+        b = AtomLevel.G * full + n + 1  # index of label (g, n+1)
+        perm[[a, b], [a, b]] = 0.0
+        perm[a, b] = perm[b, a] = 1.0
+    perm.setflags(write=False)
+    return perm
 
 
 def feedback_channel(
     eps_feed: float = 0.0,
     dims: SystemDims = DEFAULT_DIMS,
+    encoding: tuple | None = None,
 ) -> StochasticChannel:
     """Conditional photon exchange.
 
@@ -331,30 +403,26 @@ def feedback_channel(
     the identity, with probability ``eps_feed``.
     """
     full = dims.dim_cavity_full
-    perm = np.eye(3 * full)
-    for n in range(full - 1):
-        a = AtomLevel.E * full + n  # index of label (e, n)
-        b = AtomLevel.G * full + n + 1  # index of label (g, n+1)
-        perm[[a, b], [a, b]] = 0.0
-        perm[a, b] = perm[b, a] = 1.0
-    mat = (1.0 - eps_feed) * perm + eps_feed * np.eye(3 * full)
-    return StochasticChannel(mat, physical_labels(dims))
+    mat = (1.0 - eps_feed) * _exchange(full) + eps_feed * _identity(3 * full)
+    return _on_register(mat, full, encoding)
 
 
 def detection_channel(
     confusion: np.ndarray,
     dims: SystemDims = DEFAULT_DIMS,
+    encoding: tuple | None = None,
 ) -> StochasticChannel:
     """State-selective ionization readout: true level -> detected level."""
     conf = np.asarray(confusion, dtype=float)
     if conf.shape != (3, 3):
         raise ValueError("confusion matrix must be 3x3 over (e, g, f)")
-    return _lift_atom(conf, dims)
+    return _lift_atom(conf, dims, encoding=encoding)
 
 
 def relaxation_channel(
     model: ErrorModel,
     dims: SystemDims = DEFAULT_DIMS,
+    encoding: tuple | None = None,
 ) -> StochasticChannel:
     """One-step classical decay during the flight to the detector.
 
@@ -377,7 +445,7 @@ def relaxation_channel(
         cav[n, n] = 1.0 - down
         if n > 0:
             cav[n - 1, n] = down
-    return _lift_atom(atom, dims, cav)
+    return _lift_atom(atom, dims, cav, encoding)
 
 
 def register_channel(channel: StochasticChannel, encoding: tuple) -> StochasticChannel:
@@ -385,11 +453,7 @@ def register_channel(channel: StochasticChannel, encoding: tuple) -> StochasticC
 
     Levels beyond the atom's three are spectators: the identity acts on them.
     """
-    full = channel.dim // len(AtomLevel)
-    mat = np.eye(full * len(encoding))
-    mat[: channel.dim, : channel.dim] = channel.matrix
-    labels = tuple((pair, n) for pair in encoding for n in range(full))
-    return StochasticChannel(mat, labels)
+    return _on_register(channel.matrix, channel.dim // len(AtomLevel), encoding)
 
 
 def two_atom_probability(nbar: float = 0.22, eff: float = 0.5) -> float:

@@ -22,12 +22,14 @@ import contextlib
 import csv
 import io
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from .channels import ENCODINGS, ERROR_CHANNELS, AtomLevel, ErrorModel
+from .channels import (
+    ENCODINGS, ERROR_CHANNELS, AtomLevel, ErrorModel, _default_cavity_prep, _default_confusion,
+)
 from .entropy import COLUMNS, FORWARD_COLUMNS, EpColumns
 from .statespace import (
     SIGMA_TOL, SystemDims, _mass_faults, _report, _warn, gibbs_distribution,
@@ -325,7 +327,7 @@ _CONFUSION_KEYS = {
     if seen != true
 }
 #: ``cavity_prep_<target>``, one key per row of the cavity-preparation table
-_PREP_KEYS = tuple(f"cavity_prep_{target}" for target in range(len(ErrorModel().cavity_prep)))
+_PREP_KEYS = tuple(f"cavity_prep_{target}" for target in range(len(_default_cavity_prep())))
 _MODEL_FIELDS = tuple(item.name for item in fields(ErrorModel))
 
 #: a ``cavity_prep_<target>`` row: ``(level, probability)`` pairs
@@ -472,16 +474,17 @@ class RunConfig:
         return self._error_model
 
     def _make_error_model(self) -> ErrorModel:
-        base = ErrorModel()
+        """One :class:`ErrorModel` of the given values and the field defaults, checked
+        once, then idealized once as the mode or ``single_error`` asks."""
         # the scalar fields RunConfig shares with ErrorModel, where set
-        overrides = {
+        given = {
             name: getattr(self, name)
             for name in _MODEL_FIELDS
             if getattr(self, name, None) is not None
         }
         etas = [key for key in _CONFUSION_KEYS if getattr(self, key) is not None]
         if etas:
-            conf = base.confusion.copy()
+            conf = _default_confusion()
             for key in etas:
                 conf[_CONFUSION_KEYS[key]] = _probability(key, getattr(self, key))
             for col in range(3):
@@ -490,12 +493,12 @@ class RunConfig:
                     keys = [key for key, (_, true) in _CONFUSION_KEYS.items() if true == col]
                     raise ValueError(f"{' + '.join(keys)} must lie in [0, 1], got {float(off)!r}")
                 conf[col, col] = 1.0 - off
-            overrides["confusion"] = conf
-        prep = base.cavity_prep.copy()
+            given["confusion"] = conf
         for target, key in enumerate(_PREP_KEYS):
             row, levels = getattr(self, key), set()
             if row is None:
                 continue
+            prep = given.setdefault("cavity_prep", _default_cavity_prep())
             new_row = np.zeros(prep.shape[1])
             for level, p in row:
                 if not 0 <= level < prep.shape[1]:
@@ -507,12 +510,11 @@ class RunConfig:
             if abs(new_row.sum() - 1.0) > _CLAMP_TOL:
                 raise ValueError(f"{key} must sum to 1")
             prep[target] = new_row / new_row.sum()
-            overrides["cavity_prep"] = prep
-        model = replace(base, **overrides) if overrides else base
+        model = ErrorModel(**given)  # every given value is range-checked here
         if self.mode == "ideal":  # every channel error-free, the diagnostics kept
             return model._idealized()
         if self.single_error is not None:
-            model = ErrorModel.single(self.single_error, base=model)
+            return ErrorModel.single(self.single_error, base=model)
         return model
 
 

@@ -111,15 +111,15 @@ class EstimatorInputs:
 def _divergence_rows(p: np.ndarray, q: np.ndarray, floor: float | None,
                      mismatch: np.ndarray | None = None) -> np.ndarray:
     """Rows of D(p || q), q taken as ``floor`` where p > 0 and q <= 0 when a floor is set.
-    Given that mask [r, entry] (``mismatch``) and no floor, a row it marks is +inf and
-    takes no divergence; ``relative_entropy_rows`` makes it +inf too, bit for bit."""
+    Given that mask, shaped like p (``mismatch``), and no floor, a row it marks is +inf
+    and takes no divergence; ``relative_entropy_rows`` makes it +inf too, bit for bit."""
     if floor is None and mismatch is None:
         return relative_entropy_rows(p, q)
     if mismatch is None:
         mismatch = (p > 0.0) & (q <= 0.0)
     if floor is not None:
         return relative_entropy_rows(p, np.where(mismatch, floor, q))
-    finite = ~mismatch.any(axis=1)
+    finite = ~mismatch.reshape(len(p), -1).any(axis=1)
     if finite.all():
         return relative_entropy_rows(p, q)
     total = np.full(len(p), math.inf)
@@ -135,17 +135,25 @@ def _sigma1_rows(data: EstimatorInputs) -> np.ndarray:
     return (data.rows.beta_cavity - data.rows.beta_qubit) * data.heat + data.info
 
 
-def _branch_divergence(data: EstimatorInputs, weight, reference) -> np.ndarray:
+def _branch_divergence(data: EstimatorInputs, weight, reference,
+                       support: bool = False) -> np.ndarray:
     """sum_k p(k) D(state_k || reference(k, p(k))) over the branches with p(k) > 0,
     in branch order; state_k is ``weight(k)``, branch k's forward weight on the
-    final or the initial levels [r, n_Q or m_Q, n_C or m_C], divided by p(k)."""
+    final or the initial levels [r, n_Q or m_Q, n_C or m_C], divided by p(k).  With
+    ``support`` (a reference that can vanish) and no floor, a branch whose reference
+    vanishes somewhere passes its support-mismatch mask, so its +inf rows take no
+    divergence (:func:`_divergence_rows`); a branch whose reference vanishes nowhere
+    builds no mask."""
     rows = data.rows
     pk = rows.pk[:, :, None, None]
     total = 0.0
     with np.errstate(divide="ignore", invalid="ignore"):  # p(k) = 0 rows are dropped
         for k in range(2):
-            state = weight(k) / pk[:, k]
-            term = rows.pk[:, k] * _divergence_rows(state, reference(k, pk[:, k]), data.floor)
+            state, ref = weight(k) / pk[:, k], reference(k, pk[:, k])
+            mismatch = None
+            if support and data.floor is None and (vanishing := ref <= 0.0).any():
+                mismatch = (state > 0.0) & vanishing
+            term = rows.pk[:, k] * _divergence_rows(state, ref, data.floor, mismatch)
             if not (rows.pk[:, k] > 0.0).all():
                 term = np.where(rows.pk[:, k] > 0.0, term, 0.0)
             total = total + term
@@ -163,7 +171,7 @@ def _sigma3_rows(data: EstimatorInputs) -> np.ndarray:
     the estimator reduces to the others in the ideal protocol."""
     forward, backward = _initial_branch_rows(data.rows)
     return _branch_divergence(data, lambda k: forward[:, k],
-                              lambda k, pk: backward[:, :, k] / pk)
+                              lambda k, pk: backward[:, :, k] / pk, support=True)
 
 
 def _initial_branch_rows(rows: TableRows) -> tuple[np.ndarray, np.ndarray]:

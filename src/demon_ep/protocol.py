@@ -52,7 +52,6 @@ from .channels import (
     prepare_cavity,
     prepare_register,
     readout_channel,
-    register_channel,
     relaxation_channel,
 )
 from .statespace import (
@@ -341,14 +340,11 @@ class GateChain:
 def _gate_chain(model: ErrorModel | None, dims: SystemDims, mode: str) -> GateChain:
     model = _resolve_model(model, mode, dims)
     encoding = ENCODINGS[mode]
-    gates = tuple(
-        register_channel(gate, encoding)
-        for gate in (
-            readout_channel(model.eps_read, dims),
-            feedback_channel(model.eps_feed, dims),
-            relaxation_channel(model, dims),
-            detection_channel(model.confusion, dims),
-        )
+    gates = (  # each gate checked once, on the register
+        readout_channel(model.eps_read, dims, encoding),
+        feedback_channel(model.eps_feed, dims, encoding),
+        relaxation_channel(model, dims, encoding),
+        detection_channel(model.confusion, dims, encoding),
     )
     return GateChain(model, dims, encoding, gates, compose(gates[3], gates[2]))
 

@@ -56,13 +56,16 @@ def build_kernel(config: RunConfig, dims: SystemDims = DEFAULT_DIMS) -> Protocol
 
 #: bias points weighted, checked, binned and evaluated together.  A physical
 #: block costs about 0.37 ms however few its rows (one row: weigh 0.03, check
-#: 0.01, histogram 0.06, estimators 0.17), 49 rows about 0.98 ms (weigh 0.08,
-#: check 0.02, histogram 0.31, estimators 0.31) and 256 rows about 2.2 ms
+#: 0.01, histogram 0.06, estimators 0.17), 49 rows without a tie about 0.65 ms
+#: (weigh 0.08, check 0.03, histogram 0.09, estimators 0.35) and 256 rows about 2.2 ms
 #: (weigh 0.45, check 0.06, histogram 0.41, estimators 0.75), so a
-#: 1,200-point sweep job pays that fixed cost 5 times, not 10.  Blocks of 256
-#: fit in the memory blocks of 128 took: the block is weighed and reduced as
-#: flat rows, the histogram reads the block's label arrays in place and the
-#: weighting writes the backward ones once (BENCH_31.json, BENCH_32.json).
+#: 1,200-point sweep job pays that fixed cost 5 times, not 10.  A row whose
+#: sigma classes tie is binned a second time, label by label: 13 rows of the
+#: default 49-point physical grid do, and its block takes about 1.0 ms
+#: (histogram 0.31-0.38).  Blocks of 256 fit in the memory blocks of 128
+#: took: the block is weighed and reduced as flat rows, the histogram reads
+#: the block's label arrays in place and the weighting writes the backward
+#: ones once (BENCH_31.json, BENCH_32.json).
 BLOCK_POINTS = 256
 
 

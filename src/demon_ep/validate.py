@@ -151,8 +151,8 @@ def check_channel_stochasticity() -> tuple[bool, str]:
     count = 0
     for eps in (0.0, 0.03, 0.11, 0.5, 1.0):
         for encoding in channels.ENCODINGS.values():
-            channels.register_channel(channels.readout_channel(eps), encoding)
-            channels.register_channel(channels.feedback_channel(eps), encoding)
+            channels.readout_channel(eps, encoding=encoding)
+            channels.feedback_channel(eps, encoding=encoding)
             count += 2
     model = channels.ErrorModel()
     channels.detection_channel(model.confusion)
@@ -167,7 +167,7 @@ def check_channel_stochasticity() -> tuple[bool, str]:
 def check_channel_reversal() -> tuple[bool, str]:
     for mode, encoding in channels.ENCODINGS.items():
         for build in (channels.readout_channel, channels.feedback_channel):
-            chan = channels.register_channel(build(0.0), encoding)
+            chan = build(0.0, encoding=encoding)
             rev = channels.time_reverse(chan)
             round_trip = channels.compose(rev, chan)
             if not np.allclose(round_trip.matrix, np.eye(chan.dim), atol=1e-12):

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -27,6 +30,7 @@ from demon_ep import (
     time_reverse,
     two_atom_probability,
 )
+import demon_ep.channels as channels
 from demon_ep.channels import physical_labels
 
 FULL = DEFAULT_DIMS.dim_cavity_full
@@ -56,6 +60,33 @@ def test_channel_rejects_unnormalized_columns():
 def test_channel_rejects_negative_entries():
     with pytest.raises(ValueError):
         StochasticChannel(np.array([[1.2, 0.0], [-0.2, 1.0]]), ("a", "b"))
+
+
+_ENTRIES = "channel entries must be finite and lie in [0, 1]"
+
+
+@pytest.mark.parametrize("edits, message", [
+    ({(0, 0): math.nan}, _ENTRIES),
+    ({(0, 0): math.inf}, _ENTRIES),
+    ({(0, 0): -math.inf}, _ENTRIES),
+    ({(0, 0): -1e-14, (1, 0): 1.0 + 1e-14}, _ENTRIES),
+    ({(2, 2): 1.0 + 2e-12}, _ENTRIES),
+    ({(0, 0): 0.5 + 2e-9}, "columns must sum to 1 (worst deviation 2.000e-09)"),
+    ({(1, 1): 0.75 - 2e-9}, "columns must sum to 1 (worst deviation 2.000e-09)"),
+    ({(0, 0): -1e-16, (1, 0): 1.0 + 1e-16}, None),  # within the entry tolerances
+    ({(2, 2): 1.0 + 1e-13}, None),
+    ({(0, 0): 0.5 + 5e-10}, None),
+])
+def test_channel_entry_and_column_checks(edits, message):
+    # NaN and both infinities fail as entries outside [0, 1] do, with one message
+    m = np.array([[0.5, 0.25, 0.0], [0.5, 0.75, 0.0], [0.0, 0.0, 1.0]])
+    for at, value in edits.items():
+        m[at] = value
+    if message is None:
+        StochasticChannel(m, ("a", "b", "c"))
+    else:
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            StochasticChannel(m, ("a", "b", "c"))
 
 
 def test_channel_rejects_label_mismatch():
@@ -318,6 +349,83 @@ def test_single_error_keeps_only_its_own_field(name):
     for other in ERROR_CHANNELS.values():
         kept = np.array_equal(getattr(single, other), getattr(base, other))
         assert kept == (other == ERROR_CHANNELS[name]), other
+
+
+@pytest.mark.parametrize("field, at, keep, top", [
+    ("confusion", (1, 0), (0, 0), (2, 2)),
+    ("cavity_prep", (1, 0), (1, 1), (0, 0)),
+])
+@pytest.mark.parametrize("edits, ok", [
+    ({"at": math.nan}, False),
+    ({"at": math.inf}, False),
+    ({"at": -math.inf}, False),
+    ({"at": -1e-14, "keep": 1e-14}, False),
+    ({"top": 1.0 + 2e-12}, True),  # no upper bound on an entry: its sum is within 1e-9
+    ({"keep": 2e-9}, False),
+    ({"keep": -2e-9}, False),
+    ({"keep": 5e-10}, True),
+])
+def test_error_model_distribution_checks(field, at, keep, top, edits, ok):
+    # a confusion column or cavity_prep row is a distribution: no entry below 0
+    # and a sum within 1e-9 of 1; NaN and both infinities fail
+    m = getattr(ErrorModel(), field).copy()
+    m[:, 2] = (0.0, 0.0, 1.0) if field == "confusion" else m[:, 2]  # a column [0, 0, 1]
+    where = {"at": at, "keep": keep, "top": top}
+    for name, value in edits.items():
+        if name == "keep":  # shift the entry by value
+            m[where[name]] += value
+        else:
+            m[where[name]] = value
+    if ok:
+        ErrorModel(**{field: m})
+        return
+    kind = "columns" if field == "confusion" else "rows"
+    with pytest.raises(ValueError, match=f"^{field} {kind} must be distributions$"):
+        ErrorModel(**{field: m})
+
+
+@pytest.mark.parametrize("value, ideal", [
+    (np.eye(3), True), (-0.0 * np.ones((3, 3)) + np.eye(3), True),
+    (np.diag([1.0, 1.0, 0.0]) + np.diag([0.0, 1.0], -1), False),
+    (np.where(np.eye(3) > 0, 1.0, math.nan), False), (0.0, True), (-0.0, True), (1e-300, False),
+])
+def test_is_ideal_is_equality_with_the_error_free_value(value, ideal):
+    # what np.array_equal with the identity (or 0.0) says, without building it
+    name = "confusion" if np.ndim(value) else "eps_read"
+    model = ErrorModel.ideal()
+    object.__setattr__(model, name, value)  # past the checks: the test is of is_ideal alone
+    assert model.is_ideal == ideal == np.array_equal(value, channels._error_free(value))
+
+
+def test_cached_per_dims_arrays_are_read_only_and_made_on_first_use():
+    # the identities and the feedback's exchange are shared by every gate of a
+    # cavity dimension, so none of them may be written
+    feedback_channel(0.03)
+    readout_channel(0.11, encoding=ENCODINGS["ideal"])
+    shared = (channels._identity(FULL), channels._identity(3 * FULL), channels._exchange(FULL))
+    for array in shared:
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0] = 0.5
+    assert physical_labels() is physical_labels(DEFAULT_DIMS)
+    # importing the package builds none of them
+    code = ("import demon_ep, demon_ep.channels as c; "
+            "print(*(f.cache_info().currsize for f in (c._labels, c._identity, c._exchange)))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout == "0 0 0\n"
+
+
+@pytest.mark.parametrize("mode", sorted(ENCODINGS))
+def test_a_gate_on_the_register_is_its_atom_channel_lifted(mode):
+    # each gate is checked once, on the register; the matrix and labels are the
+    # atom channel's lifted by register_channel, bit for bit
+    encoding = ENCODINGS[mode]
+    model = ErrorModel(relax_atom_prob=0.05, relax_cavity_prob=0.01)
+    for build, arg in ((readout_channel, 0.11), (feedback_channel, 0.03),
+                       (relaxation_channel, model), (detection_channel, model.confusion)):
+        direct = build(arg, DEFAULT_DIMS, encoding)
+        lifted = register_channel(build(arg, DEFAULT_DIMS), encoding)
+        assert direct.labels == lifted.labels
+        assert direct.matrix.tobytes() == lifted.matrix.tobytes()
 
 
 def test_single_error_rejects_unknown_channel():

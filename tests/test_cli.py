@@ -521,6 +521,11 @@ _ERROR_MODEL_RANGES = [
     ("eta_e_g = -0.5", "eta_e_g must lie in [0, 1], got -0.5"),
     ("cavity_prep_1 = 0:-0.5 1:1.5", "cavity_prep_1 must lie in [0, 1], got -0.5"),
     ("eta_e_g = 0.9\neta_f_g = 0.2", "eta_e_g + eta_f_g must lie in [0, 1], got 1.1"),
+    # the model of the given values is checked before single_error idealizes the
+    # channel a bad value sets
+    ("single_error = eps_prep\neps_read = 2", "eps_read must lie in [0, 1], got 2.0"),
+    ("single_error = eps_read\neta_g_e = 1.5", "eta_g_e must lie in [0, 1], got 1.5"),
+    ("single_error = eps_feed\ncavity_prep_2 = 1:0.5 2:0.2", "cavity_prep_2 must sum to 1"),
 ]
 
 

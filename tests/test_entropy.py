@@ -502,6 +502,50 @@ def test_sigma4_and_sigma5_read_their_infinities_off_the_support_masks(monkeypat
         assert entropy._divergence_rows(p, q, floor, mismatch).tobytes() == full(p, q).tobytes()
 
 
+@pytest.mark.parametrize("floor", [None, 1e-12])
+def test_sigma3_reads_its_infinities_off_the_support_masks(monkeypatch, floor):
+    # without a floor, a branch row whose backward weight vanishes on the forward
+    # state's support is +inf and takes no divergence, and a branch of such rows
+    # takes none at all; every value is the unmasked evaluation's, bit for bit
+    def full(rows):
+        forward, backward = entropy._initial_branch_rows(rows)
+        total = 0.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for k in range(2):
+                pk = rows.pk[:, k]
+                p, q = forward[:, k] / pk[:, None, None], backward[:, :, k] / pk[:, None, None]
+                if floor is not None:
+                    q = np.where((p > 0.0) & (q <= 0.0), floor, q)
+                term = pk * reference.grouped_relative_entropy_rows(p, q)
+                total = total + np.where(pk > 0.0, term, 0.0)
+        return total, forward, backward
+
+    calls = []
+    original = entropy.relative_entropy_rows
+    monkeypatch.setattr(entropy, "relative_entropy_rows",
+                        lambda p, q: calls.append(len(p)) or original(p, q))
+    grid = np.linspace(-6.0, 6.0, 64)
+    skipped = []
+    for config in (RunConfig(mode="physical", single_error="eps_prep"), RunConfig(mode="physical"),
+                   RunConfig(mode="physical", single_error="eps_read"), RunConfig()):
+        rows, hist, _ = runner._run_block(runner.build_kernel(config), config, grid)
+        calls.clear()
+        got = ESTIMATORS["sigma3"].rows(entropy.EstimatorInputs(rows, hist, floor))
+        expected, forward, backward = full(rows)
+        assert got.tobytes() == expected.tobytes()
+        if floor is not None:
+            assert calls == [len(grid)] * 2
+            continue
+        masked = [((forward[:, k] > 0.0) & (backward[:, :, k] <= 0.0)).any(axis=(1, 2))
+                  for k in range(2)]
+        kept = [int((~mask).sum()) for mask in masked]
+        assert calls == [count for count in kept if count]
+        skipped.append(kept.count(0))
+    # the eps_prep-only block: sigma3 is +inf at every row, its k = 0 branch
+    # masked at each of them, so that branch takes no divergence at all
+    assert skipped == ([1, 0, 0, 0] if floor is None else [])
+
+
 def test_every_thermal_weighting_takes_its_weights_from_one_helper(monkeypatch):
     # a block, a wrapped table pair and the feedback balance each build their
     # Gibbs weights once, through protocol.gibbs_weights

@@ -27,6 +27,7 @@ from demon_ep import (
     ErrorModel,
     GibbsSpec,
     RunConfig,
+    StochasticChannel,
     SystemDims,
     cli,
     conditional_from_table,
@@ -436,6 +437,21 @@ def test_simulate_builds_one_chain_per_direction_model(monkeypatch, idealized_ba
     config = RunConfig(mode="physical", idealized_backward=idealized_backward)
     runner.simulate_report(config, 0.75)
     assert len(calls) == chains
+
+
+@pytest.mark.parametrize("single_error, models", [("none", 1), ("eps_read", 2)])
+def test_simulate_checks_each_gate_and_model_once(monkeypatch, tmp_path, single_error, models):
+    # the config's model is built from the given values and checked once, then
+    # idealized once for a single error; each of the four gates is checked once,
+    # on the register, and the kernel's five composes once each
+    conf = tmp_path / "run.conf"
+    conf.write_text("eps_read = 0.2\neta_e_g = 0.04\ncavity_prep_1 = 0:0.1 1:0.9\n")
+    channels = _counting(monkeypatch, StochasticChannel, "__post_init__")
+    errors = _counting(monkeypatch, ErrorModel, "__post_init__")
+    argv = ["simulate", "--mode", "physical", "--single-error", single_error,
+            "--config", str(conf), "--dbeta", "0.75", "--out", str(tmp_path / "report.txt")]
+    assert cli.main(argv) == 0
+    assert (len(channels), len(errors)) == (4 + 5, models)
 
 
 @pytest.mark.filterwarnings("error")
